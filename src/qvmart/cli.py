@@ -166,9 +166,8 @@ def _cmd_simulate(args) -> int:
     else:  # counterexample: persist the combined jump paths
         grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
         bundles = gen_bundles(stream, args.paths, grid, args.eps, args.rate, _threads(args))
-        vals = np.stack([b.s.values for b in bundles])
-        jumps = tuple(b.s.jumps for b in bundles)
-        ens = Ensemble(grid, vals, args.seed, "counterexample", jumps)
+        jumps = tuple(bundles.jumps_of(i) for i in range(len(bundles)))
+        ens = Ensemble(grid, bundles.s, args.seed, "counterexample", jumps)
     save_ensemble(ens, out, fmt=args.format)
     return 0
 
@@ -392,7 +391,8 @@ def _cmd_counterexample(args) -> int:
         return 0
     if args.action == "band":
         config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
-                  "eps": gen_eps, "seed": args.seed, "strategy": str(args.strategy)}
+                  "eps": gen_eps, "seed": args.seed, "steps": args.steps,
+                  "log_steps": args.log_steps, "strategy": str(args.strategy)}
         _write_manifest(out, "counterexample", config)
         strat = load_strategy_file(args.strategy)
         bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate, _threads(args))

@@ -22,14 +22,14 @@ from scipy import stats
 from .errors import ContractViolation
 from .path_core import TimeGrid
 from .simulate import (
+    BundleEnsemble,
     PathBundle,
     SeedStream,
     gen_counterexample,
-    insider_drift,
     make_insider_grid,
     sigma_profile_vec,
 )
-from .strategy import BandStrategy, EvalContext, GridRuleStrategy, band_check, evaluate
+from .strategy import BandStrategy, EvalContext, band_check, pi_for_ensemble
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
 from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_jumps
 
@@ -234,54 +234,24 @@ def poisson_flip_test(
 # ---------------------------------------------------------------------------
 # Wealth over bundles
 # ---------------------------------------------------------------------------
+#
+# The public functions below take a BundleEnsemble or any sequence of
+# PathBundle; a plain sequence is stacked once on entry.
 
-def _check_same_grid(bundles: Sequence[PathBundle]) -> TimeGrid:
-    if not bundles:
-        raise ContractViolation("need at least one bundle")
-    grid = bundles[0].grid
-    for b in bundles:
-        if b.grid is not grid and not np.array_equal(b.grid.points, grid.points):
-            raise ContractViolation("bundles must share one grid")
-    return grid
+def _bundle_matrices(ens: BundleEnsemble):
+    """Continuous increments, their squares, and the flat jump data."""
+    return ens.cont_inc, ens.cont_dqv, ens.jump_path, ens.jump_cell, ens.jump_size
 
 
-def _bundle_matrices(bundles: Sequence[PathBundle]):
-    """Stack continuous increments, their squares, and flattened jump data."""
-    grid = _check_same_grid(bundles)
-    m_vals = np.stack([b.m.values for b in bundles])
-    cont_inc = np.diff(m_vals, axis=1)
-    jp, jc, js = [], [], []
-    for i, b in enumerate(bundles):
-        pts = b.grid.points
-        for t, size in b.s.jumps:
-            jp.append(i)
-            jc.append(int(np.searchsorted(pts, t)) - 1)
-            js.append(size)
-    return (
-        grid,
-        cont_inc,
-        cont_inc * cont_inc,
-        np.array(jp, dtype=int),
-        np.array(jc, dtype=int),
-        np.array(js, dtype=float),
-    )
+def _pi_matrix(strategy, ens: BundleEnsemble) -> np.ndarray:
+    """Profiles of every bundle: a shared row, or one row per bundle."""
+    return pi_for_ensemble(strategy, ens, insider=ens.b1, driver=ens.b)
 
 
-def _pi_matrix(strategy, bundles: Sequence[PathBundle]) -> np.ndarray:
-    inner = strategy.strategy if isinstance(strategy, BandStrategy) else strategy
-    if isinstance(inner, GridRuleStrategy) and getattr(inner, "path_independent", False):
-        pi = evaluate(inner, bundles[0].s, EvalContext(insider=bundles[0].b1, driver=bundles[0].b))
-        return pi  # shared across paths, broadcasts as a row
-    rows = [
-        evaluate(strategy, b.s, EvalContext(insider=b.b1, driver=b.b)) for b in bundles
-    ]
-    return np.stack(rows)
-
-
-def _band_probe(strategy, bundles: Sequence[PathBundle]):
-    probes = [b.s for b in bundles[:3]]
-    ctxs = [EvalContext(insider=b.b1, driver=b.b) for b in bundles[:3]]
-    return band_check(strategy, bundles[0].grid, probes, ctxs)
+def _band_probe(strategy, ens: BundleEnsemble):
+    probes = ens[:3]
+    ctxs = [EvalContext(insider=b.b1, driver=b.b) for b in probes]
+    return band_check(strategy, ens.grid, [b.s for b in probes], ctxs)
 
 
 @dataclass(frozen=True)
@@ -302,15 +272,15 @@ def negative_wealth_probability(
     then misconfigured).  The interval is an exact 99% binomial
     Clopper-Pearson interval.
     """
-    report = _band_probe(strategy, bundles)
+    ens = BundleEnsemble.from_bundles(bundles)
+    report = _band_probe(strategy, ens)
     if report.admissible:
         raise ContractViolation(
             "strategy respects the open band |pi_t| < 1 - t; ruin probe is misconfigured"
         )
-    _, cont_inc, dqv, jp, jc, js = _bundle_matrices(bundles)
-    pi = _pi_matrix(strategy, bundles)
-    _, wiped = terminal_log_wealth_jumps(pi, cont_inc, dqv, jp, jc, js)
-    n = len(bundles)
+    pi = _pi_matrix(strategy, ens)
+    _, wiped = terminal_log_wealth_jumps(pi, *_bundle_matrices(ens))
+    n = len(ens)
     k = int(wiped.sum())
     alpha = 0.01
     low = float(stats.beta.ppf(alpha / 2, k, n - k + 1)) if k > 0 else 0.0
@@ -367,21 +337,22 @@ def utility_sweep(
     violating member is rejected outright since its utility is -inf by
     the wipe-out mechanism, not a candidate for the supremum.
     """
-    _, cont_inc, dqv, jp, jc, js = _bundle_matrices(bundles)
+    ens = BundleEnsemble.from_bundles(bundles)
+    matrices = _bundle_matrices(ens)
     entries: list[tuple[str, UtilityReport]] = []
     best = -np.inf
     best_se = float("nan")
     ruined = 0
     for member in family:
-        probe = _band_probe(member, bundles)
+        probe = _band_probe(member, ens)
         if not probe.admissible:
             t, v = probe.violations[0]
             raise ContractViolation(
                 f"sweep member {member.name!r} leaves the open band |pi_t| < 1 - t "
                 f"(pi={v:.4g} at t={t:.4g}); inadmissible strategies are ruled out"
             )
-        pi = _pi_matrix(member, bundles)
-        logw, wiped = terminal_log_wealth_jumps(pi, cont_inc, dqv, jp, jc, js)
+        pi = _pi_matrix(member, ens)
+        logw, wiped = terminal_log_wealth_jumps(pi, *matrices)
         rep = log_utility_from_terminals(logw, int(wiped.sum()))
         entries.append((member.name, rep))
         if rep.estimate == -np.inf:
@@ -414,13 +385,15 @@ class BoundTerms:
         return self.supermartingale_mean <= 1.0 + 3.0 * self.supermartingale_stderr
 
 
-def _m_hat_increments(bundles: Sequence[PathBundle]) -> np.ndarray:
-    return np.stack([np.diff(insider_drift(b)[1].values) for b in bundles])
+def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
+    """Increments of M_hat = M - A per bundle, as ``insider_drift`` computes them."""
+    return np.diff(ens.m - ens.drift_values(), axis=1)
 
 
 def _bound_terms_one(pi, cont_inc, dqv, jp, jc, js, dh) -> BoundTerms:
     n = cont_inc.shape[0]
-    c_terms = np.sum(pi * cont_inc - 0.5 * pi * pi * dqv, axis=1)
+    pi2 = pi * pi
+    c_terms = np.sum(pi * cont_inc - 0.5 * pi2 * dqv, axis=1)
     d_terms = np.zeros(n)
     if jp.size:
         pj = pi[jc] if pi.ndim == 1 else pi[jp, jc]
@@ -428,7 +401,7 @@ def _bound_terms_one(pi, cont_inc, dqv, jp, jc, js, dh) -> BoundTerms:
         if np.any(f <= 0.0):
             raise ContractViolation("admissible strategy produced a nonpositive jump factor")
         np.add.at(d_terms, jp, np.log(f))
-    sm = np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1))
+    sm = np.exp(2.0 * np.sum(pi * dh - pi2 * dh * dh, axis=1))
 
     def mse(x: np.ndarray) -> tuple[float, float]:
         return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -455,15 +428,13 @@ def utility_bound_terms_family(
     family: Sequence, bundles: Sequence[PathBundle]
 ) -> list[BoundTerms]:
     """Bound terms for a whole family, sharing the insider decomposition."""
+    ens = BundleEnsemble.from_bundles(bundles)
     for member in family:
-        if not _band_probe(member, bundles).admissible:
+        if not _band_probe(member, ens).admissible:
             raise ContractViolation("bound terms are defined for admissible strategies only")
-    _, cont_inc, dqv, jp, jc, js = _bundle_matrices(bundles)
-    dh = _m_hat_increments(bundles)
-    return [
-        _bound_terms_one(_pi_matrix(member, bundles), cont_inc, dqv, jp, jc, js, dh)
-        for member in family
-    ]
+    matrices = _bundle_matrices(ens)
+    dh = _m_hat_increments(ens)
+    return [_bound_terms_one(_pi_matrix(member, ens), *matrices, dh) for member in family]
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +471,18 @@ def insider_drift_divergence(
     bundles, so the column is increasing by construction; the growth law
     against the closed form is the divergence signature.
     """
-    grid = _check_same_grid(bundles)
-    gen_eps = bundles[0].eps
-    if min(eps_list) < gen_eps:
+    ens = BundleEnsemble.from_bundles(bundles)
+    grid = ens.grid
+    if min(eps_list) < ens.eps:
         raise ContractViolation("bundles were generated with a coarser truncation")
     pts = grid.points
     t_left = pts[:-1]
     w = sigma_profile_vec(t_left) / (1.0 - t_left) * grid.dt
-    b_vals = np.stack([b.b.values for b in bundles])
+    b_vals = ens.b
     b1 = b_vals[:, -1]
     x = np.abs(b1[:, None] - b_vals[:, :-1]) * w
     cum = np.cumsum(x, axis=1)
-    n = len(bundles)
+    n = len(ens)
     rows = []
     for eps in sorted(eps_list, reverse=True):
         k_cut = int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1

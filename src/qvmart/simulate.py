@@ -12,9 +12,11 @@ many threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "SeedStream",
     "ModelSpec",
     "PathBundle",
+    "BundleEnsemble",
     "BrownianModel",
     "DriftedDiffusion",
     "DeterministicModel",
@@ -41,7 +44,6 @@ __all__ = [
     "gen_bundles",
     "insider_drift",
     "gen_ensemble",
-    "iter_paths",
 ]
 
 LOG2 = math.log(2.0)
@@ -106,6 +108,13 @@ def _sequential_values(stream: SeedStream, index: int, grid: TimeGrid) -> np.nda
     return vals
 
 
+def _brownian_values(stream: SeedStream, grid: TimeGrid, index: int) -> np.ndarray:
+    if grid.is_dyadic_uniform():
+        level = int(round(math.log2(grid.n_steps)))
+        return _bridge_values(stream, index, level)
+    return _sequential_values(stream, index, grid)
+
+
 def gen_brownian(stream: SeedStream, grid: TimeGrid, index: int = 0) -> SamplePath:
     """Standard Brownian path on ``grid``, started at 0.
 
@@ -113,10 +122,7 @@ def gen_brownian(stream: SeedStream, grid: TimeGrid, index: int = 0) -> SamplePa
     refinement-consistent across levels; other grids use sequential
     Gaussian increments with variance equal to the cell width.
     """
-    if grid.is_dyadic_uniform():
-        level = int(round(math.log2(grid.n_steps)))
-        return SamplePath(grid, _bridge_values(stream, index, level))
-    return SamplePath(grid, _sequential_values(stream, index, grid))
+    return SamplePath(grid, _brownian_values(stream, grid, index))
 
 
 class BrownianModel:
@@ -303,6 +309,17 @@ def make_insider_grid(
     return TimeGrid(np.concatenate(pts))
 
 
+def _m_values(grid: TimeGrid, b_vals: np.ndarray, eps: float) -> np.ndarray:
+    """Late-burst martingale values from driver values (one path, or one per row)."""
+    sig = sigma_profile_vec(grid.points[:-1])
+    active = grid.points[1:] <= 1.0 - eps + 1e-15
+    inc = sig * np.diff(b_vals, axis=-1) * active
+    vals = np.empty_like(b_vals)
+    vals[..., 0] = 0.0
+    np.cumsum(inc, axis=-1, out=vals[..., 1:])
+    return vals
+
+
 def m_from_b(b: SamplePath, eps: float) -> SamplePath:
     """The late-burst martingale rebuilt from a Brownian path's increments.
 
@@ -310,14 +327,15 @@ def m_from_b(b: SamplePath, eps: float) -> SamplePath:
     increment, accumulated only over cells contained in [0, 1-eps]; the
     path is frozen on (1-eps, 1].
     """
-    grid = b.grid
-    sig = sigma_profile_vec(grid.points[:-1])
-    active = grid.points[1:] <= 1.0 - eps + 1e-15
-    inc = sig * np.diff(b.values) * active
-    vals = np.empty_like(b.values)
-    vals[0] = 0.0
-    np.cumsum(inc, out=vals[1:])
-    return SamplePath(grid, vals)
+    return SamplePath(b.grid, _m_values(b.grid, b.values, eps))
+
+
+def _check_freeze(grid: TimeGrid, eps: float) -> None:
+    if eps <= 0.0:
+        raise ConfigurationError("eps = 0 would integrate through the singularity")
+    interior = grid.points[(grid.points > 1.0 - eps + 1e-15) & (grid.points < 1.0)]
+    if interior.size:
+        raise ConfigurationError("grid has interior points beyond the 1-eps freeze time")
 
 
 def gen_M(
@@ -329,11 +347,7 @@ def gen_M(
     joint law is preserved; generation is truncated at 1-eps and M is
     frozen afterward.
     """
-    if eps <= 0.0:
-        raise ConfigurationError("eps = 0 would integrate through the singularity")
-    interior = grid.points[(grid.points > 1.0 - eps + 1e-15) & (grid.points < 1.0)]
-    if interior.size:
-        raise ConfigurationError("grid has interior points beyond the 1-eps freeze time")
+    _check_freeze(grid, eps)
     b = gen_brownian(stream, grid, index)
     return m_from_b(b, eps), b
 
@@ -420,6 +434,197 @@ def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int)
     return idxs, capped, collision
 
 
+def _drift_values(grid: TimeGrid, b_vals: np.ndarray, b1, eps: float) -> np.ndarray:
+    """Insider drift A from driver values and B1 (one path, or one per row)."""
+    t_left = grid.points[:-1]
+    sig = sigma_profile_vec(t_left)
+    active = grid.points[1:] <= 1.0 - eps + 1e-15
+    integrand = sig * (np.expand_dims(b1, -1) - b_vals[..., :-1]) / (1.0 - t_left)
+    inc = integrand * grid.dt * active
+    a_vals = np.empty_like(b_vals)
+    a_vals[..., 0] = 0.0
+    np.cumsum(inc, axis=-1, out=a_vals[..., 1:])
+    return a_vals
+
+
+@dataclass(frozen=True, eq=False)
+class BundleEnsemble(Sequence):
+    """Insider bundles stored matrix-first, one row per bundle.
+
+    ``b``, ``m`` and ``s`` are read-only ``(n_paths, n_points)`` value
+    matrices of the driver B, the late-burst martingale M and the combined
+    jump path S; ``b1`` holds each row's terminal driver value.  The jumps
+    of S are flat parallel arrays (row, cell, size), sorted by row and
+    then time; cell ``k`` is a jump at ``grid.points[k + 1]``.  The raw
+    Poisson times and the two snapping flags are kept per row.
+
+    The ensemble is a sequence of ``PathBundle``: indexing builds the
+    bundle of one row, whose paths are read-only views into the matrices.
+    ``values``, ``n_paths`` and ``path(i)`` read it as an ensemble of the
+    S paths, as ``strategy.pi_for_ensemble`` expects.
+    """
+
+    grid: TimeGrid
+    eps: float
+    rate: float
+    b: np.ndarray
+    m: np.ndarray
+    s: np.ndarray
+    b1: np.ndarray
+    jump_path: np.ndarray
+    jump_cell: np.ndarray
+    jump_size: np.ndarray
+    n1_times: tuple[tuple[float, ...], ...]
+    n2_times: tuple[tuple[float, ...], ...]
+    late_jump_capped: np.ndarray
+    snap_collision: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.b, self.m, self.s, self.b1, self.jump_path, self.jump_cell,
+                  self.jump_size, self.late_jump_capped, self.snap_collision):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_bundles(cls, bundles: Sequence[PathBundle]) -> "BundleEnsemble":
+        """``bundles`` itself when it is an ensemble, else its bundles stacked once."""
+        if isinstance(bundles, cls):
+            return bundles
+        if not bundles:
+            raise ContractViolation("need at least one bundle")
+        first = bundles[0]
+        grid = first.grid
+        for x in bundles:
+            if x.grid is not grid and not np.array_equal(x.grid.points, grid.points):
+                raise ContractViolation("bundles must share one grid")
+            if x.eps != first.eps or x.rate != first.rate:
+                raise ContractViolation("bundles must share one eps and one rate")
+        jumps = [
+            (i, int(np.searchsorted(grid.points, t)) - 1, size)
+            for i, x in enumerate(bundles)
+            for t, size in x.s.jumps
+        ]
+        return cls(
+            grid, first.eps, first.rate,
+            np.stack([x.b.values for x in bundles]),
+            np.stack([x.m.values for x in bundles]),
+            np.stack([x.s.values for x in bundles]),
+            np.array([x.b1 for x in bundles], dtype=float),
+            np.array([j[0] for j in jumps], dtype=int),
+            np.array([j[1] for j in jumps], dtype=int),
+            np.array([j[2] for j in jumps], dtype=float),
+            tuple(x.n1_times for x in bundles),
+            tuple(x.n2_times for x in bundles),
+            np.array([x.late_jump_capped for x in bundles], dtype=bool),
+            np.array([x.snap_collision for x in bundles], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return self.b.shape[0]
+
+    @property
+    def n_paths(self) -> int:
+        return len(self)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.s
+
+    def jumps_of(self, i: int) -> tuple[tuple[float, float], ...]:
+        """Row ``i``'s jumps of S as ``(time, size)`` pairs."""
+        lo, hi = np.searchsorted(self.jump_path, (i, i + 1))
+        pts = self.grid.points
+        return tuple(
+            (float(pts[c + 1]), float(z))
+            for c, z in zip(self.jump_cell[lo:hi], self.jump_size[lo:hi])
+        )
+
+    def path(self, i: int) -> SamplePath:
+        """Row ``i``'s combined jump path S."""
+        return SamplePath(self.grid, self.s[i], self.jumps_of(i))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        grid = self.grid
+        return PathBundle(
+            grid=grid,
+            b=SamplePath(grid, self.b[i]),
+            m=SamplePath(grid, self.m[i]),
+            s=self.path(i),
+            n1_times=self.n1_times[i],
+            n2_times=self.n2_times[i],
+            b1=float(self.b1[i]),
+            eps=self.eps,
+            rate=self.rate,
+            late_jump_capped=bool(self.late_jump_capped[i]),
+            snap_collision=bool(self.snap_collision[i]),
+        )
+
+    @cached_property
+    def cont_inc(self) -> np.ndarray:
+        """Per-cell increments of M, the continuous part of S."""
+        return np.diff(self.m, axis=1)
+
+    @cached_property
+    def cont_dqv(self) -> np.ndarray:
+        """Per-cell continuous variation increments of S."""
+        return self.cont_inc * self.cont_inc
+
+    def drift_values(self) -> np.ndarray:
+        """The insider drift A of every row, as ``insider_drift`` computes it."""
+        return _drift_values(self.grid, self.b, self.b1, self.eps)
+
+
+def _draw_bundle(stream: SeedStream, grid: TimeGrid, rate: float, index: int):
+    """Bundle ``index``'s random inputs: driver values, Poisson times, snapped jumps."""
+    b = _brownian_values(stream, grid, index)
+    n1, n2 = gen_poisson_pair(stream, rate, index)
+    idx_cap = grid.points.size - 2  # last grid point before 1
+    merged = sorted([(t, +1.0) for t in n1] + [(t, -1.0) for t in n2])
+    idxs, capped, collision = _snap_jump_indices(grid, [t for t, _ in merged], idx_cap)
+    sizes = [sign / (1.0 - float(grid.points[k])) for k, (_, sign) in zip(idxs, merged)]
+    return b, n1, n2, idxs, sizes, capped, collision
+
+
+def _build_bundles(
+    stream: SeedStream,
+    grid: TimeGrid,
+    eps: float,
+    rate: float,
+    indices: Sequence[int],
+    threads: int = 1,
+) -> BundleEnsemble:
+    _check_freeze(grid, eps)
+    draw = lambda i: _draw_bundle(stream, grid, rate, i)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            draws = list(pool.map(draw, indices))
+    else:
+        draws = map(draw, indices)
+    b = np.empty((len(indices), grid.points.size))
+    n1s, n2s, capped, collision = [], [], [], []
+    jp, jc, js = [], [], []
+    for row, (b_row, n1, n2, idxs, sizes, cap, col) in enumerate(draws):
+        b[row] = b_row
+        n1s.append(n1)
+        n2s.append(n2)
+        capped.append(cap)
+        collision.append(col)
+        jp += [row] * len(idxs)
+        jc += [k - 1 for k in idxs]
+        js += sizes
+    m = _m_values(grid, b, eps)
+    s = m.copy()
+    for row, cell, size in zip(jp, jc, js):
+        s[row, cell + 1 :] += size
+    return BundleEnsemble(
+        grid, eps, rate, b, m, s, b[:, -1].copy(),
+        np.array(jp, dtype=int), np.array(jc, dtype=int), np.array(js, dtype=float),
+        tuple(n1s), tuple(n2s), np.array(capped, dtype=bool), np.array(collision, dtype=bool),
+    )
+
+
 def gen_counterexample(
     stream: SeedStream, grid: TimeGrid, eps: float, rate: float, index: int = 0
 ) -> PathBundle:
@@ -429,32 +634,7 @@ def gen_counterexample(
     u; jumps past the freeze time keep their Poisson law but are capped
     at the last grid point before 1 and flagged.
     """
-    m, b = gen_M(stream, grid, eps, index)
-    n1, n2 = gen_poisson_pair(stream, rate, index)
-    idx_cap = grid.points.size - 2  # last grid point before 1
-    merged = sorted([(t, +1.0) for t in n1] + [(t, -1.0) for t in n2])
-    idxs, capped, collision = _snap_jump_indices(grid, [t for t, _ in merged], idx_cap)
-    jumps = []
-    s_vals = m.values.copy()
-    for k, (_, sign) in zip(idxs, merged):
-        u = float(grid.points[k])
-        size = sign / (1.0 - u)
-        jumps.append((u, size))
-        s_vals[k:] += size
-    s = SamplePath(grid, s_vals, tuple(jumps))
-    return PathBundle(
-        grid=grid,
-        b=b,
-        m=m,
-        s=s,
-        n1_times=n1,
-        n2_times=n2,
-        b1=float(b.values[-1]),
-        eps=eps,
-        rate=rate,
-        late_jump_capped=capped,
-        snap_collision=collision,
-    )
+    return _build_bundles(stream, grid, eps, rate, [index])[0]
 
 
 def gen_bundles(
@@ -464,15 +644,16 @@ def gen_bundles(
     eps: float,
     rate: float,
     threads: int = 1,
-) -> list[PathBundle]:
-    """Independent bundle replications; bit-identical for any thread count."""
+) -> BundleEnsemble:
+    """Bundles 0 .. n_paths-1 as one ``BundleEnsemble``.
+
+    Row i is bit-identical to ``gen_counterexample(..., index=i)`` and to
+    the same row generated with any thread count: each bundle draws from
+    its own substreams.
+    """
     if n_paths < 1:
         raise ContractViolation("need at least one path")
-    gen = lambda i: gen_counterexample(stream, grid, eps, rate, index=i)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(gen, range(n_paths)))
-    return [gen(i) for i in range(n_paths)]
+    return _build_bundles(stream, grid, eps, rate, range(n_paths), threads)
 
 
 def insider_drift(bundle: PathBundle, eps: float | None = None) -> tuple[SamplePath, SamplePath]:
@@ -487,29 +668,13 @@ def insider_drift(bundle: PathBundle, eps: float | None = None) -> tuple[SampleP
         eps = bundle.eps
     if eps < bundle.eps:
         raise ContractViolation("bundle was generated with a coarser truncation")
-    grid = bundle.grid
-    t_left = grid.points[:-1]
-    sig = sigma_profile_vec(t_left)
-    active = grid.points[1:] <= 1.0 - eps + 1e-15
-    integrand = sig * (bundle.b1 - bundle.b.values[:-1]) / (1.0 - t_left)
-    inc = integrand * grid.dt * active
-    a_vals = np.empty_like(bundle.b.values)
-    a_vals[0] = 0.0
-    np.cumsum(inc, out=a_vals[1:])
-    a = SamplePath(grid, a_vals)
-    m_hat = SamplePath(grid, bundle.m.values - a_vals)
-    return a, m_hat
+    a_vals = _drift_values(bundle.grid, bundle.b.values, bundle.b1, eps)
+    return SamplePath(bundle.grid, a_vals), SamplePath(bundle.grid, bundle.m.values - a_vals)
 
 
 # ---------------------------------------------------------------------------
 # Ensembles and the CLI-facing model description
 # ---------------------------------------------------------------------------
-
-def iter_paths(model, stream: SeedStream, n_paths: int, grid: TimeGrid):
-    """Generate paths one at a time (for workloads too large to hold)."""
-    for i in range(n_paths):
-        yield model.generate(stream, i, grid)
-
 
 def gen_ensemble(
     model,

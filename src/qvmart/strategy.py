@@ -149,9 +149,17 @@ class SimpleStrategy:
 class GridRuleStrategy:
     """Vectorized proportion profile: one call yields all cell values.
 
-    ``fn(path, ctx)`` returns the per-cell proportions; ``matrix_fn``,
-    when present, evaluates a whole ensemble at once and may return a
-    shared per-cell vector or a per-path matrix.
+    ``fn(path, ctx)`` returns the per-cell proportions of one path.
+    ``matrix_fn(ensemble, qv_vals, insider, driver)``, when present,
+    evaluates a whole ensemble at once: ``ensemble`` has ``grid``,
+    ``n_paths`` and the ``(n_paths, n_points)`` matrix ``values`` (an
+    ``Ensemble`` or a ``BundleEnsemble``); ``qv_vals`` and ``driver`` are
+    matrices of the same shape, and ``insider`` one datum per path, each
+    None when the caller has none.  It returns a shared per-cell vector
+    or a per-path matrix, which must equal the rows ``fn`` gives.  Both
+    forms pass the same shape, bound and insider checks.
+    ``path_independent`` promises one profile for every path, so it is
+    evaluated once.
     """
 
     name: str
@@ -201,6 +209,25 @@ def _first_hit(path: SamplePath, ctx: EvalContext, rule: HitRule, start: int) ->
     return path.grid.index_of(rule.default)
 
 
+def _rule_profile(
+    strategy: GridRuleStrategy, has_insider: bool, rule: Callable[[], np.ndarray], shapes
+) -> np.ndarray:
+    """Run one of a grid rule's forms and check what it returns.
+
+    Shared by the per-path and the matrix form: the insider datum must be
+    there when the rule needs one, the profile must have one of
+    ``shapes``, and no value may exceed the declared bound.
+    """
+    if strategy.needs_insider and not has_insider:
+        raise ContractViolation(f"strategy {strategy.name!r} needs an insider datum")
+    pi = np.asarray(rule(), dtype=float)
+    if pi.shape not in shapes:
+        raise ContractViolation("rule returned a wrongly shaped profile")
+    if max(pi.max(initial=0.0), -pi.min(initial=0.0)) > strategy.bound + 1e-12:
+        raise ContractViolation(f"strategy {strategy.name!r} exceeded its declared bound")
+    return pi
+
+
 def evaluate(
     strategy: SimpleStrategy | GridRuleStrategy | BandStrategy,
     path: SamplePath,
@@ -214,14 +241,10 @@ def evaluate(
     if isinstance(strategy, BandStrategy):
         return evaluate(strategy.strategy, path, ctx)
     if isinstance(strategy, GridRuleStrategy):
-        if strategy.needs_insider and ctx.insider is None:
-            raise ContractViolation(f"strategy {strategy.name!r} needs an insider datum")
-        pi = np.asarray(strategy.fn(path, ctx), dtype=float)
-        if pi.shape != (path.grid.n_steps,):
-            raise ContractViolation("rule returned a wrongly shaped profile")
-        if np.max(np.abs(pi), initial=0.0) > strategy.bound + 1e-12:
-            raise ContractViolation(f"strategy {strategy.name!r} exceeded its declared bound")
-        return pi
+        return _rule_profile(
+            strategy, ctx.insider is not None, lambda: strategy.fn(path, ctx),
+            [(path.grid.n_steps,)],
+        )
     grid = path.grid
     pi = np.zeros(grid.n_steps)
     prev = 0
@@ -245,25 +268,40 @@ def pi_for_ensemble(
     ensemble: Ensemble,
     qv_vals: np.ndarray | None = None,
     insider: np.ndarray | None = None,
+    driver: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Proportions for every ensemble path: (n_cells,) when shared, else a matrix."""
+    """Proportions for every ensemble path: (n_cells,) when shared, else a matrix.
+
+    A grid rule with a matrix form is evaluated in one call; a
+    path-independent strategy once, on path 0; anything else path by path.
+    ``ensemble`` may be an ``Ensemble`` or a ``BundleEnsemble``; ``driver``
+    is the matrix of driver values the paths are built on, when they are.
+    """
     if isinstance(strategy, BandStrategy):
         strategy = strategy.strategy
+    grid = ensemble.grid
     if isinstance(strategy, GridRuleStrategy) and strategy.matrix_fn is not None:
-        return np.asarray(strategy.matrix_fn(ensemble, qv_vals, insider), dtype=float)
+        return _rule_profile(
+            strategy, insider is not None,
+            lambda: strategy.matrix_fn(ensemble, qv_vals, insider, driver),
+            [(grid.n_steps,), (ensemble.n_paths, grid.n_steps)],
+        )
+
+    def ctx(i: int) -> EvalContext:
+        return EvalContext(
+            insider=None if insider is None else float(insider[i]),
+            driver=None if driver is None else SamplePath(grid, driver[i]),
+            qv=None if qv_vals is None else QVPath(grid, qv_vals[i]),
+        )
+
+    if isinstance(strategy, GridRuleStrategy) and strategy.path_independent:
+        return evaluate(strategy, ensemble.path(0), ctx(0))
     if isinstance(strategy, SimpleStrategy) and all(
         not isinstance(l.until, HitRule) and l.rule is None for l in strategy.legs
     ):
         # Path-independent legs: evaluate once on any representative path.
         return evaluate(strategy, ensemble.path(0))
-    rows = []
-    for i in range(ensemble.n_paths):
-        ctx = EvalContext(
-            insider=None if insider is None else float(insider[i]),
-            qv=None if qv_vals is None else QVPath(ensemble.grid, qv_vals[i]),
-        )
-        rows.append(evaluate(strategy, ensemble.path(i), ctx))
-    return np.stack(rows)
+    return np.stack([evaluate(strategy, ensemble.path(i), ctx(i)) for i in range(ensemble.n_paths)])
 
 
 @dataclass(frozen=True)
@@ -374,7 +412,7 @@ def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
         pi[k0:] = scale * np.sign(path.values[k0]) if path.values[k0] != 0 else scale
         return pi
 
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider) -> np.ndarray:
+    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
         k0 = ensemble.grid.index_of(t0)
         s = np.sign(ensemble.values[:, k0])
         s[s == 0] = 1.0
@@ -396,7 +434,7 @@ def truncation_strategy(n: float) -> GridRuleStrategy:
         pi[:stop] = 1.0
         return pi
 
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider) -> np.ndarray:
+    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
         if qv_vals is None:
             raise ContractViolation("truncation strategy needs per-path variation")
         hit = (np.abs(ensemble.values) > n) | (qv_vals > n)
@@ -416,7 +454,7 @@ def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrateg
     def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
         return c * (1.0 - path.grid.points[:-1])
 
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider) -> np.ndarray:
+    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
         return c * (1.0 - ensemble.grid.points[:-1])
 
     inner = GridRuleStrategy(
@@ -434,8 +472,12 @@ def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
         s = 1.0 if ctx.insider >= 0 else -1.0
         return c * s * (1.0 - path.grid.points[:-1])
 
+    def matrix_fn(ensemble, qv_vals, insider, driver) -> np.ndarray:
+        s = np.where(np.asarray(insider) >= 0, 1.0, -1.0)
+        return (c * s)[:, None] * (1.0 - ensemble.grid.points[:-1])
+
     inner = GridRuleStrategy(
-        f"sign_band({c:+.3g})", max(abs(c), 1e-12), fn, needs_insider=True
+        f"sign_band({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, needs_insider=True
     )
     return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
 
@@ -456,8 +498,16 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
         s = np.where(gap >= 0, 1.0, -1.0)
         return c * s * (1.0 - path.grid.points[:-1])
 
+    def matrix_fn(ensemble, qv_vals, insider, driver) -> np.ndarray:
+        if driver is None:
+            raise ContractViolation("switch rule needs the driver path")
+        gap = np.asarray(insider)[:, None] - driver[:, :-1]
+        # (c * (+-1)) * x == +-(c * x) exactly, so this equals fn bit for bit
+        row = c * (1.0 - ensemble.grid.points[:-1])
+        return np.where(gap >= 0, row, -row)
+
     inner = GridRuleStrategy(
-        f"switch_band({c:+.3g})", max(abs(c), 1e-12), fn, needs_insider=True
+        f"switch_band({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, needs_insider=True
     )
     return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
 

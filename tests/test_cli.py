@@ -161,6 +161,19 @@ def test_counterexample_sweep_and_band(tmp_path):
     assert rep["p_hat"] > 0.0
 
 
+def test_band_manifest_replays(tmp_path):
+    # off-default grid sizes: replay must take them from the manifest
+    strat = tmp_path / "violating.json"
+    strat.write_text(json.dumps({"name": "flat", "rule_id": "const",
+                                 "params": {"value": 0.6}}))
+    run, again = tmp_path / "band", tmp_path / "replayed"
+    assert main(["counterexample", "band", "--bundles", "60", "--eps", "0.01",
+                 "--steps", "64", "--log-steps", "128", "--seed", "3",
+                 "--strategy", str(strat), "--out", str(run)]) == 0
+    assert main(["replay", str(run / "manifest.json"), "--out", str(again)]) == 0
+    assert read_dir_bytes(run) == read_dir_bytes(again)
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     # QVMART_THREADS steers worker count; outputs stay byte-identical
     args = ["simulate", "--model", "brownian", "--paths", "8", "--steps", "64",

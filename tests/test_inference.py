@@ -229,7 +229,7 @@ class TestOptimalityGap:
         from qvmart.strategy import GridRuleStrategy
 
         strat = GridRuleStrategy(
-            "alpha_hat", 10.0, lambda p, c: a_cells, matrix_fn=lambda e, q, i: a_cells
+            "alpha_hat", 10.0, lambda p, c: a_cells, matrix_fn=lambda e, q, i, d: a_cells
         )
         g = optimality_gap(strat, bs_alpha, ens, qv)
         assert g.gap == pytest.approx(0.0, abs=1e-14)

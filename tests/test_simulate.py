@@ -253,6 +253,21 @@ class TestCounterexampleBundle:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.s.values, y.s.values)
             assert x.s.jumps == y.s.jumps
+        # each row is bundle i as generated alone, held as read-only views
+        for i, row in enumerate(a):
+            one = gen_counterexample(SeedStream(9), grid, 1e-2, 1.0, index=i)
+            m, drv = gen_M(SeedStream(9), grid, 1e-2, index=i)
+            for got, want, matrix in ((row.b, one.b, a.b), (row.m, one.m, a.m),
+                                      (row.s, one.s, a.s)):
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.jumps == want.jumps
+                assert np.shares_memory(got.values, matrix)
+                assert not got.values.flags.writeable
+            assert row.b.values.tobytes() == drv.values.tobytes()
+            assert row.m.values.tobytes() == m.values.tobytes()
+            assert (row.n1_times, row.n2_times, row.b1, row.late_jump_capped,
+                    row.snap_collision) == (one.n1_times, one.n2_times, one.b1,
+                                            one.late_jump_capped, one.snap_collision)
 
 
 class TestJumpSnapping:

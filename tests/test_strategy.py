@@ -131,22 +131,65 @@ class TestEvaluate:
             SimpleStrategy(legs=(Leg(until=0.5, value=1.0),), bound=1.0)
 
     def test_matrix_and_per_path_agree(self):
+        # every matrix form equals the stacked per-path profiles bit for bit,
+        # ties included: B1 == 0 (rows 0 and 2) and gap == 0 (rows 1 and 2)
         stream = SeedStream(42)
-        ens = gen_ensemble(BrownianModel(), stream, 16, TimeGrid.dyadic(6))
+        grid = TimeGrid.dyadic(6)
+        ens = gen_ensemble(BrownianModel(), stream, 16, grid)
         qv = qv_matrix(ens)
-        for strat in (
+        driver = gen_ensemble(BrownianModel(), SeedStream(43), 16, grid).values.copy()
+        driver[2] = 0.0
+        insider = driver[:, -1].copy()
+        insider[[0, 2]] = 0.0
+        insider[1] = driver[1, 10]
+        strategies = [
             const_strategy(1.5),
             window_strategy(1.0, 0.25, 0.75),
             sign_at_time_strategy(0.5, 2.0),
             truncation_strategy(0.5),
-        ):
-            pim = pi_for_ensemble(strat, ens, qv)
-            for i in range(ens.n_paths):
-                ref = evaluate(
-                    strat, ens.path(i), EvalContext(qv=quadratic_variation(ens.path(i)))
-                )
-                got = pim if pim.ndim == 1 else pim[i]
-                np.testing.assert_array_equal(got, ref)
+        ]
+        for c in (-0.7, 0.0, 0.45):
+            strategies += [band_fraction_strategy(c), insider_sign_band(c), insider_switch_band(c)]
+        for strat in strategies:
+            inner = strat.strategy if isinstance(strat, BandStrategy) else strat
+            assert isinstance(inner, SimpleStrategy) or inner.matrix_fn is not None
+            pim = pi_for_ensemble(strat, ens, qv, insider, driver)
+            ref = np.stack([
+                evaluate(strat, ens.path(i), EvalContext(
+                    insider=float(insider[i]),
+                    driver=SamplePath(grid, driver[i]),
+                    qv=quadratic_variation(ens.path(i)),
+                ))
+                for i in range(ens.n_paths)
+            ])
+            assert np.broadcast_to(pim, ref.shape).tobytes() == ref.tobytes(), strat.name
+
+    def test_matrix_form_passes_the_same_checks(self):
+        from qvmart.simulate import gen_bundles, make_insider_grid
+        from qvmart.strategy import GridRuleStrategy
+
+        ens = gen_ensemble(BrownianModel(), SeedStream(1), 4, TimeGrid.dyadic(4))
+        bundles = gen_bundles(SeedStream(1), 4, make_insider_grid(1e-2, 16, 32), 1e-2, 1.0)
+        zeros = lambda p, c: np.zeros(p.grid.n_steps)
+
+        def rule(name, matrix_value, **kw):
+            def matrix_fn(e, q, i, d):
+                return np.full((e.n_paths, e.grid.n_steps), matrix_value)
+
+            return GridRuleStrategy(name, 1.0, zeros, matrix_fn, **kw)
+
+        over = rule("over", 2.0)
+        for target in (ens, bundles):
+            with pytest.raises(ContractViolation, match="declared bound"):
+                pi_for_ensemble(over, target)
+        wrong_shape = GridRuleStrategy("shape", 1.0, zeros, lambda e, q, i, d: np.zeros(3))
+        with pytest.raises(ContractViolation, match="wrongly shaped"):
+            pi_for_ensemble(wrong_shape, ens)
+        needs = rule("needs", 0.5, needs_insider=True)
+        with pytest.raises(ContractViolation, match="insider datum"):
+            pi_for_ensemble(needs, bundles)
+        pi = pi_for_ensemble(needs, bundles, insider=bundles.b1, driver=bundles.b)
+        assert pi.shape == (len(bundles), bundles.grid.n_steps)
 
 
 @pytest.fixture(scope="module")
