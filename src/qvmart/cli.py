@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -37,6 +36,8 @@ from .inference import (
 from .path_core import (
     Ensemble,
     TimeGrid,
+    _atomic_write,
+    _fmt,
     load_ensemble,
     qv_matrix,
     quadratic_variation,
@@ -61,15 +62,7 @@ from .strategy import (
     truncation_strategy,
     window_strategy,
 )
-from .wealth import (
-    log_utility_from_terminals,
-    stoch_exp_continuous,
-    stoch_exp_jumps,
-)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+from .wealth import log_utility, stoch_exp_continuous, stoch_exp_jumps
 
 
 def _sanitize(obj):
@@ -94,15 +87,8 @@ def _sanitize(obj):
     return obj
 
 
-def _atomic_text(target: Path, text: str) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(target)
-
-
 def _write_json(target: Path, obj) -> None:
-    _atomic_text(target, json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
+    _atomic_write(target, json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(target: Path, header: list[str], rows) -> None:
@@ -115,7 +101,7 @@ def _write_csv(target: Path, header: list[str], rows) -> None:
             else:
                 cells.append(str(c))
         lines.append(",".join(cells))
-    _atomic_text(target, "\n".join(lines) + "\n")
+    _atomic_write(target, "\n".join(lines) + "\n")
 
 
 def _write_manifest(out: Path, command: str, config: dict) -> None:
@@ -125,13 +111,6 @@ def _write_manifest(out: Path, command: str, config: dict) -> None:
         "command": command,
         "config": _sanitize(config),
     })
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QVMART_THREADS")
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +129,12 @@ def _cmd_simulate(args) -> int:
         "log_steps": args.log_steps,
         "seed": args.seed,
         "format": args.format,
-        "threads": _threads(args),
     }
     _write_manifest(out, "simulate", config)
     stream = SeedStream(args.seed)
     if spec.variant in ("brownian", "drifted"):
         grid = TimeGrid.uniform(args.steps)
-        ens = gen_ensemble(spec.build(), stream, args.paths, grid, threads=_threads(args))
+        ens = gen_ensemble(spec.build(), stream, args.paths, grid)
     elif spec.variant == "gaussian_m":
         grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
         vals = np.stack([
@@ -165,7 +143,7 @@ def _cmd_simulate(args) -> int:
         ens = Ensemble(grid, vals, args.seed, "gaussian_m")
     else:  # counterexample: persist the combined jump paths
         grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
-        bundles = gen_bundles(stream, args.paths, grid, args.eps, args.rate, _threads(args))
+        bundles = gen_bundles(stream, args.paths, grid, args.eps, args.rate)
         jumps = tuple(bundles.jumps_of(i) for i in range(len(bundles)))
         ens = Ensemble(grid, bundles.s, args.seed, "counterexample", jumps)
     save_ensemble(ens, out, fmt=args.format)
@@ -199,24 +177,17 @@ def _cmd_wealth(args) -> int:
     strat = load_strategy_file(args.strategy)
     if isinstance(strat, list):
         raise ConfigurationError("the wealth command evaluates one strategy at a time")
-    rows = []
-    w1 = np.empty(ens.n_paths)
-    for i in range(ens.n_paths):
-        path = ens.path(i)
+    wealths = []
+    for path in ens.paths():
         qv = quadratic_variation(path)
         pi = evaluate(strat, path, EvalContext(qv=qv))
         if path.jumps:
-            wp = stoch_exp_jumps(pi, path, quadratic_variation(path.continuous_part()))
+            wealths.append(stoch_exp_jumps(pi, path, quadratic_variation(path.continuous_part())))
         else:
-            wp = stoch_exp_continuous(pi, path, qv)
-        w1[i] = wp.terminal
-        rows.append((i, wp.terminal, int(wp.hit_nonpositive)))
-    _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"], rows)
-    bad = int(np.sum(w1 <= 0.0))
-    if bad:
-        report = log_utility_from_terminals(np.full(ens.n_paths, -np.inf), bad)
-    else:
-        report = log_utility_from_terminals(np.log(w1), 0)
+            wealths.append(stoch_exp_continuous(pi, path, qv))
+    _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
+               [(i, w.terminal, int(w.hit_nonpositive)) for i, w in enumerate(wealths)])
+    report = log_utility(wealths)
     name = getattr(strat, "name", "")
     _write_json(out / "utility.json", {"strategy": name, **report.as_dict()})
     return 0
@@ -366,40 +337,31 @@ def _cmd_counterexample(args) -> int:
     eps_list = [float(x) for x in args.eps_list.split(",")] if args.eps_list else [args.eps]
     gen_eps = min(eps_list)
     grid = make_insider_grid(gen_eps, n_uniform=args.steps, n_log=args.log_steps)
+    config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
+              "seed": args.seed, "steps": args.steps, "log_steps": args.log_steps}
     if args.action == "divergence":
-        config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
-                  "eps_list": eps_list, "seed": args.seed, "steps": args.steps,
-                  "log_steps": args.log_steps}
-        _write_manifest(out, "counterexample", config)
-        bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate, _threads(args))
+        config["eps_list"] = eps_list
+    else:
+        config["eps"] = gen_eps
+    if args.action == "band":
+        config["strategy"] = str(args.strategy)
+    _write_manifest(out, "counterexample", config)
+    strat = load_strategy_file(args.strategy) if args.action == "band" else None
+    bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate)
+    if args.action == "divergence":
         rows = cx.insider_drift_divergence(bundles, eps_list)
         _write_csv(out / "divergence.csv", ["eps", "mc_tv", "closed_form", "stderr"],
                    [(r.eps, r.mc_tv, r.closed_form, r.stderr) for r in rows])
         _write_json(out / "divergence.json", [asdict(r) for r in rows])
-        return 0
-    if args.action == "sweep":
-        config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
-                  "eps": gen_eps, "seed": args.seed, "steps": args.steps,
-                  "log_steps": args.log_steps}
-        _write_manifest(out, "counterexample", config)
-        bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate, _threads(args))
-        family = cx.default_sweep_family()
-        report = cx.utility_sweep(family, bundles, gen_eps)
+    elif args.action == "sweep":
+        report = cx.utility_sweep(cx.default_sweep_family(), bundles, gen_eps)
         _write_json(out / "sweep.json", report.as_dict())
         _write_csv(out / "sweep.csv", ["strategy", "estimate", "stderr", "n_nonpositive"],
                    [(n, r.estimate, r.stderr, r.n_nonpositive) for n, r in report.entries])
-        return 0
-    if args.action == "band":
-        config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
-                  "eps": gen_eps, "seed": args.seed, "steps": args.steps,
-                  "log_steps": args.log_steps, "strategy": str(args.strategy)}
-        _write_manifest(out, "counterexample", config)
-        strat = load_strategy_file(args.strategy)
-        bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate, _threads(args))
+    else:
         report = cx.negative_wealth_probability(strat, bundles)
         _write_json(out / "band_report.json", asdict(report))
-        return 0
-    raise ConfigurationError(f"unknown counterexample action {args.action!r}")
+    return 0
 
 
 _KNOWN_ARTIFACTS = (
@@ -459,14 +421,6 @@ def _verdict(entry: dict) -> str:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (falls back to QVMART_THREADS)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qvmart", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
@@ -482,20 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("qv", help="quadratic variation of stored or refined paths")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--model", default="brownian")
     p.add_argument("--levels", default="10,14,18")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_qv)
 
     p = sub.add_parser("wealth", help="wealth of one strategy over an ensemble")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--strategy", required=True)
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_wealth)
 
     p = sub.add_parser("decompose", help="fit the drift density and test the recentred paths")
@@ -504,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-bins", type=int, default=0, dest="state_bins")
     p.add_argument("--min-count", type=int, default=50, dest="min_count")
     p.add_argument("--tests", default=None)
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("optimize", help="growth-optimal value and optimality gaps")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bins", type=int, default=32)
     p.add_argument("--strategies", default=None)
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("counterexample", help="insider jump model stress checks")
@@ -525,12 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--log-steps", type=int, default=512, dest="log_steps")
     p.add_argument("--strategy", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("report", help="consolidate run directories into one summary")
     p.add_argument("dirs", nargs="*")
-    _add_common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("replay", help="re-run a written manifest")
@@ -596,6 +554,11 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(json.dumps({"error": "contract", "message": str(exc)}), file=sys.stderr)
         return 1
+    except (OSError, KeyError, ValueError) as exc:
+        # unreadable, missing or malformed input: files, manifests, list flags
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "input", "message": message}), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ContractViolation
-from .path_core import TimeGrid
+from .path_core import TimeGrid, _mean_stderr
 from .simulate import (
     BundleEnsemble,
     PathBundle,
@@ -32,6 +31,7 @@ from .simulate import (
 from .strategy import BandStrategy, EvalContext, band_check, pi_for_ensemble
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
 from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_jumps
+from .wealth import _log_wealth_terms
 
 __all__ = [
     "FlipDecomposition",
@@ -176,6 +176,8 @@ class PoissonFlipReport:
 
 def _poisson_chi2_p(counts: np.ndarray, rate: float) -> float:
     """Goodness of fit against Poisson(rate) with bins {0, 1, 2, >=3}."""
+    from scipy import stats
+
     edges = [0, 1, 2]
     probs = [stats.poisson.pmf(k, rate) for k in edges]
     probs.append(1.0 - sum(probs))
@@ -272,6 +274,8 @@ def negative_wealth_probability(
     then misconfigured).  The interval is an exact 99% binomial
     Clopper-Pearson interval.
     """
+    from scipy import stats
+
     ens = BundleEnsemble.from_bundles(bundles)
     report = _band_probe(strategy, ens)
     if report.admissible:
@@ -391,25 +395,11 @@ def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
 
 
 def _bound_terms_one(pi, cont_inc, dqv, jp, jc, js, dh) -> BoundTerms:
-    n = cont_inc.shape[0]
-    pi2 = pi * pi
-    c_terms = np.sum(pi * cont_inc - 0.5 * pi2 * dqv, axis=1)
-    d_terms = np.zeros(n)
-    if jp.size:
-        pj = pi[jc] if pi.ndim == 1 else pi[jp, jc]
-        f = 1.0 + pj * js
-        if np.any(f <= 0.0):
-            raise ContractViolation("admissible strategy produced a nonpositive jump factor")
-        np.add.at(d_terms, jp, np.log(f))
-    sm = np.exp(2.0 * np.sum(pi * dh - pi2 * dh * dh, axis=1))
-
-    def mse(x: np.ndarray) -> tuple[float, float]:
-        return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-
-    c_m, c_se = mse(c_terms)
-    d_m, d_se = mse(d_terms)
-    s_m, s_se = mse(sm)
-    return BoundTerms(c_m, c_se, d_m, d_se, s_m, s_se, n)
+    c_terms, d_terms, wiped = _log_wealth_terms(pi, cont_inc, dqv, jp, jc, js)
+    if wiped.any():
+        raise ContractViolation("admissible strategy produced a nonpositive jump factor")
+    sm = np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1))
+    return BoundTerms(*_mean_stderr(c_terms), *_mean_stderr(d_terms), *_mean_stderr(sm), sm.size)
 
 
 def utility_bound_terms(strategy, bundles: Sequence[PathBundle]) -> BoundTerms:
@@ -490,6 +480,6 @@ def insider_drift_divergence(
             tv = np.zeros(n)
         else:
             tv = cum[:, k_cut - 1]
-        se = float(np.std(tv, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        rows.append(DivergenceRow(float(eps), float(np.mean(tv)), se, drift_variation_closed_form(eps)))
+        mean, se = _mean_stderr(tv)
+        rows.append(DivergenceRow(float(eps), mean, se, drift_variation_closed_form(eps)))
     return rows

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble
+from .path_core import Ensemble, _mean_stderr, qv_matrix, truncation_index
 from .strategy import h2_norm, pi_for_ensemble
 from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_continuous
 
@@ -139,15 +139,6 @@ def _require_continuous(ensemble: Ensemble) -> None:
         raise ContractViolation("this estimator expects a continuous-model ensemble")
 
 
-def _stop_mask(ensemble: Ensemble, qv_vals: np.ndarray, stop_n: float) -> np.ndarray:
-    """Boolean cell mask keeping increments up to each path's truncation time."""
-    hit = (np.abs(ensemble.values) > stop_n) | (qv_vals > stop_n)
-    any_hit = hit.any(axis=1)
-    stop = np.where(any_hit, np.argmax(hit, axis=1), ensemble.grid.n_steps)
-    cells = np.arange(ensemble.grid.n_steps)
-    return cells[None, :] < stop[:, None]
-
-
 def choose_truncation_level(
     ensemble: Ensemble, qv_vals: np.ndarray, target: float = 0.99
 ) -> float:
@@ -155,8 +146,8 @@ def choose_truncation_level(
     paths unstopped."""
     n = 1.0
     for _ in range(64):
-        hit = (np.abs(ensemble.values) > n) | (qv_vals > n)
-        frac_free = 1.0 - hit.any(axis=1).mean()
+        stopped = truncation_index(ensemble.values, qv_vals, n) < ensemble.values.shape[1]
+        frac_free = 1.0 - stopped.mean()
         if frac_free >= target:
             return n
         n *= 2.0
@@ -184,12 +175,11 @@ def estimate_lambda(
     if stop_n is not None:
         if qv_vals is None:
             raise ContractViolation("stopping needs the per-path variation")
-        ds = ds * _stop_mask(ensemble, qv_vals, stop_n)
+        stop = truncation_index(ensemble.values, qv_vals, stop_n)
+        ds = ds * (np.arange(ensemble.grid.n_steps) < stop[:, None])
     per_path = np.sum(pi * ds, axis=1)
-    n = ensemble.n_paths
-    se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     name = getattr(strategy, "name", "") or strategy.__class__.__name__
-    return LambdaEstimate(float(np.mean(per_path)), se, name, n)
+    return LambdaEstimate(*_mean_stderr(per_path), name, ensemble.n_paths)
 
 
 def estimate_alpha(
@@ -205,19 +195,15 @@ def estimate_alpha(
     grid = ensemble.grid
     ds = np.diff(ensemble.values, axis=1)
     dqv = np.diff(qv_vals, axis=1)
-    t_left = grid.points[:-1]
     time_edges = np.linspace(0.0, 1.0, bin_spec.time_bins + 1)
-    tb = np.clip(np.searchsorted(time_edges, t_left, side="right") - 1, 0, bin_spec.time_bins - 1)
-    n_state = max(1, bin_spec.state_bins)
     state_edges = None
     if bin_spec.state_bins:
-        left_levels = ensemble.values[:, :-1]
         qs = np.linspace(0.0, 1.0, bin_spec.state_bins + 1)[1:-1]
-        state_edges = np.quantile(left_levels, qs)
-        sb = np.searchsorted(state_edges, left_levels, side="right")
-        bin_of = tb[None, :] * n_state + sb  # (paths, cells)
-        P = ensemble.n_paths
-        B = bin_spec.time_bins * n_state
+        state_edges = np.quantile(ensemble.values[:, :-1], qs)
+    bin_of = _cell_bins(bin_spec, time_edges, state_edges, ensemble)
+    P = ensemble.n_paths
+    B = bin_spec.n_bins
+    if bin_spec.state_bins:
         num = np.zeros((P, B))
         den = np.zeros((P, B))
         cnt = np.zeros(B)
@@ -227,18 +213,16 @@ def estimate_alpha(
         np.add.at(den, (rows, flat), dqv.ravel())
         np.add.at(cnt, flat, 1.0)
     else:
-        B = bin_spec.time_bins
         ind = np.zeros((grid.n_steps, B))
-        ind[np.arange(grid.n_steps), tb] = 1.0
+        ind[np.arange(grid.n_steps), bin_of] = 1.0
         num = ds @ ind  # (paths, bins): per-path, per-bin sums
         den = dqv @ ind
-        cnt = np.full(B, float(ensemble.n_paths)) * ind.sum(axis=0)
+        cnt = np.full(B, float(P)) * ind.sum(axis=0)
     tot_num = num.sum(axis=0)
     tot_den = den.sum(axis=0)
     estimated = (cnt >= bin_spec.min_count) & (tot_den > 0.0)
     alpha = np.full(B, np.nan)
     stderr = np.full(B, np.nan)
-    P = ensemble.n_paths
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha[estimated] = tot_num[estimated] / tot_den[estimated]
     for b in np.nonzero(estimated)[0]:
@@ -249,6 +233,22 @@ def estimate_alpha(
     )
 
 
+def _cell_bins(
+    spec: BinSpec, time_edges: np.ndarray, state_edges: np.ndarray | None, ensemble: Ensemble
+) -> np.ndarray:
+    """Bin of every grid cell, by its left endpoint's time and path level.
+
+    A per-cell vector for time-only binning; a ``(paths, cells)`` matrix
+    when state bins are active.
+    """
+    t_left = ensemble.grid.points[:-1]
+    tb = np.clip(np.searchsorted(time_edges, t_left, side="right") - 1, 0, spec.time_bins - 1)
+    if not spec.state_bins:
+        return tb
+    sb = np.searchsorted(state_edges, ensemble.values[:, :-1], side="right")
+    return tb[None, :] * spec.state_bins + sb
+
+
 def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Drift value and coverage mask for every grid cell.
 
@@ -257,19 +257,7 @@ def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.n
     matrices when state bins are active.  Uncovered cells carry 0 in
     ``alpha_cells`` and False in ``covered``.
     """
-    grid = ensemble.grid
-    t_left = grid.points[:-1]
-    tb = np.clip(
-        np.searchsorted(est.time_edges, t_left, side="right") - 1,
-        0,
-        est.bin_spec.time_bins - 1,
-    )
-    n_state = max(1, est.bin_spec.state_bins)
-    if est.bin_spec.state_bins:
-        sb = np.searchsorted(est.state_edges, ensemble.values[:, :-1], side="right")
-        bins = tb[None, :] * n_state + sb
-    else:
-        bins = tb
+    bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, ensemble)
     covered = est.estimated[bins]
     alpha_cells = np.where(covered, np.nan_to_num(est.alpha[bins], nan=0.0), 0.0)
     return alpha_cells, covered
@@ -284,7 +272,7 @@ def decompose(
     in bins without an estimate.
     """
     _require_continuous(ensemble)
-    qv_vals = _qv_matrix_continuous(ensemble)
+    qv_vals = qv_matrix(ensemble)
     dqv = np.diff(qv_vals, axis=1)
     alpha_cells, covered = cell_alpha(est, ensemble)
     mass = float(np.sum(dqv))
@@ -305,16 +293,9 @@ def decompose(
     return DecompositionResult(est, s_hat, coverage)
 
 
-def _qv_matrix_continuous(ensemble: Ensemble) -> np.ndarray:
-    inc = np.diff(ensemble.values, axis=1)
-    out = np.zeros_like(ensemble.values)
-    np.cumsum(inc * inc, axis=1, out=out[:, 1:])
-    return out
-
-
 def reconstruction_error(result: DecompositionResult, ensemble: Ensemble) -> float:
     """Max absolute gap of S_hat + sum alpha d[S] against the original paths."""
-    dqv = np.diff(_qv_matrix_continuous(ensemble), axis=1)
+    dqv = np.diff(qv_matrix(ensemble), axis=1)
     alpha_cells, _ = cell_alpha(result.alpha, ensemble)
     drift = np.cumsum(alpha_cells * dqv, axis=1)
     rebuilt = result.s_hat.values.copy()
@@ -334,7 +315,7 @@ def martingale_residual(
     negative control.
     """
     s_hat = result.s_hat
-    qv_vals = _qv_matrix_continuous(s_hat)
+    qv_vals = qv_matrix(s_hat)
     out = []
     for strat in strategies:
         lam = estimate_lambda(strat, s_hat, qv_vals, stop_n=stop_n)
@@ -368,8 +349,9 @@ def growth_optimal_value(
     alpha_cells, _ = cell_alpha(est, ensemble)
     quad = np.sum(alpha_cells * alpha_cells * dqv, axis=1)
     n = ensemble.n_paths
-    value = 0.5 * float(np.mean(quad))
-    se_paths = 0.5 * float(np.std(quad, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    mean, se_quad = _mean_stderr(quad)
+    value = 0.5 * mean
+    se_paths = 0.5 * se_quad
     ok = est.estimated
     se_alpha_sq = np.sum(
         (est.alpha[ok] * est.mass[ok] * est.stderr[ok] / n) ** 2
@@ -404,12 +386,8 @@ def optimality_gap(
     logw_pi = terminal_log_wealth_continuous(pi, ensemble.values, qv_vals)
     alpha_cells, _ = cell_alpha(est, ensemble)
     logw_a = terminal_log_wealth_continuous(alpha_cells, ensemble.values, qv_vals)
-    diff = logw_pi - logw_a
-    n = ensemble.n_paths
-    se = float(np.std(diff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return GapReport(
-        float(np.mean(diff)), se, float(np.mean(logw_pi)), float(np.mean(logw_a))
-    )
+    gap, se = _mean_stderr(logw_pi - logw_a)
+    return GapReport(gap, se, float(np.mean(logw_pi)), float(np.mean(logw_a)))
 
 
 @dataclass(frozen=True)

@@ -281,18 +281,18 @@ def refine_and_compare_qv(
 # Truncation times
 # ---------------------------------------------------------------------------
 
-def truncation_index(
-    values: np.ndarray, qv_values: np.ndarray, n: float
-) -> int:
+def truncation_index(values: np.ndarray, qv_values: np.ndarray, n: float) -> int | np.ndarray:
     """Grid index of the first point where |level| > n or variation > n.
 
-    Returns the last grid index when no threshold is crossed, so the
-    corresponding time is 1.
+    ``values`` and ``qv_values`` hold one path, or one path per row; the
+    result is an int, or one index per row.  A path that never crosses
+    gets ``values.shape[-1]``, one past its last grid index, so a
+    crossing at the last point still counts as a stop and
+    ``index < n_cells`` selects the cells before the stop.
     """
     hit = (np.abs(values) > n) | (qv_values > n)
-    if not hit.any():
-        return values.shape[-1] - 1
-    return int(np.argmax(hit))
+    stop = np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), values.shape[-1])
+    return int(stop) if stop.ndim == 0 else stop
 
 
 def truncation_time(path: SamplePath, qv: QVPath, n: float) -> float:
@@ -301,7 +301,17 @@ def truncation_time(path: SamplePath, qv: QVPath, n: float) -> float:
     if n <= 0:
         raise ContractViolation("threshold n must be positive")
     k = truncation_index(path.values, qv.values, n)
-    return float(path.grid.points[k])
+    return float(path.grid.points[min(k, path.grid.n_steps)])
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo summaries
+# ---------------------------------------------------------------------------
+
+def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``x`` and its standard error (0 for a single sample)."""
+    n = x.size
+    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +411,23 @@ def load_ensemble(in_dir: str | Path) -> Ensemble:
         jump_lists = tuple(
             tuple((float(t), float(s)) for t, s in p["jumps"]) for p in payload["paths"]
         )
-        jumps = None if all(len(j) == 0 for j in jump_lists) else jump_lists
-        return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"], jumps)
-    paths = []
-    for i in range(manifest["n_paths"]):
-        body = (src / f"path_{i:05d}.csv").read_text()
-        jfile = src / f"path_{i:05d}.jumps.csv"
-        jbody = jfile.read_text() if jfile.exists() else None
-        paths.append(path_from_csv(body, jbody))
-    grid = paths[0].grid
-    values = np.stack([p.values for p in paths])
-    jump_lists = tuple(p.jumps for p in paths)
+    else:
+        paths = []
+        for i in range(manifest["n_paths"]):
+            body = (src / f"path_{i:05d}.csv").read_text()
+            jfile = src / f"path_{i:05d}.jumps.csv"
+            jbody = jfile.read_text() if jfile.exists() else None
+            paths.append(path_from_csv(body, jbody))
+        grid = paths[0].grid
+        values = np.stack([p.values for p in paths])
+        jump_lists = tuple(p.jumps for p in paths)
     jumps = None if all(len(j) == 0 for j in jump_lists) else jump_lists
     return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"], jumps)
 
 
 def _atomic_write(target: Path, text: str) -> None:
+    """Write ``text`` to a temporary sibling, then rename it onto ``target``."""
+    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(target)

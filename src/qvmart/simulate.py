@@ -5,15 +5,13 @@ bundle combining all of them.
 Randomness discipline: every path draws from a substream derived from
 ``(master_seed, path_index, purpose_tag)`` via ``numpy``'s SeedSequence
 counter mixing, so path i's realization is bit-reproducible and
-independent of how many paths are generated, in what order, or on how
-many threads.
+independent of how many paths are generated or in what order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -593,15 +591,9 @@ def _build_bundles(
     eps: float,
     rate: float,
     indices: Sequence[int],
-    threads: int = 1,
 ) -> BundleEnsemble:
     _check_freeze(grid, eps)
-    draw = lambda i: _draw_bundle(stream, grid, rate, i)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            draws = list(pool.map(draw, indices))
-    else:
-        draws = map(draw, indices)
+    draws = (_draw_bundle(stream, grid, rate, i) for i in indices)
     b = np.empty((len(indices), grid.points.size))
     n1s, n2s, capped, collision = [], [], [], []
     jp, jc, js = [], [], []
@@ -643,17 +635,15 @@ def gen_bundles(
     grid: TimeGrid,
     eps: float,
     rate: float,
-    threads: int = 1,
 ) -> BundleEnsemble:
     """Bundles 0 .. n_paths-1 as one ``BundleEnsemble``.
 
-    Row i is bit-identical to ``gen_counterexample(..., index=i)`` and to
-    the same row generated with any thread count: each bundle draws from
-    its own substreams.
+    Row i is bit-identical to ``gen_counterexample(..., index=i)``: each
+    bundle draws from its own substreams.
     """
     if n_paths < 1:
         raise ContractViolation("need at least one path")
-    return _build_bundles(stream, grid, eps, rate, range(n_paths), threads)
+    return _build_bundles(stream, grid, eps, rate, range(n_paths))
 
 
 def insider_drift(bundle: PathBundle, eps: float | None = None) -> tuple[SamplePath, SamplePath]:
@@ -681,16 +671,11 @@ def gen_ensemble(
     stream: SeedStream,
     n_paths: int,
     grid: TimeGrid,
-    threads: int = 1,
 ) -> Ensemble:
     """Materialize ``n_paths`` model paths into one value matrix."""
     if n_paths < 1:
         raise ContractViolation("need at least one path")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(lambda i: model.generate(stream, i, grid), range(n_paths)))
-    else:
-        paths = [model.generate(stream, i, grid) for i in range(n_paths)]
+    paths = [model.generate(stream, i, grid) for i in range(n_paths)]
     values = np.stack([p.values for p in paths])
     jump_lists = tuple(p.jumps for p in paths)
     jumps = None if all(len(j) == 0 for j in jump_lists) else jump_lists

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, QVPath, SamplePath, TimeGrid, quadratic_variation
+from .path_core import Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr
+from .path_core import quadratic_variation, truncation_index
 
 __all__ = [
     "EvalContext",
@@ -191,19 +192,18 @@ class BandStrategy:
 
 
 def _first_hit(path: SamplePath, ctx: EvalContext, rule: HitRule, start: int) -> int:
-    pts = path.grid.points
-    if rule.metric in ("qv", "level_or_qv"):
-        qv = ctx.qv if ctx.qv is not None else quadratic_variation(path)
-        hit_qv = qv.values > rule.threshold
+    # A statistic the metric leaves out is held at zero, which moves no first
+    # crossing: zero never exceeds a nonnegative threshold, and both
+    # statistics exceed a negative one at the first point.
+    zero = np.zeros(path.values.size)
+    level = zero if rule.metric == "qv" else path.values
     if rule.metric == "abs_level":
-        hit = np.abs(path.values) > rule.threshold
-    elif rule.metric == "qv":
-        hit = hit_qv
+        qv = zero
     else:
-        hit = (np.abs(path.values) > rule.threshold) | hit_qv
-    tail = hit[start:]
-    if tail.any():
-        return start + int(np.argmax(tail))
+        qv = (ctx.qv if ctx.qv is not None else quadratic_variation(path)).values
+    k = start + truncation_index(level[start:], qv[start:], rule.threshold)
+    if k < path.values.size:
+        return k
     if rule.default is None:
         return start
     return path.grid.index_of(rule.default)
@@ -325,9 +325,7 @@ def h2_norm(
     pi = pi_for_ensemble(strategy, ensemble, qv_vals, insider)
     dqv = np.diff(qv_vals, axis=1)
     per_path = np.sum(pi * pi * dqv, axis=1)
-    n = ensemble.n_paths
-    se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return NormEstimate(float(np.mean(per_path)), se, n)
+    return NormEstimate(*_mean_stderr(per_path), ensemble.n_paths)
 
 
 @dataclass(frozen=True)
@@ -426,30 +424,32 @@ def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
 def truncation_strategy(n: float) -> GridRuleStrategy:
     """pi = 1 up to the first time level or variation exceeds n, then 0."""
 
+    def profile(values: np.ndarray, qv_vals: np.ndarray) -> np.ndarray:
+        stop = np.asarray(truncation_index(values, qv_vals, n))
+        return (np.arange(values.shape[-1] - 1) < stop[..., None]).astype(float)
+
     def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
         qv = ctx.qv if ctx.qv is not None else quadratic_variation(path)
-        hit = (np.abs(path.values) > n) | (qv.values > n)
-        stop = int(np.argmax(hit)) if hit.any() else path.grid.n_steps
-        pi = np.zeros(path.grid.n_steps)
-        pi[:stop] = 1.0
-        return pi
+        return profile(path.values, qv.values)
 
     def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
         if qv_vals is None:
             raise ContractViolation("truncation strategy needs per-path variation")
-        hit = (np.abs(ensemble.values) > n) | (qv_vals > n)
-        any_hit = hit.any(axis=1)
-        stop = np.where(any_hit, np.argmax(hit, axis=1), ensemble.grid.n_steps)
-        cells = np.arange(ensemble.grid.n_steps)
-        return (cells[None, :] < stop[:, None]).astype(float)
+        return profile(ensemble.values, qv_vals)
 
     return GridRuleStrategy(f"truncation({n:g})", 1.0, fn, matrix_fn)
 
 
-def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrategy:
-    """pi_t = c (1 - t), evaluated at each cell's left endpoint."""
+def _band(c: float, margin: float | None, name: str, fn, matrix_fn, **flags) -> BandStrategy:
+    """A ``pi_t = c (1 - t)`` rule, up to sign: bound ``|c| < 1``, margin ``1 - |c|``."""
     if not (-1.0 < c < 1.0):
         raise ConfigurationError("band fraction needs |c| < 1")
+    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, **flags)
+    return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+
+
+def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrategy:
+    """pi_t = c (1 - t), evaluated at each cell's left endpoint."""
 
     def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
         return c * (1.0 - path.grid.points[:-1])
@@ -457,16 +457,11 @@ def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrateg
     def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
         return c * (1.0 - ensemble.grid.points[:-1])
 
-    inner = GridRuleStrategy(
-        f"band({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, path_independent=True
-    )
-    return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+    return _band(c, margin, "band", fn, matrix_fn, path_independent=True)
 
 
 def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
     """pi_t = c (1 - t) sign(revealed terminal driver value)."""
-    if not (-1.0 < c < 1.0):
-        raise ConfigurationError("band fraction needs |c| < 1")
 
     def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
         s = 1.0 if ctx.insider >= 0 else -1.0
@@ -476,10 +471,7 @@ def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
         s = np.where(np.asarray(insider) >= 0, 1.0, -1.0)
         return (c * s)[:, None] * (1.0 - ensemble.grid.points[:-1])
 
-    inner = GridRuleStrategy(
-        f"sign_band({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, needs_insider=True
-    )
-    return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+    return _band(c, margin, "sign_band", fn, matrix_fn, needs_insider=True)
 
 
 def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
@@ -488,8 +480,6 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
     The comparison uses the driver level at each cell's left endpoint,
     so every cell's value is decided before the cell starts.
     """
-    if not (-1.0 < c < 1.0):
-        raise ConfigurationError("band fraction needs |c| < 1")
 
     def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
         if ctx.driver is None:
@@ -506,10 +496,7 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
         row = c * (1.0 - ensemble.grid.points[:-1])
         return np.where(gap >= 0, row, -row)
 
-    inner = GridRuleStrategy(
-        f"switch_band({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, needs_insider=True
-    )
-    return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+    return _band(c, margin, "switch_band", fn, matrix_fn, needs_insider=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import QVPath, SamplePath, TimeGrid
+from .path_core import QVPath, SamplePath, TimeGrid, _mean_stderr
 
 __all__ = [
     "WealthPath",
@@ -108,32 +108,6 @@ def simple_integral(pi: np.ndarray, path: SamplePath) -> SamplePath:
     return SamplePath(grid, vals, tuple(jumps))
 
 
-def _exp_kernel(
-    grid: TimeGrid,
-    pi: np.ndarray,
-    cont_inc: np.ndarray,
-    dqv: np.ndarray,
-    jump_cells: np.ndarray,
-    jump_sizes: np.ndarray,
-) -> WealthPath:
-    log_cont = np.cumsum(pi * cont_inc - 0.5 * pi * pi * dqv)
-    w = np.empty(grid.points.size)
-    w[0] = 1.0
-    w[1:] = np.exp(log_cont)
-    if jump_cells.size == 0:
-        return WealthPath(grid, w)
-    factors = np.ones(grid.n_steps)
-    np.multiply.at(factors, jump_cells, 1.0 + pi[jump_cells] * jump_sizes)
-    cumfac = np.cumprod(factors)
-    w[1:] *= cumfac
-    nonpos = cumfac <= 0.0
-    if not nonpos.any():
-        return WealthPath(grid, w)
-    k = int(np.argmax(nonpos))  # first cell whose cumulative factor died
-    w[k + 2 :] = w[k + 1]
-    return WealthPath(grid, w, True, float(grid.points[k + 1]))
-
-
 def stoch_exp_continuous(pi: np.ndarray, path: SamplePath, qv: QVPath) -> WealthPath:
     """exp( integral of pi dS minus half the integral of pi^2 d[S] ).
 
@@ -142,12 +116,7 @@ def stoch_exp_continuous(pi: np.ndarray, path: SamplePath, qv: QVPath) -> Wealth
     """
     if path.jumps:
         raise ContractViolation("continuous exponential needs a jump-free path")
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (path.grid.n_steps,):
-        raise ContractViolation("pi must hold one value per grid cell")
-    return _exp_kernel(
-        path.grid, pi, np.diff(path.values), np.diff(qv.values), np.empty(0, int), np.empty(0)
-    )
+    return stoch_exp_jumps(pi, path, qv)
 
 
 def stoch_exp_jumps(pi: np.ndarray, path: SamplePath, qv_continuous: QVPath) -> WealthPath:
@@ -155,21 +124,30 @@ def stoch_exp_jumps(pi: np.ndarray, path: SamplePath, qv_continuous: QVPath) -> 
 
     Nonpositive wealth is a flagged outcome, not an error: the first
     factor (1 + pi dS) <= 0 freezes the path at its nonpositive value.
-    With an empty jump list this agrees with the continuous exponential
-    bit for bit.
+    With an empty jump list this is the continuous exponential.
     """
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (path.grid.n_steps,):
+    grid = path.grid
+    if pi.shape != (grid.n_steps,):
         raise ContractViolation("pi must hold one value per grid cell")
+    dqv = np.diff(qv_continuous.values)
+    log_cont = np.cumsum(pi * path.continuous_increments() - 0.5 * pi * pi * dqv)
+    w = np.empty(grid.points.size)
+    w[0] = 1.0
+    w[1:] = np.exp(log_cont)
+    if not path.jumps:
+        return WealthPath(grid, w)
     jump_cells = path.jump_indices - 1
-    return _exp_kernel(
-        path.grid,
-        pi,
-        path.continuous_increments(),
-        np.diff(qv_continuous.values),
-        jump_cells,
-        path.jump_sizes,
-    )
+    factors = np.ones(grid.n_steps)
+    np.multiply.at(factors, jump_cells, 1.0 + pi[jump_cells] * path.jump_sizes)
+    cumfac = np.cumprod(factors)
+    w[1:] *= cumfac
+    nonpos = cumfac <= 0.0
+    if not nonpos.any():
+        return WealthPath(grid, w)
+    k = int(np.argmax(nonpos))  # first cell whose cumulative factor died
+    w[k + 2 :] = w[k + 1]
+    return WealthPath(grid, w, True, float(grid.points[k + 1]))
 
 
 def dd_residual(pi: np.ndarray, path: SamplePath, wealth: WealthPath) -> float:
@@ -192,17 +170,9 @@ def log_utility(wealths: Sequence[WealthPath]) -> UtilityReport:
     if not wealths:
         raise ContractViolation("need at least one wealth path")
     w1 = np.array([w.terminal for w in wealths])
-    return log_utility_from_terminals_raw(w1)
-
-
-def log_utility_from_terminals_raw(w1: np.ndarray) -> UtilityReport:
-    n = w1.size
-    bad = int(np.sum(w1 <= 0.0))
-    if bad:
-        return UtilityReport(-np.inf, float("nan"), n, bad)
-    logs = np.log(w1)
-    se = float(np.std(logs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return UtilityReport(float(np.mean(logs)), se, n, 0)
+    nonpositive = w1 <= 0.0
+    log_w1 = np.log(w1, out=np.full(w1.shape, -np.inf), where=~nonpositive)
+    return log_utility_from_terminals(log_w1, int(np.sum(nonpositive)))
 
 
 def log_utility_from_terminals(log_w1: np.ndarray, n_nonpositive: int) -> UtilityReport:
@@ -210,13 +180,46 @@ def log_utility_from_terminals(log_w1: np.ndarray, n_nonpositive: int) -> Utilit
     n = log_w1.size
     if n_nonpositive:
         return UtilityReport(-np.inf, float("nan"), n, int(n_nonpositive))
-    se = float(np.std(log_w1, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return UtilityReport(float(np.mean(log_w1)), se, n, 0)
+    return UtilityReport(*_mean_stderr(log_w1), n, 0)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized terminal-wealth helpers (matrix form, used by the estimators)
 # ---------------------------------------------------------------------------
+
+_NO_JUMPS = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+
+
+def _log_wealth_terms(
+    pi: np.ndarray,
+    cont_inc: np.ndarray,
+    dqv_cont: np.ndarray,
+    jump_path: np.ndarray,
+    jump_cell: np.ndarray,
+    jump_size: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two parts of every path's log terminal wealth, and its wipe-out mask.
+
+    Returns ``sum(pi dS^c - pi^2 d[S]^c / 2)``, the sum of
+    ``log(1 + pi dS)`` over the jump factors that stay positive, and a
+    mask of the paths with a factor ``1 + pi dS <= 0``.  ``pi``
+    broadcasts: one shared per-cell vector or a per-path matrix.  Jump
+    data comes flattened: parallel arrays of path row, cell index and
+    jump size.
+    """
+    cont = np.sum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1)
+    n_paths = cont.size
+    jump = np.zeros(n_paths)
+    wiped = np.zeros(n_paths, dtype=bool)
+    if jump_path.size:
+        pj = pi[jump_cell] if pi.ndim == 1 else pi[jump_path, jump_cell]
+        f = 1.0 + pj * jump_size
+        bad = f <= 0.0
+        np.logical_or.at(wiped, jump_path[bad], True)
+        ok = ~bad
+        np.add.at(jump, jump_path[ok], np.log(f[ok]))
+    return cont, jump, wiped
+
 
 def terminal_log_wealth_continuous(
     pi: np.ndarray, values: np.ndarray, qv_vals: np.ndarray
@@ -228,7 +231,7 @@ def terminal_log_wealth_continuous(
     """
     ds = np.diff(values, axis=1)
     dqv = np.diff(qv_vals, axis=1)
-    return np.sum(pi * ds - 0.5 * pi * pi * dqv, axis=1)
+    return _log_wealth_terms(pi, ds, dqv, *_NO_JUMPS)[0]
 
 
 def terminal_log_wealth_jumps(
@@ -244,21 +247,7 @@ def terminal_log_wealth_jumps(
     Jump data comes flattened: parallel arrays of path row, cell index,
     and jump size.  Paths with any factor (1 + pi dS) <= 0 get -inf.
     """
-    logw = np.sum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1)
-    n_paths = logw.size
-    if jump_path.size:
-        if pi.ndim == 1:
-            pj = pi[jump_cell]
-        else:
-            pj = pi[jump_path, jump_cell]
-        f = 1.0 + pj * jump_size
-        bad = f <= 0.0
-        wiped = np.zeros(n_paths, dtype=bool)
-        np.logical_or.at(wiped, jump_path[bad], True)
-        add = np.zeros(n_paths)
-        ok = ~bad
-        np.add.at(add, jump_path[ok], np.log(f[ok]))
-        logw = logw + add
-        logw[wiped] = -np.inf
-        return logw, wiped
-    return logw, np.zeros(n_paths, dtype=bool)
+    cont, jump, wiped = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size)
+    logw = cont + jump
+    logw[wiped] = -np.inf
+    return logw, wiped

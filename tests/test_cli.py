@@ -174,22 +174,6 @@ def test_band_manifest_replays(tmp_path):
     assert read_dir_bytes(run) == read_dir_bytes(again)
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    # QVMART_THREADS steers worker count; outputs stay byte-identical
-    args = ["simulate", "--model", "brownian", "--paths", "8", "--steps", "64",
-            "--seed", "21"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.delenv("QVMART_THREADS", raising=False)
-    assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("QVMART_THREADS", "4")
-    assert main(args + ["--out", str(b)]) == 0
-    bytes_a = read_dir_bytes(a)
-    bytes_b = read_dir_bytes(b)
-    # manifests record the resolved thread count and differ; paths must not
-    assert bytes_a.pop("manifest.json") != bytes_b.pop("manifest.json")
-    assert bytes_a == bytes_b
-
-
 def test_invalid_config_exits_2(tmp_path):
     rc = main(["simulate", "--model", "gaussian_m", "--eps", "0.9",
                "--paths", "1", "--out", str(tmp_path / "x")])
@@ -202,3 +186,81 @@ def test_admissible_band_probe_exits_1(tmp_path):
     rc = main(["counterexample", "band", "--bundles", "50", "--eps", "0.01",
                "--seed", "1", "--strategy", str(strat), "--out", str(tmp_path / "y")])
     assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A stored drifted ensemble and two strategy files shared by the CLI runs."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert main(["simulate", "--model", "drifted", "--mu", "0.1", "--sigma", "0.2",
+                 "--paths", "300", "--steps", "64", "--seed", "8", "--format", "json",
+                 "--out", str(d / "sim")]) == 0
+    (d / "half.json").write_text(json.dumps({"name": "half", "rule_id": "const",
+                                             "params": {"value": 0.5}}))
+    (d / "flat.json").write_text(json.dumps({"name": "flat", "rule_id": "const",
+                                             "params": {"value": 0.6}}))
+    (d / "broken.json").write_text("not json\n")
+    return {"sim": str(d / "sim"), "half": str(d / "half.json"),
+            "flat": str(d / "flat.json"), "broken": str(d / "broken.json")}
+
+
+_BUNDLES = ["--bundles", "40", "--steps", "32", "--log-steps", "64", "--seed", "6"]
+REPLAY_CASES = {
+    "simulate-brownian": ["simulate", "--model", "brownian", "--paths", "3", "--steps", "32",
+                          "--seed", "1"],
+    "simulate-drifted": ["simulate", "--model", "drifted", "--mu", "0.3", "--paths", "3",
+                         "--steps", "32", "--seed", "1", "--format", "json"],
+    "simulate-gaussian_m": ["simulate", "--model", "gaussian_m", "--paths", "3", "--steps", "16",
+                            "--log-steps", "32", "--eps", "0.01", "--seed", "1"],
+    "simulate-counterexample": ["simulate", "--model", "counterexample", "--paths", "3",
+                                "--steps", "16", "--log-steps", "32", "--eps", "0.01",
+                                "--rate", "2.0", "--seed", "1"],
+    "qv-stored": ["qv", "--in", "{sim}"],
+    "qv-refine": ["qv", "--levels", "4,6", "--seed", "2"],
+    "wealth": ["wealth", "--in", "{sim}", "--strategy", "{half}"],
+    "decompose": ["decompose", "--in", "{sim}", "--bins", "4", "--state-bins", "2",
+                  "--min-count", "20"],
+    "optimize": ["optimize", "--in", "{sim}", "--bins", "4"],
+    "counterexample-poisson-lemma": ["counterexample", "poisson-lemma", "--samples", "200",
+                                     "--beta", "switch", "--eps", "0.02", "--seed", "3"],
+    "counterexample-band": ["counterexample", "band", "--eps", "0.01", "--strategy", "{flat}",
+                            *_BUNDLES],
+    "counterexample-sweep": ["counterexample", "sweep", "--eps", "0.01", *_BUNDLES],
+    "counterexample-divergence": ["counterexample", "divergence", "--eps-list", "0.1,0.01",
+                                  *_BUNDLES],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_every_manifest_replays(case, inputs, tmp_path):
+    argv = [a.format(**inputs) for a in REPLAY_CASES[case]]
+    run, again = tmp_path / "run", tmp_path / "again"
+    assert main(argv + ["--out", str(run)]) == 0
+    assert main(["replay", str(run / "manifest.json"), "--out", str(again)]) == 0
+    assert read_dir_bytes(run) == read_dir_bytes(again)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qv", "--levels", "8,x"],
+    ["wealth", "--in", "{sim}-missing", "--strategy", "{half}"],
+    ["replay", "{broken}"],
+    ["counterexample", "divergence", "--eps-list", "0.1,zz"],
+], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list"])
+def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
+    argv = [a.format(**inputs) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "input" and error["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["wealth", "--in", "x", "--strategy", "y"],
+    ["decompose", "--in", "x"],
+    ["optimize", "--in", "x"],
+    ["report"],
+], ids=["wealth", "decompose", "optimize", "report"])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--format", "json"]], ids=["seed", "format"])
+def test_flags_only_where_read(command, flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2

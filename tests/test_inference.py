@@ -19,7 +19,7 @@ from qvmart.inference import (
     optimality_gap,
     reconstruction_error,
 )
-from qvmart.path_core import TimeGrid, qv_matrix
+from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
 from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_ensemble
 from qvmart.strategy import (
     const_strategy,
@@ -321,3 +321,9 @@ class TestTruncationDiscipline:
         n = choose_truncation_level(ens, qv, target=0.99)
         hit = (np.abs(ens.values) > n) | (qv > n)
         assert 1.0 - hit.any(axis=1).mean() >= 0.99
+
+    def test_crossing_at_last_point_is_a_stop(self):
+        vals = np.zeros((4, 4))
+        vals[0, -1] = 1.5  # above n = 1 only at t = 1
+        ens = Ensemble(TimeGrid.uniform(3), vals, 0, "flat")
+        assert choose_truncation_level(ens, np.zeros_like(vals), target=1.0) == 2.0

@@ -19,6 +19,7 @@ from qvmart.path_core import (
     quadratic_variation,
     refine_and_compare_qv,
     save_ensemble,
+    truncation_index,
     truncation_time,
 )
 from qvmart.simulate import BrownianModel, DeterministicModel, PureJumpModel, SeedStream
@@ -178,6 +179,17 @@ class TestTruncationTime:
         p = SamplePath(g, 10.0 * g.points)
         qv = QVPath(g, np.zeros(101))
         assert truncation_time(p, qv, 5.0) == pytest.approx(0.51)
+
+    def test_index_per_row(self):
+        # a matrix gives one index per row; a row that never crosses gets one
+        # past its last point, a crossing at the last point its own index
+        vals = np.array([[0.0, 0.5, 2.0, 0.0], [0.0, 0.1, 0.2, 3.0], [0.0, 0.1, 0.2, 0.3]])
+        qv = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 1.5, 1.5]])
+        np.testing.assert_array_equal(truncation_index(vals, qv, 1.0), [2, 3, 2])
+        np.testing.assert_array_equal(truncation_index(vals, qv, 4.0), [4, 4, 4])
+        assert truncation_index(vals[1], qv[1], 1.0) == 3
+        assert truncation_time(SamplePath(TimeGrid.uniform(3), vals[1]),
+                               QVPath(TimeGrid.uniform(3), qv[1]), 4.0) == 1.0
 
     def test_brownian_rarely_stopped_at_three(self):
         # reflection-principle oracle: P(sup |B| > 3) = 4 Phi(-3) - ... ~ 0.0054,

@@ -16,7 +16,6 @@ from qvmart.simulate import (
     gen_brownian,
     gen_bundles,
     gen_counterexample,
-    gen_ensemble,
     gen_M,
     gen_poisson_pair,
     insider_drift,
@@ -76,13 +75,6 @@ class TestBrownian:
             [gen_brownian(stream, grid, index=i).values[-1] for i in range(4000)]
         )
         assert 0.9 <= b1.var(ddof=1) <= 1.1
-
-    def test_gen_ensemble_thread_counts_agree(self):
-        grid = TimeGrid.dyadic(6)
-        model = BrownianModel()
-        e1 = gen_ensemble(model, SeedStream(4), 32, grid, threads=1)
-        e4 = gen_ensemble(model, SeedStream(4), 32, grid, threads=4)
-        np.testing.assert_array_equal(e1.values, e4.values)
 
 
 class TestDriftedDiffusion:
@@ -248,11 +240,7 @@ class TestCounterexampleBundle:
 
     def test_bundles_deterministic(self):
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
-        a = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0, threads=1)
-        b = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0, threads=3)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.s.values, y.s.values)
-            assert x.s.jumps == y.s.jumps
+        a = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0)
         # each row is bundle i as generated alone, held as read-only views
         for i, row in enumerate(a):
             one = gen_counterexample(SeedStream(9), grid, 1e-2, 1.0, index=i)
