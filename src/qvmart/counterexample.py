@@ -21,10 +21,11 @@ import numpy as np
 from .errors import ContractViolation
 from .path_core import TimeGrid, _mean_stderr
 from .simulate import (
+    _CHUNK_CELLS,
     BundleEnsemble,
     PathBundle,
     SeedStream,
-    gen_counterexample,
+    _build_bundles,
     make_insider_grid,
     sigma_profile_vec,
 )
@@ -211,13 +212,16 @@ def poisson_flip_test(
     minus_counts = np.empty(n_samples)
     exactly_one_minus = 0
     common = 0
-    for i in range(n_samples):
-        bundle = gen_counterexample(stream, grid, eps, rate, index=i)
-        flip = flip_decompose(beta_factory(bundle), bundle.n1_times, bundle.n2_times)
-        plus_counts[i] = len(flip.plus_times)
-        minus_counts[i] = len(flip.minus_times)
-        exactly_one_minus += len(flip.minus_times) == 1
-        common += bool(set(flip.plus_times) & set(flip.minus_times))
+    # bundle i is gen_counterexample(..., index=i), generated a chunk at a time
+    rows = max(1, _CHUNK_CELLS // grid.points.size)
+    for lo in range(0, n_samples, rows):
+        chunk = _build_bundles(stream, grid, eps, rate, range(lo, min(lo + rows, n_samples)))
+        for i, bundle in enumerate(chunk, lo):
+            flip = flip_decompose(beta_factory(bundle), bundle.n1_times, bundle.n2_times)
+            plus_counts[i] = len(flip.plus_times)
+            minus_counts[i] = len(flip.minus_times)
+            exactly_one_minus += len(flip.minus_times) == 1
+            common += bool(set(flip.plus_times) & set(flip.minus_times))
     if np.std(plus_counts) == 0 or np.std(minus_counts) == 0:
         corr = 0.0
     else:

@@ -351,8 +351,8 @@ def path_from_csv(body: str, jumps_body: str | None = None) -> SamplePath:
 
 def path_to_json(path: SamplePath) -> dict:
     return {
-        "points": [float(t) for t in path.grid.points],
-        "values": [float(v) for v in path.values],
+        "points": path.grid.points.tolist(),
+        "values": path.values.tolist(),
         "jumps": [[t, s] for t, s in path.jumps],
     }
 
@@ -381,10 +381,10 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     if fmt == "json":
         payload = {
             "manifest": manifest,
-            "points": [float(t) for t in ensemble.grid.points],
+            "points": ensemble.grid.points.tolist(),
             "paths": [
                 {
-                    "values": [float(v) for v in ensemble.values[i]],
+                    "values": ensemble.values[i].tolist(),
                     "jumps": [[t, s] for t, s in (ensemble.jumps[i] if ensemble.jumps else ())],
                 }
                 for i in range(ensemble.n_paths)

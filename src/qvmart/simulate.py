@@ -5,7 +5,12 @@ bundle combining all of them.
 Randomness discipline: every path draws from a substream derived from
 ``(master_seed, path_index, purpose_tag)`` via ``numpy``'s SeedSequence
 counter mixing, so path i's realization is bit-reproducible and
-independent of how many paths are generated or in what order.
+independent of how many paths are generated or in what order.  The
+substreams of many paths (and of every bridge stage) are derived in one
+vectorised pass that replays SeedSequence's mixing and PCG64's seeding;
+a test holds each derived stream equal to numpy's own
+``default_rng(SeedSequence(entropy=master_seed, spawn_key=key))``.
+Brownian ensembles are then built as one matrix, stage by stage.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,6 +55,26 @@ LOG2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # Seeding
 # ---------------------------------------------------------------------------
+#
+# ``SeedSequence(entropy=master_seed, spawn_key=key)`` followed by PCG64
+# seeding is a fixed hash of the key.  ``_substream_states`` replays it for
+# many keys at once: the entropy mixing runs in wrapping uint32 arithmetic,
+# on Python ints for words shared by every row and on uint32 arrays for
+# words that vary, and the 128-bit PCG64 seeding runs on Python ints.  A
+# test holds the result equal to numpy's own derivation.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's hashmix constants
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # ... and those of generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+# Normals ``_brownian_matrix`` holds at once (2 MiB of float64): paths are
+# generated in row chunks of this many cells.
+_CHUNK_CELLS = 1 << 18
+
 
 def _mix_part(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -61,6 +86,141 @@ def _mix_part(part) -> int:
     raise ContractViolation(f"unsupported substream key part {part!r}")
 
 
+def _int_words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits an int: uint32 words, low word first."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _part_words(part) -> list:
+    """Entropy words of one key part; a varying int array is one uint32 column."""
+    if not isinstance(part, np.ndarray):
+        return _int_words(_mix_part(part))
+    if part.dtype.kind not in "iu":
+        raise ContractViolation(f"unsupported substream key part of dtype {part.dtype}")
+    lo, hi = int(part.min()), int(part.max())
+    if lo < 0:
+        raise ContractViolation("substream key parts must be non-negative")
+    if lo == hi:
+        return _int_words(lo)
+    if hi > _MASK32:
+        raise ContractViolation("varying substream key parts must be below 2**32")
+    return [part.astype(np.uint32)]
+
+
+# Every step below wraps modulo 2**32 on Python ints and uint32 arrays alike.
+
+def _hash(value, hash_const: int, mult: int):
+    """SeedSequence's hashing step: the hashed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _absorb(pool, hash_const: int, word) -> tuple[list, int]:
+    """Mix ``hashmix(word)`` into every pool word in turn, as SeedSequence does.
+
+    ``_hash`` is written out here: this loop runs four times per key
+    word, and on scalar keys the call overhead would be most of its cost.
+    """
+    out = []
+    for x in pool:
+        h = word ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        h = h * hash_const & _MASK32
+        h = h ^ h >> 16
+        r = ((x * _MIX_MULT_L & _MASK32) - (h * _MIX_MULT_R & _MASK32)) & _MASK32
+        out.append(r ^ r >> 16)
+    return out, hash_const
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's entropy pool and hash constant once the master seed is mixed in.
+
+    Under a spawn key SeedSequence pads the seed's words with zeros to the
+    pool size; without one it hashes zeros for the missing words, which
+    is the same.
+    """
+    entropy = _int_words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        h, hash_const = _hash(word, hash_const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL_SIZE):  # each pool word into every other one
+        others, hash_const = _absorb(pool[:src] + pool[src + 1 :], hash_const, pool[src])
+        pool = others[:src] + [pool[src]] + others[src:]
+    for word in entropy[_POOL_SIZE:]:
+        pool, hash_const = _absorb(pool, hash_const, word)
+    return tuple(pool), hash_const
+
+
+def _substream_states(master_seed: int, *key) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(master_seed, spawn_key=key))``.
+
+    Any key part may be an int array, one key per row; scalar parts are
+    shared by every row.  Returns one pair per row.
+    """
+    if not isinstance(master_seed, (int, np.integer)):
+        raise TypeError(f"master seed must be an int, not {master_seed!r}")
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    sizes = {p.size for p in key if isinstance(p, np.ndarray)}
+    if len(sizes) > 1:
+        raise ContractViolation("array key parts must have one length")
+    rows = sizes.pop() if sizes else 1
+    if rows == 0:
+        return []
+    pool, hash_const = _seed_pool(int(master_seed))
+    for part in key:
+        for word in _part_words(part):
+            pool, hash_const = _absorb(pool, hash_const, word)
+
+    # generate_state(4, uint64): eight words cycled from the pool, paired low first.
+    words = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        words.append(value.astype(np.uint64) if isinstance(value, np.ndarray) else value)
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        u.tolist() if isinstance(u, np.ndarray) else [u] * rows
+        for u in (lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2]))
+    )
+
+    # pcg64_set_seed: inc = 2 * initseq + 1; two LCG steps around adding initstate.
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _row_rngs(master_seed: int, *key):
+    """Yield a generator at the start of each row's substream, in row order.
+
+    One generator is reused: it is re-seated for every row, so draw
+    from it before advancing.
+    """
+    bit_gen = np.random.PCG64(0)  # a placeholder state, replaced before each row
+    rng = np.random.Generator(bit_gen)
+    for state, inc in _substream_states(master_seed, *key):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 @dataclass(frozen=True)
 class SeedStream:
     """Counter-based derivation of independent substreams from one master seed."""
@@ -68,49 +228,81 @@ class SeedStream:
     master_seed: int
 
     def substream(self, *key) -> np.random.Generator:
-        """Generator for ``(master_seed, *key)``; identical key, identical stream."""
-        spawn = tuple(_mix_part(p) for p in key)
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.master_seed, spawn_key=spawn)
-        )
+        """Generator for ``(master_seed, *key)``; identical key, identical stream.
+
+        The stream is numpy's ``default_rng(SeedSequence(entropy=master_seed,
+        spawn_key=key))``, string parts read as big-endian integers.
+        """
+        return next(_row_rngs(self.master_seed, *key))
 
 
 # ---------------------------------------------------------------------------
 # Brownian motion
 # ---------------------------------------------------------------------------
 
-def _bridge_values(stream: SeedStream, index: int, level: int) -> np.ndarray:
-    """Brownian values on the dyadic grid of 2**level steps.
+def _fill_bridge(stream: SeedStream, indices: np.ndarray, level: int, vals: np.ndarray) -> None:
+    """Bridge rows on the dyadic grid of 2**level steps, one per index.
 
-    Built by midpoint insertion with one substream per refinement stage,
-    so coarser levels are exact prefixes of finer ones: shared grid
-    points carry identical values for any two levels.
+    Midpoint insertion with one substream per refinement stage, so
+    coarser levels are exact prefixes of finer ones: shared grid points
+    carry identical values for any two levels.  Row r's normals sit in
+    ``z[r]``: stage 0's single draw in column 0, stage s's 2**(s-1)
+    draws in columns [2**(s-1), 2**s).
     """
-    vals = np.zeros(2**level + 1)
-    vals[-1] = stream.substream(index, "bridge", 0).standard_normal()
-    for stage in range(1, level + 1):
-        z = stream.substream(index, "bridge", stage).standard_normal(2 ** (stage - 1))
+    stages = level + 1
+    z = np.empty((indices.size, 2**level))
+    rngs = _row_rngs(stream.master_seed, np.repeat(indices, stages), "bridge",
+                     np.tile(np.arange(stages), indices.size))
+    for k, rng in enumerate(rngs):
+        row, stage = divmod(k, stages)
+        rng.standard_normal(out=z[row, (1 << stage) >> 1 : 1 << stage])
+    vals[:, 0] = 0.0
+    vals[:, -1] = z[:, 0]
+    for stage in range(1, stages):
         half = 2 ** (level - stage)
         step = 2 * half
         sd = 2.0 ** (-(stage + 1) / 2.0)  # sqrt(parent_len)/2 with parent_len = 2^{1-stage}
-        vals[half::step] = 0.5 * (vals[0:-1:step] + vals[step::step]) + sd * z
+        zs = z[:, 1 << (stage - 1) : 1 << stage]
+        vals[:, half::step] = 0.5 * (vals[:, 0:-1:step] + vals[:, step::step]) + sd * zs
+
+
+def _fill_sequential(stream: SeedStream, indices: np.ndarray, grid: TimeGrid, vals: np.ndarray) -> None:
+    """Rows of cumulated Gaussian increments with variance equal to the cell width."""
+    z = np.empty((indices.size, grid.n_steps))
+    for row, rng in enumerate(_row_rngs(stream.master_seed, indices, "seq")):
+        rng.standard_normal(out=z[row])
+    z *= np.sqrt(grid.dt)
+    vals[:, 0] = 0.0
+    np.cumsum(z, axis=1, out=vals[:, 1:])
+
+
+def _brownian_matrix(stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
+    """Brownian values of paths ``indices`` on ``grid``, one row per path.
+
+    Row r depends only on ``indices[r]``.  Rows are generated in chunks
+    of at most ``_CHUNK_CELLS`` normals.
+    """
+    indices = np.asarray(indices)
+    vals = np.empty((indices.size, grid.points.size))
+    if grid.is_dyadic_uniform():
+        fill, shape = _fill_bridge, int(round(math.log2(grid.n_steps)))
+    else:
+        fill, shape = _fill_sequential, grid
+    rows = max(1, _CHUNK_CELLS // grid.n_steps)
+    for lo in range(0, indices.size, rows):
+        fill(stream, indices[lo : lo + rows], shape, vals[lo : lo + rows])
     return vals
 
 
-def _sequential_values(stream: SeedStream, index: int, grid: TimeGrid) -> np.ndarray:
-    rng = stream.substream(index, "seq")
-    z = rng.standard_normal(grid.n_steps)
-    vals = np.empty(grid.points.size)
-    vals[0] = 0.0
-    np.cumsum(z * np.sqrt(grid.dt), out=vals[1:])
-    return vals
+def _bridge_values(stream: SeedStream, index: int, level: int) -> np.ndarray:
+    """Bridge values of path ``index`` on the dyadic grid of 2**level steps."""
+    vals = np.empty((1, 2**level + 1))
+    _fill_bridge(stream, np.array([index]), level, vals)
+    return vals[0]
 
 
 def _brownian_values(stream: SeedStream, grid: TimeGrid, index: int) -> np.ndarray:
-    if grid.is_dyadic_uniform():
-        level = int(round(math.log2(grid.n_steps)))
-        return _bridge_values(stream, index, level)
-    return _sequential_values(stream, index, grid)
+    return _brownian_matrix(stream, grid, [index])[0]
 
 
 def gen_brownian(stream: SeedStream, grid: TimeGrid, index: int = 0) -> SamplePath:
@@ -131,6 +323,9 @@ class BrownianModel:
 
     def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
         return gen_brownian(stream, grid, index)
+
+    def _matrix(self, stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
+        return _brownian_matrix(stream, grid, indices)
 
     def path_at_level(self, stream: SeedStream, index: int, level: int) -> SamplePath:
         return SamplePath(TimeGrid.dyadic(level), _bridge_values(stream, index, level))
@@ -160,11 +355,19 @@ class DriftedDiffusion:
     def refinable(self) -> bool:
         return self._const
 
+    def _matrix(self, stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray | None:
+        """Rows of the exact solution s0 + mu t + sigma B; None for callable coefficients."""
+        if not self._const:
+            return None
+        vals = _brownian_matrix(stream, grid, indices)
+        vals *= float(self.sigma)
+        vals += self.s0 + float(self.mu) * grid.points
+        return vals
+
     def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
-        b = gen_brownian(stream, grid, index)
         if self._const:
-            vals = self.s0 + float(self.mu) * grid.points + float(self.sigma) * b.values
-            return SamplePath(grid, vals)
+            return SamplePath(grid, self._matrix(stream, grid, [index])[0])
+        b = gen_brownian(stream, grid, index)
         mu_fn = self.mu if callable(self.mu) else (lambda t, s: self.mu)
         sig_fn = self.sigma if callable(self.sigma) else (lambda t, s: self.sigma)
         db = np.diff(b.values)
@@ -364,17 +567,18 @@ def gen_poisson_pair(
     """
     if rate <= 0:
         raise ContractViolation("rate must be positive")
+    return (_poisson_times(stream.substream(index, "poisson-1"), rate),
+            _poisson_times(stream.substream(index, "poisson-2"), rate))
 
-    def one(tag: str) -> tuple[float, ...]:
-        rng = stream.substream(index, tag)
-        times = []
-        t = rng.exponential(1.0 / rate)
-        while t <= 1.0:
-            times.append(float(t))
-            t += rng.exponential(1.0 / rate)
-        return tuple(times)
 
-    return one("poisson-1"), one("poisson-2")
+def _poisson_times(rng: np.random.Generator, rate: float) -> tuple[float, ...]:
+    """Jump times in [0, 1] of one Poisson process, by exponential inter-arrivals."""
+    times = []
+    t = rng.exponential(1.0 / rate)
+    while t <= 1.0:
+        times.append(float(t))
+        t += rng.exponential(1.0 / rate)
+    return tuple(times)
 
 
 @dataclass(frozen=True)
@@ -574,15 +778,13 @@ class BundleEnsemble(Sequence):
         return _drift_values(self.grid, self.b, self.b1, self.eps)
 
 
-def _draw_bundle(stream: SeedStream, grid: TimeGrid, rate: float, index: int):
-    """Bundle ``index``'s random inputs: driver values, Poisson times, snapped jumps."""
-    b = _brownian_values(stream, grid, index)
-    n1, n2 = gen_poisson_pair(stream, rate, index)
+def _snap_pair(grid: TimeGrid, n1, n2):
+    """Snapped jumps of S from the two Poisson time lists: indices, sizes, flags."""
     idx_cap = grid.points.size - 2  # last grid point before 1
     merged = sorted([(t, +1.0) for t in n1] + [(t, -1.0) for t in n2])
     idxs, capped, collision = _snap_jump_indices(grid, [t for t, _ in merged], idx_cap)
     sizes = [sign / (1.0 - float(grid.points[k])) for k, (_, sign) in zip(idxs, merged)]
-    return b, n1, n2, idxs, sizes, capped, collision
+    return idxs, sizes, capped, collision
 
 
 def _build_bundles(
@@ -593,14 +795,18 @@ def _build_bundles(
     indices: Sequence[int],
 ) -> BundleEnsemble:
     _check_freeze(grid, eps)
-    draws = (_draw_bundle(stream, grid, rate, i) for i in indices)
-    b = np.empty((len(indices), grid.points.size))
-    n1s, n2s, capped, collision = [], [], [], []
+    if rate <= 0:
+        raise ContractViolation("rate must be positive")
+    indices = np.asarray(indices)
+    b = _brownian_matrix(stream, grid, indices)
+    n1s, n2s = (
+        tuple(_poisson_times(rng, rate) for rng in _row_rngs(stream.master_seed, indices, tag))
+        for tag in ("poisson-1", "poisson-2")
+    )
+    capped, collision = [], []
     jp, jc, js = [], [], []
-    for row, (b_row, n1, n2, idxs, sizes, cap, col) in enumerate(draws):
-        b[row] = b_row
-        n1s.append(n1)
-        n2s.append(n2)
+    for row, (n1, n2) in enumerate(zip(n1s, n2s)):
+        idxs, sizes, cap, col = _snap_pair(grid, n1, n2)
         capped.append(cap)
         collision.append(col)
         jp += [row] * len(idxs)
@@ -613,7 +819,7 @@ def _build_bundles(
     return BundleEnsemble(
         grid, eps, rate, b, m, s, b[:, -1].copy(),
         np.array(jp, dtype=int), np.array(jc, dtype=int), np.array(js, dtype=float),
-        tuple(n1s), tuple(n2s), np.array(capped, dtype=bool), np.array(collision, dtype=bool),
+        n1s, n2s, np.array(capped, dtype=bool), np.array(collision, dtype=bool),
     )
 
 
@@ -672,9 +878,17 @@ def gen_ensemble(
     n_paths: int,
     grid: TimeGrid,
 ) -> Ensemble:
-    """Materialize ``n_paths`` model paths into one value matrix."""
+    """Materialize ``n_paths`` model paths into one value matrix.
+
+    Brownian and constant-coefficient drifted models fill the matrix
+    directly; other models stack their per-path ``generate``.
+    """
     if n_paths < 1:
         raise ContractViolation("need at least one path")
+    matrix = getattr(model, "_matrix", None)
+    values = None if matrix is None else matrix(stream, grid, range(n_paths))
+    if values is not None:
+        return Ensemble(grid, values, stream.master_seed, model.tag)
     paths = [model.generate(stream, i, grid) for i in range(n_paths)]
     values = np.stack([p.values for p in paths])
     jump_lists = tuple(p.jumps for p in paths)

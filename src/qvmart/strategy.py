@@ -503,7 +503,8 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
 # JSON description files
 # ---------------------------------------------------------------------------
 
-def _leg_from_json(obj: dict) -> Leg:
+def _leg_from_json(obj: dict) -> tuple[Leg, float]:
+    """A leg and the largest absolute proportion it can hold."""
     until = obj["until"]
     if isinstance(until, dict):
         until = HitRule(
@@ -514,10 +515,11 @@ def _leg_from_json(obj: dict) -> Leg:
     rid = obj.get("rule_id", "const")
     params = obj.get("params", {})
     if rid == "const":
-        return Leg(until=until, value=float(params.get("value", 0.0)))
+        value = float(params.get("value", 0.0))
+        return Leg(until=until, value=value), abs(value)
     if rid == "sign_prefix_end":
         scale = float(params.get("scale", 1.0))
-        return Leg(until=until, rule=lambda p: scale * (1.0 if p.last >= 0 else -1.0))
+        return Leg(until=until, rule=lambda p: scale * (1.0 if p.last >= 0 else -1.0)), abs(scale)
     raise ConfigurationError(f"unknown leg rule_id {rid!r}")
 
 
@@ -532,11 +534,10 @@ def load_strategy(obj: dict):
     name = obj.get("name", "")
     margin = obj.get("margin")
     if "legs" in obj:
-        legs = tuple(_leg_from_json(l) for l in obj["legs"])
-        bound = float(obj.get("bound") or max(
-            (abs(l.value) for l in legs if l.value is not None), default=1.0
-        ) or 1.0)
-        out = SimpleStrategy(legs, bound=bound, name=name)
+        pairs = [_leg_from_json(l) for l in obj["legs"]]
+        # without a declared bound: the largest value or sign scale of any leg
+        bound = float(obj.get("bound") or max((size for _, size in pairs), default=1.0) or 1.0)
+        out = SimpleStrategy(tuple(leg for leg, _ in pairs), bound=bound, name=name)
         return BandStrategy(out, margin) if margin is not None else out
     rid = obj.get("rule_id")
     params = obj.get("params", {})

@@ -51,6 +51,24 @@ def test_replay_reproduces_bytes(tmp_path):
     assert read_dir_bytes(out) == read_dir_bytes(redo)
 
 
+def test_decompose_tests_file_mixing_const_and_sign_legs(tmp_path):
+    # no declared bound: the sign leg's default scale 1 sets it, not the 0.5 legs
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "drifted", "--mu", "0.1", "--sigma", "0.2",
+                 "--paths", "200", "--steps", "64", "--seed", "5", "--out", str(sim)]) == 0
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([
+        {"name": "half", "legs": [{"until": 1.0, "rule_id": "const", "params": {"value": 0.5}}]},
+        {"name": "mixed", "legs": [
+            {"until": 0.5, "rule_id": "const", "params": {"value": 0.5}},
+            {"until": 1.0, "rule_id": "sign_prefix_end"},
+        ]},
+    ]))
+    dec = tmp_path / "dec"
+    assert main(["decompose", "--in", str(sim), "--bins", "4", "--tests", str(tests),
+                 "--out", str(dec)]) == 0
+
+
 def test_qv_refinement_table(tmp_path):
     out = tmp_path / "qv"
     assert main(["qv", "--levels", "8,10", "--seed", "2", "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Grid, path, quadratic variation, and truncation-time behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,14 @@ from qvmart.path_core import (
     truncation_index,
     truncation_time,
 )
-from qvmart.simulate import BrownianModel, DeterministicModel, PureJumpModel, SeedStream
+from qvmart.simulate import (
+    BrownianModel,
+    DeterministicModel,
+    PureJumpModel,
+    SeedStream,
+    gen_bundles,
+    make_insider_grid,
+)
 
 
 def brownian_path(seed: int, level: int) -> SamplePath:
@@ -248,3 +257,29 @@ class TestSerialization:
         back = load_ensemble(tmp_path)
         np.testing.assert_array_equal(back.values, ens.values)
         assert back.jumps == jumps
+
+    def test_json_bytes_match_per_element_conversion(self, tmp_path):
+        # the writers convert whole rows with tolist(); the bytes must equal
+        # those of the element-by-element float() payload they replaced
+        grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
+        bundles = gen_bundles(SeedStream(4), 6, grid, 1e-2, 2.0)
+        jumps = tuple(bundles.jumps_of(i) for i in range(len(bundles)))
+        assert any(jumps)
+        ens = Ensemble(grid, bundles.s, master_seed=4, model_tag="counterexample", jumps=jumps)
+        save_ensemble(ens, tmp_path, fmt="json")
+        manifest = json.loads((tmp_path / "ensemble_manifest.json").read_text())
+        old = {
+            "manifest": manifest,
+            "points": [float(t) for t in grid.points],
+            "paths": [
+                {"values": [float(v) for v in ens.values[i]],
+                 "jumps": [[t, s] for t, s in jumps[i]]}
+                for i in range(ens.n_paths)
+            ],
+        }
+        assert (tmp_path / "ensemble.json").read_bytes() == (json.dumps(old) + "\n").encode()
+        p = ens.path(0)
+        old_path = {"points": [float(t) for t in grid.points],
+                    "values": [float(v) for v in p.values],
+                    "jumps": [[t, s] for t, s in p.jumps]}
+        assert json.dumps(path_to_json(p)) == json.dumps(old_path)

@@ -336,6 +336,32 @@ class TestStrategyFiles:
         pi = evaluate(strat, linear_path(4, slope=-2.0))
         assert np.all(pi[8:] == -1.0)
 
+    def test_default_bound_covers_sign_scale(self):
+        # without "bound", a sign leg's scale counts like a const leg's value
+        obj = {
+            "legs": [
+                {"until": 0.5, "rule_id": "const", "params": {"value": 0.5}},
+                {"until": 1.0, "rule_id": "sign_prefix_end", "params": {}},
+            ],
+        }
+        strat = load_strategy(obj)
+        assert strat.bound == 1.0
+        pi = evaluate(strat, linear_path(4, slope=-2.0))
+        assert np.all(pi[:8] == 0.5) and np.all(pi[8:] == -1.0)
+        obj["legs"][1]["params"]["scale"] = -3.0
+        assert load_strategy(obj).bound == 3.0
+
+    def test_explicit_bound_below_a_leg_is_enforced(self):
+        obj = {
+            "bound": 0.5,
+            "legs": [
+                {"until": 0.5, "rule_id": "const", "params": {"value": 0.5}},
+                {"until": 1.0, "rule_id": "sign_prefix_end", "params": {"scale": 1.0}},
+            ],
+        }
+        with pytest.raises(ContractViolation):
+            evaluate(load_strategy(obj), linear_path(4, slope=-2.0))
+
     def test_file_with_list(self, tmp_path):
         f = tmp_path / "strategies.json"
         f.write_text(json.dumps([
