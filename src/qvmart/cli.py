@@ -48,10 +48,12 @@ from .simulate import (
     BrownianModel,
     ModelSpec,
     SeedStream,
+    _brownian_matrix,
+    _check_freeze,
+    _m_values,
     gen_bundles,
     gen_ensemble,
     make_insider_grid,
-    gen_M,
 )
 from .strategy import (
     EvalContext,
@@ -62,7 +64,7 @@ from .strategy import (
     truncation_strategy,
     window_strategy,
 )
-from .wealth import log_utility, stoch_exp_continuous, stoch_exp_jumps
+from .wealth import log_utility, stoch_exp_jumps
 
 
 def _sanitize(obj):
@@ -137,15 +139,12 @@ def _cmd_simulate(args) -> int:
         ens = gen_ensemble(spec.build(), stream, args.paths, grid)
     elif spec.variant == "gaussian_m":
         grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
-        vals = np.stack([
-            gen_M(stream, grid, args.eps, index=i)[0].values for i in range(args.paths)
-        ])
+        _check_freeze(grid, args.eps)
+        vals = _m_values(grid, _brownian_matrix(stream, grid, range(args.paths)), args.eps)
         ens = Ensemble(grid, vals, args.seed, "gaussian_m")
-    else:  # counterexample: persist the combined jump paths
+    else:  # counterexample: the bundle ensemble is an ensemble of the combined jump paths
         grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
-        bundles = gen_bundles(stream, args.paths, grid, args.eps, args.rate)
-        jumps = tuple(bundles.jumps_of(i) for i in range(len(bundles)))
-        ens = Ensemble(grid, bundles.s, args.seed, "counterexample", jumps)
+        ens = gen_bundles(stream, args.paths, grid, args.eps, args.rate)
     save_ensemble(ens, out, fmt=args.format)
     return 0
 
@@ -155,8 +154,8 @@ def _cmd_qv(args) -> int:
     if args.infile:
         config = {"in": str(args.infile)}
         _write_manifest(out, "qv", config)
-        ens = load_ensemble(args.infile)
-        rows = [(i, quadratic_variation(ens.path(i)).total) for i in range(ens.n_paths)]
+        totals = qv_matrix(load_ensemble(args.infile))[:, -1]
+        rows = list(enumerate(totals.tolist()))
         _write_csv(out / "qv.csv", ["path_id", "qv_total"], rows)
         return 0
     levels = [int(x) for x in args.levels.split(",")]
@@ -179,12 +178,8 @@ def _cmd_wealth(args) -> int:
         raise ConfigurationError("the wealth command evaluates one strategy at a time")
     wealths = []
     for path in ens.paths():
-        qv = quadratic_variation(path)
-        pi = evaluate(strat, path, EvalContext(qv=qv))
-        if path.jumps:
-            wealths.append(stoch_exp_jumps(pi, path, quadratic_variation(path.continuous_part())))
-        else:
-            wealths.append(stoch_exp_continuous(pi, path, qv))
+        pi = evaluate(strat, path, EvalContext(qv=quadratic_variation(path)))
+        wealths.append(stoch_exp_jumps(pi, path, quadratic_variation(path.continuous_part())))
     _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
                [(i, w.terminal, int(w.hit_nonpositive)) for i, w in enumerate(wealths)])
     report = log_utility(wealths)

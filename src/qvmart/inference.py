@@ -135,7 +135,7 @@ class Diagnostic:
 
 
 def _require_continuous(ensemble: Ensemble) -> None:
-    if ensemble.jumps is not None:
+    if ensemble.jump_path.size:
         raise ContractViolation("this estimator expects a continuous-model ensemble")
 
 

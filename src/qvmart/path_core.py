@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,8 +48,8 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -84,7 +85,9 @@ class TimeGrid:
         return cls(np.linspace(0.0, 1.0, n_steps + 1))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def dyadic(cls, level: int) -> "TimeGrid":
+        """The uniform grid of 2**level steps; grids are immutable, so one per level is kept."""
         return cls.uniform(2**level)
 
     def index_of(self, t: float, tol: float = 1e-12) -> int:
@@ -139,12 +142,9 @@ class SamplePath:
 
     def continuous_part(self) -> "SamplePath":
         """The path with all jumps removed (cumulative jump sizes subtracted)."""
-        if not self.jumps:
-            return SamplePath(self.grid, self.values)
-        cum = np.zeros_like(self.values)
-        for idx, size in zip(self.jump_indices, self.jump_sizes):
-            cum[idx:] += size
-        return SamplePath(self.grid, self.values - cum)
+        steps = np.zeros_like(self.values)
+        steps[self.jump_indices] = self.jump_sizes
+        return SamplePath(self.grid, self.values - np.cumsum(steps))
 
     def increments(self) -> np.ndarray:
         """Total increment per grid cell, jumps included."""
@@ -153,10 +153,7 @@ class SamplePath:
     def continuous_increments(self) -> np.ndarray:
         """Per-cell increment of the continuous part."""
         inc = np.diff(self.values)
-        if self.jumps:
-            inc = inc.copy()
-            for idx, size in zip(self.jump_indices, self.jump_sizes):
-                inc[idx - 1] -= size
+        inc[self.jump_indices - 1] -= self.jump_sizes
         return inc
 
 
@@ -182,20 +179,22 @@ class QVPath:
         return float(self.values[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """A set of paths sharing one grid, stored as a (n_paths, n_points) matrix.
 
-    ``jumps[i]`` is path i's jump list; ``None`` means a continuous model
-    (every path jump-free), which lets the matrix operations skip jump
-    handling entirely.
+    The jumps of every path are flat parallel arrays (path, cell, size),
+    sorted by path and then time; cell ``k`` is a jump at
+    ``grid.points[k + 1]``.  Empty arrays mean a continuous model.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    master_seed: int
+    master_seed: int | None
     model_tag: str
-    jumps: tuple[tuple[tuple[float, float], ...], ...] | None = None
+    jump_path: np.ndarray = ()
+    jump_cell: np.ndarray = ()
+    jump_size: np.ndarray = ()
 
     def __post_init__(self):
         vals = _readonly(self.values)
@@ -204,19 +203,37 @@ class Ensemble:
             raise ContractViolation("values must be (n_paths, n_points)")
         if vals.shape[0] < 1:
             raise ContractViolation("ensemble needs at least one path")
-        if self.jumps is not None and len(self.jumps) != vals.shape[0]:
-            raise ContractViolation("per-path jump lists must match path count")
+        for name, dtype in (("jump_path", np.intp), ("jump_cell", np.intp), ("jump_size", float)):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype))
+        path, cell, n = self.jump_path, self.jump_cell, self.grid.n_steps
+        if not (path.shape == cell.shape == self.jump_size.shape == (path.size,)
+                and np.all(np.diff(path * n + cell) > 0)
+                and (not path.size or (0 <= path[0] and path[-1] < vals.shape[0]
+                                       and 0 <= cell.min() and cell.max() < n))):
+            raise ContractViolation(
+                "jumps must be flat arrays of one length, naming cells of the "
+                "ensemble's paths, sorted by path and strictly by time")
 
     @property
     def n_paths(self) -> int:
         return self.values.shape[0]
 
     def path(self, i: int) -> SamplePath:
-        j = self.jumps[i] if self.jumps is not None else ()
-        return SamplePath(self.grid, self.values[i], j)
+        lo, hi = np.searchsorted(self.jump_path, (i, i + 1))
+        pts = self.grid.points
+        jumps = [(pts[c + 1], z) for c, z in zip(self.jump_cell[lo:hi], self.jump_size[lo:hi])]
+        return SamplePath(self.grid, self.values[i], jumps)
 
     def paths(self) -> Iterable[SamplePath]:
         return (self.path(i) for i in range(self.n_paths))
+
+
+def _flat_jumps(grid: TimeGrid, jump_lists: Iterable[Iterable[tuple[float, float]]]) -> dict:
+    """``Ensemble`` jump arrays of per-path ``(time, size)`` lists, times on ``grid``."""
+    rows = [(i, grid.index_of(float(t)) - 1, float(z))
+            for i, jumps in enumerate(jump_lists) for t, z in jumps]
+    path, cell, size = zip(*rows) if rows else ((), (), ())
+    return {"jump_path": path, "jump_cell": cell, "jump_size": size}
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +249,7 @@ def quadratic_variation(path: SamplePath) -> QVPath:
     """
     inc = path.continuous_increments()
     cell = inc * inc
-    if path.jumps:
-        cell = cell.copy()
-        for idx, size in zip(path.jump_indices, path.jump_sizes):
-            cell[idx - 1] += size * size
+    cell[path.jump_indices - 1] += path.jump_sizes * path.jump_sizes
     out = np.empty_like(path.values)
     out[0] = 0.0
     np.cumsum(cell, out=out[1:])
@@ -243,13 +257,19 @@ def quadratic_variation(path: SamplePath) -> QVPath:
 
 
 def qv_matrix(ensemble: Ensemble) -> np.ndarray:
-    """Quadratic variation of every path, as a (n_paths, n_points) matrix."""
-    if ensemble.jumps is None:
-        inc = np.diff(ensemble.values, axis=1)
-        out = np.zeros_like(ensemble.values)
-        np.cumsum(inc * inc, axis=1, out=out[:, 1:])
-        return out
-    return np.stack([quadratic_variation(p).values for p in ensemble.paths()])
+    """Quadratic variation of every path, as a (n_paths, n_points) matrix.
+
+    Per cell: the squared continuous increment, plus the squared size of
+    a jump in that cell, exactly as ``quadratic_variation`` sums one path.
+    """
+    jump = (ensemble.jump_path, ensemble.jump_cell)
+    inc = np.diff(ensemble.values, axis=1)
+    np.subtract.at(inc, jump, ensemble.jump_size)
+    cell = inc * inc
+    np.add.at(cell, jump, ensemble.jump_size * ensemble.jump_size)
+    out = np.zeros_like(ensemble.values)
+    np.cumsum(cell, axis=1, out=out[:, 1:])
+    return out
 
 
 def refine_and_compare_qv(
@@ -379,14 +399,15 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     }
     _atomic_write(out / "ensemble_manifest.json", json.dumps(manifest, indent=2) + "\n")
     if fmt == "json":
+        jumps: list[list[list[float]]] = [[] for _ in range(ensemble.n_paths)]
+        times = ensemble.grid.points[ensemble.jump_cell + 1]
+        for i, t, z in zip(ensemble.jump_path.tolist(), times.tolist(), ensemble.jump_size.tolist()):
+            jumps[i].append([t, z])
         payload = {
             "manifest": manifest,
             "points": ensemble.grid.points.tolist(),
             "paths": [
-                {
-                    "values": ensemble.values[i].tolist(),
-                    "jumps": [[t, s] for t, s in (ensemble.jumps[i] if ensemble.jumps else ())],
-                }
+                {"values": ensemble.values[i].tolist(), "jumps": jumps[i]}
                 for i in range(ensemble.n_paths)
             ],
         }
@@ -402,27 +423,34 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
 
 
 def load_ensemble(in_dir: str | Path) -> Ensemble:
+    """Read an ensemble that ``save_ensemble`` wrote.
+
+    A CSV ensemble whose manifest lists no paths, or whose paths do not
+    share one grid, raises ValueError.
+    """
     src = Path(in_dir)
     manifest = json.loads((src / "ensemble_manifest.json").read_text())
     if manifest.get("format") == "json":
         payload = json.loads((src / "ensemble.json").read_text())
         grid = TimeGrid(np.array(payload["points"], dtype=float))
         values = np.array([p["values"] for p in payload["paths"]], dtype=float)
-        jump_lists = tuple(
-            tuple((float(t), float(s)) for t, s in p["jumps"]) for p in payload["paths"]
-        )
+        jump_lists = [p["jumps"] for p in payload["paths"]]
     else:
+        if manifest["n_paths"] < 1:
+            raise ValueError(f"{src} lists no paths")
         paths = []
         for i in range(manifest["n_paths"]):
             body = (src / f"path_{i:05d}.csv").read_text()
             jfile = src / f"path_{i:05d}.jumps.csv"
             jbody = jfile.read_text() if jfile.exists() else None
             paths.append(path_from_csv(body, jbody))
+            if not np.array_equal(paths[i].grid.points, paths[0].grid.points):
+                raise ValueError(f"path_{i:05d}.csv is not on the grid of path_00000.csv")
         grid = paths[0].grid
         values = np.stack([p.values for p in paths])
-        jump_lists = tuple(p.jumps for p in paths)
-    jumps = None if all(len(j) == 0 for j in jump_lists) else jump_lists
-    return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"], jumps)
+        jump_lists = [p.jumps for p in paths]
+    return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"],
+                    **_flat_jumps(grid, jump_lists))
 
 
 def _atomic_write(target: Path, text: str) -> None:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, SamplePath, TimeGrid
+from .path_core import Ensemble, SamplePath, TimeGrid, _flat_jumps
 
 __all__ = [
     "SeedStream",
@@ -649,46 +649,42 @@ def _drift_values(grid: TimeGrid, b_vals: np.ndarray, b1, eps: float) -> np.ndar
     return a_vals
 
 
-@dataclass(frozen=True, eq=False)
-class BundleEnsemble(Sequence):
+@dataclass(frozen=True, eq=False, kw_only=True)
+class BundleEnsemble(Ensemble, Sequence):
     """Insider bundles stored matrix-first, one row per bundle.
 
-    ``b``, ``m`` and ``s`` are read-only ``(n_paths, n_points)`` value
-    matrices of the driver B, the late-burst martingale M and the combined
-    jump path S; ``b1`` holds each row's terminal driver value.  The jumps
-    of S are flat parallel arrays (row, cell, size), sorted by row and
-    then time; cell ``k`` is a jump at ``grid.points[k + 1]``.  The raw
+    An ``Ensemble`` of the combined jump paths S: ``values`` and the flat
+    jump arrays are S's.  ``b`` and ``m`` are read-only ``(n_paths,
+    n_points)`` value matrices of the driver B and the late-burst
+    martingale M; ``b1`` holds each row's terminal driver value.  The raw
     Poisson times and the two snapping flags are kept per row.
 
-    The ensemble is a sequence of ``PathBundle``: indexing builds the
+    The ensemble is also a sequence of ``PathBundle``: indexing builds the
     bundle of one row, whose paths are read-only views into the matrices.
-    ``values``, ``n_paths`` and ``path(i)`` read it as an ensemble of the
-    S paths, as ``strategy.pi_for_ensemble`` expects.
     """
 
-    grid: TimeGrid
     eps: float
     rate: float
     b: np.ndarray
     m: np.ndarray
-    s: np.ndarray
     b1: np.ndarray
-    jump_path: np.ndarray
-    jump_cell: np.ndarray
-    jump_size: np.ndarray
     n1_times: tuple[tuple[float, ...], ...]
     n2_times: tuple[tuple[float, ...], ...]
     late_jump_capped: np.ndarray
     snap_collision: np.ndarray
 
     def __post_init__(self):
-        for a in (self.b, self.m, self.s, self.b1, self.jump_path, self.jump_cell,
-                  self.jump_size, self.late_jump_capped, self.snap_collision):
+        super().__post_init__()
+        for a in (self.b, self.m, self.b1, self.late_jump_capped, self.snap_collision):
             a.setflags(write=False)
 
     @classmethod
     def from_bundles(cls, bundles: Sequence[PathBundle]) -> "BundleEnsemble":
-        """``bundles`` itself when it is an ensemble, else its bundles stacked once."""
+        """``bundles`` itself when it is an ensemble, else its bundles stacked once.
+
+        A ``PathBundle`` does not record the seed it was drawn from, so a
+        stacked ensemble's ``master_seed`` is None.
+        """
         if isinstance(bundles, cls):
             return bundles
         if not bundles:
@@ -700,49 +696,21 @@ class BundleEnsemble(Sequence):
                 raise ContractViolation("bundles must share one grid")
             if x.eps != first.eps or x.rate != first.rate:
                 raise ContractViolation("bundles must share one eps and one rate")
-        jumps = [
-            (i, int(np.searchsorted(grid.points, t)) - 1, size)
-            for i, x in enumerate(bundles)
-            for t, size in x.s.jumps
-        ]
         return cls(
-            grid, first.eps, first.rate,
-            np.stack([x.b.values for x in bundles]),
-            np.stack([x.m.values for x in bundles]),
-            np.stack([x.s.values for x in bundles]),
-            np.array([x.b1 for x in bundles], dtype=float),
-            np.array([j[0] for j in jumps], dtype=int),
-            np.array([j[1] for j in jumps], dtype=int),
-            np.array([j[2] for j in jumps], dtype=float),
-            tuple(x.n1_times for x in bundles),
-            tuple(x.n2_times for x in bundles),
-            np.array([x.late_jump_capped for x in bundles], dtype=bool),
-            np.array([x.snap_collision for x in bundles], dtype=bool),
+            grid, np.stack([x.s.values for x in bundles]), None, "counterexample",
+            **_flat_jumps(grid, [x.s.jumps for x in bundles]),
+            eps=first.eps, rate=first.rate,
+            b=np.stack([x.b.values for x in bundles]),
+            m=np.stack([x.m.values for x in bundles]),
+            b1=np.array([x.b1 for x in bundles], dtype=float),
+            n1_times=tuple(x.n1_times for x in bundles),
+            n2_times=tuple(x.n2_times for x in bundles),
+            late_jump_capped=np.array([x.late_jump_capped for x in bundles], dtype=bool),
+            snap_collision=np.array([x.snap_collision for x in bundles], dtype=bool),
         )
 
     def __len__(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def n_paths(self) -> int:
-        return len(self)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.s
-
-    def jumps_of(self, i: int) -> tuple[tuple[float, float], ...]:
-        """Row ``i``'s jumps of S as ``(time, size)`` pairs."""
-        lo, hi = np.searchsorted(self.jump_path, (i, i + 1))
-        pts = self.grid.points
-        return tuple(
-            (float(pts[c + 1]), float(z))
-            for c, z in zip(self.jump_cell[lo:hi], self.jump_size[lo:hi])
-        )
-
-    def path(self, i: int) -> SamplePath:
-        """Row ``i``'s combined jump path S."""
-        return SamplePath(self.grid, self.s[i], self.jumps_of(i))
+        return self.n_paths
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -817,9 +785,10 @@ def _build_bundles(
     for row, cell, size in zip(jp, jc, js):
         s[row, cell + 1 :] += size
     return BundleEnsemble(
-        grid, eps, rate, b, m, s, b[:, -1].copy(),
-        np.array(jp, dtype=int), np.array(jc, dtype=int), np.array(js, dtype=float),
-        n1s, n2s, np.array(capped, dtype=bool), np.array(collision, dtype=bool),
+        grid, s, stream.master_seed, "counterexample", jp, jc, js,
+        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(), n1_times=n1s, n2_times=n2s,
+        late_jump_capped=np.array(capped, dtype=bool),
+        snap_collision=np.array(collision, dtype=bool),
     )
 
 
@@ -890,10 +859,8 @@ def gen_ensemble(
     if values is not None:
         return Ensemble(grid, values, stream.master_seed, model.tag)
     paths = [model.generate(stream, i, grid) for i in range(n_paths)]
-    values = np.stack([p.values for p in paths])
-    jump_lists = tuple(p.jumps for p in paths)
-    jumps = None if all(len(j) == 0 for j in jump_lists) else jump_lists
-    return Ensemble(grid, values, stream.master_seed, model.tag, jumps)
+    return Ensemble(grid, np.stack([p.values for p in paths]), stream.master_seed, model.tag,
+                    **_flat_jumps(grid, [p.jumps for p in paths]))
 
 
 @dataclass(frozen=True)

@@ -218,8 +218,23 @@ def inputs(tmp_path_factory):
     (d / "flat.json").write_text(json.dumps({"name": "flat", "rule_id": "const",
                                              "params": {"value": 0.6}}))
     (d / "broken.json").write_text("not json\n")
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--model", "counterexample", "--paths", "4", "--steps", "16",
+                     "--log-steps", "32", "--eps", "0.01", "--rate", "3.0", "--seed", "2",
+                     "--format", fmt, "--out", str(d / f"cx-{fmt}")]) == 0
+    # malformed CSV ensembles: a manifest listing no paths, and a path off path 0's grid
+    assert main(["simulate", "--model", "brownian", "--paths", "2", "--steps", "4",
+                 "--out", str(d / "empty")]) == 0
+    mf = d / "empty" / "ensemble_manifest.json"
+    mf.write_text(mf.read_text().replace('"n_paths": 2', '"n_paths": 0'))
+    assert main(["simulate", "--model", "brownian", "--paths", "2", "--steps", "4",
+                 "--out", str(d / "offgrid")]) == 0
+    p1 = d / "offgrid" / "path_00001.csv"
+    p1.write_text(p1.read_text().replace("0.25,", "0.2,"))
     return {"sim": str(d / "sim"), "half": str(d / "half.json"),
-            "flat": str(d / "flat.json"), "broken": str(d / "broken.json")}
+            "flat": str(d / "flat.json"), "broken": str(d / "broken.json"),
+            "cx_csv": str(d / "cx-csv"), "cx_json": str(d / "cx-json"),
+            "empty": str(d / "empty"), "offgrid": str(d / "offgrid")}
 
 
 _BUNDLES = ["--bundles", "40", "--steps", "32", "--log-steps", "64", "--seed", "6"]
@@ -234,6 +249,8 @@ REPLAY_CASES = {
                                 "--steps", "16", "--log-steps", "32", "--eps", "0.01",
                                 "--rate", "2.0", "--seed", "1"],
     "qv-stored": ["qv", "--in", "{sim}"],
+    "qv-stored-counterexample-csv": ["qv", "--in", "{cx_csv}"],
+    "qv-stored-counterexample-json": ["qv", "--in", "{cx_json}"],
     "qv-refine": ["qv", "--levels", "4,6", "--seed", "2"],
     "wealth": ["wealth", "--in", "{sim}", "--strategy", "{half}"],
     "decompose": ["decompose", "--in", "{sim}", "--bins", "4", "--state-bins", "2",
@@ -263,7 +280,10 @@ def test_every_manifest_replays(case, inputs, tmp_path):
     ["wealth", "--in", "{sim}-missing", "--strategy", "{half}"],
     ["replay", "{broken}"],
     ["counterexample", "divergence", "--eps-list", "0.1,zz"],
-], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list"])
+    ["qv", "--in", "{empty}"],
+    ["qv", "--in", "{offgrid}"],
+], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list",
+        "qv-no-paths", "qv-off-grid-path"])
 def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     argv = [a.format(**inputs) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -18,6 +18,7 @@ from qvmart.path_core import (
     path_from_json,
     path_to_csv,
     path_to_json,
+    qv_matrix,
     quadratic_variation,
     refine_and_compare_qv,
     save_ensemble,
@@ -30,6 +31,7 @@ from qvmart.simulate import (
     PureJumpModel,
     SeedStream,
     gen_bundles,
+    gen_ensemble,
     make_insider_grid,
 )
 
@@ -106,6 +108,19 @@ class TestQuadraticVariation:
             qv = quadratic_variation(brownian_path(seed, 14)).total
             ok += abs(qv - 1.0) <= 0.04
         assert ok >= 95
+
+    @pytest.mark.parametrize("source", ["pure_jump", "bundles"])
+    def test_qv_matrix_matches_per_path(self, source):
+        # the flat-array jump handling is byte-identical to the per-path sum
+        if source == "pure_jump":
+            model = PureJumpModel([(0.3, 1.5), (0.5, -2.0), (0.52, 0.25)])
+            ens = gen_ensemble(model, SeedStream(0), 4, TimeGrid.uniform(16))
+        else:
+            grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
+            ens = gen_bundles(SeedStream(5), 12, grid, 1e-2, 3.0)
+        assert ens.jump_path.size
+        want = np.stack([quadratic_variation(p).values for p in ens.paths()])
+        assert qv_matrix(ens).tobytes() == want.tobytes()
 
     def test_monotone_and_starts_at_zero(self):
         qv = quadratic_variation(brownian_path(3, 10))
@@ -251,23 +266,37 @@ class TestSerialization:
         g = TimeGrid.uniform(8)
         vals = np.zeros((2, 9))
         vals[0, 4:] = 1.5
-        jumps = (((0.5, 1.5),), ())
-        ens = Ensemble(g, vals, master_seed=3, model_tag="jumpy", jumps=jumps)
+        ens = Ensemble(g, vals, master_seed=3, model_tag="jumpy",
+                       jump_path=[0], jump_cell=[3], jump_size=[1.5])
+        assert ens.path(0).jumps == ((0.5, 1.5),) and ens.path(1).jumps == ()
         save_ensemble(ens, tmp_path, fmt=fmt)
         back = load_ensemble(tmp_path)
         np.testing.assert_array_equal(back.values, ens.values)
-        assert back.jumps == jumps
+        for name in ("jump_path", "jump_cell", "jump_size"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))
+
+    @pytest.mark.parametrize("path,cell,size", [
+        ([0, 0], [3, 3], [1.0, 2.0]),  # two jumps in one cell
+        ([1, 0], [3, 3], [1.0, 2.0]),  # not sorted by path
+        ([2], [3], [1.0]),  # no such path
+        ([0], [8], [1.0]),  # no such cell
+        ([0], [3], [1.0, 2.0]),  # lengths differ
+    ])
+    def test_malformed_jump_arrays_rejected(self, path, cell, size):
+        with pytest.raises(ContractViolation):
+            Ensemble(TimeGrid.uniform(8), np.zeros((2, 9)), 0, "x",
+                     jump_path=path, jump_cell=cell, jump_size=size)
 
     def test_json_bytes_match_per_element_conversion(self, tmp_path):
         # the writers convert whole rows with tolist(); the bytes must equal
         # those of the element-by-element float() payload they replaced
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
-        bundles = gen_bundles(SeedStream(4), 6, grid, 1e-2, 2.0)
-        jumps = tuple(bundles.jumps_of(i) for i in range(len(bundles)))
+        ens = gen_bundles(SeedStream(4), 6, grid, 1e-2, 2.0)
+        jumps = [ens.path(i).jumps for i in range(ens.n_paths)]
         assert any(jumps)
-        ens = Ensemble(grid, bundles.s, master_seed=4, model_tag="counterexample", jumps=jumps)
         save_ensemble(ens, tmp_path, fmt="json")
         manifest = json.loads((tmp_path / "ensemble_manifest.json").read_text())
+        assert manifest["master_seed"] == 4 and manifest["model_tag"] == "counterexample"
         old = {
             "manifest": manifest,
             "points": [float(t) for t in grid.points],

@@ -171,7 +171,7 @@ class TestMatrixMatchesPerPath:
     def test_gen_ensemble_rows(self, seed, grid, model):
         ens = gen_ensemble(model, SeedStream(seed), 9, grid)
         assert ens.values.tobytes() == ref_model_rows(model, seed, 9, grid).tobytes()
-        assert ens.jumps is None
+        assert ens.jump_path.size == 0
 
     @pytest.mark.parametrize("grid", [TimeGrid.dyadic(12), TimeGrid.uniform(3000)],
                              ids=["dyadic", "sequential"])

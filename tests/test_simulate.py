@@ -246,7 +246,7 @@ class TestCounterexampleBundle:
             one = gen_counterexample(SeedStream(9), grid, 1e-2, 1.0, index=i)
             m, drv = gen_M(SeedStream(9), grid, 1e-2, index=i)
             for got, want, matrix in ((row.b, one.b, a.b), (row.m, one.m, a.m),
-                                      (row.s, one.s, a.s)):
+                                      (row.s, one.s, a.values)):
                 assert got.values.tobytes() == want.values.tobytes()
                 assert got.jumps == want.jumps
                 assert np.shares_memory(got.values, matrix)
