@@ -40,7 +40,6 @@ from .path_core import (
     _fmt,
     load_ensemble,
     qv_matrix,
-    quadratic_variation,
     refine_and_compare_qv,
     save_ensemble,
 )
@@ -56,15 +55,14 @@ from .simulate import (
     make_insider_grid,
 )
 from .strategy import (
-    EvalContext,
     const_strategy,
-    evaluate,
     load_strategy_file,
+    pi_for_ensemble,
     sign_at_time_strategy,
     truncation_strategy,
     window_strategy,
 )
-from .wealth import log_utility, stoch_exp_jumps
+from .wealth import log_utility, stoch_exp_ensemble
 
 
 def _sanitize(obj):
@@ -176,13 +174,11 @@ def _cmd_wealth(args) -> int:
     strat = load_strategy_file(args.strategy)
     if isinstance(strat, list):
         raise ConfigurationError("the wealth command evaluates one strategy at a time")
-    wealths = []
-    for path in ens.paths():
-        pi = evaluate(strat, path, EvalContext(qv=quadratic_variation(path)))
-        wealths.append(stoch_exp_jumps(pi, path, quadratic_variation(path.continuous_part())))
+    w, dead = stoch_exp_ensemble(pi_for_ensemble(strat, ens), ens)
+    w1 = w[:, -1]
     _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
-               [(i, w.terminal, int(w.hit_nonpositive)) for i, w in enumerate(wealths)])
-    report = log_utility(wealths)
+               zip(range(ens.n_paths), w1.tolist(), (dead >= 0).astype(int).tolist()))
+    report = log_utility(w1)
     name = getattr(strat, "name", "")
     _write_json(out / "utility.json", {"strategy": name, **report.as_dict()})
     return 0

@@ -255,9 +255,9 @@ def _pi_matrix(strategy, ens: BundleEnsemble) -> np.ndarray:
 
 
 def _band_probe(strategy, ens: BundleEnsemble):
-    probes = ens[:3]
-    ctxs = [EvalContext(insider=b.b1, driver=b.b) for b in probes]
-    return band_check(strategy, ens.grid, [b.s for b in probes], ctxs)
+    """The band check on the first three bundles."""
+    ctx = EvalContext(insider=ens.b1[:3], driver=ens.b[:3])
+    return band_check(strategy, ens.grid, ens.head(3), ctx)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -99,10 +99,13 @@ class TimeGrid:
         raise ContractViolation(f"t={t!r} is not a grid point")
 
     def is_dyadic_uniform(self) -> bool:
+        """Whether the points are ``linspace(0, 1, 2**k + 1)``; computed once per grid."""
+        return self._dyadic_uniform
+
+    @cached_property
+    def _dyadic_uniform(self) -> bool:
         n = self.n_steps
-        if n & (n - 1):
-            return False
-        return bool(np.array_equal(self.points, np.linspace(0.0, 1.0, n + 1)))
+        return not n & (n - 1) and bool(np.array_equal(self.points, np.linspace(0.0, 1.0, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,25 @@ class Ensemble:
     def paths(self) -> Iterable[SamplePath]:
         return (self.path(i) for i in range(self.n_paths))
 
+    def head(self, n: int) -> "Ensemble":
+        """The first ``n`` paths with their jumps, as a plain ``Ensemble``."""
+        k = int(np.searchsorted(self.jump_path, n))
+        return Ensemble(self.grid, self.values[:n], self.master_seed, self.model_tag,
+                        self.jump_path[:k], self.jump_cell[:k], self.jump_size[:k])
+
+    def continuous_part(self) -> "Ensemble":
+        """The paths with all jumps removed, as ``SamplePath.continuous_part`` removes them."""
+        steps = np.zeros_like(self.values)
+        steps[self.jump_path, self.jump_cell + 1] = self.jump_size
+        return Ensemble(self.grid, self.values - np.cumsum(steps, axis=1), self.master_seed,
+                        self.model_tag)
+
+    def continuous_increments(self) -> np.ndarray:
+        """Per-cell increments of every path, jump sizes taken out."""
+        inc = np.diff(self.values, axis=1)
+        np.subtract.at(inc, (self.jump_path, self.jump_cell), self.jump_size)
+        return inc
+
 
 def _flat_jumps(grid: TimeGrid, jump_lists: Iterable[Iterable[tuple[float, float]]]) -> dict:
     """``Ensemble`` jump arrays of per-path ``(time, size)`` lists, times on ``grid``."""
@@ -262,11 +284,9 @@ def qv_matrix(ensemble: Ensemble) -> np.ndarray:
     Per cell: the squared continuous increment, plus the squared size of
     a jump in that cell, exactly as ``quadratic_variation`` sums one path.
     """
-    jump = (ensemble.jump_path, ensemble.jump_cell)
-    inc = np.diff(ensemble.values, axis=1)
-    np.subtract.at(inc, jump, ensemble.jump_size)
+    inc = ensemble.continuous_increments()
     cell = inc * inc
-    np.add.at(cell, jump, ensemble.jump_size * ensemble.jump_size)
+    np.add.at(cell, (ensemble.jump_path, ensemble.jump_cell), ensemble.jump_size * ensemble.jump_size)
     out = np.zeros_like(ensemble.values)
     np.cumsum(cell, axis=1, out=out[:, 1:])
     return out
@@ -301,16 +321,21 @@ def refine_and_compare_qv(
 # Truncation times
 # ---------------------------------------------------------------------------
 
-def truncation_index(values: np.ndarray, qv_values: np.ndarray, n: float) -> int | np.ndarray:
+def truncation_index(
+    values: np.ndarray, qv_values: np.ndarray, n: float, start: int | np.ndarray = 0
+) -> int | np.ndarray:
     """Grid index of the first point where |level| > n or variation > n.
 
     ``values`` and ``qv_values`` hold one path, or one path per row; the
-    result is an int, or one index per row.  A path that never crosses
+    result is an int, or one index per row.  Points before ``start`` (one
+    index, or one per row) are skipped.  A path that never crosses
     gets ``values.shape[-1]``, one past its last grid index, so a
     crossing at the last point still counts as a stop and
     ``index < n_cells`` selects the cells before the stop.
     """
     hit = (np.abs(values) > n) | (qv_values > n)
+    if np.any(start):
+        hit &= np.arange(hit.shape[-1]) >= np.expand_dims(start, -1)
     stop = np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), values.shape[-1])
     return int(stop) if stop.ndim == 0 else stop
 

@@ -2,32 +2,33 @@
 on each interval is decided from the path prefix available at the interval's
 start.
 
-Two carriers are provided.  ``SimpleStrategy`` is the explicit form: an
-ordered list of legs, each ending at a grid time or at a first-hitting
-rule, with a constant value or a prefix callback.  ``GridRuleStrategy``
-evaluates a whole proportion profile in one vectorized call; every
-built-in profile rule only reads quantities available at each cell's
-left endpoint, so the two carriers share the same predictability
-discipline.  Evaluation produces one value per grid cell, applying on
-``(t_k, t_{k+1}]``.
+Every strategy is evaluated the same way: a rule maps an ensemble, with
+its per-path side information, to one shared per-cell row or one row per
+path.  ``GridRuleStrategy`` holds such a rule directly.
+``SimpleStrategy`` is the explicit form: an ordered list of legs, each
+ending at a grid time or at a first-hitting rule, holding a constant or
+the sign of the level at the leg's decision time; its legs compile to
+the same matrix form.  Every rule only reads quantities available at
+each cell's left endpoint.  Evaluation produces one value per grid
+cell, applying on ``(t_k, t_{k+1}]``; one path is the one-row case.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr
-from .path_core import quadratic_variation, truncation_index
+from .path_core import Ensemble, SamplePath, TimeGrid, _flat_jumps, _mean_stderr
+from .path_core import qv_matrix, truncation_index
 
 __all__ = [
     "EvalContext",
-    "PathPrefix",
     "HitRule",
     "Leg",
     "SimpleStrategy",
@@ -55,42 +56,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Side information available to strategy rules on one path.
+    """Side information available to strategy rules, one row per path.
 
-    ``insider`` is a time-0 datum (the revealed terminal driver value in
-    the enlarged-information runs); ``driver`` is the underlying Brownian
-    path when the traded path is built on one; ``qv`` feeds hitting rules
-    on the running variation.
+    ``insider`` holds one time-0 datum per path, shape ``(n_paths,)``
+    (the revealed terminal driver value in the enlarged-information
+    runs); ``driver`` the ``(n_paths, n_points)`` values of the Brownian
+    paths the traded paths are built on; ``qv`` the ``(n_paths,
+    n_points)`` running variation.  Each is None when absent.
     """
 
-    insider: float | None = None
-    driver: SamplePath | None = None
-    qv: QVPath | None = None
+    insider: np.ndarray | None = None
+    driver: np.ndarray | None = None
+    qv: np.ndarray | None = None
 
 
-class PathPrefix:
-    """Read-only view of a path up to a decision index, handed to leg rules.
-
-    Rules see only ``values[:end+1]`` (and the driver prefix), enforcing
-    that a leg's value depends on nothing after its decision time.
-    """
-
-    def __init__(self, path: SamplePath, end: int, ctx: EvalContext):
-        self._path = path
-        self.end = end
-        self.points = path.grid.points[: end + 1]
-        self.values = path.values[: end + 1]
-        self.insider = ctx.insider
-        self.driver_values = None if ctx.driver is None else ctx.driver.values[: end + 1]
-        self.jumps = tuple(j for j in path.jumps if j[0] <= path.grid.points[end])
-
-    @property
-    def decision_time(self) -> float:
-        return float(self.points[-1])
-
-    @property
-    def last(self) -> float:
-        return float(self.values[-1])
+def _qv(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    """The caller's running variation, else the ensemble's own."""
+    return ctx.qv if ctx.qv is not None else qv_matrix(ensemble)
 
 
 @dataclass(frozen=True)
@@ -113,15 +95,20 @@ class HitRule:
 
 @dataclass(frozen=True)
 class Leg:
-    """One strategy interval: ends at ``until``, holds value or rule output."""
+    """One strategy interval, ending at ``until``.
+
+    ``rule_id`` ``const`` holds ``value``; ``sign_prefix_end`` holds
+    ``value`` times the sign of the path level at the leg's decision
+    time (+1 at level zero).
+    """
 
     until: float | HitRule
-    value: float | None = None
-    rule: Callable[[PathPrefix], float] | None = None
+    value: float
+    rule_id: str = "const"
 
     def __post_init__(self):
-        if (self.value is None) == (self.rule is None):
-            raise ConfigurationError("a leg needs exactly one of value / rule")
+        if self.rule_id not in ("const", "sign_prefix_end"):
+            raise ConfigurationError(f"unknown leg rule_id {self.rule_id!r}")
 
 
 @dataclass(frozen=True)
@@ -150,23 +137,16 @@ class SimpleStrategy:
 class GridRuleStrategy:
     """Vectorized proportion profile: one call yields all cell values.
 
-    ``fn(path, ctx)`` returns the per-cell proportions of one path.
-    ``matrix_fn(ensemble, qv_vals, insider, driver)``, when present,
-    evaluates a whole ensemble at once: ``ensemble`` has ``grid``,
-    ``n_paths`` and the ``(n_paths, n_points)`` matrix ``values`` (an
-    ``Ensemble`` or a ``BundleEnsemble``); ``qv_vals`` and ``driver`` are
-    matrices of the same shape, and ``insider`` one datum per path, each
-    None when the caller has none.  It returns a shared per-cell vector
-    or a per-path matrix, which must equal the rows ``fn`` gives.  Both
-    forms pass the same shape, bound and insider checks.
-    ``path_independent`` promises one profile for every path, so it is
-    evaluated once.
+    ``fn(ensemble, ctx)`` evaluates a whole ensemble at once: ``ensemble``
+    has ``grid``, ``n_paths`` and the ``(n_paths, n_points)`` matrix
+    ``values``, and ``ctx`` is its ``EvalContext``.  It returns one
+    shared per-cell row or a per-path matrix.  ``path_independent``
+    declares that the rule returns the shared row, and is checked.
     """
 
     name: str
     bound: float
-    fn: Callable[[SamplePath, EvalContext], np.ndarray]
-    matrix_fn: Callable | None = None
+    fn: Callable[[Ensemble, EvalContext], np.ndarray]
     needs_insider: bool = False
     path_independent: bool = False
 
@@ -191,75 +171,76 @@ class BandStrategy:
         return self.strategy.bound
 
 
-def _first_hit(path: SamplePath, ctx: EvalContext, rule: HitRule, start: int) -> int:
+def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start) -> np.ndarray:
     # A statistic the metric leaves out is held at zero, which moves no first
     # crossing: zero never exceeds a nonnegative threshold, and both
     # statistics exceed a negative one at the first point.
-    zero = np.zeros(path.values.size)
-    level = zero if rule.metric == "qv" else path.values
-    if rule.metric == "abs_level":
-        qv = zero
-    else:
-        qv = (ctx.qv if ctx.qv is not None else quadratic_variation(path)).values
-    k = start + truncation_index(level[start:], qv[start:], rule.threshold)
-    if k < path.values.size:
-        return k
-    if rule.default is None:
-        return start
-    return path.grid.index_of(rule.default)
+    n_points = ensemble.grid.points.size
+    zero = np.zeros(n_points)
+    level = zero if rule.metric == "qv" else ensemble.values
+    qv = zero if rule.metric == "abs_level" else ctx.qv
+    k = truncation_index(level, qv, rule.threshold, start)
+    missed = k == n_points
+    if rule.default is not None and missed.any():  # the default need be a grid time only then
+        start = ensemble.grid.index_of(rule.default)
+    return np.where(missed, start, k)
 
 
-def _rule_profile(
-    strategy: GridRuleStrategy, has_insider: bool, rule: Callable[[], np.ndarray], shapes
-) -> np.ndarray:
-    """Run one of a grid rule's forms and check what it returns.
+def _legs_profile(legs: tuple[Leg, ...], ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    """Compiled legs: a shared row while every leg is, else one row per path.
 
-    Shared by the per-path and the matrix form: the insider datum must be
-    there when the rule needs one, the profile must have one of
-    ``shapes``, and no value may exceed the declared bound.
+    Each leg starts at the previous leg's end, one index per path once a
+    hitting rule has ended a leg, and fills the cells up to its own end.
     """
-    if strategy.needs_insider and not has_insider:
-        raise ContractViolation(f"strategy {strategy.name!r} needs an insider datum")
-    pi = np.asarray(rule(), dtype=float)
-    if pi.shape not in shapes:
-        raise ContractViolation("rule returned a wrongly shaped profile")
-    if max(pi.max(initial=0.0), -pi.min(initial=0.0)) > strategy.bound + 1e-12:
-        raise ContractViolation(f"strategy {strategy.name!r} exceeded its declared bound")
+    grid = ensemble.grid
+    if any(isinstance(l.until, HitRule) and l.until.metric != "abs_level" for l in legs):
+        ctx = replace(ctx, qv=_qv(ensemble, ctx))
+    cells = np.arange(grid.n_steps)
+    pi = np.zeros(grid.n_steps)
+    prev = 0
+    for leg in legs:
+        if isinstance(leg.until, HitRule):
+            end = _hit_end(ensemble, ctx, leg.until, prev)
+        else:
+            end = grid.index_of(float(leg.until))
+        end = np.maximum(end, prev)
+        value = leg.value
+        if leg.rule_id == "sign_prefix_end":
+            level = ensemble.values[np.arange(ensemble.n_paths), prev]
+            value = (value * np.where(level >= 0, 1.0, -1.0))[:, None]
+        if np.ndim(end) or np.ndim(value):
+            inside = (np.reshape(prev, (-1, 1)) <= cells) & (cells < np.reshape(end, (-1, 1)))
+            pi = np.where(inside, value, pi)
+        else:
+            pi[..., prev:end] = value
+        prev = end
     return pi
 
 
-def evaluate(
-    strategy: SimpleStrategy | GridRuleStrategy | BandStrategy,
-    path: SamplePath,
-    ctx: EvalContext = EvalContext(),
-) -> np.ndarray:
-    """Per-cell proportions of a strategy along one path.
-
-    Cell k's value applies on ``(t_k, t_{k+1}]``; leg rules receive the
-    prefix up to the leg's decision time only.
-    """
+def _as_rule(strategy) -> GridRuleStrategy:
+    """The grid rule of any strategy: band strategies unwrap, legs compile."""
     if isinstance(strategy, BandStrategy):
-        return evaluate(strategy.strategy, path, ctx)
-    if isinstance(strategy, GridRuleStrategy):
-        return _rule_profile(
-            strategy, ctx.insider is not None, lambda: strategy.fn(path, ctx),
-            [(path.grid.n_steps,)],
-        )
-    grid = path.grid
-    pi = np.zeros(grid.n_steps)
-    prev = 0
-    for leg in strategy.legs:
-        if isinstance(leg.until, HitRule):
-            end = _first_hit(path, ctx, leg.until, prev)
-        else:
-            end = grid.index_of(float(leg.until))
-        end = max(end, prev)
-        if end > prev:
-            k = leg.value if leg.rule is None else float(leg.rule(PathPrefix(path, prev, ctx)))
-            if abs(k) > strategy.bound + 1e-12:
-                raise ContractViolation(f"strategy {strategy.name!r} exceeded its declared bound")
-            pi[prev:end] = k
-        prev = end
+        strategy = strategy.strategy
+    if isinstance(strategy, SimpleStrategy):
+        return GridRuleStrategy(strategy.name, strategy.bound, partial(_legs_profile, strategy.legs))
+    return strategy
+
+
+def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    """Run a grid rule and check what it returns.
+
+    The insider datum must be there when the rule needs one, the profile
+    must be one shared row or (unless the rule is path-independent) one
+    row per path, and no value may exceed the declared bound.
+    """
+    if rule.needs_insider and ctx.insider is None:
+        raise ContractViolation(f"strategy {rule.name!r} needs an insider datum")
+    pi = np.asarray(rule.fn(ensemble, ctx), dtype=float)
+    row = (ensemble.grid.n_steps,)
+    if pi.shape != row and (rule.path_independent or pi.shape != (ensemble.n_paths, *row)):
+        raise ContractViolation("rule returned a wrongly shaped profile")
+    if max(pi.max(initial=0.0), -pi.min(initial=0.0)) > rule.bound + 1e-12:
+        raise ContractViolation(f"strategy {rule.name!r} exceeded its declared bound")
     return pi
 
 
@@ -272,36 +253,27 @@ def pi_for_ensemble(
 ) -> np.ndarray:
     """Proportions for every ensemble path: (n_cells,) when shared, else a matrix.
 
-    A grid rule with a matrix form is evaluated in one call; a
-    path-independent strategy once, on path 0; anything else path by path.
-    ``ensemble`` may be an ``Ensemble`` or a ``BundleEnsemble``; ``driver``
-    is the matrix of driver values the paths are built on, when they are.
+    ``qv_vals``, ``insider`` and ``driver`` are the ``EvalContext`` rows;
+    a rule that reads the variation computes it when ``qv_vals`` is None.
     """
-    if isinstance(strategy, BandStrategy):
-        strategy = strategy.strategy
-    grid = ensemble.grid
-    if isinstance(strategy, GridRuleStrategy) and strategy.matrix_fn is not None:
-        return _rule_profile(
-            strategy, insider is not None,
-            lambda: strategy.matrix_fn(ensemble, qv_vals, insider, driver),
-            [(grid.n_steps,), (ensemble.n_paths, grid.n_steps)],
-        )
+    return _rule_profile(_as_rule(strategy), ensemble, EvalContext(insider, driver, qv_vals))
 
-    def ctx(i: int) -> EvalContext:
-        return EvalContext(
-            insider=None if insider is None else float(insider[i]),
-            driver=None if driver is None else SamplePath(grid, driver[i]),
-            qv=None if qv_vals is None else QVPath(grid, qv_vals[i]),
-        )
 
-    if isinstance(strategy, GridRuleStrategy) and strategy.path_independent:
-        return evaluate(strategy, ensemble.path(0), ctx(0))
-    if isinstance(strategy, SimpleStrategy) and all(
-        not isinstance(l.until, HitRule) and l.rule is None for l in strategy.legs
-    ):
-        # Path-independent legs: evaluate once on any representative path.
-        return evaluate(strategy, ensemble.path(0))
-    return np.stack([evaluate(strategy, ensemble.path(i), ctx(i)) for i in range(ensemble.n_paths)])
+def evaluate(
+    strategy: SimpleStrategy | GridRuleStrategy | BandStrategy,
+    path: SamplePath,
+    ctx: EvalContext = EvalContext(),
+) -> np.ndarray:
+    """Per-cell proportions of a strategy along one path.
+
+    The one-row case of ``pi_for_ensemble``: ``ctx`` holds this path's
+    side information, a datum and two value rows (flat or one-row).
+    """
+    grid = path.grid
+    ens = Ensemble(grid, path.values[None], None, "path", **_flat_jumps(grid, [path.jumps]))
+    rows = [None if a is None else np.reshape(a, (1, -1)) for a in (ctx.qv, ctx.driver)]
+    insider = None if ctx.insider is None else np.reshape(ctx.insider, (1,))
+    return pi_for_ensemble(strategy, ens, rows[0], insider, rows[1]).reshape(-1, grid.n_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -334,32 +306,32 @@ class BandReport:
     violations: tuple[tuple[float, float], ...]
 
 
+
+
 def band_check(
     strategy,
     grid: TimeGrid,
-    probe_paths: Sequence[SamplePath] = (),
-    ctxs: Sequence[EvalContext] = (),
+    probe: Ensemble | None = None,
+    ctx: EvalContext = EvalContext(),
 ) -> BandReport:
     """Flag every grid time where |pi_t| reaches or exceeds 1 - t.
 
     The band is open, so equality counts as a violation.  Proportions
     are checked at each cell's left endpoint, the time the value was
-    decided.  Path-dependent strategies are probed on the supplied
-    paths; with none given, a flat zero path is used.
+    decided.  Path-dependent strategies are probed on the rows of
+    ``probe``, with side information ``ctx``; with none given, one flat
+    zero path with a zero driver and insider datum 0 is used.  Each
+    violation reports the first probe row's value at that time.
     """
-    if not probe_paths:
-        probe_paths = [SamplePath(grid, np.zeros(grid.points.size))]
-        ctxs = [EvalContext(insider=0.0)]
-    if not ctxs:
-        ctxs = [EvalContext()] * len(probe_paths)
+    if probe is None:
+        zero = np.zeros((1, grid.points.size))
+        probe, ctx = Ensemble(grid, zero, None, "probe"), EvalContext(np.zeros(1), zero)
+    pi = np.atleast_2d(pi_for_ensemble(strategy, probe, ctx.qv, ctx.insider, ctx.driver))
     t_left = grid.points[:-1]
-    seen: dict[float, float] = {}
-    for path, ctx in zip(probe_paths, ctxs):
-        pi = evaluate(strategy, path, ctx)
-        bad = np.abs(pi) >= 1.0 - t_left
-        for k in np.nonzero(bad)[0]:
-            seen.setdefault(float(t_left[k]), float(pi[k]))
-    violations = tuple(sorted(seen.items()))
+    bad = np.abs(pi) >= 1.0 - t_left
+    cols = np.flatnonzero(bad.any(axis=0))
+    first = pi[bad.argmax(axis=0)[cols], cols]
+    violations = tuple(zip(t_left[cols].tolist(), first.tolist()))
     return BandReport(admissible=not violations, violations=violations)
 
 
@@ -401,16 +373,9 @@ def window_strategy(c: float, a: float, b: float, name: str | None = None) -> Si
 
 
 def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
-    """pi = scale * sign(level at t0) on (t0, 1], zero before."""
+    """pi = scale * sign(level at t0) on (t0, 1], zero before; +scale at level zero."""
 
-    def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
-        grid = path.grid
-        k0 = grid.index_of(t0)
-        pi = np.zeros(grid.n_steps)
-        pi[k0:] = scale * np.sign(path.values[k0]) if path.values[k0] != 0 else scale
-        return pi
-
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
+    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
         k0 = ensemble.grid.index_of(t0)
         s = np.sign(ensemble.values[:, k0])
         s[s == 0] = 1.0
@@ -418,60 +383,44 @@ def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
         pi[:, k0:] = scale * s[:, None]
         return pi
 
-    return GridRuleStrategy(f"sign_at({t0:g})*{scale:g}", abs(scale), fn, matrix_fn)
+    return GridRuleStrategy(f"sign_at({t0:g})*{scale:g}", abs(scale), fn)
 
 
 def truncation_strategy(n: float) -> GridRuleStrategy:
     """pi = 1 up to the first time level or variation exceeds n, then 0."""
 
-    def profile(values: np.ndarray, qv_vals: np.ndarray) -> np.ndarray:
-        stop = np.asarray(truncation_index(values, qv_vals, n))
-        return (np.arange(values.shape[-1] - 1) < stop[..., None]).astype(float)
+    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+        stop = truncation_index(ensemble.values, _qv(ensemble, ctx), n)
+        return (np.arange(ensemble.grid.n_steps) < stop[:, None]).astype(float)
 
-    def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
-        qv = ctx.qv if ctx.qv is not None else quadratic_variation(path)
-        return profile(path.values, qv.values)
-
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
-        if qv_vals is None:
-            raise ContractViolation("truncation strategy needs per-path variation")
-        return profile(ensemble.values, qv_vals)
-
-    return GridRuleStrategy(f"truncation({n:g})", 1.0, fn, matrix_fn)
+    return GridRuleStrategy(f"truncation({n:g})", 1.0, fn)
 
 
-def _band(c: float, margin: float | None, name: str, fn, matrix_fn, **flags) -> BandStrategy:
+def _band(c: float, margin: float | None, name: str, fn, **flags) -> BandStrategy:
     """A ``pi_t = c (1 - t)`` rule, up to sign: bound ``|c| < 1``, margin ``1 - |c|``."""
     if not (-1.0 < c < 1.0):
         raise ConfigurationError("band fraction needs |c| < 1")
-    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, matrix_fn, **flags)
+    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, **flags)
     return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
 
 
 def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrategy:
     """pi_t = c (1 - t), evaluated at each cell's left endpoint."""
 
-    def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
-        return c * (1.0 - path.grid.points[:-1])
-
-    def matrix_fn(ensemble: Ensemble, qv_vals, insider, driver) -> np.ndarray:
+    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
         return c * (1.0 - ensemble.grid.points[:-1])
 
-    return _band(c, margin, "band", fn, matrix_fn, path_independent=True)
+    return _band(c, margin, "band", fn, path_independent=True)
 
 
 def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
     """pi_t = c (1 - t) sign(revealed terminal driver value)."""
 
-    def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
-        s = 1.0 if ctx.insider >= 0 else -1.0
-        return c * s * (1.0 - path.grid.points[:-1])
-
-    def matrix_fn(ensemble, qv_vals, insider, driver) -> np.ndarray:
-        s = np.where(np.asarray(insider) >= 0, 1.0, -1.0)
+    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+        s = np.where(np.asarray(ctx.insider) >= 0, 1.0, -1.0)
         return (c * s)[:, None] * (1.0 - ensemble.grid.points[:-1])
 
-    return _band(c, margin, "sign_band", fn, matrix_fn, needs_insider=True)
+    return _band(c, margin, "sign_band", fn, needs_insider=True)
 
 
 def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
@@ -481,30 +430,22 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
     so every cell's value is decided before the cell starts.
     """
 
-    def fn(path: SamplePath, ctx: EvalContext) -> np.ndarray:
+    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
         if ctx.driver is None:
             raise ContractViolation("switch rule needs the driver path")
-        gap = ctx.insider - ctx.driver.values[:-1]
-        s = np.where(gap >= 0, 1.0, -1.0)
-        return c * s * (1.0 - path.grid.points[:-1])
-
-    def matrix_fn(ensemble, qv_vals, insider, driver) -> np.ndarray:
-        if driver is None:
-            raise ContractViolation("switch rule needs the driver path")
-        gap = np.asarray(insider)[:, None] - driver[:, :-1]
-        # (c * (+-1)) * x == +-(c * x) exactly, so this equals fn bit for bit
+        gap = np.asarray(ctx.insider)[:, None] - ctx.driver[:, :-1]
+        # (c * (+-1)) * x == +-(c * x) exactly, so the sign may pick the row's sign
         row = c * (1.0 - ensemble.grid.points[:-1])
         return np.where(gap >= 0, row, -row)
 
-    return _band(c, margin, "switch_band", fn, matrix_fn, needs_insider=True)
+    return _band(c, margin, "switch_band", fn, needs_insider=True)
 
 
 # ---------------------------------------------------------------------------
 # JSON description files
 # ---------------------------------------------------------------------------
 
-def _leg_from_json(obj: dict) -> tuple[Leg, float]:
-    """A leg and the largest absolute proportion it can hold."""
+def _leg_from_json(obj: dict) -> Leg:
     until = obj["until"]
     if isinstance(until, dict):
         until = HitRule(
@@ -515,11 +456,9 @@ def _leg_from_json(obj: dict) -> tuple[Leg, float]:
     rid = obj.get("rule_id", "const")
     params = obj.get("params", {})
     if rid == "const":
-        value = float(params.get("value", 0.0))
-        return Leg(until=until, value=value), abs(value)
+        return Leg(until, float(params.get("value", 0.0)))
     if rid == "sign_prefix_end":
-        scale = float(params.get("scale", 1.0))
-        return Leg(until=until, rule=lambda p: scale * (1.0 if p.last >= 0 else -1.0)), abs(scale)
+        return Leg(until, float(params.get("scale", 1.0)), rid)
     raise ConfigurationError(f"unknown leg rule_id {rid!r}")
 
 
@@ -534,10 +473,12 @@ def load_strategy(obj: dict):
     name = obj.get("name", "")
     margin = obj.get("margin")
     if "legs" in obj:
-        pairs = [_leg_from_json(l) for l in obj["legs"]]
-        # without a declared bound: the largest value or sign scale of any leg
-        bound = float(obj.get("bound") or max((size for _, size in pairs), default=1.0) or 1.0)
-        out = SimpleStrategy(tuple(leg for leg, _ in pairs), bound=bound, name=name)
+        legs = tuple(_leg_from_json(l) for l in obj["legs"])
+        bound = obj.get("bound")
+        if bound is None:
+            # the largest value or sign scale of any leg
+            bound = max((abs(l.value) for l in legs), default=1.0) or 1.0
+        out = SimpleStrategy(legs, bound=float(bound), name=name)
         return BandStrategy(out, margin) if margin is not None else out
     rid = obj.get("rule_id")
     params = obj.get("params", {})

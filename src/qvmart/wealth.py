@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import QVPath, SamplePath, TimeGrid, _mean_stderr
+from .path_core import Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr, qv_matrix
 
 __all__ = [
     "WealthPath",
@@ -28,6 +28,7 @@ __all__ = [
     "simple_integral",
     "stoch_exp_continuous",
     "stoch_exp_jumps",
+    "stoch_exp_ensemble",
     "dd_residual",
     "log_utility",
     "log_utility_from_terminals",
@@ -123,31 +124,52 @@ def stoch_exp_jumps(pi: np.ndarray, path: SamplePath, qv_continuous: QVPath) -> 
     """Jump stochastic exponential; ``qv_continuous`` excludes jump terms.
 
     Nonpositive wealth is a flagged outcome, not an error: the first
-    factor (1 + pi dS) <= 0 freezes the path at its nonpositive value.
-    With an empty jump list this is the continuous exponential.
+    cumulative jump factor prod (1 + pi dS) <= 0 freezes the path at its
+    nonpositive value.  With an empty jump list this is the continuous
+    exponential.  The one-row case of ``stoch_exp_ensemble``.
     """
     pi = np.asarray(pi, dtype=float)
     grid = path.grid
     if pi.shape != (grid.n_steps,):
         raise ContractViolation("pi must hold one value per grid cell")
-    dqv = np.diff(qv_continuous.values)
-    log_cont = np.cumsum(pi * path.continuous_increments() - 0.5 * pi * pi * dqv)
-    w = np.empty(grid.points.size)
-    w[0] = 1.0
-    w[1:] = np.exp(log_cont)
-    if not path.jumps:
-        return WealthPath(grid, w)
-    jump_cells = path.jump_indices - 1
-    factors = np.ones(grid.n_steps)
-    np.multiply.at(factors, jump_cells, 1.0 + pi[jump_cells] * path.jump_sizes)
-    cumfac = np.cumprod(factors)
-    w[1:] *= cumfac
+    cells = path.jump_indices - 1
+    w, dead = _product_recursion(
+        pi, path.continuous_increments()[None], np.diff(qv_continuous.values)[None],
+        np.zeros_like(cells), cells, path.jump_sizes,
+    )
+    k = int(dead[0])
+    return WealthPath(grid, w[0], k >= 0, float(grid.points[k + 1]) if k >= 0 else None)
+
+
+def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Jump stochastic exponential of every path, as ``stoch_exp_jumps``
+    gives it with the variation of the path's continuous part.
+
+    ``pi`` is one shared per-cell row or one row per path.  Returns the
+    ``(n_paths, n_points)`` wealth matrix and each path's first cell
+    whose cumulative jump factor is nonpositive (-1 when none).
+    """
+    dqv = np.diff(qv_matrix(ensemble.continuous_part()), axis=1)
+    return _product_recursion(np.asarray(pi, dtype=float), ensemble.continuous_increments(), dqv,
+                              ensemble.jump_path, ensemble.jump_cell, ensemble.jump_size)
+
+
+def _product_recursion(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size):
+    """Wealth rows exp(sum pi dS^c - sum pi^2 d[S]^c / 2) * prod (1 + pi dS),
+    each frozen from its first nonpositive cumulative factor; and the
+    index of that cell per row, -1 when there is none."""
+    w = np.ones((cont_inc.shape[0], cont_inc.shape[1] + 1))
+    w[:, 1:] = np.exp(np.cumsum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1))
+    factors = np.ones(cont_inc.shape)
+    pj = pi[jump_cell] if pi.ndim == 1 else pi[jump_path, jump_cell]
+    np.multiply.at(factors, (jump_path, jump_cell), 1.0 + pj * jump_size)
+    cumfac = np.cumprod(factors, axis=1)
+    w[:, 1:] *= cumfac
     nonpos = cumfac <= 0.0
-    if not nonpos.any():
-        return WealthPath(grid, w)
-    k = int(np.argmax(nonpos))  # first cell whose cumulative factor died
-    w[k + 2 :] = w[k + 1]
-    return WealthPath(grid, w, True, float(grid.points[k + 1]))
+    dead = np.where(nonpos.any(axis=1), nonpos.argmax(axis=1), -1)
+    cols = np.arange(w.shape[1])
+    frozen = np.where(dead[:, None] < 0, cols, np.minimum(cols, dead[:, None] + 1))
+    return np.take_along_axis(w, frozen, axis=1), dead
 
 
 def dd_residual(pi: np.ndarray, path: SamplePath, wealth: WealthPath) -> float:
@@ -161,15 +183,16 @@ def dd_residual(pi: np.ndarray, path: SamplePath, wealth: WealthPath) -> float:
     return float(np.max(np.abs(wealth.values[1:] - 1.0 - euler)))
 
 
-def log_utility(wealths: Sequence[WealthPath]) -> UtilityReport:
+def log_utility(wealths: Sequence[WealthPath] | np.ndarray) -> UtilityReport:
     """Sample mean and standard error of log terminal wealth.
 
-    Any terminal wealth at or below zero makes the whole estimate -inf,
-    the Monte-Carlo rendering of assigning -inf to ruinous strategies.
+    ``wealths`` are wealth paths or an array of terminal wealths.  Any
+    terminal wealth at or below zero makes the whole estimate -inf, the
+    Monte-Carlo rendering of assigning -inf to ruinous strategies.
     """
-    if not wealths:
+    if not len(wealths):
         raise ContractViolation("need at least one wealth path")
-    w1 = np.array([w.terminal for w in wealths])
+    w1 = np.array([w.terminal for w in wealths]) if not isinstance(wealths, np.ndarray) else wealths
     nonpositive = w1 <= 0.0
     log_w1 = np.log(w1, out=np.full(w1.shape, -np.inf), where=~nonpositive)
     return log_utility_from_terminals(log_w1, int(np.sum(nonpositive)))

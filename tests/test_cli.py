@@ -4,9 +4,13 @@ and exit codes."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qvmart.cli import main
+from qvmart.path_core import load_ensemble, quadratic_variation
+from qvmart.strategy import load_strategy_file, pi_for_ensemble
+from qvmart.wealth import stoch_exp_jumps
 
 
 def read_dir_bytes(d: Path) -> dict:
@@ -67,6 +71,20 @@ def test_decompose_tests_file_mixing_const_and_sign_legs(tmp_path):
     dec = tmp_path / "dec"
     assert main(["decompose", "--in", str(sim), "--bins", "4", "--tests", str(tests),
                  "--out", str(dec)]) == 0
+
+
+def test_decompose_tests_file_with_zero_bound_exits_2(tmp_path, capsys):
+    # a declared bound of 0 is checked, not replaced by the largest leg value
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "drifted", "--paths", "20", "--steps", "16",
+                 "--seed", "5", "--out", str(sim)]) == 0
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([{"name": "zero", "bound": 0, "legs": [
+        {"until": 1.0, "rule_id": "const", "params": {"value": 0.5}}]}]))
+    assert main(["decompose", "--in", str(sim), "--bins", "4", "--tests", str(tests),
+                 "--out", str(tmp_path / "dec")]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "configuration" and "bound" in error["message"]
 
 
 def test_qv_refinement_table(tmp_path):
@@ -218,6 +236,11 @@ def inputs(tmp_path_factory):
     (d / "flat.json").write_text(json.dumps({"name": "flat", "rule_id": "const",
                                              "params": {"value": 0.6}}))
     (d / "broken.json").write_text("not json\n")
+    (d / "legs.json").write_text(json.dumps({"name": "legs", "legs": [
+        {"until": {"metric": "level_or_qv", "threshold": 0.3, "default": 0.5},
+         "rule_id": "const", "params": {"value": 0.5}},
+        {"until": 1.0, "rule_id": "sign_prefix_end", "params": {"scale": 0.8}},
+    ]}))
     for fmt in ("csv", "json"):
         assert main(["simulate", "--model", "counterexample", "--paths", "4", "--steps", "16",
                      "--log-steps", "32", "--eps", "0.01", "--rate", "3.0", "--seed", "2",
@@ -233,6 +256,7 @@ def inputs(tmp_path_factory):
     p1.write_text(p1.read_text().replace("0.25,", "0.2,"))
     return {"sim": str(d / "sim"), "half": str(d / "half.json"),
             "flat": str(d / "flat.json"), "broken": str(d / "broken.json"),
+            "legs": str(d / "legs.json"),
             "cx_csv": str(d / "cx-csv"), "cx_json": str(d / "cx-json"),
             "empty": str(d / "empty"), "offgrid": str(d / "offgrid")}
 
@@ -253,6 +277,7 @@ REPLAY_CASES = {
     "qv-stored-counterexample-json": ["qv", "--in", "{cx_json}"],
     "qv-refine": ["qv", "--levels", "4,6", "--seed", "2"],
     "wealth": ["wealth", "--in", "{sim}", "--strategy", "{half}"],
+    "wealth-counterexample-legs": ["wealth", "--in", "{cx_json}", "--strategy", "{legs}"],
     "decompose": ["decompose", "--in", "{sim}", "--bins", "4", "--state-bins", "2",
                   "--min-count", "20"],
     "optimize": ["optimize", "--in", "{sim}", "--bins", "4"],
@@ -273,6 +298,23 @@ def test_every_manifest_replays(case, inputs, tmp_path):
     assert main(argv + ["--out", str(run)]) == 0
     assert main(["replay", str(run / "manifest.json"), "--out", str(again)]) == 0
     assert read_dir_bytes(run) == read_dir_bytes(again)
+
+
+@pytest.mark.parametrize("strategy", ["legs", "half"])  # every row ruined; two of four
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
+    # the matrix wealth pass equals stoch_exp_jumps on each profile row,
+    # with the variation of the row's continuous part
+    assert main(["wealth", "--in", inputs[f"cx_{fmt}"], "--strategy", inputs[strategy],
+                 "--out", str(tmp_path / "w")]) == 0
+    ens = load_ensemble(inputs[f"cx_{fmt}"])
+    pi = np.broadcast_to(pi_for_ensemble(load_strategy_file(inputs[strategy]), ens),
+                         (ens.n_paths, ens.grid.n_steps))
+    lines = ["path_id,W1,hit_nonpositive"]
+    for i, path in enumerate(ens.paths()):
+        w = stoch_exp_jumps(pi[i], path, quadratic_variation(path.continuous_part()))
+        lines.append(f"{i},{w.terminal!r},{int(w.hit_nonpositive)}")
+    assert (tmp_path / "w" / "w1.csv").read_text() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -219,18 +219,11 @@ class TestGrowthOptimal:
 class TestOptimalityGap:
     def test_fitted_drift_gap_is_zero(self, bs, bs_alpha):
         ens, qv = bs
-
-        class FittedProfile:
-            name = "alpha_hat"
-            bound = 10.0
-
         # representing alpha_hat itself: reuse cell_alpha through a plain matrix
         a_cells, _ = cell_alpha(bs_alpha, ens)
         from qvmart.strategy import GridRuleStrategy
 
-        strat = GridRuleStrategy(
-            "alpha_hat", 10.0, lambda p, c: a_cells, matrix_fn=lambda e, q, i, d: a_cells
-        )
+        strat = GridRuleStrategy("alpha_hat", 10.0, lambda e, ctx: a_cells)
         g = optimality_gap(strat, bs_alpha, ens, qv)
         assert g.gap == pytest.approx(0.0, abs=1e-14)
         assert g.stderr == pytest.approx(0.0, abs=1e-14)

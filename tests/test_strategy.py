@@ -84,26 +84,19 @@ class TestEvaluate:
         assert np.all(pi == 0.5)
 
     def test_rule_sees_only_prefix(self):
-        grabbed = {}
-
-        def rule(prefix):
-            grabbed["end"] = prefix.decision_time
-            grabbed["n"] = prefix.values.size
-            return float(np.sign(prefix.last))
-
+        # the sign leg decides at t = 0.5 (index 8) from the level there, -0.5,
+        # though the path turns positive right after
         strat = SimpleStrategy(
-            legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, rule=rule)),
+            legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, value=1.0, rule_id="sign_prefix_end")),
             bound=1.0,
         )
-        p = linear_path(4, slope=-1.0)
-        pi = evaluate(strat, p)
-        assert grabbed["end"] == 0.5
-        assert grabbed["n"] == 9  # points up to and including t = 0.5
-        assert np.all(pi[8:] == -1.0)
+        g = TimeGrid.dyadic(4)
+        pi = evaluate(strat, SamplePath(g, np.where(g.points <= 0.5, -g.points, 1.0)))
+        np.testing.assert_array_equal(pi, [0.0] * 8 + [-1.0] * 8)
 
     def test_predictability_under_suffix_perturbation(self):
         strat = SimpleStrategy(
-            legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, rule=lambda p: np.sign(p.last))),
+            legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, value=1.0, rule_id="sign_prefix_end")),
             bound=1.0,
         )
         p = linear_path(4)
@@ -122,7 +115,8 @@ class TestEvaluate:
         assert len(np.unique(pi)) <= 3
 
     def test_bound_enforced(self):
-        strat = SimpleStrategy(legs=(Leg(until=1.0, rule=lambda p: 7.0),), bound=1.0)
+        strat = SimpleStrategy(legs=(Leg(until=1.0, value=7.0, rule_id="sign_prefix_end"),),
+                               bound=1.0)
         with pytest.raises(ContractViolation):
             evaluate(strat, linear_path())
 
@@ -130,9 +124,14 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             SimpleStrategy(legs=(Leg(until=0.5, value=1.0),), bound=1.0)
 
+    def test_unknown_leg_rule_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Leg(until=1.0, value=1.0, rule_id="mystery")
+
     def test_matrix_and_per_path_agree(self):
-        # every matrix form equals the stacked per-path profiles bit for bit,
-        # ties included: B1 == 0 (rows 0 and 2) and gap == 0 (rows 1 and 2)
+        # every row of an ensemble profile equals the one-row profile of that
+        # path alone, bit for bit, ties included: B1 == 0 (rows 0 and 2) and
+        # gap == 0 (rows 1 and 2)
         stream = SeedStream(42)
         grid = TimeGrid.dyadic(6)
         ens = gen_ensemble(BrownianModel(), stream, 16, grid)
@@ -147,22 +146,26 @@ class TestEvaluate:
             window_strategy(1.0, 0.25, 0.75),
             sign_at_time_strategy(0.5, 2.0),
             truncation_strategy(0.5),
+            load_strategy({"legs": [
+                {"until": {"metric": "level_or_qv", "threshold": 0.4}, "params": {"value": 0.5}},
+                {"until": {"metric": "abs_level", "threshold": 0.9, "default": 0.75},
+                 "rule_id": "sign_prefix_end"},
+                {"until": 1.0, "rule_id": "sign_prefix_end", "params": {"scale": -0.3}},
+            ]}),
         ]
         for c in (-0.7, 0.0, 0.45):
             strategies += [band_fraction_strategy(c), insider_sign_band(c), insider_switch_band(c)]
         for strat in strategies:
-            inner = strat.strategy if isinstance(strat, BandStrategy) else strat
-            assert isinstance(inner, SimpleStrategy) or inner.matrix_fn is not None
             pim = pi_for_ensemble(strat, ens, qv, insider, driver)
             ref = np.stack([
                 evaluate(strat, ens.path(i), EvalContext(
-                    insider=float(insider[i]),
-                    driver=SamplePath(grid, driver[i]),
-                    qv=quadratic_variation(ens.path(i)),
+                    insider=insider[i], driver=driver[i], qv=quadratic_variation(ens.path(i)).values,
                 ))
                 for i in range(ens.n_paths)
             ])
             assert np.broadcast_to(pim, ref.shape).tobytes() == ref.tobytes(), strat.name
+            # without the caller's variation, a rule computes the same one
+            assert pi_for_ensemble(strat, ens, None, insider, driver).tobytes() == pim.tobytes()
 
     def test_matrix_form_passes_the_same_checks(self):
         from qvmart.simulate import gen_bundles, make_insider_grid
@@ -170,26 +173,100 @@ class TestEvaluate:
 
         ens = gen_ensemble(BrownianModel(), SeedStream(1), 4, TimeGrid.dyadic(4))
         bundles = gen_bundles(SeedStream(1), 4, make_insider_grid(1e-2, 16, 32), 1e-2, 1.0)
-        zeros = lambda p, c: np.zeros(p.grid.n_steps)
 
         def rule(name, matrix_value, **kw):
-            def matrix_fn(e, q, i, d):
+            def fn(e, ctx):
                 return np.full((e.n_paths, e.grid.n_steps), matrix_value)
 
-            return GridRuleStrategy(name, 1.0, zeros, matrix_fn, **kw)
+            return GridRuleStrategy(name, 1.0, fn, **kw)
 
         over = rule("over", 2.0)
         for target in (ens, bundles):
             with pytest.raises(ContractViolation, match="declared bound"):
                 pi_for_ensemble(over, target)
-        wrong_shape = GridRuleStrategy("shape", 1.0, zeros, lambda e, q, i, d: np.zeros(3))
+        wrong_shape = GridRuleStrategy("shape", 1.0, lambda e, ctx: np.zeros(3))
         with pytest.raises(ContractViolation, match="wrongly shaped"):
             pi_for_ensemble(wrong_shape, ens)
+        # a path-independent rule must return the shared row
+        with pytest.raises(ContractViolation, match="wrongly shaped"):
+            pi_for_ensemble(rule("shared", 0.5, path_independent=True), ens)
         needs = rule("needs", 0.5, needs_insider=True)
         with pytest.raises(ContractViolation, match="insider datum"):
             pi_for_ensemble(needs, bundles)
         pi = pi_for_ensemble(needs, bundles, insider=bundles.b1, driver=bundles.b)
         assert pi.shape == (len(bundles), bundles.grid.n_steps)
+
+
+def rows(*values):
+    """An ensemble on the uniform 8-step grid with the given value rows."""
+    return Ensemble(TimeGrid.uniform(8), np.array(values, dtype=float), None, "test")
+
+
+class TestCompiledLegs:
+    """Leg profiles on small ensembles, against profiles written out by hand."""
+
+    def test_hit_leg_after_hit_leg(self):
+        # the second leg starts where each row's first leg ended: cells 2, 5, 1
+        strat = SimpleStrategy((
+            Leg(HitRule("abs_level", 1.0), 1.0),
+            Leg(HitRule("abs_level", 2.0, default=1.0), -0.5),
+            Leg(1.0, 0.25),
+        ), bound=1.0)
+        ens = rows(
+            [0, 0.5, 1.5, 1.5, 2.5, 2.5, 2.5, 2.5, 2.5],
+            [0, 0, 0, 0, 0, 1.5, 1.5, 3, 3],
+            [0, -3, -3, -3, -3, -3, -3, -3, -3],
+        )
+        expected = [
+            [1, 1, -0.5, -0.5, 0.25, 0.25, 0.25, 0.25],
+            [1, 1, 1, 1, 1, -0.5, -0.5, 0.25],
+            [1, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25],
+        ]
+        np.testing.assert_array_equal(pi_for_ensemble(strat, ens), expected)
+
+    def test_sign_leg_after_hit_leg(self):
+        # the sign is read at each row's own decision index, not later
+        strat = SimpleStrategy((
+            Leg(HitRule("abs_level", 1.0, default=1.0), 0.0),
+            Leg(1.0, 0.5, "sign_prefix_end"),
+        ), bound=0.5)
+        ens = rows(
+            [0, 0.5, 1.5, -2, -2, -2, -2, -2, -2],
+            [0, -0.5, -0.5, -1.5, 3, 3, 3, 3, 3],
+            [0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],
+        )
+        expected = [
+            [0, 0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0, 0, 0, -0.5, -0.5, -0.5, -0.5, -0.5],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+        ]
+        np.testing.assert_array_equal(pi_for_ensemble(strat, ens), expected)
+
+    @pytest.mark.parametrize("metric", ["abs_level", "qv", "level_or_qv"])
+    def test_negative_threshold_ends_the_leg_at_once(self, metric):
+        strat = SimpleStrategy((
+            Leg(0.25, 0.5),
+            Leg(HitRule(metric, -1.0, default=0.75), 1.0),
+            Leg(1.0, -0.5),
+        ), bound=1.0)
+        ens = rows([0, 1, 2, 3, 4, 5, 6, 7, 8], [0] * 9)
+        expected = [0.5, 0.5, -0.5, -0.5, -0.5, -0.5, -0.5, -0.5]
+        np.testing.assert_array_equal(pi_for_ensemble(strat, ens), [expected, expected])
+
+    def test_never_crossed(self):
+        # without a default the leg is empty; with one it ends there
+        strat = SimpleStrategy((
+            Leg(HitRule("abs_level", 99.0), 1.0),
+            Leg(HitRule("level_or_qv", 99.0, default=0.5), 0.7),
+            Leg(1.0, -0.2),
+        ), bound=1.0)
+        ens = rows([0, 1, -1, 1, -1, 1, -1, 1, -1], [0] * 9)
+        expected = [0.7, 0.7, 0.7, 0.7, -0.2, -0.2, -0.2, -0.2]
+        np.testing.assert_array_equal(pi_for_ensemble(strat, ens), [expected, expected])
+
+    def test_fixed_legs_give_a_shared_row(self):
+        pi = pi_for_ensemble(window_strategy(2.0, 0.25, 0.5), rows([0] * 9, [1] * 9))
+        np.testing.assert_array_equal(pi, [0, 0, 2, 2, 0, 0, 0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -244,25 +321,40 @@ class TestBandCheck:
 
     def test_insider_rules_admissible(self):
         grid = TimeGrid.uniform(64)
-        probe = SamplePath(grid, np.linspace(0, -1, 65))
-        ctx = EvalContext(insider=-0.3, driver=probe)
+        probe = np.linspace(0, -1, 65)[None]
+        ctx = EvalContext(insider=np.array([-0.3]), driver=probe)
         for strat in (insider_sign_band(0.8), insider_switch_band(-0.8)):
-            rep = band_check(strat, grid, [probe], [ctx])
+            rep = band_check(strat, grid, Ensemble(grid, probe, None, "probe"), ctx)
             assert rep.admissible
+
+    def test_default_probe_has_a_driver(self):
+        # the default probe is a flat zero path with a zero driver row
+        assert band_check(insider_switch_band(0.5), TimeGrid.uniform(16)).admissible
+        assert band_check(insider_sign_band(-0.5), TimeGrid.uniform(16)).admissible
+
+    def test_violation_reports_first_violating_row(self):
+        # a sign leg from each row's first |S| > 0.5: row 0 never starts it,
+        # row 2 holds -0.8 from t = 1/4 and row 1 +0.8 from t = 1/2, so the
+        # report takes row 2's value at 1/4 and row 1's from then on
+        grid = TimeGrid.uniform(4)
+        vals = np.array([[0.0] * 5, [0.0, 0.1, 0.7, 0.7, 0.7], [0.0, -0.9, 0.0, 0.0, 0.0]])
+        strat = SimpleStrategy((Leg(HitRule("abs_level", 0.5, default=1.0), 0.0),
+                                Leg(1.0, 0.8, "sign_prefix_end")), bound=0.8)
+        rep = band_check(strat, grid, Ensemble(grid, vals, None, "probe"))
+        assert rep.violations == ((0.25, -0.8), (0.5, 0.8), (0.75, 0.8))
 
     def test_switch_rule_reads_only_driver_prefix(self):
         # the gap-sign switch decides each cell at its left endpoint, so
         # perturbing the driver strictly after t_k leaves cells <= k alone
         grid = TimeGrid.uniform(32)
         rng = np.random.default_rng(3)
-        driver = SamplePath(grid, np.concatenate([[0.0], rng.standard_normal(32).cumsum()]))
+        driver = np.concatenate([[0.0], rng.standard_normal(32).cumsum()])
         path = SamplePath(grid, np.zeros(33))
         strat = insider_switch_band(0.5)
         k = 20
         base = evaluate(strat, path, EvalContext(insider=0.2, driver=driver))
-        bumped_vals = driver.values.copy()
-        bumped_vals[k + 1 :] += 50.0
-        bumped = SamplePath(grid, bumped_vals)
+        bumped = driver.copy()
+        bumped[k + 1 :] += 50.0
         after = evaluate(strat, path, EvalContext(insider=0.2, driver=bumped))
         np.testing.assert_array_equal(base[: k + 1], after[: k + 1])
 
