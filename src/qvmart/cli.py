@@ -2,7 +2,9 @@
 
 One binary, one subcommand per subsystem: ``simulate``, ``qv``,
 ``wealth``, ``decompose``, ``optimize``, ``counterexample``, ``report``,
-plus ``replay`` to re-run any written manifest.  Every run writes a
+plus ``replay`` to re-run any written manifest.  One parameter table per
+subcommand, and per counterexample action, builds its parser, the config
+its manifest records and the argv that replays it.  Every run writes a
 manifest capturing the fully resolved configuration before any other
 artifact, outputs are written atomically (temp file then rename), and
 nothing in an artifact depends on anything but the configuration and
@@ -104,13 +106,29 @@ def _write_csv(target: Path, header: list[str], rows) -> None:
     _atomic_write(target, "\n".join(lines) + "\n")
 
 
-def _write_manifest(out: Path, command: str, config: dict) -> None:
-    _write_json(out / "manifest.json", {
+def _record(args, keys=None) -> dict:
+    """Write the run's manifest and return its config.
+
+    The config holds the counterexample action, if any, and the value of
+    each of the table's keys (``keys`` only, when given) as parsed; a
+    list row's comma-separated text becomes a list of its items.
+    """
+    config = {"action": args.action} if "action" in vars(args) else {}
+    for _, key, item, _ in args.rows:
+        if keys is not None and key not in keys:
+            continue
+        value = getattr(args, key)
+        if item is not None:
+            value = [item(x) for x in value.split(",")]
+        head, _, tail = key.rpartition(".")
+        (config.setdefault(head, {}) if head else config)[tail] = value
+    _write_json(Path(args.out) / "manifest.json", {
         "tool": "qvmart",
         "version": __version__,
-        "command": command,
-        "config": _sanitize(config),
+        "command": args.command,
+        "config": config,
     })
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -118,60 +136,44 @@ def _write_manifest(out: Path, command: str, config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    out = Path(args.out)
-    spec = ModelSpec(
-        variant=args.model, mu=args.mu, sigma=args.sigma, rate=args.rate, eps=args.eps
-    )
-    config = {
-        "model": spec.as_dict(),
-        "paths": args.paths,
-        "steps": args.steps,
-        "log_steps": args.log_steps,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    _write_manifest(out, "simulate", config)
-    stream = SeedStream(args.seed)
+    cfg = _record(args)
+    spec = ModelSpec(**cfg["model"])
+    stream = SeedStream(cfg["seed"])
+    n_paths, eps = cfg["paths"], spec.eps
     if spec.variant in ("brownian", "drifted"):
-        grid = TimeGrid.uniform(args.steps)
-        ens = gen_ensemble(spec.build(), stream, args.paths, grid)
+        grid = TimeGrid.uniform(cfg["steps"])
+        ens = gen_ensemble(spec.build(), stream, n_paths, grid)
     elif spec.variant == "gaussian_m":
-        grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
-        _check_freeze(grid, args.eps)
-        vals = _m_values(grid, _brownian_matrix(stream, grid, range(args.paths)), args.eps)
-        ens = Ensemble(grid, vals, args.seed, "gaussian_m")
+        grid = make_insider_grid(eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
+        _check_freeze(grid, eps)
+        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n_paths)), eps)
+        ens = Ensemble(grid, vals, cfg["seed"], "gaussian_m")
     else:  # counterexample: the bundle ensemble is an ensemble of the combined jump paths
-        grid = make_insider_grid(args.eps, n_uniform=args.steps, n_log=args.log_steps)
-        ens = gen_bundles(stream, args.paths, grid, args.eps, args.rate)
-    save_ensemble(ens, out, fmt=args.format)
+        grid = make_insider_grid(eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
+        ens = gen_bundles(stream, n_paths, grid, eps, spec.rate)
+    save_ensemble(ens, Path(args.out), fmt=cfg["format"])
     return 0
 
 
 def _cmd_qv(args) -> int:
     out = Path(args.out)
-    if args.infile:
-        config = {"in": str(args.infile)}
-        _write_manifest(out, "qv", config)
-        totals = qv_matrix(load_ensemble(args.infile))[:, -1]
+    if getattr(args, "in"):  # stored paths: the refinement flags are not read
+        cfg = _record(args, ("in",))
+        totals = qv_matrix(load_ensemble(cfg["in"]))[:, -1]
         rows = list(enumerate(totals.tolist()))
         _write_csv(out / "qv.csv", ["path_id", "qv_total"], rows)
         return 0
-    levels = [int(x) for x in args.levels.split(",")]
-    config = {"model": args.model, "levels": levels, "seed": args.seed}
-    _write_manifest(out, "qv", config)
-    if args.model != "brownian":
-        raise ConfigurationError("refinement tables are wired for the brownian model")
-    rows = refine_and_compare_qv(BrownianModel(), SeedStream(args.seed), 0, levels)
+    cfg = _record(args, ("model", "levels", "seed"))
+    rows = refine_and_compare_qv(BrownianModel(), SeedStream(cfg["seed"]), 0, cfg["levels"])
     _write_csv(out / "refine.csv", ["n_steps", "qv_total"], rows)
     return 0
 
 
 def _cmd_wealth(args) -> int:
     out = Path(args.out)
-    config = {"in": str(args.infile), "strategy": str(args.strategy)}
-    _write_manifest(out, "wealth", config)
-    ens = load_ensemble(args.infile)
-    strat = load_strategy_file(args.strategy)
+    cfg = _record(args)
+    ens = load_ensemble(cfg["in"])
+    strat = load_strategy_file(cfg["strategy"])
     if isinstance(strat, list):
         raise ConfigurationError("the wealth command evaluates one strategy at a time")
     w, dead = stoch_exp_ensemble(pi_for_ensemble(strat, ens), ens)
@@ -199,22 +201,16 @@ def _default_tests(grid: TimeGrid, stop_n: float):
 
 def _cmd_decompose(args) -> int:
     out = Path(args.out)
-    config = {
-        "in": str(args.infile),
-        "bins": args.bins,
-        "state_bins": args.state_bins,
-        "min_count": args.min_count,
-        "tests": None if args.tests is None else str(args.tests),
-    }
-    _write_manifest(out, "decompose", config)
-    ens = load_ensemble(args.infile)
+    cfg = _record(args)
+    ens = load_ensemble(cfg["in"])
     qv = qv_matrix(ens)
-    spec = BinSpec(time_bins=args.bins, state_bins=args.state_bins, min_count=args.min_count)
+    spec = BinSpec(time_bins=cfg["bins"], state_bins=cfg["state_bins"],
+                   min_count=cfg["min_count"])
     est = estimate_alpha(ens, qv, spec)
     result = decompose(ens, est)
     stop_n = choose_truncation_level(result.s_hat, qv)
     tests = (
-        load_strategy_file(args.tests) if args.tests else _default_tests(ens.grid, stop_n)
+        load_strategy_file(cfg["tests"]) if cfg["tests"] else _default_tests(ens.grid, stop_n)
     )
     if not isinstance(tests, list):
         tests = [tests]
@@ -248,7 +244,7 @@ def _cmd_decompose(args) -> int:
         "recentred_second_moment_max": float(np.max(second_moments)),
         "recentred_second_moment_final": float(second_moments[-1]),
     }
-    oracle = _oracle_alpha(Path(args.infile))
+    oracle = _oracle_alpha(Path(cfg["in"]))
     if oracle is not None:
         ok = est.estimated
         z = np.abs(est.alpha[ok] - oracle) / est.stderr[ok]
@@ -276,15 +272,13 @@ def _oracle_alpha(in_dir: Path) -> float | None:
 
 def _cmd_optimize(args) -> int:
     out = Path(args.out)
-    config = {"in": str(args.infile), "bins": args.bins,
-              "strategies": None if args.strategies is None else str(args.strategies)}
-    _write_manifest(out, "optimize", config)
-    ens = load_ensemble(args.infile)
+    cfg = _record(args)
+    ens = load_ensemble(cfg["in"])
     qv = qv_matrix(ens)
-    est = estimate_alpha(ens, qv, BinSpec(time_bins=args.bins))
+    est = estimate_alpha(ens, qv, BinSpec(time_bins=cfg["bins"]))
     growth = growth_optimal_value(est, ens, qv)
-    if args.strategies:
-        strategies = load_strategy_file(args.strategies)
+    if cfg["strategies"]:
+        strategies = load_strategy_file(cfg["strategies"])
         if not isinstance(strategies, list):
             strategies = [strategies]
     else:
@@ -314,33 +308,22 @@ _BETAS = {
 
 def _cmd_counterexample(args) -> int:
     out = Path(args.out)
+    cfg = _record(args)
+    stream = SeedStream(cfg["seed"])
     if args.action == "poisson-lemma":
-        config = {"action": args.action, "samples": args.samples, "rate": args.rate,
-                  "beta": args.beta, "eps": args.eps, "seed": args.seed}
-        _write_manifest(out, "counterexample", config)
         report = cx.poisson_flip_test(
-            SeedStream(args.seed), args.samples, _BETAS[args.beta], args.rate, args.eps
+            stream, cfg["samples"], _BETAS[cfg["beta"]], cfg["rate"], cfg["eps"]
         )
         _write_json(out / "poisson_lemma.json", {**asdict(report), "passed": report.passed()})
         return 0
 
-    stream = SeedStream(args.seed)
-    eps_list = [float(x) for x in args.eps_list.split(",")] if args.eps_list else [args.eps]
-    gen_eps = min(eps_list)
-    grid = make_insider_grid(gen_eps, n_uniform=args.steps, n_log=args.log_steps)
-    config = {"action": args.action, "bundles": args.bundles, "rate": args.rate,
-              "seed": args.seed, "steps": args.steps, "log_steps": args.log_steps}
+    # divergence generates at its smallest cutoff; band and sweep at --eps
+    gen_eps = min(cfg["eps_list"]) if args.action == "divergence" else cfg["eps"]
+    grid = make_insider_grid(gen_eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
+    strat = load_strategy_file(cfg["strategy"]) if args.action == "band" else None
+    bundles = gen_bundles(stream, cfg["bundles"], grid, gen_eps, cfg["rate"])
     if args.action == "divergence":
-        config["eps_list"] = eps_list
-    else:
-        config["eps"] = gen_eps
-    if args.action == "band":
-        config["strategy"] = str(args.strategy)
-    _write_manifest(out, "counterexample", config)
-    strat = load_strategy_file(args.strategy) if args.action == "band" else None
-    bundles = gen_bundles(stream, args.bundles, grid, gen_eps, args.rate)
-    if args.action == "divergence":
-        rows = cx.insider_drift_divergence(bundles, eps_list)
+        rows = cx.insider_drift_divergence(bundles, cfg["eps_list"])
         _write_csv(out / "divergence.csv", ["eps", "mc_tv", "closed_form", "stderr"],
                    [(r.eps, r.mc_tv, r.closed_form, r.stderr) for r in rows])
         _write_json(out / "divergence.json", [asdict(r) for r in rows])
@@ -364,9 +347,10 @@ _KNOWN_ARTIFACTS = (
 
 def _cmd_report(args) -> int:
     out = Path(args.out)
+    cfg = _record(args)
     summary = {"runs": []}
     table = []
-    for d in args.dirs:
+    for d in cfg["dirs"]:
         d = Path(d)
         mf = d / "manifest.json"
         if not mf.exists():
@@ -385,7 +369,6 @@ def _cmd_report(args) -> int:
         summary["runs"].append(entry)
         verdict = _verdict(entry)
         table.append((str(d), manifest.get("command", "?"), verdict))
-    _write_manifest(out, "report", {"dirs": [str(d) for d in args.dirs]})
     _write_json(out / "summary.json", summary)
     width = max([len(r[0]) for r in table] + [4])
     print(f"{'run':<{width}}  {'command':<16} verdict")
@@ -408,129 +391,146 @@ def _verdict(entry: dict) -> str:
     return "-"
 
 
-# ---------------------------------------------------------------------------
-# Parser and dispatch
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qvmart", description=__doc__)
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a seeded path ensemble")
-    p.add_argument("--model", required=True,
-                   choices=("brownian", "drifted", "gaussian_m", "counterexample"))
-    p.add_argument("--paths", type=int, default=100)
-    p.add_argument("--steps", type=int, default=1024)
-    p.add_argument("--log-steps", type=int, default=1024, dest="log_steps")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("qv", help="quadratic variation of stored or refined paths")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--model", default="brownian")
-    p.add_argument("--levels", default="10,14,18")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_qv)
-
-    p = sub.add_parser("wealth", help="wealth of one strategy over an ensemble")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_wealth)
-
-    p = sub.add_parser("decompose", help="fit the drift density and test the recentred paths")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--state-bins", type=int, default=0, dest="state_bins")
-    p.add_argument("--min-count", type=int, default=50, dest="min_count")
-    p.add_argument("--tests", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("optimize", help="growth-optimal value and optimality gaps")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--strategies", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_optimize)
-
-    p = sub.add_parser("counterexample", help="insider jump model stress checks")
-    p.add_argument("action", choices=("poisson-lemma", "band", "sweep", "divergence"))
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--bundles", type=int, default=10000)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--beta", choices=tuple(_BETAS), default="prefix-sign")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--eps-list", default=None, dest="eps_list")
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--log-steps", type=int, default=512, dest="log_steps")
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_counterexample)
-
-    p = sub.add_parser("report", help="consolidate run directories into one summary")
-    p.add_argument("dirs", nargs="*")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("replay", help="re-run a written manifest")
-    p.add_argument("manifest")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_replay)
-    return ap
-
-
 def _cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     argv = _argv_from_manifest(manifest) + ["--out", args.out]
     return main(argv)
 
 
-def _argv_from_manifest(manifest: dict) -> list[str]:
-    cmd = manifest["command"]
-    cfg = manifest["config"]
-    argv = [cmd]
-    if cmd == "simulate":
-        m = cfg["model"]
-        argv += ["--model", m["variant"], "--paths", str(cfg["paths"]),
-                 "--steps", str(cfg["steps"]), "--log-steps", str(cfg["log_steps"]),
-                 "--mu", str(m["mu"]), "--sigma", str(m["sigma"]),
-                 "--rate", str(m["rate"]), "--eps", str(m["eps"]),
-                 "--seed", str(cfg["seed"]), "--format", cfg["format"]]
-    elif cmd == "counterexample":
-        argv += [cfg["action"], "--seed", str(cfg["seed"]), "--rate", str(cfg["rate"])]
-        if cfg["action"] == "poisson-lemma":
-            argv += ["--samples", str(cfg["samples"]), "--beta", cfg["beta"],
-                     "--eps", str(cfg["eps"])]
+# ---------------------------------------------------------------------------
+# Parameter tables, parser and replay
+# ---------------------------------------------------------------------------
+
+def _row(flag: str, key: str | None = None, item=None, **kwargs) -> tuple:
+    """One table row: (flag, manifest key, list item type, argparse keywords).
+
+    A flag without dashes is positional; a ``model.`` key is a field of
+    simulate's model spec; ``item`` marks a comma-separated list flag.
+    """
+    return flag, key or flag.lstrip("-").replace("-", "_"), item, kwargs
+
+
+def _level(text: str) -> int:
+    """A refinement level in 0..24: 2^24 steps is 128 MiB per float64 row."""
+    if not 0 <= (level := int(text)) <= 24:
+        raise ValueError(f"level {level} is outside 0..24")
+    return level
+
+
+_SEED = _row("--seed", type=int, default=0)
+_IN = _row("--in", required=True)
+_BUNDLE_ROWS = (
+    _row("--bundles", type=int, default=10000),
+    _row("--rate", type=float, default=1.0),
+    _row("--steps", type=int, default=256),
+    _row("--log-steps", type=int, default=512),
+    _SEED,
+)
+_CX_EPS = _row("--eps", type=float, default=1e-2)
+
+# name -> (help, implementation, rows), or a dict action -> rows for counterexample
+_COMMANDS = {
+    "simulate": ("generate a seeded path ensemble", _cmd_simulate, (
+        _row("--model", "model.variant", required=True, choices=ModelSpec.VARIANTS),
+        _row("--paths", type=int, default=100),
+        _row("--steps", type=int, default=1024),
+        _row("--log-steps", type=int, default=1024),
+        _row("--mu", "model.mu", type=float, default=0.0),
+        _row("--sigma", "model.sigma", type=float, default=1.0),
+        _row("--rate", "model.rate", type=float, default=1.0),
+        _row("--eps", "model.eps", type=float, default=1e-3),
+        _row("--format", choices=("csv", "json"), default="csv"),
+        _SEED,
+    )),
+    "qv": ("quadratic variation of stored or refined paths", _cmd_qv, (
+        _row("--in", default=None),
+        _row("--model", choices=("brownian",), default="brownian"),
+        _row("--levels", item=_level, default="10,14,18"),
+        _SEED,
+    )),
+    "wealth": ("wealth of one strategy over an ensemble", _cmd_wealth, (
+        _IN,
+        _row("--strategy", required=True),
+    )),
+    "decompose": ("fit the drift density and test the recentred paths", _cmd_decompose, (
+        _IN,
+        _row("--bins", type=int, default=32),
+        _row("--state-bins", type=int, default=0),
+        _row("--min-count", type=int, default=50),
+        _row("--tests", default=None),
+    )),
+    "optimize": ("growth-optimal value and optimality gaps", _cmd_optimize, (
+        _IN,
+        _row("--bins", type=int, default=32),
+        _row("--strategies", default=None),
+    )),
+    "counterexample": ("insider jump model stress checks", _cmd_counterexample, {
+        "poisson-lemma": (
+            _row("--samples", type=int, default=10000),
+            _row("--rate", type=float, default=1.0),
+            _row("--beta", choices=tuple(_BETAS), default="prefix-sign"),
+            _CX_EPS,
+            _SEED,
+        ),
+        "band": (_CX_EPS, _row("--strategy", required=True), *_BUNDLE_ROWS),
+        "sweep": (_CX_EPS, *_BUNDLE_ROWS),
+        "divergence": (_row("--eps-list", item=float, default="0.01"), *_BUNDLE_ROWS),
+    }),
+    "report": ("consolidate run directories into one summary", _cmd_report, (
+        _row("dirs", nargs="*"),
+    )),
+}
+
+
+def _add_rows(p: argparse.ArgumentParser, rows) -> None:
+    for flag, key, _, kwargs in rows:
+        if flag.startswith("-"):
+            p.add_argument(flag, dest=key, **kwargs)
         else:
-            argv += ["--bundles", str(cfg["bundles"]), "--steps", str(cfg["steps"]),
-                     "--log-steps", str(cfg["log_steps"])]
-            if cfg["action"] == "divergence":
-                argv += ["--eps-list", ",".join(str(e) for e in cfg["eps_list"])]
-            else:
-                argv += ["--eps", str(cfg["eps"])]
-            if cfg["action"] == "band":
-                argv += ["--strategy", cfg["strategy"]]
-    elif cmd in ("decompose", "optimize", "wealth", "qv"):
-        for key, flag in (("in", "--in"), ("bins", "--bins"), ("state_bins", "--state-bins"),
-                          ("min_count", "--min-count"), ("tests", "--tests"),
-                          ("strategies", "--strategies"), ("strategy", "--strategy"),
-                          ("model", "--model"), ("seed", "--seed")):
-            if cfg.get(key) is not None:
-                argv += [flag, str(cfg[key])]
-        if cfg.get("levels"):
-            argv += ["--levels", ",".join(str(x) for x in cfg["levels"])]
-    else:
+            p.add_argument(key, **kwargs)
+    p.add_argument("--out", required=True)
+    p.set_defaults(rows=rows)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: divergence's --eps would otherwise be read as --eps-list
+    ap = argparse.ArgumentParser(prog="qvmart", description=__doc__, allow_abbrev=False)
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_, fn, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        if isinstance(rows, dict):
+            actions = p.add_subparsers(dest="action", required=True)
+            for action, action_rows in rows.items():
+                _add_rows(actions.add_parser(action, allow_abbrev=False), action_rows)
+        else:
+            _add_rows(p, rows)
+    p = sub.add_parser("replay", help="re-run a written manifest", allow_abbrev=False)
+    p.set_defaults(fn=_cmd_replay)
+    _add_rows(p, (_row("manifest"),))
+    return ap
+
+
+def _argv_from_manifest(manifest: dict) -> list[str]:
+    """The argv that re-runs a manifest; keys the table lacks (an old
+    manifest's ``threads``) are ignored, and null or missing ones defaulted."""
+    cmd, cfg = manifest["command"], manifest["config"]
+    if cmd not in _COMMANDS:
         raise ConfigurationError(f"manifest command {cmd!r} cannot be replayed")
+    argv, rows = [cmd], _COMMANDS[cmd][2]
+    if isinstance(rows, dict):
+        argv.append(cfg["action"])
+        rows = rows[cfg["action"]]
+    for flag, key, item, _ in rows:
+        head, _, tail = key.rpartition(".")
+        value = (cfg.get(head, {}) if head else cfg).get(tail)
+        if value is None:
+            continue
+        if item is not None:
+            value = ",".join(str(v) for v in value)
+        values = [str(v) for v in (value if isinstance(value, list) else [value])]
+        argv += [flag, *values] if flag.startswith("-") else values
     return argv
 
 

@@ -206,6 +206,8 @@ def poisson_flip_test(
     are uncorrelated; and the exactly-one-down-jump frequency matches
     the Poisson mass function.
     """
+    if n_samples < 1:
+        raise ContractViolation("need at least one sample")
     if grid is None:
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
     plus_counts = np.empty(n_samples)

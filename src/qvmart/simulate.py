@@ -893,12 +893,3 @@ class ModelSpec:
         raise ConfigurationError(
             f"variant {self.variant!r} generates joint bundles; use gen_M/gen_bundles"
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "rate": self.rate,
-            "eps": self.eps,
-        }

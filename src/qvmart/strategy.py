@@ -171,7 +171,7 @@ class BandStrategy:
         return self.strategy.bound
 
 
-def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start) -> np.ndarray:
+def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start, default) -> np.ndarray:
     # A statistic the metric leaves out is held at zero, which moves no first
     # crossing: zero never exceeds a nonnegative threshold, and both
     # statistics exceed a negative one at the first point.
@@ -180,10 +180,7 @@ def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start) -> np.n
     level = zero if rule.metric == "qv" else ensemble.values
     qv = zero if rule.metric == "abs_level" else ctx.qv
     k = truncation_index(level, qv, rule.threshold, start)
-    missed = k == n_points
-    if rule.default is not None and missed.any():  # the default need be a grid time only then
-        start = ensemble.grid.index_of(rule.default)
-    return np.where(missed, start, k)
+    return np.where(k == n_points, start if default is None else default, k)
 
 
 def _legs_profile(legs: tuple[Leg, ...], ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
@@ -193,16 +190,19 @@ def _legs_profile(legs: tuple[Leg, ...], ensemble: Ensemble, ctx: EvalContext) -
     hitting rule has ended a leg, and fills the cells up to its own end.
     """
     grid = ensemble.grid
+    # Each fixed end and hitting-rule default is looked up on the grid before
+    # any row is read, so a time off the grid fails whichever rows cross.
+    ends = [grid.index_of(float(l.until)) if not isinstance(l.until, HitRule)
+            else None if l.until.default is None else grid.index_of(l.until.default)
+            for l in legs]
     if any(isinstance(l.until, HitRule) and l.until.metric != "abs_level" for l in legs):
         ctx = replace(ctx, qv=_qv(ensemble, ctx))
     cells = np.arange(grid.n_steps)
     pi = np.zeros(grid.n_steps)
     prev = 0
-    for leg in legs:
+    for leg, end in zip(legs, ends):
         if isinstance(leg.until, HitRule):
-            end = _hit_end(ensemble, ctx, leg.until, prev)
-        else:
-            end = grid.index_of(float(leg.until))
+            end = _hit_end(ensemble, ctx, leg.until, prev, end)
         end = np.maximum(end, prev)
         value = leg.value
         if leg.rule_id == "sign_prefix_end":

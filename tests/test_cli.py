@@ -236,6 +236,17 @@ def inputs(tmp_path_factory):
     (d / "flat.json").write_text(json.dumps({"name": "flat", "rule_id": "const",
                                              "params": {"value": 0.6}}))
     (d / "broken.json").write_text("not json\n")
+    (d / "tests.json").write_text(json.dumps([
+        {"name": "half", "legs": [{"until": 1.0, "rule_id": "const", "params": {"value": 0.5}}]},
+        {"name": "mixed", "legs": [
+            {"until": 0.5, "rule_id": "const", "params": {"value": 0.5}},
+            {"until": 1.0, "rule_id": "sign_prefix_end"},
+        ]},
+    ]))
+    (d / "strategies.json").write_text(json.dumps([
+        {"name": "one", "rule_id": "const", "params": {"value": 1.0}},
+        {"name": "two", "rule_id": "const", "params": {"value": 2.0}},
+    ]))
     (d / "legs.json").write_text(json.dumps({"name": "legs", "legs": [
         {"until": {"metric": "level_or_qv", "threshold": 0.3, "default": 0.5},
          "rule_id": "const", "params": {"value": 0.5}},
@@ -254,11 +265,17 @@ def inputs(tmp_path_factory):
                  "--out", str(d / "offgrid")]) == 0
     p1 = d / "offgrid" / "path_00001.csv"
     p1.write_text(p1.read_text().replace("0.25,", "0.2,"))
+    # two finished runs for report to summarise
+    assert main(["qv", "--in", str(d / "sim"), "--out", str(d / "qv")]) == 0
+    assert main(["counterexample", "poisson-lemma", "--samples", "50", "--seed", "4",
+                 "--out", str(d / "pl")]) == 0
     return {"sim": str(d / "sim"), "half": str(d / "half.json"),
             "flat": str(d / "flat.json"), "broken": str(d / "broken.json"),
-            "legs": str(d / "legs.json"),
+            "legs": str(d / "legs.json"), "tests": str(d / "tests.json"),
+            "strategies": str(d / "strategies.json"),
             "cx_csv": str(d / "cx-csv"), "cx_json": str(d / "cx-json"),
-            "empty": str(d / "empty"), "offgrid": str(d / "offgrid")}
+            "empty": str(d / "empty"), "offgrid": str(d / "offgrid"),
+            "qv": str(d / "qv"), "pl": str(d / "pl")}
 
 
 _BUNDLES = ["--bundles", "40", "--steps", "32", "--log-steps", "64", "--seed", "6"]
@@ -280,7 +297,10 @@ REPLAY_CASES = {
     "wealth-counterexample-legs": ["wealth", "--in", "{cx_json}", "--strategy", "{legs}"],
     "decompose": ["decompose", "--in", "{sim}", "--bins", "4", "--state-bins", "2",
                   "--min-count", "20"],
+    "decompose-tests": ["decompose", "--in", "{sim}", "--bins", "4", "--tests", "{tests}"],
     "optimize": ["optimize", "--in", "{sim}", "--bins", "4"],
+    "optimize-strategies": ["optimize", "--in", "{sim}", "--bins", "4",
+                            "--strategies", "{strategies}"],
     "counterexample-poisson-lemma": ["counterexample", "poisson-lemma", "--samples", "200",
                                      "--beta", "switch", "--eps", "0.02", "--seed", "3"],
     "counterexample-band": ["counterexample", "band", "--eps", "0.01", "--strategy", "{flat}",
@@ -288,6 +308,8 @@ REPLAY_CASES = {
     "counterexample-sweep": ["counterexample", "sweep", "--eps", "0.01", *_BUNDLES],
     "counterexample-divergence": ["counterexample", "divergence", "--eps-list", "0.1,0.01",
                                   *_BUNDLES],
+    "counterexample-divergence-default-eps": ["counterexample", "divergence", *_BUNDLES],
+    "report": ["report", "{qv}", "{pl}"],
 }
 
 
@@ -298,6 +320,43 @@ def test_every_manifest_replays(case, inputs, tmp_path):
     assert main(argv + ["--out", str(run)]) == 0
     assert main(["replay", str(run / "manifest.json"), "--out", str(again)]) == 0
     assert read_dir_bytes(run) == read_dir_bytes(again)
+
+
+def test_manifest_with_unknown_key_replays(tmp_path):
+    # manifests written before the thread pool was retired record "threads"
+    run, again = tmp_path / "run", tmp_path / "again"
+    assert main(["simulate", "--model", "drifted", "--mu", "0.3", "--paths", "3", "--steps", "32",
+                 "--seed", "1", "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["threads"] = 4
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    assert main(["replay", str(old), "--out", str(again)]) == 0
+    assert read_dir_bytes(run) == read_dir_bytes(again)
+
+
+def test_hit_default_off_the_grid_exits_1(tmp_path, capsys):
+    # every row crosses a negative threshold at once, but 0.77 is still no grid time
+    legs = tmp_path / "legs.json"
+    legs.write_text(json.dumps({"name": "off", "legs": [
+        {"until": {"metric": "qv", "threshold": -1, "default": 0.77},
+         "rule_id": "const", "params": {"value": 0.5}},
+        {"until": 1.0, "rule_id": "const", "params": {"value": 0.25}},
+    ]}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "drifted", "--paths", "4", "--steps", "16",
+                 "--seed", "3", "--out", str(sim)]) == 0
+    assert main(["wealth", "--in", str(sim), "--strategy", str(legs),
+                 "--out", str(tmp_path / "w")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "contract" and "grid point" in error["message"]
+
+
+def test_poisson_lemma_without_samples_exits_1(tmp_path, capsys):
+    assert main(["counterexample", "poisson-lemma", "--samples", "0",
+                 "--out", str(tmp_path / "pl")]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "contract"
 
 
 @pytest.mark.parametrize("strategy", ["legs", "half"])  # every row ruined; two of four
@@ -324,8 +383,10 @@ def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
     ["counterexample", "divergence", "--eps-list", "0.1,zz"],
     ["qv", "--in", "{empty}"],
     ["qv", "--in", "{offgrid}"],
+    ["qv", "--levels", "40"],
+    ["qv", "--levels", "-1"],
 ], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list",
-        "qv-no-paths", "qv-off-grid-path"])
+        "qv-no-paths", "qv-off-grid-path", "qv-level-too-fine", "qv-level-negative"])
 def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     argv = [a.format(**inputs) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -333,14 +394,23 @@ def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     assert error["error"] == "input" and error["message"]
 
 
-@pytest.mark.parametrize("command", [
-    ["wealth", "--in", "x", "--strategy", "y"],
-    ["decompose", "--in", "x"],
-    ["optimize", "--in", "x"],
-    ["report"],
-], ids=["wealth", "decompose", "optimize", "report"])
-@pytest.mark.parametrize("flag", [["--seed", "1"], ["--format", "json"]], ids=["seed", "format"])
-def test_flags_only_where_read(command, flag, tmp_path):
+_UNREAD = {
+    f"{flag}-{cmd[0]}": cmd + value
+    for cmd in (["wealth", "--in", "x", "--strategy", "y"], ["decompose", "--in", "x"],
+                ["optimize", "--in", "x"], ["report"])
+    for flag, value in (("seed", ["--seed", "1"]), ("format", ["--format", "json"]))
+}
+_UNREAD.update({
+    "poisson-lemma-bundles": ["counterexample", "poisson-lemma", "--bundles", "5"],
+    "sweep-samples": ["counterexample", "sweep", "--samples", "5"],
+    "sweep-eps-list": ["counterexample", "sweep", "--eps-list", "0.1"],
+    "divergence-eps": ["counterexample", "divergence", "--eps", "0.05"],
+    "band-without-strategy": ["counterexample", "band"],
+})
+
+
+@pytest.mark.parametrize("argv", list(_UNREAD.values()), ids=list(_UNREAD))
+def test_flags_only_where_read(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(command + flag + ["--out", str(tmp_path / "out")])
+        main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2

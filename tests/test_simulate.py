@@ -2,6 +2,8 @@
 martingale and its closed-form variance, Poisson pairs, and the joint
 insider bundle."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -354,7 +356,7 @@ class TestInsiderDrift:
 class TestModelSpec:
     def test_valid_roundtrip(self):
         spec = ModelSpec("drifted", mu=0.1, sigma=0.2)
-        assert spec.as_dict()["variant"] == "drifted"
+        assert ModelSpec(**asdict(spec)) == spec
         assert spec.build().tag.startswith("drifted")
 
     @pytest.mark.parametrize(

@@ -268,6 +268,15 @@ class TestCompiledLegs:
         pi = pi_for_ensemble(window_strategy(2.0, 0.25, 0.5), rows([0] * 9, [1] * 9))
         np.testing.assert_array_equal(pi, [0, 0, 2, 2, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("threshold", [-1.0, 99.0])  # every row crosses; none does
+    def test_default_off_the_grid_rejected_whatever_the_rows(self, threshold):
+        strat = SimpleStrategy((
+            Leg(HitRule("level_or_qv", threshold, default=0.3), 1.0),
+            Leg(1.0, -0.5),
+        ), bound=1.0)
+        with pytest.raises(ContractViolation, match="grid point"):
+            pi_for_ensemble(strat, rows([0, 1, 2, 3, 4, 5, 6, 7, 8], [0] * 9))
+
 
 @pytest.fixture(scope="module")
 def brownian():
