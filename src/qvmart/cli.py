@@ -155,15 +155,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# Defaults of the flags that refine a fresh path.  Their rows default to None,
+# so that a flag given with --in, which would go unread, can be refused.
+_QV_REFINE = {"model": "brownian", "levels": "10,14,18", "seed": 0}
+
+
 def _cmd_qv(args) -> int:
     out = Path(args.out)
-    if getattr(args, "in"):  # stored paths: the refinement flags are not read
+    if getattr(args, "in"):  # stored paths
+        given = [f"--{key}" for key in _QV_REFINE if getattr(args, key) is not None]
+        if given:
+            raise ConfigurationError(f"qv --in reads stored paths; {', '.join(given)} "
+                                     "would go unread")
         cfg = _record(args, ("in",))
         totals = qv_matrix(load_ensemble(cfg["in"]))[:, -1]
         rows = list(enumerate(totals.tolist()))
         _write_csv(out / "qv.csv", ["path_id", "qv_total"], rows)
         return 0
-    cfg = _record(args, ("model", "levels", "seed"))
+    for key, default in _QV_REFINE.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+    cfg = _record(args, tuple(_QV_REFINE))
     rows = refine_and_compare_qv(BrownianModel(), SeedStream(cfg["seed"]), 0, cfg["levels"])
     _write_csv(out / "refine.csv", ["n_steps", "qv_total"], rows)
     return 0
@@ -328,10 +340,15 @@ def _cmd_counterexample(args) -> int:
                    [(r.eps, r.mc_tv, r.closed_form, r.stderr) for r in rows])
         _write_json(out / "divergence.json", [asdict(r) for r in rows])
     elif args.action == "sweep":
-        report = cx.utility_sweep(cx.default_sweep_family(), bundles, gen_eps)
+        family = cx.default_sweep_family()
+        report = cx.utility_sweep(family, bundles, gen_eps)
         _write_json(out / "sweep.json", report.as_dict())
         _write_csv(out / "sweep.csv", ["strategy", "estimate", "stderr", "n_nonpositive"],
                    [(n, r.estimate, r.stderr, r.n_nonpositive) for n, r in report.entries])
+        if not report.n_ruined_strategies:  # bound terms need every member's wealth positive
+            terms = cx.utility_bound_terms_family(family, bundles)
+            _write_json(out / "bound_terms.json",
+                        [{"strategy": m.name, **asdict(t)} for m, t in zip(family, terms)])
     else:
         report = cx.negative_wealth_probability(strat, bundles)
         _write_json(out / "band_report.json", asdict(report))
@@ -341,7 +358,7 @@ def _cmd_counterexample(args) -> int:
 _KNOWN_ARTIFACTS = (
     "qv.csv", "refine.csv", "utility.json", "alpha.csv", "diagnostics.json",
     "decomposition_report.json", "growth_report.json", "poisson_lemma.json",
-    "sweep.json", "divergence.json", "band_report.json",
+    "sweep.json", "bound_terms.json", "divergence.json", "band_report.json",
 )
 
 
@@ -444,9 +461,9 @@ _COMMANDS = {
     )),
     "qv": ("quadratic variation of stored or refined paths", _cmd_qv, (
         _row("--in", default=None),
-        _row("--model", choices=("brownian",), default="brownian"),
-        _row("--levels", item=_level, default="10,14,18"),
-        _SEED,
+        _row("--model", choices=("brownian",)),
+        _row("--levels", item=_level),
+        _row("--seed", type=int),
     )),
     "wealth": ("wealth of one strategy over an ensemble", _cmd_wealth, (
         _IN,

@@ -9,19 +9,29 @@ truncation refines; and the finite-variation part the insider extracts
 from the Gaussian martingale grows without bound as |log eps|^(1/3),
 the signature that no decomposition survives the information
 enlargement.
+
+``utility_sweep`` and ``utility_bound_terms_family`` read one shared pass
+per family member: its band probe, its profile and four per-bundle
+columns (the continuous and jump log-wealth sums, the wipe-out mask and
+the supermartingale column), computed once and kept, at 4 floats per
+bundle per member, for the lifetime of the ensemble.  A pass is reused
+only for the same ``BundleEnsemble`` object and the same strategy
+object; a plain sequence of bundles is stacked anew on every call, so
+nothing is reused for it.  Reuse relies on what the strategy protocol
+requires: a rule is a pure function of ``(ensemble, ctx)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import TimeGrid, _mean_stderr
+from .path_core import _CHUNK_CELLS, TimeGrid, _mean_stderr
 from .simulate import (
-    _CHUNK_CELLS,
     BundleEnsemble,
     PathBundle,
     SeedStream,
@@ -29,10 +39,10 @@ from .simulate import (
     make_insider_grid,
     sigma_profile_vec,
 )
-from .strategy import BandStrategy, EvalContext, band_check, pi_for_ensemble
+from .strategy import BandReport, BandStrategy, EvalContext, band_check, pi_for_ensemble
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
 from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_jumps
-from .wealth import _log_wealth_terms
+from .wealth import _log_wealth_terms, _terminal_log_wealth
 
 __all__ = [
     "FlipDecomposition",
@@ -262,6 +272,55 @@ def _band_probe(strategy, ens: BundleEnsemble):
     return band_check(strategy, ens.grid, ens.head(3), ctx)
 
 
+def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
+    """Increments of M_hat = M - A per bundle, as ``insider_drift`` computes them."""
+    return np.diff(ens.m - ens.drift_values(), axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class _MemberPass:
+    """One family member on one ensemble: its band probe and, when it is
+    admissible, its four per-bundle columns.  ``member`` is held so that
+    its id, the memo key, cannot be reused while the entry lives."""
+
+    member: object
+    probe: BandReport
+    cont: np.ndarray | None = None
+    jump: np.ndarray | None = None
+    wiped: np.ndarray | None = None
+    supermartingale: np.ndarray | None = None
+
+
+# Each ensemble's passes, keyed by the id of the member, for the ensemble's lifetime.
+_PASSES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
+    """Each member's pass on ``ens``, in family order, up to and including
+    the first inadmissible member.
+
+    A member is probed, profiled and summed once per ensemble object:
+    later calls with the same strategy object read the stored columns.
+    ``dh`` is built only when some member is not stored yet.
+    """
+    memo = _PASSES.setdefault(ens, {})
+    passes, dh = [], None
+    for member in family:
+        entry = memo.get(id(member))
+        if entry is None:
+            probe = _band_probe(member, ens)
+            columns = ()
+            if probe.admissible:
+                if dh is None:
+                    dh = _m_hat_increments(ens)
+                columns = _log_wealth_terms(_pi_matrix(member, ens), *_bundle_matrices(ens), dh)
+            entry = memo[id(member)] = _MemberPass(member, probe, *columns)
+        passes.append(entry)
+        if not entry.probe.admissible:
+            break
+    return passes
+
+
 @dataclass(frozen=True)
 class NegativeWealthReport:
     p_hat: float
@@ -348,23 +407,20 @@ def utility_sweep(
     the wipe-out mechanism, not a candidate for the supremum.
     """
     ens = BundleEnsemble.from_bundles(bundles)
-    matrices = _bundle_matrices(ens)
     entries: list[tuple[str, UtilityReport]] = []
     best = -np.inf
     best_se = float("nan")
     ruined = 0
-    for member in family:
-        probe = _band_probe(member, ens)
-        if not probe.admissible:
-            t, v = probe.violations[0]
+    for p in _family_pass(family, ens):
+        if not p.probe.admissible:
+            t, v = p.probe.violations[0]
             raise ContractViolation(
-                f"sweep member {member.name!r} leaves the open band |pi_t| < 1 - t "
+                f"sweep member {p.member.name!r} leaves the open band |pi_t| < 1 - t "
                 f"(pi={v:.4g} at t={t:.4g}); inadmissible strategies are ruled out"
             )
-        pi = _pi_matrix(member, ens)
-        logw, wiped = terminal_log_wealth_jumps(pi, *matrices)
-        rep = log_utility_from_terminals(logw, int(wiped.sum()))
-        entries.append((member.name, rep))
+        logw = _terminal_log_wealth(p.cont, p.jump, p.wiped)
+        rep = log_utility_from_terminals(logw, int(p.wiped.sum()))
+        entries.append((p.member.name, rep))
         if rep.estimate == -np.inf:
             ruined += 1
         elif rep.estimate > best:
@@ -395,19 +451,6 @@ class BoundTerms:
         return self.supermartingale_mean <= 1.0 + 3.0 * self.supermartingale_stderr
 
 
-def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
-    """Increments of M_hat = M - A per bundle, as ``insider_drift`` computes them."""
-    return np.diff(ens.m - ens.drift_values(), axis=1)
-
-
-def _bound_terms_one(pi, cont_inc, dqv, jp, jc, js, dh) -> BoundTerms:
-    c_terms, d_terms, wiped = _log_wealth_terms(pi, cont_inc, dqv, jp, jc, js)
-    if wiped.any():
-        raise ContractViolation("admissible strategy produced a nonpositive jump factor")
-    sm = np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1))
-    return BoundTerms(*_mean_stderr(c_terms), *_mean_stderr(d_terms), *_mean_stderr(sm), sm.size)
-
-
 def utility_bound_terms(strategy, bundles: Sequence[PathBundle]) -> BoundTerms:
     """Estimate the two log-wealth components of an admissible strategy.
 
@@ -423,14 +466,20 @@ def utility_bound_terms(strategy, bundles: Sequence[PathBundle]) -> BoundTerms:
 def utility_bound_terms_family(
     family: Sequence, bundles: Sequence[PathBundle]
 ) -> list[BoundTerms]:
-    """Bound terms for a whole family, sharing the insider decomposition."""
+    """Bound terms for a whole family, read from the pass ``utility_sweep``
+    shares on the same ensemble."""
     ens = BundleEnsemble.from_bundles(bundles)
-    for member in family:
-        if not _band_probe(member, ens).admissible:
-            raise ContractViolation("bound terms are defined for admissible strategies only")
-    matrices = _bundle_matrices(ens)
-    dh = _m_hat_increments(ens)
-    return [_bound_terms_one(_pi_matrix(member, ens), *matrices, dh) for member in family]
+    passes = _family_pass(family, ens)
+    if passes and not passes[-1].probe.admissible:
+        raise ContractViolation("bound terms are defined for admissible strategies only")
+    terms = []
+    for p in passes:
+        if p.wiped.any():
+            raise ContractViolation("admissible strategy produced a nonpositive jump factor")
+        sm = p.supermartingale
+        terms.append(BoundTerms(*_mean_stderr(p.cont), *_mean_stderr(p.jump),
+                                *_mean_stderr(sm), sm.size))
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+# Cells a row-blocked matrix pass holds at once (2 MiB of float64): path
+# generation and the log-wealth kernel work in row blocks of this many cells.
+_CHUNK_CELLS = 1 << 18
+
+
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)

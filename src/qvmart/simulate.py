@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, SamplePath, TimeGrid, _flat_jumps
+from .path_core import _CHUNK_CELLS, Ensemble, SamplePath, TimeGrid, _flat_jumps
 
 __all__ = [
     "SeedStream",
@@ -70,10 +70,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's hashmix constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # ... and those of generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-
-# Normals ``_brownian_matrix`` holds at once (2 MiB of float64): paths are
-# generated in row chunks of this many cells.
-_CHUNK_CELLS = 1 << 18
 
 
 def _mix_part(part) -> int:

@@ -141,7 +141,9 @@ class GridRuleStrategy:
     has ``grid``, ``n_paths`` and the ``(n_paths, n_points)`` matrix
     ``values``, and ``ctx`` is its ``EvalContext``.  It returns one
     shared per-cell row or a per-path matrix.  ``path_independent``
-    declares that the rule returns the shared row, and is checked.
+    declares that the rule returns the shared row, and is checked.  The
+    rule must be a pure function of ``(ensemble, ctx)``: callers may
+    reuse what it returned for the same ensemble.
     """
 
     name: str

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr, qv_matrix
+from .path_core import _CHUNK_CELLS, Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr
+from .path_core import qv_matrix
 
 __all__ = [
     "WealthPath",
@@ -220,18 +221,36 @@ def _log_wealth_terms(
     jump_path: np.ndarray,
     jump_cell: np.ndarray,
     jump_size: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two parts of every path's log terminal wealth, and its wipe-out mask.
+    dh: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The two parts of every path's log terminal wealth, its wipe-out mask,
+    and optionally its supermartingale column.
 
     Returns ``sum(pi dS^c - pi^2 d[S]^c / 2)``, the sum of
-    ``log(1 + pi dS)`` over the jump factors that stay positive, and a
-    mask of the paths with a factor ``1 + pi dS <= 0``.  ``pi``
-    broadcasts: one shared per-cell vector or a per-path matrix.  Jump
-    data comes flattened: parallel arrays of path row, cell index and
-    jump size.
+    ``log(1 + pi dS)`` over the jump factors that stay positive, a mask
+    of the paths with a factor ``1 + pi dS <= 0``, and, given the
+    increments ``dh`` of a martingale, ``exp(2 sum(pi dh - pi^2 dh^2))``
+    (else None).  ``pi`` broadcasts: one shared per-cell vector or a
+    per-path matrix.  Jump data comes flattened: parallel arrays of path
+    row, cell index and jump size.
+
+    The row sums run in blocks of at most ``_CHUNK_CELLS`` cells; a row's
+    sum does not depend on the rows beside it, so the result is the one
+    a single whole-matrix sum gives, bit for bit.
     """
-    cont = np.sum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1)
-    n_paths = cont.size
+    n_paths, n_cells = cont_inc.shape
+    cont = np.empty(n_paths)
+    sm = None if dh is None else np.empty(n_paths)
+    rows = max(1, _CHUNK_CELLS // n_cells)
+    for lo in range(0, n_paths, rows):
+        blk = slice(lo, lo + rows)
+        p = pi if pi.ndim == 1 else pi[blk]
+        cont[blk] = np.sum(p * cont_inc[blk] - 0.5 * p * p * dqv_cont[blk], axis=1)
+        if dh is not None:
+            h = dh[blk]
+            sm[blk] = np.sum(p * h - p * p * h * h, axis=1)
+    if sm is not None:
+        sm = np.exp(2.0 * sm)
     jump = np.zeros(n_paths)
     wiped = np.zeros(n_paths, dtype=bool)
     if jump_path.size:
@@ -241,7 +260,14 @@ def _log_wealth_terms(
         np.logical_or.at(wiped, jump_path[bad], True)
         ok = ~bad
         np.add.at(jump, jump_path[ok], np.log(f[ok]))
-    return cont, jump, wiped
+    return cont, jump, wiped, sm
+
+
+def _terminal_log_wealth(cont: np.ndarray, jump: np.ndarray, wiped: np.ndarray) -> np.ndarray:
+    """Per-path log terminal wealth from its two parts; -inf on wiped paths."""
+    logw = cont + jump
+    logw[wiped] = -np.inf
+    return logw
 
 
 def terminal_log_wealth_continuous(
@@ -270,7 +296,6 @@ def terminal_log_wealth_jumps(
     Jump data comes flattened: parallel arrays of path row, cell index,
     and jump size.  Paths with any factor (1 + pi dS) <= 0 get -inf.
     """
-    cont, jump, wiped = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size)
-    logw = cont + jump
-    logw[wiped] = -np.inf
-    return logw, wiped
+    cont, jump, wiped, _ = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell,
+                                             jump_size)
+    return _terminal_log_wealth(cont, jump, wiped), wiped

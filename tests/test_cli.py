@@ -186,6 +186,12 @@ def test_counterexample_sweep_and_band(tmp_path):
     rep = json.loads((out / "sweep.json").read_text())
     assert rep["n_ruined_strategies"] == 0
     assert len(rep["entries"]) >= 25
+    # the rest of the bounded-utility evidence, from the same pass
+    terms = json.loads((out / "bound_terms.json").read_text())
+    assert [t["strategy"] for t in terms] == [e["strategy"] for e in rep["entries"]]
+    for t in terms:
+        assert t["jump_term"] <= 3.0 * t["jump_stderr"]
+        assert t["supermartingale_mean"] <= 1.0 + 3.0 * t["supermartingale_stderr"]
 
     strat = tmp_path / "violating.json"
     strat.write_text(json.dumps({"name": "flat", "rule_id": "const",
@@ -392,6 +398,16 @@ def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "input" and error["message"]
+
+
+@pytest.mark.parametrize("flag", [["--levels", "99"], ["--seed", "0"], ["--model", "brownian"]],
+                         ids=["levels", "seed", "model"])
+def test_qv_stored_refuses_refinement_flags(flag, inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["qv", "--in", inputs["sim"], *flag, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "configuration" and flag[0] in error["message"]
+    assert not out.exists()  # refused before the manifest
 
 
 _UNREAD = {

@@ -2,12 +2,17 @@
 difference, the ruin mechanism outside the admissibility band, bounded
 log utility over insider strategies, and the drift-variation divergence."""
 
+import gc
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from qvmart import counterexample as cx
 from qvmart.counterexample import (
     beta_const,
     beta_prefix_sign,
@@ -242,3 +247,74 @@ class TestDriftVariationDivergence:
     def test_coarser_bundles_rejected(self, bundles):
         with pytest.raises(ContractViolation):
             insider_drift_divergence(bundles, [1e-3])
+
+
+class TestSharedFamilyPass:
+    """utility_sweep and utility_bound_terms_family share one pass per member
+    and ensemble object."""
+
+    GRID = make_insider_grid(1e-2, n_uniform=64, n_log=128)
+
+    def fresh(self, n=300):
+        return gen_bundles(SeedStream(5), n, self.GRID, 1e-2, 1.0)
+
+    @staticmethod
+    def dump(sweep, terms):
+        return json.dumps([sweep.as_dict(), [asdict(t) for t in terms]], sort_keys=True)
+
+    def test_shared_pass_matches_fresh_ensembles(self, monkeypatch):
+        family = default_sweep_family()
+        ens = self.fresh()
+        calls, profile = [], cx.pi_for_ensemble
+        monkeypatch.setattr(cx, "pi_for_ensemble",
+                            lambda *a, **k: calls.append(1) or profile(*a, **k))
+        sweep = utility_sweep(family, ens, 1e-2)
+        terms = utility_bound_terms_family(family, ens)
+        assert len(calls) == len(family)  # the second call builds no profile
+        alone = (utility_sweep(family, self.fresh(), 1e-2),
+                 utility_bound_terms_family(family, self.fresh()))
+        assert self.dump(sweep, terms) == self.dump(*alone)
+
+    def test_same_name_different_rule_not_shared(self):
+        ens = self.fresh()
+        a = profile_strategy("twin", lambda t: 0.4 * (1.0 - t))
+        b = profile_strategy("twin", lambda t: -0.4 * (1.0 - t))
+        sweeps = [utility_sweep([s], ens, 1e-2).as_dict() for s in (a, b)]
+        assert sweeps[0] != sweeps[1]
+        assert sweeps == [utility_sweep([s], self.fresh(), 1e-2).as_dict() for s in (a, b)]
+
+    def test_wipe_out_past_the_probe_rows(self):
+        # zero on the three probe rows, -2 on every later one: each later
+        # up-jump of size >= 1 has factor 1 - 2 dS <= -1
+        def fn(ens, ctx):
+            rows = np.arange(ens.n_paths)[:, None] >= 3
+            return np.where(rows, -2.0, 0.0) * np.ones(ens.grid.n_steps)
+
+        late = GridRuleStrategy("late", 2.0, fn)
+        ens = self.fresh()
+        sweep = utility_sweep([late], ens, 1e-2)
+        (name, rep), = sweep.entries
+        assert sweep.n_ruined_strategies == 1 and rep.n_nonpositive > 0
+        with pytest.raises(ContractViolation, match="nonpositive jump factor"):
+            utility_bound_terms_family([late], ens)
+
+    def test_inadmissible_member_stops_both_readers(self):
+        ens = self.fresh(50)
+        family = [band_fraction_strategy(0.3), profile_strategy("edge", lambda t: 1.0 - t)]
+        with pytest.raises(ContractViolation, match="sweep member 'edge'"):
+            utility_sweep(family, ens, 1e-2)
+        with pytest.raises(ContractViolation, match="admissible strategies only"):
+            utility_bound_terms_family(family, ens)
+
+    def test_bundle_list_is_stacked_every_call(self):
+        family = default_sweep_family()[:6]
+        ens = self.fresh(120)
+        bundles = list(ens)
+        gc.collect()
+        held = len(cx._PASSES)
+        sweep = utility_sweep(family, bundles, 1e-2)
+        terms = utility_bound_terms_family(family, bundles)
+        gc.collect()
+        assert len(cx._PASSES) == held  # nothing outlives the stacked ensembles
+        assert self.dump(sweep, terms) == self.dump(utility_sweep(family, ens, 1e-2),
+                                                    utility_bound_terms_family(family, ens))

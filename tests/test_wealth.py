@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qvmart.errors import ContractViolation
-from qvmart.path_core import QVPath, SamplePath, TimeGrid, quadratic_variation
+from qvmart.path_core import _CHUNK_CELLS, QVPath, SamplePath, TimeGrid, quadratic_variation
 from qvmart.simulate import BrownianModel, SeedStream
 from qvmart.wealth import (
     dd_residual,
@@ -16,6 +16,7 @@ from qvmart.wealth import (
     stoch_exp_jumps,
     terminal_log_wealth_jumps,
 )
+from qvmart.wealth import _log_wealth_terms
 
 
 def brownian(seed, level):
@@ -222,3 +223,45 @@ class TestLogUtility:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             log_utility([])
+
+
+class TestRowBlockedKernel:
+    """The row-blocked log-wealth kernel against whole-matrix sums written out here."""
+
+    CELLS = 2048
+    ROWS = _CHUNK_CELLS // CELLS  # rows per block
+
+    def data(self, n_paths, shared, jumps, seed=3):
+        rng = np.random.default_rng(seed)
+        ci = rng.normal(0.0, 0.05, (n_paths, self.CELLS))
+        dq = ci * ci
+        dh = rng.normal(0.0, 0.05, (n_paths, self.CELLS))
+        pi = rng.uniform(-0.9, 0.9, self.CELLS if shared else (n_paths, self.CELLS))
+        if jumps:
+            flat = np.sort(rng.choice(n_paths * self.CELLS, 3 * n_paths, replace=False))
+            jp, jc = np.divmod(flat, self.CELLS)
+            js = rng.choice([-1.0, 1.0], flat.size) * rng.uniform(0.5, 3.0, flat.size)
+        else:
+            jp, jc, js = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+        return pi, ci, dq, jp, jc, js, dh
+
+    @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
+    @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
+    @pytest.mark.parametrize("jumps", [False, True], ids=["jump-free", "jumps"])
+    def test_bit_equal_to_whole_matrix_sums(self, n_paths, shared, jumps):
+        pi, ci, dq, jp, jc, js, dh = self.data(n_paths, shared, jumps)
+        cont, jump, wiped, sm = _log_wealth_terms(pi, ci, dq, jp, jc, js, dh)
+        assert cont.tobytes() == np.sum(pi * ci - 0.5 * pi * pi * dq, axis=1).tobytes()
+        assert sm.tobytes() == np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1)).tobytes()
+        ref_jump, ref_wiped = np.zeros(n_paths), np.zeros(n_paths, dtype=bool)
+        pm = np.broadcast_to(pi, ci.shape)
+        for p, c, z in zip(jp, jc, js):
+            f = 1.0 + pm[p, c] * z
+            if f <= 0.0:
+                ref_wiped[p] = True
+            else:
+                ref_jump[p] += np.log(f)
+        assert jump.tobytes() == ref_jump.tobytes()
+        assert wiped.tobytes() == ref_wiped.tobytes()
+        assert ref_wiped.any() == jumps  # the mask is exercised
+        assert _log_wealth_terms(pi, ci, dq, jp, jc, js)[3] is None
