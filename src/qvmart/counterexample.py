@@ -11,19 +11,25 @@ the signature that no decomposition survives the information
 enlargement.
 
 ``utility_sweep`` and ``utility_bound_terms_family`` read one shared pass
-per family member: its band probe, its profile and four per-bundle
-columns (the continuous and jump log-wealth sums, the wipe-out mask and
-the supermartingale column), computed once and kept, at 4 floats per
-bundle per member, for the lifetime of the ensemble.  A pass is reused
-only for the same ``BundleEnsemble`` object and the same strategy
-object; a plain sequence of bundles is stacked anew on every call, so
-nothing is reused for it.  Reuse relies on what the strategy protocol
-requires: a rule is a pure function of ``(ensemble, ctx)``.
+per family member: its band probe and four per-bundle columns (the
+continuous and jump log-wealth sums, the wipe-out mask and the
+supermartingale column), computed once and kept, at 4 floats per bundle
+per member, for the lifetime of the ensemble.  Members that differ only
+by a coefficient c (the default family is 3 shapes x 9 coefficients)
+share one dense pass over their unit shape: the continuous sums are
+linear and quadratic in c, so only the jump factors are formed per
+member.  Jump sums and wipe-out masks are bit for bit those of the
+member's own profile; continuous sums and supermartingale columns agree
+with per-member sums within 1e-12 (absolute, resp. relative).  A pass
+is reused only for the same ``BundleEnsemble`` object and the same
+strategy object; a plain sequence of bundles is stacked anew on every
+call, so nothing is reused for it.  Reuse relies on what the strategy
+protocol requires: a rule is a pure function of ``(ensemble, ctx)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -41,8 +47,9 @@ from .simulate import (
 )
 from .strategy import BandReport, BandStrategy, EvalContext, band_check, pi_for_ensemble
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
-from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_jumps
-from .wealth import _log_wealth_terms, _terminal_log_wealth
+from .strategy import _as_rule, _check_bound, _check_margin
+from .wealth import UtilityReport, log_utility_from_terminals
+from .wealth import _at_jumps, _jump_terms, _shape_moments, _terminal_log_wealth
 
 __all__ = [
     "FlipDecomposition",
@@ -256,11 +263,6 @@ def poisson_flip_test(
 # The public functions below take a BundleEnsemble or any sequence of
 # PathBundle; a plain sequence is stacked once on entry.
 
-def _bundle_matrices(ens: BundleEnsemble):
-    """Continuous increments, their squares, and the flat jump data."""
-    return ens.cont_inc, ens.cont_dqv, ens.jump_path, ens.jump_cell, ens.jump_size
-
-
 def _pi_matrix(strategy, ens: BundleEnsemble) -> np.ndarray:
     """Profiles of every bundle: a shared row, or one row per bundle."""
     return pi_for_ensemble(strategy, ens, insider=ens.b1, driver=ens.b)
@@ -299,26 +301,47 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
     """Each member's pass on ``ens``, in family order, up to and including
     the first inadmissible member.
 
-    A member is probed, profiled and summed once per ensemble object:
-    later calls with the same strategy object read the stored columns.
-    ``dh`` is built only when some member is not stored yet.
+    A member is probed and summed once per ensemble object: later calls
+    with the same strategy object read the stored columns.  New members
+    are probed in family order, then grouped by rule shape (``fn`` and
+    its flags): each group's unit shape x is evaluated and summed once,
+    and each member applies its ``scale`` c.  Bound and margin are
+    checked on ``|c| max|x|``, which rounds as ``max|c x|`` does.
     """
     memo = _PASSES.setdefault(ens, {})
-    passes, dh = [], None
+    passes, shapes = [], {}
     for member in family:
         entry = memo.get(id(member))
         if entry is None:
-            probe = _band_probe(member, ens)
-            columns = ()
-            if probe.admissible:
-                if dh is None:
-                    dh = _m_hat_increments(ens)
-                columns = _log_wealth_terms(_pi_matrix(member, ens), *_bundle_matrices(ens), dh)
-            entry = memo[id(member)] = _MemberPass(member, probe, *columns)
+            entry = _MemberPass(member, _band_probe(member, ens))
+            if entry.probe.admissible:
+                rule = _as_rule(member)
+                key = (rule.fn, rule.needs_insider, rule.path_independent)
+                shapes.setdefault(key, []).append((entry, rule))
+            else:
+                memo[id(member)] = entry
         passes.append(entry)
         if not entry.probe.admissible:
             break
-    return passes
+    dh = _m_hat_increments(ens) if shapes else None
+    for group in shapes.values():
+        x = _pi_matrix(replace(group[0][1], scale=1.0, bound=np.inf), ens)
+        colmax = np.abs(x) if x.ndim == 1 else np.abs(x).max(axis=0)
+        a, b, ah, bh = _shape_moments(x, ens.cont_inc, ens.cont_dqv, dh)
+        xj = _at_jumps(x, ens.jump_path, ens.jump_cell)
+        del x
+        for entry, rule in group:
+            c = rule.scale
+            _check_bound(rule, abs(c) * colmax.max(initial=0.0))
+            if isinstance(entry.member, BandStrategy):
+                _check_margin(entry.member, abs(c) * colmax, ens.grid)
+            # + 0.0 turns the -0.0 that c = 0 leaves on a negative sum into +0.0
+            cont = c * a - (0.5 * c * c) * b + 0.0
+            sm = np.exp(2.0 * (c * ah - (c * c) * bh))
+            jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, len(ens))
+            memo[id(entry.member)] = replace(entry, cont=cont, jump=jump, wiped=wiped,
+                                             supermartingale=sm)
+    return [memo[id(p.member)] for p in passes]
 
 
 @dataclass(frozen=True)
@@ -336,7 +359,8 @@ def negative_wealth_probability(
     """Empirical ruin probability of a band-violating strategy.
 
     Errors out when the strategy is actually admissible (the probe is
-    then misconfigured).  The interval is an exact 99% binomial
+    then misconfigured).  Ruin is decided by the jump factors alone, so
+    no continuous sum is formed.  The interval is an exact 99% binomial
     Clopper-Pearson interval.
     """
     from scipy import stats
@@ -347,9 +371,9 @@ def negative_wealth_probability(
         raise ContractViolation(
             "strategy respects the open band |pi_t| < 1 - t; ruin probe is misconfigured"
         )
-    pi = _pi_matrix(strategy, ens)
-    _, wiped = terminal_log_wealth_jumps(pi, *_bundle_matrices(ens))
     n = len(ens)
+    pj = _at_jumps(_pi_matrix(strategy, ens), ens.jump_path, ens.jump_cell)
+    _, wiped = _jump_terms(pj, ens.jump_path, ens.jump_size, n)
     k = int(wiped.sum())
     alpha = 0.01
     low = float(stats.beta.ppf(alpha / 2, k, n - k + 1)) if k > 0 else 0.0

@@ -144,6 +144,12 @@ class GridRuleStrategy:
     declares that the rule returns the shared row, and is checked.  The
     rule must be a pure function of ``(ensemble, ctx)``: callers may
     reuse what it returned for the same ensemble.
+
+    The profile is ``scale * fn(ensemble, ctx)``, so rules that differ
+    only by a coefficient can share one ``fn`` (the insider bands do);
+    ``bound`` limits the scaled profile.  Callers that sum over a family
+    may evaluate each shared ``fn`` once and apply the coefficients
+    afterwards.
     """
 
     name: str
@@ -151,11 +157,15 @@ class GridRuleStrategy:
     fn: Callable[[Ensemble, EvalContext], np.ndarray]
     needs_insider: bool = False
     path_independent: bool = False
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
 class BandStrategy:
-    """A strategy with declared decay margin: |pi_t| <= (1-margin)(1-t)."""
+    """A strategy with declared decay margin: |pi_t| <= (1-margin)(1-t).
+
+    ``pi_for_ensemble`` holds every profile of it to that declaration.
+    """
 
     strategy: SimpleStrategy | GridRuleStrategy
     margin: float
@@ -241,9 +251,25 @@ def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) 
     row = (ensemble.grid.n_steps,)
     if pi.shape != row and (rule.path_independent or pi.shape != (ensemble.n_paths, *row)):
         raise ContractViolation("rule returned a wrongly shaped profile")
-    if max(pi.max(initial=0.0), -pi.min(initial=0.0)) > rule.bound + 1e-12:
-        raise ContractViolation(f"strategy {rule.name!r} exceeded its declared bound")
+    if rule.scale != 1.0:
+        pi = rule.scale * pi
+    _check_bound(rule, max(pi.max(initial=0.0), -pi.min(initial=0.0)))
     return pi
+
+
+def _check_bound(rule: GridRuleStrategy, peak: float) -> None:
+    """Refuse a profile whose largest absolute value exceeds the rule's bound."""
+    if peak > rule.bound + 1e-12:
+        raise ContractViolation(f"strategy {rule.name!r} exceeded its declared bound")
+
+
+def _check_margin(band: BandStrategy, abs_pi: np.ndarray, grid: TimeGrid) -> None:
+    """Refuse absolute proportions (a row, or one row per path) above the
+    declared decay ``(1 - margin)(1 - t)`` at any cell's left endpoint."""
+    if np.any(abs_pi > (1.0 - band.margin) * (1.0 - grid.points[:-1]) + 1e-12):
+        raise ContractViolation(
+            f"strategy {band.name!r} leaves its declared margin: "
+            f"|pi_t| exceeds (1 - {band.margin:g})(1 - t)")
 
 
 def pi_for_ensemble(
@@ -257,8 +283,12 @@ def pi_for_ensemble(
 
     ``qv_vals``, ``insider`` and ``driver`` are the ``EvalContext`` rows;
     a rule that reads the variation computes it when ``qv_vals`` is None.
+    A band strategy's profile is also held to its declared margin.
     """
-    return _rule_profile(_as_rule(strategy), ensemble, EvalContext(insider, driver, qv_vals))
+    pi = _rule_profile(_as_rule(strategy), ensemble, EvalContext(insider, driver, qv_vals))
+    if isinstance(strategy, BandStrategy):
+        _check_margin(strategy, np.abs(pi), ensemble.grid)
+    return pi
 
 
 def evaluate(
@@ -323,7 +353,8 @@ def band_check(
     decided.  Path-dependent strategies are probed on the rows of
     ``probe``, with side information ``ctx``; with none given, one flat
     zero path with a zero driver and insider datum 0 is used.  Each
-    violation reports the first probe row's value at that time.
+    violation reports the value of the first probe row that violates
+    the band at that time.
     """
     if probe is None:
         zero = np.zeros((1, grid.points.size))
@@ -399,30 +430,44 @@ def truncation_strategy(n: float) -> GridRuleStrategy:
 
 
 def _band(c: float, margin: float | None, name: str, fn, **flags) -> BandStrategy:
-    """A ``pi_t = c (1 - t)`` rule, up to sign: bound ``|c| < 1``, margin ``1 - |c|``."""
+    """A ``pi_t = c (1 - t)`` rule, up to sign: bound ``|c| < 1``, margin ``1 - |c|``.
+
+    ``fn`` is the unit shape (``c = 1``) and ``c`` its scale.  Every
+    shape is ``+-(1 - t)``; multiplying by +-1 is exact and rounding is
+    symmetric in sign, so ``c * shape`` is bit for bit the profile
+    written with ``c`` inside.
+    """
     if not (-1.0 < c < 1.0):
         raise ConfigurationError("band fraction needs |c| < 1")
-    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, **flags)
+    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, scale=float(c), **flags)
     return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+
+
+def _band_shape(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    return 1.0 - ensemble.grid.points[:-1]
+
+
+def _sign_band_shape(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    s = np.where(np.asarray(ctx.insider) >= 0, 1.0, -1.0)
+    return s[:, None] * (1.0 - ensemble.grid.points[:-1])
+
+
+def _switch_band_shape(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    if ctx.driver is None:
+        raise ContractViolation("switch rule needs the driver path")
+    gap = np.asarray(ctx.insider)[:, None] - ctx.driver[:, :-1]
+    row = 1.0 - ensemble.grid.points[:-1]
+    return np.where(gap >= 0, row, -row)
 
 
 def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrategy:
     """pi_t = c (1 - t), evaluated at each cell's left endpoint."""
-
-    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        return c * (1.0 - ensemble.grid.points[:-1])
-
-    return _band(c, margin, "band", fn, path_independent=True)
+    return _band(c, margin, "band", _band_shape, path_independent=True)
 
 
 def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
     """pi_t = c (1 - t) sign(revealed terminal driver value)."""
-
-    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        s = np.where(np.asarray(ctx.insider) >= 0, 1.0, -1.0)
-        return (c * s)[:, None] * (1.0 - ensemble.grid.points[:-1])
-
-    return _band(c, margin, "sign_band", fn, needs_insider=True)
+    return _band(c, margin, "sign_band", _sign_band_shape, needs_insider=True)
 
 
 def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
@@ -431,16 +476,7 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
     The comparison uses the driver level at each cell's left endpoint,
     so every cell's value is decided before the cell starts.
     """
-
-    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        if ctx.driver is None:
-            raise ContractViolation("switch rule needs the driver path")
-        gap = np.asarray(ctx.insider)[:, None] - ctx.driver[:, :-1]
-        # (c * (+-1)) * x == +-(c * x) exactly, so the sign may pick the row's sign
-        row = c * (1.0 - ensemble.grid.points[:-1])
-        return np.where(gap >= 0, row, -row)
-
-    return _band(c, margin, "switch_band", fn, needs_insider=True)
+    return _band(c, margin, "switch_band", _switch_band_shape, needs_insider=True)
 
 
 # ---------------------------------------------------------------------------

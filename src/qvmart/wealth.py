@@ -162,7 +162,7 @@ def _product_recursion(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size):
     w = np.ones((cont_inc.shape[0], cont_inc.shape[1] + 1))
     w[:, 1:] = np.exp(np.cumsum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1))
     factors = np.ones(cont_inc.shape)
-    pj = pi[jump_cell] if pi.ndim == 1 else pi[jump_path, jump_cell]
+    pj = _at_jumps(pi, jump_path, jump_cell)
     np.multiply.at(factors, (jump_path, jump_cell), 1.0 + pj * jump_size)
     cumfac = np.cumprod(factors, axis=1)
     w[:, 1:] *= cumfac
@@ -221,16 +221,11 @@ def _log_wealth_terms(
     jump_path: np.ndarray,
     jump_cell: np.ndarray,
     jump_size: np.ndarray,
-    dh: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The two parts of every path's log terminal wealth, its wipe-out mask,
-    and optionally its supermartingale column.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two parts of every path's log terminal wealth, and its wipe-out mask.
 
-    Returns ``sum(pi dS^c - pi^2 d[S]^c / 2)``, the sum of
-    ``log(1 + pi dS)`` over the jump factors that stay positive, a mask
-    of the paths with a factor ``1 + pi dS <= 0``, and, given the
-    increments ``dh`` of a martingale, ``exp(2 sum(pi dh - pi^2 dh^2))``
-    (else None).  ``pi`` broadcasts: one shared per-cell vector or a
+    Returns ``sum(pi dS^c - pi^2 d[S]^c / 2)`` and the ``_jump_terms`` of
+    the profile.  ``pi`` broadcasts: one shared per-cell vector or a
     per-path matrix.  Jump data comes flattened: parallel arrays of path
     row, cell index and jump size.
 
@@ -240,27 +235,61 @@ def _log_wealth_terms(
     """
     n_paths, n_cells = cont_inc.shape
     cont = np.empty(n_paths)
-    sm = None if dh is None else np.empty(n_paths)
     rows = max(1, _CHUNK_CELLS // n_cells)
     for lo in range(0, n_paths, rows):
         blk = slice(lo, lo + rows)
         p = pi if pi.ndim == 1 else pi[blk]
         cont[blk] = np.sum(p * cont_inc[blk] - 0.5 * p * p * dqv_cont[blk], axis=1)
-        if dh is not None:
-            h = dh[blk]
-            sm[blk] = np.sum(p * h - p * p * h * h, axis=1)
-    if sm is not None:
-        sm = np.exp(2.0 * sm)
+    return (cont, *_jump_terms(_at_jumps(pi, jump_path, jump_cell), jump_path, jump_size, n_paths))
+
+
+def _shape_moments(
+    x: np.ndarray, cont_inc: np.ndarray, dqv_cont: np.ndarray, dh: np.ndarray
+) -> np.ndarray:
+    """Per-path sums ``x dS^c``, ``x^2 d[S]^c``, ``x dh`` and ``x^2 dh^2``, as
+    the rows of a ``(4, n_paths)`` array.
+
+    For a profile ``c x`` the continuous log-wealth sum is
+    ``c A - c^2 B / 2`` and the supermartingale exponent ``c Ah - c^2 Bh``
+    in these four moments ``A, B, Ah, Bh``, so one pass over ``x`` serves
+    every coefficient.  ``x`` broadcasts like ``pi`` in
+    ``_log_wealth_terms`` and is summed in the same row blocks.
+    """
+    n_paths, n_cells = cont_inc.shape
+    out = np.empty((4, n_paths))
+    rows = max(1, _CHUNK_CELLS // n_cells)
+    for lo in range(0, n_paths, rows):
+        blk = slice(lo, lo + rows)
+        p = x if x.ndim == 1 else x[blk]
+        pp, h = p * p, dh[blk]
+        pairs = ((p, cont_inc[blk]), (pp, dqv_cont[blk]), (p, h), (pp, h * h))
+        for k, (w, inc) in enumerate(pairs):
+            out[k, blk] = np.sum(w * inc, axis=1)
+    return out
+
+
+def _at_jumps(pi: np.ndarray, jump_path: np.ndarray, jump_cell: np.ndarray) -> np.ndarray:
+    """A shared row's or a per-path matrix's values at the flat jump entries."""
+    return pi[jump_cell] if pi.ndim == 1 else pi[jump_path, jump_cell]
+
+
+def _jump_terms(
+    pj: np.ndarray, jump_path: np.ndarray, jump_size: np.ndarray, n_paths: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per path, the sum of ``log(1 + pj dS)`` over the jump factors that stay
+    positive, and the mask of paths with a factor ``1 + pj dS <= 0``.
+
+    ``pj`` is the proportion at each flat jump entry (``_at_jumps``).
+    """
     jump = np.zeros(n_paths)
     wiped = np.zeros(n_paths, dtype=bool)
     if jump_path.size:
-        pj = pi[jump_cell] if pi.ndim == 1 else pi[jump_path, jump_cell]
         f = 1.0 + pj * jump_size
         bad = f <= 0.0
         np.logical_or.at(wiped, jump_path[bad], True)
         ok = ~bad
         np.add.at(jump, jump_path[ok], np.log(f[ok]))
-    return cont, jump, wiped, sm
+    return jump, wiped
 
 
 def _terminal_log_wealth(cont: np.ndarray, jump: np.ndarray, wiped: np.ndarray) -> np.ndarray:
@@ -296,6 +325,5 @@ def terminal_log_wealth_jumps(
     Jump data comes flattened: parallel arrays of path row, cell index,
     and jump size.  Paths with any factor (1 + pi dS) <= 0 get -inf.
     """
-    cont, jump, wiped, _ = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell,
-                                             jump_size)
+    cont, jump, wiped = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size)
     return _terminal_log_wealth(cont, jump, wiped), wiped

@@ -230,6 +230,22 @@ def test_admissible_band_probe_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_margin_violation_exits_1(inputs, tmp_path, capsys):
+    # |pi_t| = 0.5 (1 - t) is inside the band but not inside the declared
+    # margin, (1 - 0.9)(1 - t)
+    strat = tmp_path / "tight.json"
+    strat.write_text(json.dumps({"rule_id": "band_fraction", "params": {"c": 0.5},
+                                 "margin": 0.9}))
+    rc = main(["wealth", "--in", inputs["sim"], "--strategy", str(strat),
+               "--out", str(tmp_path / "w")])
+    assert rc == 1
+    assert "margin" in capsys.readouterr().err
+    strat.write_text(json.dumps({"rule_id": "band_fraction", "params": {"c": 0.5},
+                                 "margin": 0.5}))
+    assert main(["wealth", "--in", inputs["sim"], "--strategy", str(strat),
+                 "--out", str(tmp_path / "w2")]) == 0
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A stored drifted ensemble and two strategy files shared by the CLI runs."""

@@ -4,6 +4,7 @@ log utility over insider strategies, and the drift-variation divergence."""
 
 import gc
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -35,6 +36,8 @@ from qvmart.simulate import (
     sigma_profile,
 )
 from qvmart.strategy import GridRuleStrategy, band_fraction_strategy, const_strategy
+from qvmart.strategy import pi_for_ensemble
+from qvmart.wealth import _log_wealth_terms
 
 
 @pytest.fixture(scope="module")
@@ -269,11 +272,96 @@ class TestSharedFamilyPass:
         monkeypatch.setattr(cx, "pi_for_ensemble",
                             lambda *a, **k: calls.append(1) or profile(*a, **k))
         sweep = utility_sweep(family, ens, 1e-2)
+        assert len(calls) == 3  # one unit shape per rule shape, not one per member
         terms = utility_bound_terms_family(family, ens)
-        assert len(calls) == len(family)  # the second call builds no profile
+        assert len(calls) == 3  # the second call builds no profile
         alone = (utility_sweep(family, self.fresh(), 1e-2),
                  utility_bound_terms_family(family, self.fresh()))
         assert self.dump(sweep, terms) == self.dump(*alone)
+
+    def test_factored_pass_matches_per_member_sums(self):
+        # the reference sums each member's own profile cell by cell
+        family = default_sweep_family()
+        ens = self.fresh(400)
+        dh = cx._m_hat_increments(ens)
+        passes = cx._family_pass(family, ens)
+        assert len(passes) == len(family)
+        wiped_any = False
+        for member, p in zip(family, passes):
+            pi = pi_for_ensemble(member, ens, insider=ens.b1, driver=ens.b)
+            cont = np.sum(pi * ens.cont_inc - 0.5 * pi * pi * ens.cont_dqv, axis=1)
+            sm = np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1))
+            _, jump, wiped = _log_wealth_terms(pi, ens.cont_inc, ens.cont_dqv, ens.jump_path,
+                                               ens.jump_cell, ens.jump_size)
+            np.testing.assert_allclose(p.cont, cont, rtol=0, atol=1e-12, err_msg=member.name)
+            np.testing.assert_allclose(p.supermartingale, sm, rtol=1e-12, atol=0,
+                                       err_msg=member.name)
+            assert p.jump.tobytes() == jump.tobytes(), member.name
+            assert p.wiped.tobytes() == wiped.tobytes(), member.name
+            wiped_any |= bool(wiped.any())
+        assert not wiped_any  # admissible members are never wiped out
+
+    def test_factored_jump_terms_match_on_wiped_paths(self):
+        # a scaled shape outside the band: jump sums and masks, ruined paths
+        # included, are bit for bit those of the member's own profile
+        def fn(ens, ctx):
+            return np.where(np.arange(ens.n_paths)[:, None] >= 3, 1.0, 0.0) * np.ones(
+                ens.grid.n_steps)
+
+        ens = self.fresh()
+        family = [GridRuleStrategy(f"late{c:+g}", 2.0, fn, scale=c) for c in (-2.0, 1.5, 0.5)]
+        for member, p in zip(family, cx._family_pass(family, ens)):
+            pi = pi_for_ensemble(member, ens)
+            _, jump, wiped = _log_wealth_terms(pi, ens.cont_inc, ens.cont_dqv, ens.jump_path,
+                                               ens.jump_cell, ens.jump_size)
+            assert p.jump.tobytes() == jump.tobytes() and p.wiped.tobytes() == wiped.tobytes()
+        assert cx._family_pass(family, ens)[0].wiped.any()
+
+    def test_zero_coefficient_reports_positive_zero(self, tmp_path):
+        from qvmart.cli import main
+
+        out = tmp_path / "sweep"
+        assert main(["counterexample", "sweep", "--bundles", "60", "--eps", "0.01",
+                     "--steps", "32", "--log-steps", "64", "--seed", "2",
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "sweep.json").read_text())["entries"]
+        terms = json.loads((out / "bound_terms.json").read_text())
+        zero = [e for e in entries if e["strategy"].endswith("(+0)")]
+        assert len(zero) == 3
+        for e in zero:
+            assert repr(e["estimate"]) == "0.0" and repr(e["stderr"]) == "0.0"
+        zero_terms = [t for t in terms if t["strategy"].endswith("(+0)")]
+        assert len(zero_terms) == 3
+        for t in zero_terms:
+            for k in ("exp_term", "exp_stderr", "jump_term", "jump_stderr"):
+                assert repr(t[k]) == "0.0", (t["strategy"], k)
+            assert t["supermartingale_mean"] == 1.0
+        for name in ("sweep.json", "bound_terms.json"):
+            assert not re.search(r"-0\.0(?![0-9e])", (out / name).read_text()), name
+        # and per bundle, before any averaging
+        family = default_sweep_family()
+        zero_members = [m for m in family if m.name.endswith("(+0)")]
+        for p in cx._family_pass(zero_members, self.fresh(40)):
+            assert not np.signbit(p.cont).any() and not np.signbit(p.jump).any(), p.member.name
+            assert (p.supermartingale == 1.0).all()
+
+    def test_bound_and_margin_checked_past_the_probe_rows(self):
+        # zero on the probe rows, 0.5 (1 - t) later: inside the band, but
+        # outside a bound of 0.4 and outside the margin (1 - 0.9)(1 - t)
+        from qvmart.strategy import BandStrategy
+
+        def fn(ens, ctx):
+            rows = np.arange(ens.n_paths)[:, None] >= 3
+            return np.where(rows, 1.0 - ens.grid.points[:-1], 0.0)
+
+        ens = self.fresh(50)
+        with pytest.raises(ContractViolation, match="declared bound"):
+            utility_sweep([GridRuleStrategy("late", 0.4, fn, scale=0.5)], ens, 1e-2)
+        late = BandStrategy(GridRuleStrategy("late", 0.5, fn, scale=0.5), 0.9)
+        with pytest.raises(ContractViolation, match="margin"):
+            utility_sweep([late], ens, 1e-2)
+        ok = BandStrategy(late.strategy, 0.5)
+        assert utility_sweep([ok], ens, 1e-2).n_ruined_strategies == 0
 
     def test_same_name_different_rule_not_shared(self):
         ens = self.fresh()

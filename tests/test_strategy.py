@@ -368,6 +368,73 @@ class TestBandCheck:
         np.testing.assert_array_equal(base[: k + 1], after[: k + 1])
 
 
+class TestBandProfiles:
+    """The band rules are ``scale * unit shape``; their profiles are byte for
+    byte the closed forms with ``c`` inside, written out here."""
+
+    CS = (-0.9, -0.675, -0.45, -0.225, 0.0, 0.225, 0.45, 0.675, 0.9)
+
+    @staticmethod
+    def data():
+        from qvmart.simulate import gen_bundles, make_insider_grid
+
+        ens = gen_bundles(SeedStream(4), 6, make_insider_grid(1e-2, 32, 64), 1e-2, 1.0)
+        insider = ens.b1.copy()
+        driver = ens.b.copy()
+        insider[1] = 0.0  # a tie b1 == 0
+        driver[2, 10:20] = insider[2]  # ties gap == 0
+        return ens, insider, driver
+
+    @pytest.mark.parametrize("c", CS)
+    def test_scaled_shapes_equal_closed_forms(self, c):
+        ens, insider, driver = self.data()
+        one_minus_t = 1.0 - ens.grid.points[:-1]
+        s = np.where(insider >= 0, 1.0, -1.0)
+        row = c * one_minus_t
+        closed = {
+            band_fraction_strategy: c * one_minus_t,
+            insider_sign_band: (c * s)[:, None] * one_minus_t,
+            insider_switch_band: np.where(insider[:, None] - driver[:, :-1] >= 0, row, -row),
+        }
+        for build, want in closed.items():
+            strat = build(c)
+            assert strat.strategy.scale == c
+            got = pi_for_ensemble(strat, ens, insider=insider, driver=driver)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), strat.name
+
+    def test_coefficients_share_one_shape(self):
+        for build in (band_fraction_strategy, insider_sign_band, insider_switch_band):
+            assert len({build(c).strategy.fn for c in self.CS}) == 1
+
+
+class TestMargin:
+    """A band strategy's profile is held to ``(1 - margin)(1 - t)``."""
+
+    def test_margin_violation_rejected(self):
+        strat = load_strategy({"rule_id": "band_fraction", "params": {"c": 0.5}, "margin": 0.9})
+        with pytest.raises(ContractViolation, match="margin"):
+            evaluate(strat, linear_path())
+
+    def test_margin_at_its_edge_accepted(self):
+        # (1 - margin)(1 - t) == c (1 - t) up to rounding, inside the 1e-12 slack
+        for c in (-0.9, -0.675, 0.225, 0.45):
+            evaluate(band_fraction_strategy(c, 1.0 - abs(c)), linear_path())
+
+    def test_margin_checked_on_every_row(self):
+        from qvmart.strategy import GridRuleStrategy
+
+        def fn(ens, ctx):
+            return np.where(np.arange(ens.n_paths)[:, None] == 1, 0.5, 0.0) * (
+                1.0 - ens.grid.points[:-1])
+
+        g = TimeGrid.dyadic(3)
+        strat = BandStrategy(GridRuleStrategy("row1", 0.5, fn), 0.9)
+        ens = Ensemble(g, np.zeros((2, g.points.size)), None, "x")
+        with pytest.raises(ContractViolation, match="margin"):
+            pi_for_ensemble(strat, ens)
+        pi_for_ensemble(BandStrategy(strat.strategy, 0.5), ens)
+
+
 class TestShares:
     def test_zero_proportion(self):
         assert shares_from_proportion(0.0, 100.0, 50.0) == 0.0

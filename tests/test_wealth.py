@@ -16,7 +16,7 @@ from qvmart.wealth import (
     stoch_exp_jumps,
     terminal_log_wealth_jumps,
 )
-from qvmart.wealth import _log_wealth_terms
+from qvmart.wealth import _log_wealth_terms, _shape_moments
 
 
 def brownian(seed, level):
@@ -226,7 +226,8 @@ class TestLogUtility:
 
 
 class TestRowBlockedKernel:
-    """The row-blocked log-wealth kernel against whole-matrix sums written out here."""
+    """The row-blocked log-wealth and moment kernels against whole-matrix sums
+    written out here."""
 
     CELLS = 2048
     ROWS = _CHUNK_CELLS // CELLS  # rows per block
@@ -250,9 +251,8 @@ class TestRowBlockedKernel:
     @pytest.mark.parametrize("jumps", [False, True], ids=["jump-free", "jumps"])
     def test_bit_equal_to_whole_matrix_sums(self, n_paths, shared, jumps):
         pi, ci, dq, jp, jc, js, dh = self.data(n_paths, shared, jumps)
-        cont, jump, wiped, sm = _log_wealth_terms(pi, ci, dq, jp, jc, js, dh)
+        cont, jump, wiped = _log_wealth_terms(pi, ci, dq, jp, jc, js)
         assert cont.tobytes() == np.sum(pi * ci - 0.5 * pi * pi * dq, axis=1).tobytes()
-        assert sm.tobytes() == np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1)).tobytes()
         ref_jump, ref_wiped = np.zeros(n_paths), np.zeros(n_paths, dtype=bool)
         pm = np.broadcast_to(pi, ci.shape)
         for p, c, z in zip(jp, jc, js):
@@ -264,4 +264,14 @@ class TestRowBlockedKernel:
         assert jump.tobytes() == ref_jump.tobytes()
         assert wiped.tobytes() == ref_wiped.tobytes()
         assert ref_wiped.any() == jumps  # the mask is exercised
-        assert _log_wealth_terms(pi, ci, dq, jp, jc, js)[3] is None
+
+    @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
+    @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
+    def test_moments_bit_equal_to_whole_matrix_sums(self, n_paths, shared):
+        x, ci, dq, _, _, _, dh = self.data(n_paths, shared, False)
+        moments = _shape_moments(x, ci, dq, dh)
+        ref = [np.sum(x * ci, axis=1), np.sum(x * x * dq, axis=1),
+               np.sum(x * dh, axis=1), np.sum(x * x * (dh * dh), axis=1)]
+        assert moments.shape == (4, n_paths)
+        for got, want in zip(moments, ref):
+            assert got.tobytes() == want.tobytes()
