@@ -181,13 +181,19 @@ def _cmd_qv(args) -> int:
     return 0
 
 
+def _one_strategy(path: str):
+    """The one strategy a file describes; a list of them is refused."""
+    strat = load_strategy_file(path)
+    if isinstance(strat, list):
+        raise ValueError(f"{path} lists strategies; this command evaluates one at a time")
+    return strat
+
+
 def _cmd_wealth(args) -> int:
     out = Path(args.out)
     cfg = _record(args)
     ens = load_ensemble(cfg["in"])
-    strat = load_strategy_file(cfg["strategy"])
-    if isinstance(strat, list):
-        raise ConfigurationError("the wealth command evaluates one strategy at a time")
+    strat = _one_strategy(cfg["strategy"])
     w, dead = stoch_exp_ensemble(pi_for_ensemble(strat, ens), ens)
     w1 = w[:, -1]
     _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
@@ -332,7 +338,7 @@ def _cmd_counterexample(args) -> int:
     # divergence generates at its smallest cutoff; band and sweep at --eps
     gen_eps = min(cfg["eps_list"]) if args.action == "divergence" else cfg["eps"]
     grid = make_insider_grid(gen_eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
-    strat = load_strategy_file(cfg["strategy"]) if args.action == "band" else None
+    strat = _one_strategy(cfg["strategy"]) if args.action == "band" else None
     bundles = gen_bundles(stream, cfg["bundles"], grid, gen_eps, cfg["rate"])
     if args.action == "divergence":
         rows = cx.insider_drift_divergence(bundles, cfg["eps_list"])

@@ -1,14 +1,14 @@
 """Numerical stress checks for the insider jump model.
 
 Covers four mechanisms: routing a signed Poisson difference through a
-predictable +-1 switch yields two fresh independent Poisson processes;
-any strategy stepping outside the open band |pi_t| < 1 - t is wiped out
-with probability bounded away from zero; expected log utility stays
-bounded over admissible insider strategies as the singular-time
-truncation refines; and the finite-variation part the insider extracts
-from the Gaussian martingale grows without bound as |log eps|^(1/3),
-the signature that no decomposition survives the information
-enlargement.
+predictable +-1 switch (a strategy profile, read in each jump's cell)
+yields two fresh independent Poisson processes; any strategy stepping
+outside the open band |pi_t| < 1 - t is wiped out with probability
+bounded away from zero; expected log utility stays bounded over
+admissible insider strategies as the singular-time truncation refines;
+and the finite-variation part the insider extracts from the Gaussian
+martingale grows without bound as |log eps|^(1/3), the signature that
+no decomposition survives the information enlargement.
 
 ``utility_sweep`` and ``utility_bound_terms_family`` read one shared pass
 per family member: its band probe and four per-bundle columns (the
@@ -22,9 +22,9 @@ member.  Jump sums and wipe-out masks are bit for bit those of the
 member's own profile; continuous sums and supermartingale columns agree
 with per-member sums within 1e-12 (absolute, resp. relative).  A pass
 is reused only for the same ``BundleEnsemble`` object and the same
-strategy object; a plain sequence of bundles is stacked anew on every
-call, so nothing is reused for it.  Reuse relies on what the strategy
-protocol requires: a rule is a pure function of ``(ensemble, ctx)``.
+strategy object; every public entry point takes a ``BundleEnsemble``
+and refuses anything else.  Reuse relies on what the strategy protocol
+requires: a rule is a pure function of ``(ensemble, ctx)``.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .errors import ContractViolation
 from .path_core import _CHUNK_CELLS, TimeGrid, _mean_stderr
 from .simulate import (
     BundleEnsemble,
-    PathBundle,
     SeedStream,
     _build_bundles,
     make_insider_grid,
     sigma_profile_vec,
 )
-from .strategy import BandReport, BandStrategy, EvalContext, band_check, pi_for_ensemble
+from .strategy import BandReport, BandStrategy, EvalContext, GridRuleStrategy, Leg
+from .strategy import SimpleStrategy, band_check, const_strategy, pi_for_ensemble
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
 from .strategy import _as_rule, _check_bound, _check_margin
 from .wealth import UtilityReport, log_utility_from_terminals
@@ -94,14 +94,9 @@ class FlipDecomposition:
 
     def reconstructs(self) -> bool:
         """Check plus - minus against the switch applied to the raw difference."""
-        lhs = {t: +1.0 for t in self.plus_times}
-        lhs.update({t: -1.0 for t in self.minus_times})
-        rhs = {}
         beta = dict(self.beta_at_jumps)
-        for t in self.n1_times:
-            rhs[t] = beta[t] * (+1.0)
-        for t in self.n2_times:
-            rhs[t] = beta[t] * (-1.0)
+        lhs = {**{t: 1.0 for t in self.plus_times}, **{t: -1.0 for t in self.minus_times}}
+        rhs = {**{t: beta[t] for t in self.n1_times}, **{t: -beta[t] for t in self.n2_times}}
         return lhs == rhs
 
 
@@ -125,47 +120,32 @@ def flip_decompose(
             raise ContractViolation(f"switch value at t={t} is {b!r}, not +-1")
         betas.append((t, b))
         (plus if b * sign > 0 else minus).append(t)
-    return FlipDecomposition(
-        tuple(betas), tuple(plus), tuple(minus), tuple(n1_times), tuple(n2_times)
-    )
+    return FlipDecomposition(tuple(betas), tuple(plus), tuple(minus),
+                             tuple(n1_times), tuple(n2_times))
 
 
-def beta_const(value: float):
+def beta_const(value: float) -> SimpleStrategy:
     """Constant switch; value must be +-1."""
-
-    def factory(bundle: PathBundle):
-        return lambda t: value
-
-    return factory
+    return const_strategy(value)
 
 
-def beta_switch_at(t0: float):
-    """Deterministic switch: +1 on [0, t0], -1 afterwards."""
-
-    def factory(bundle: PathBundle):
-        return lambda t: 1.0 if t <= t0 else -1.0
-
-    return factory
+def beta_switch_at(t0: float) -> SimpleStrategy:
+    """Deterministic switch: +1 on (0, t0], -1 afterwards; t0 must be a grid time."""
+    legs = (Leg(until=t0, value=1.0), Leg(until=1.0, value=-1.0))
+    return SimpleStrategy(legs, bound=1.0, name=f"switch_at({t0:g})")
 
 
-def beta_prefix_sign():
-    """Switch by the sign of the combined path level just before each jump.
+def _prefix_sign(ensemble, ctx: EvalContext) -> np.ndarray:
+    return np.where(ensemble.values[:, :-1] >= 0, 1.0, -1.0)
 
-    Uses the level at the last grid point strictly before t, so the
+
+def beta_prefix_sign() -> GridRuleStrategy:
+    """Switch by the sign of the combined path level at each cell's left end.
+
+    A jump in cell (t_k, t_{k+1}] is routed by the level at t_k, so the
     switch never reads the jump it routes.
     """
-
-    def factory(bundle: PathBundle):
-        pts = bundle.grid.points
-        vals = bundle.s.values
-
-        def beta(t: float) -> float:
-            k = int(np.searchsorted(pts, t, side="left")) - 1
-            return 1.0 if vals[max(k, 0)] >= 0 else -1.0
-
-        return beta
-
-    return factory
+    return GridRuleStrategy("prefix_sign", 1.0, _prefix_sign)
 
 
 @dataclass(frozen=True)
@@ -196,14 +176,9 @@ def _poisson_chi2_p(counts: np.ndarray, rate: float) -> float:
     """Goodness of fit against Poisson(rate) with bins {0, 1, 2, >=3}."""
     from scipy import stats
 
-    edges = [0, 1, 2]
-    probs = [stats.poisson.pmf(k, rate) for k in edges]
-    probs.append(1.0 - sum(probs))
-    obs = np.array(
-        [np.sum(counts == 0), np.sum(counts == 1), np.sum(counts == 2), np.sum(counts >= 3)],
-        dtype=float,
-    )
-    exp = counts.size * np.array(probs)
+    probs = stats.poisson.pmf([0, 1, 2], rate)
+    exp = counts.size * np.append(probs, 1.0 - probs.sum())
+    obs = np.bincount(np.minimum(counts, 3).astype(int), minlength=4)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     return float(stats.chi2.sf(stat, df=len(obs) - 1))
 
@@ -211,12 +186,17 @@ def _poisson_chi2_p(counts: np.ndarray, rate: float) -> float:
 def poisson_flip_test(
     stream: SeedStream,
     n_samples: int,
-    beta_factory,
+    switch,
     rate: float = 1.0,
     eps: float = 1e-2,
     grid: TimeGrid | None = None,
 ) -> PoissonFlipReport:
     """Replicate the flip over fresh bundles and test the resulting pair.
+
+    ``switch`` is a strategy: its profile must be +-1 in the cell of
+    every raw jump, and a jump at t in (t_k, t_{k+1}] is routed by the
+    value of cell k, decided at t_k, as ``flip_decompose`` routes one
+    bundle's jumps.  Bundles are generated and profiled a chunk at a time.
 
     Checks: unit-interval counts of both flipped processes fit
     Poisson(rate); their jump-time sets never intersect; their counts
@@ -227,41 +207,49 @@ def poisson_flip_test(
         raise ContractViolation("need at least one sample")
     if grid is None:
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
-    plus_counts = np.empty(n_samples)
-    minus_counts = np.empty(n_samples)
-    exactly_one_minus = 0
-    common = 0
+    plus_counts, minus_counts, common = np.empty(n_samples), np.empty(n_samples), 0
     # bundle i is gen_counterexample(..., index=i), generated a chunk at a time
     rows = max(1, _CHUNK_CELLS // grid.points.size)
     for lo in range(0, n_samples, rows):
         chunk = _build_bundles(stream, grid, eps, rate, range(lo, min(lo + rows, n_samples)))
-        for i, bundle in enumerate(chunk, lo):
-            flip = flip_decompose(beta_factory(bundle), bundle.n1_times, bundle.n2_times)
-            plus_counts[i] = len(flip.plus_times)
-            minus_counts[i] = len(flip.minus_times)
-            exactly_one_minus += len(flip.minus_times) == 1
-            common += bool(set(flip.plus_times) & set(flip.minus_times))
-    if np.std(plus_counts) == 0 or np.std(minus_counts) == 0:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(plus_counts, minus_counts)[0, 1])
-    return PoissonFlipReport(
-        n_samples=n_samples,
-        rate=rate,
-        chi2_p_plus=_poisson_chi2_p(plus_counts, rate),
-        chi2_p_minus=_poisson_chi2_p(minus_counts, rate),
-        n_common_jump_times=common,
-        count_correlation=corr,
-        p_exactly_one_minus=float(exactly_one_minus / n_samples),
-    )
+        n, lists = len(chunk), chunk.n1_times + chunk.n2_times
+        times = np.array([t for ts in lists for t in ts], dtype=float)
+        k = np.repeat(np.arange(2 * n), [len(ts) for ts in lists])  # N1 lists, then N2's
+        row, source = k % n, np.where(k < n, 1.0, -1.0)
+        cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
+        beta = np.broadcast_to(_pi_matrix(switch, chunk), (n, grid.n_steps))[row, cell]
+        # each bundle's jumps in time order: a time twice must come from one
+        # source, and is then routed one way, as the common-time count checks
+        key = np.lexsort((times, row))
+        twice = (np.diff(row[key]) == 0) & (np.diff(times[key]) == 0)
+        if np.any(twice & (np.diff(source[key]) != 0)):
+            raise ContractViolation("the two jump-time lists must be disjoint")
+        if np.any(bad := np.abs(beta) != 1.0):
+            i = bad.argmax()
+            raise ContractViolation(f"switch value at t={times[i]} is {float(beta[i])!r}, not +-1")
+        plus = beta * source > 0
+        common += np.unique(row[key][1:][twice & np.diff(plus[key])]).size
+        plus_counts[lo:lo + n] = np.bincount(row[plus], minlength=n)
+        minus_counts[lo:lo + n] = np.bincount(row[~plus], minlength=n)
+    flat = np.std(plus_counts) == 0 or np.std(minus_counts) == 0
+    corr = 0.0 if flat else float(np.corrcoef(plus_counts, minus_counts)[0, 1])
+    return PoissonFlipReport(n_samples, rate, _poisson_chi2_p(plus_counts, rate),
+                             _poisson_chi2_p(minus_counts, rate), common, corr,
+                             int(np.count_nonzero(minus_counts == 1)) / n_samples)
 
 
 # ---------------------------------------------------------------------------
 # Wealth over bundles
 # ---------------------------------------------------------------------------
 #
-# The public functions below take a BundleEnsemble or any sequence of
-# PathBundle; a plain sequence is stacked once on entry.
+# The public functions below take a BundleEnsemble and nothing else.
+
+def _bundles(ens) -> BundleEnsemble:
+    """``ens`` itself; anything but a ``BundleEnsemble`` is refused."""
+    if not isinstance(ens, BundleEnsemble):
+        raise ContractViolation(f"expected a BundleEnsemble, got {type(ens).__name__}")
+    return ens
+
 
 def _pi_matrix(strategy, ens: BundleEnsemble) -> np.ndarray:
     """Profiles of every bundle: a shared row, or one row per bundle."""
@@ -301,8 +289,9 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
     """Each member's pass on ``ens``, in family order, up to and including
     the first inadmissible member.
 
-    A member is probed and summed once per ensemble object: later calls
-    with the same strategy object read the stored columns.  New members
+    A member is probed and summed once per ensemble object (the public
+    entry points pass only ``BundleEnsemble`` objects): later calls with
+    the same strategy object read the stored columns.  New members
     are probed in family order, then grouped by rule shape (``fn`` and
     its flags): each group's unit shape x is evaluated and summed once,
     and each member applies its ``scale`` c.  Bound and margin are
@@ -353,9 +342,7 @@ class NegativeWealthReport:
     n_nonpositive: int
 
 
-def negative_wealth_probability(
-    strategy, bundles: Sequence[PathBundle]
-) -> NegativeWealthReport:
+def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWealthReport:
     """Empirical ruin probability of a band-violating strategy.
 
     Errors out when the strategy is actually admissible (the probe is
@@ -365,12 +352,11 @@ def negative_wealth_probability(
     """
     from scipy import stats
 
-    ens = BundleEnsemble.from_bundles(bundles)
+    ens = _bundles(bundles)
     report = _band_probe(strategy, ens)
     if report.admissible:
-        raise ContractViolation(
-            "strategy respects the open band |pi_t| < 1 - t; ruin probe is misconfigured"
-        )
+        raise ContractViolation("strategy respects the open band |pi_t| < 1 - t; "
+                                "ruin probe is misconfigured")
     n = len(ens)
     pj = _at_jumps(_pi_matrix(strategy, ens), ens.jump_path, ens.jump_cell)
     _, wiped = _jump_terms(pj, ens.jump_path, ens.jump_size, n)
@@ -390,11 +376,6 @@ class SweepReport:
     running_max: float
     running_max_stderr: float
     n_ruined_strategies: int
-
-    @property
-    def c_hat(self) -> float:
-        """The empirical utility bound this family exhibits."""
-        return self.running_max
 
     def as_dict(self) -> dict:
         return {
@@ -422,7 +403,7 @@ def default_sweep_family(
 
 
 def utility_sweep(
-    family: Sequence[BandStrategy], bundles: Sequence[PathBundle], eps: float
+    family: Sequence[BandStrategy], bundles: BundleEnsemble, eps: float
 ) -> SweepReport:
     """Expected log utility per admissible strategy, with the family max.
 
@@ -430,7 +411,7 @@ def utility_sweep(
     violating member is rejected outright since its utility is -inf by
     the wipe-out mechanism, not a candidate for the supremum.
     """
-    ens = BundleEnsemble.from_bundles(bundles)
+    ens = _bundles(bundles)
     entries: list[tuple[str, UtilityReport]] = []
     best = -np.inf
     best_se = float("nan")
@@ -475,7 +456,7 @@ class BoundTerms:
         return self.supermartingale_mean <= 1.0 + 3.0 * self.supermartingale_stderr
 
 
-def utility_bound_terms(strategy, bundles: Sequence[PathBundle]) -> BoundTerms:
+def utility_bound_terms(strategy, bundles: BundleEnsemble) -> BoundTerms:
     """Estimate the two log-wealth components of an admissible strategy.
 
     The jump term averages sum log(1 + pi dS) over jumps and must be
@@ -487,12 +468,10 @@ def utility_bound_terms(strategy, bundles: Sequence[PathBundle]) -> BoundTerms:
     return utility_bound_terms_family([strategy], bundles)[0]
 
 
-def utility_bound_terms_family(
-    family: Sequence, bundles: Sequence[PathBundle]
-) -> list[BoundTerms]:
+def utility_bound_terms_family(family: Sequence, bundles: BundleEnsemble) -> list[BoundTerms]:
     """Bound terms for a whole family, read from the pass ``utility_sweep``
     shares on the same ensemble."""
-    ens = BundleEnsemble.from_bundles(bundles)
+    ens = _bundles(bundles)
     passes = _family_pass(family, ens)
     if passes and not passes[-1].probe.admissible:
         raise ContractViolation("bound terms are defined for admissible strategies only")
@@ -532,7 +511,7 @@ class DivergenceRow:
 
 
 def insider_drift_divergence(
-    bundles: Sequence[PathBundle], eps_list: Sequence[float]
+    bundles: BundleEnsemble, eps_list: Sequence[float]
 ) -> list[DivergenceRow]:
     """Monte-Carlo total variation of the insider drift per cutoff.
 
@@ -540,25 +519,15 @@ def insider_drift_divergence(
     bundles, so the column is increasing by construction; the growth law
     against the closed form is the divergence signature.
     """
-    ens = BundleEnsemble.from_bundles(bundles)
-    grid = ens.grid
+    ens = _bundles(bundles)
     if min(eps_list) < ens.eps:
         raise ContractViolation("bundles were generated with a coarser truncation")
-    pts = grid.points
-    t_left = pts[:-1]
-    w = sigma_profile_vec(t_left) / (1.0 - t_left) * grid.dt
-    b_vals = ens.b
-    b1 = b_vals[:, -1]
-    x = np.abs(b1[:, None] - b_vals[:, :-1]) * w
-    cum = np.cumsum(x, axis=1)
-    n = len(ens)
+    pts = ens.grid.points
+    w = sigma_profile_vec(pts[:-1]) / (1.0 - pts[:-1]) * ens.grid.dt
+    cum = np.cumsum(np.abs(ens.b1[:, None] - ens.b[:, :-1]) * w, axis=1)
     rows = []
     for eps in sorted(eps_list, reverse=True):
         k_cut = int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1
-        if k_cut < 1:
-            tv = np.zeros(n)
-        else:
-            tv = cum[:, k_cut - 1]
-        mean, se = _mean_stderr(tv)
-        rows.append(DivergenceRow(float(eps), mean, se, drift_variation_closed_form(eps)))
+        tv = cum[:, k_cut - 1] if k_cut >= 1 else np.zeros(len(ens))
+        rows.append(DivergenceRow(float(eps), *_mean_stderr(tv), drift_variation_closed_form(eps)))
     return rows

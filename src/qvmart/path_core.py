@@ -455,32 +455,36 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
 def load_ensemble(in_dir: str | Path) -> Ensemble:
     """Read an ensemble that ``save_ensemble`` wrote.
 
-    A CSV ensemble whose manifest lists no paths, or whose paths do not
-    share one grid, raises ValueError.
+    Malformed stored data raises ValueError naming the directory: a
+    manifest listing no paths, paths off one grid, a grid not spanning
+    [0, 1], or a jump off the grid.
     """
     src = Path(in_dir)
     manifest = json.loads((src / "ensemble_manifest.json").read_text())
-    if manifest.get("format") == "json":
-        payload = json.loads((src / "ensemble.json").read_text())
-        grid = TimeGrid(np.array(payload["points"], dtype=float))
-        values = np.array([p["values"] for p in payload["paths"]], dtype=float)
-        jump_lists = [p["jumps"] for p in payload["paths"]]
-    else:
-        if manifest["n_paths"] < 1:
-            raise ValueError(f"{src} lists no paths")
-        paths = []
-        for i in range(manifest["n_paths"]):
-            body = (src / f"path_{i:05d}.csv").read_text()
-            jfile = src / f"path_{i:05d}.jumps.csv"
-            jbody = jfile.read_text() if jfile.exists() else None
-            paths.append(path_from_csv(body, jbody))
-            if not np.array_equal(paths[i].grid.points, paths[0].grid.points):
-                raise ValueError(f"path_{i:05d}.csv is not on the grid of path_00000.csv")
-        grid = paths[0].grid
-        values = np.stack([p.values for p in paths])
-        jump_lists = [p.jumps for p in paths]
-    return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"],
-                    **_flat_jumps(grid, jump_lists))
+    try:
+        if manifest.get("format") == "json":
+            payload = json.loads((src / "ensemble.json").read_text())
+            grid = TimeGrid(np.array(payload["points"], dtype=float))
+            values = np.array([p["values"] for p in payload["paths"]], dtype=float)
+            jump_lists = [p["jumps"] for p in payload["paths"]]
+        else:
+            if manifest["n_paths"] < 1:
+                raise ValueError(f"{src} lists no paths")
+            paths = []
+            for i in range(manifest["n_paths"]):
+                body = (src / f"path_{i:05d}.csv").read_text()
+                jfile = src / f"path_{i:05d}.jumps.csv"
+                jbody = jfile.read_text() if jfile.exists() else None
+                paths.append(path_from_csv(body, jbody))
+                if not np.array_equal(paths[i].grid.points, paths[0].grid.points):
+                    raise ValueError(f"path_{i:05d}.csv is not on the grid of path_00000.csv")
+            grid = paths[0].grid
+            values = np.stack([p.values for p in paths])
+            jump_lists = [p.jumps for p in paths]
+        return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"],
+                        **_flat_jumps(grid, jump_lists))
+    except ContractViolation as exc:
+        raise ValueError(f"{src} holds a malformed ensemble: {exc}") from exc
 
 
 def _atomic_write(target: Path, text: str) -> None:

@@ -16,6 +16,7 @@ Brownian ensembles are then built as one matrix, stage by stage.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -655,8 +656,9 @@ class BundleEnsemble(Ensemble, Sequence):
     martingale M; ``b1`` holds each row's terminal driver value.  The raw
     Poisson times and the two snapping flags are kept per row.
 
-    The ensemble is also a sequence of ``PathBundle``: indexing builds the
-    bundle of one row, whose paths are read-only views into the matrices.
+    The ensemble is also a sequence of ``PathBundle``: an integer index
+    builds the bundle of one row, whose paths are read-only views into
+    the matrices.
     """
 
     eps: float
@@ -674,44 +676,11 @@ class BundleEnsemble(Ensemble, Sequence):
         for a in (self.b, self.m, self.b1, self.late_jump_capped, self.snap_collision):
             a.setflags(write=False)
 
-    @classmethod
-    def from_bundles(cls, bundles: Sequence[PathBundle]) -> "BundleEnsemble":
-        """``bundles`` itself when it is an ensemble, else its bundles stacked once.
-
-        A ``PathBundle`` does not record the seed it was drawn from, so a
-        stacked ensemble's ``master_seed`` is None.
-        """
-        if isinstance(bundles, cls):
-            return bundles
-        if not bundles:
-            raise ContractViolation("need at least one bundle")
-        first = bundles[0]
-        grid = first.grid
-        for x in bundles:
-            if x.grid is not grid and not np.array_equal(x.grid.points, grid.points):
-                raise ContractViolation("bundles must share one grid")
-            if x.eps != first.eps or x.rate != first.rate:
-                raise ContractViolation("bundles must share one eps and one rate")
-        return cls(
-            grid, np.stack([x.s.values for x in bundles]), None, "counterexample",
-            **_flat_jumps(grid, [x.s.jumps for x in bundles]),
-            eps=first.eps, rate=first.rate,
-            b=np.stack([x.b.values for x in bundles]),
-            m=np.stack([x.m.values for x in bundles]),
-            b1=np.array([x.b1 for x in bundles], dtype=float),
-            n1_times=tuple(x.n1_times for x in bundles),
-            n2_times=tuple(x.n2_times for x in bundles),
-            late_jump_capped=np.array([x.late_jump_capped for x in bundles], dtype=bool),
-            snap_collision=np.array([x.snap_collision for x in bundles], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return self.n_paths
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]
+    def __getitem__(self, i: int) -> PathBundle:
+        i = range(len(self))[operator.index(i)]  # a slice raises TypeError
         grid = self.grid
         return PathBundle(
             grid=grid,

@@ -486,10 +486,11 @@ def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
 def _leg_from_json(obj: dict) -> Leg:
     until = obj["until"]
     if isinstance(until, dict):
+        default = until.get("default")
         until = HitRule(
             metric=until.get("metric", "level_or_qv"),
             threshold=float(until["threshold"]),
-            default=until.get("default"),
+            default=None if default is None else float(default),
         )
     rid = obj.get("rule_id", "const")
     params = obj.get("params", {})
@@ -534,8 +535,12 @@ def load_strategy(obj: dict):
 
 
 def load_strategy_file(path: str | Path):
-    """Load one strategy or a list of strategies from a JSON file."""
+    """Load one strategy or a list of them from a JSON file; JSON of the
+    wrong shape raises ValueError naming the file."""
     obj = json.loads(Path(path).read_text())
-    if isinstance(obj, list):
-        return [load_strategy(o) for o in obj]
-    return load_strategy(obj)
+    try:
+        if isinstance(obj, list):
+            return [load_strategy(o) for o in obj]
+        return load_strategy(obj)
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{path} is not a strategy description: {exc}") from exc

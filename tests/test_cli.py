@@ -287,6 +287,37 @@ def inputs(tmp_path_factory):
                  "--out", str(d / "offgrid")]) == 0
     p1 = d / "offgrid" / "path_00001.csv"
     p1.write_text(p1.read_text().replace("0.25,", "0.2,"))
+    # malformed strategy files: JSON of the wrong shape at each level
+    bad_strategies = {
+        "str": "hello", "num": 3, "list-of-num": [1, 2],
+        "legs-str": {"name": "x", "legs": "abc"},
+        "params-list": {"name": "x", "rule_id": "const", "params": [1]},
+        "until-null": {"name": "x", "legs": [{"until": None, "rule_id": "const"}]},
+        "margin-str": {"name": "x", "rule_id": "const", "params": {"value": 0.5},
+                       "margin": "a"},
+        "default-str": {"name": "x", "legs": [{"until": {"threshold": 0.3, "default": "x"}},
+                                              {"until": 1.0}]},
+    }
+    for name, obj in bad_strategies.items():
+        (d / f"bad-{name}.json").write_text(json.dumps(obj))
+    # malformed stored ensembles: no JSON paths, jumps off the grid, a grid
+    # not spanning [0, 1], a header-only path file
+    for name, model, fmt in (("json-empty", "brownian", "json"), ("span", "brownian", "csv"),
+                             ("header", "brownian", "csv"), ("jump-csv", "counterexample", "csv"),
+                             ("jump-json", "counterexample", "json")):
+        assert main(["simulate", "--model", model, "--paths", "2", "--steps", "4",
+                     "--log-steps", "8", "--eps", "0.01", "--format", fmt,
+                     "--out", str(d / name)]) == 0
+    for name, edit in (("json-empty", lambda obj: obj.update(paths=[])),
+                       ("jump-json", lambda obj: obj["paths"][0].update(jumps=[[0.123, 1.0]]))):
+        f = d / name / "ensemble.json"
+        obj = json.loads(f.read_text())
+        edit(obj)
+        f.write_text(json.dumps(obj))
+    p0 = d / "span" / "path_00000.csv"
+    p0.write_text(p0.read_text().replace("\n1.0,", "\n0.9,"))
+    (d / "header" / "path_00000.csv").write_text("t,value\n")
+    (d / "jump-csv" / "path_00000.jumps.csv").write_text("t,jump_size\n0.123,1.0\n")
     # two finished runs for report to summarise
     assert main(["qv", "--in", str(d / "sim"), "--out", str(d / "qv")]) == 0
     assert main(["counterexample", "poisson-lemma", "--samples", "50", "--seed", "4",
@@ -297,7 +328,10 @@ def inputs(tmp_path_factory):
             "strategies": str(d / "strategies.json"),
             "cx_csv": str(d / "cx-csv"), "cx_json": str(d / "cx-json"),
             "empty": str(d / "empty"), "offgrid": str(d / "offgrid"),
-            "qv": str(d / "qv"), "pl": str(d / "pl")}
+            "qv": str(d / "qv"), "pl": str(d / "pl"),
+            **{f"bad_{k.replace('-', '_')}": str(d / f"bad-{k}.json") for k in bad_strategies},
+            **{f"stored_{k.replace('-', '_')}": str(d / k)
+               for k in ("json-empty", "span", "header", "jump-csv", "jump-json")}}
 
 
 _BUNDLES = ["--bundles", "40", "--steps", "32", "--log-steps", "64", "--seed", "6"]
@@ -398,6 +432,11 @@ def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
     assert (tmp_path / "w" / "w1.csv").read_text() == "\n".join(lines) + "\n"
 
 
+_BAD_STRATEGIES = ("str", "num", "list_of_num", "legs_str", "params_list", "until_null",
+                   "margin_str", "default_str")
+_BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json")
+
+
 @pytest.mark.parametrize("argv", [
     ["qv", "--levels", "8,x"],
     ["wealth", "--in", "{sim}-missing", "--strategy", "{half}"],
@@ -407,8 +446,14 @@ def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
     ["qv", "--in", "{offgrid}"],
     ["qv", "--levels", "40"],
     ["qv", "--levels", "-1"],
+    *(["wealth", "--in", "{sim}", "--strategy", f"{{bad_{k}}}"] for k in _BAD_STRATEGIES),
+    ["wealth", "--in", "{sim}", "--strategy", "{strategies}"],
+    ["counterexample", "band", "--strategy", "{strategies}", *_BUNDLES],
+    *(["qv", "--in", f"{{stored_{k}}}"] for k in _BAD_STORED),
 ], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list",
-        "qv-no-paths", "qv-off-grid-path", "qv-level-too-fine", "qv-level-negative"])
+        "qv-no-paths", "qv-off-grid-path", "qv-level-too-fine", "qv-level-negative",
+        *(f"strategy-{k}" for k in _BAD_STRATEGIES), "wealth-strategy-list",
+        "band-strategy-list", *(f"stored-{k}" for k in _BAD_STORED)])
 def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     argv = [a.format(**inputs) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

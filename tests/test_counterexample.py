@@ -2,7 +2,6 @@
 difference, the ruin mechanism outside the admissibility band, bounded
 log utility over insider strategies, and the drift-variation divergence."""
 
-import gc
 import json
 import re
 from dataclasses import asdict
@@ -93,17 +92,73 @@ class TestFlipDecompose:
 
 class TestPoissonFlip:
     @pytest.mark.parametrize(
-        "factory", [beta_const(1.0), beta_switch_at(0.5), beta_prefix_sign()],
+        "switch", [beta_const(1.0), beta_switch_at(0.5), beta_prefix_sign()],
         ids=["const", "switch", "prefix-sign"],
     )
-    def test_flipped_pair_is_fresh_poisson(self, factory):
-        rep = poisson_flip_test(SeedStream(11), 4000, factory, rate=1.0, eps=1e-2)
+    def test_flipped_pair_is_fresh_poisson(self, switch):
+        rep = poisson_flip_test(SeedStream(11), 4000, switch, rate=1.0, eps=1e-2)
         assert rep.chi2_p_plus > 0.01
         assert rep.chi2_p_minus > 0.01
         assert rep.n_common_jump_times == 0
         assert abs(rep.count_correlation) <= 3.0 / np.sqrt(4000)
         assert abs(rep.p_exactly_one_minus - np.exp(-1.0)) <= 0.015
         assert rep.passed()
+
+    @staticmethod
+    def reference_report(closure, n, rate, eps):
+        """The report routed per bundle through ``flip_decompose``, with a
+        closure over each bundle as the switch."""
+        from scipy import stats
+
+        def chi2_p(counts):
+            probs = [stats.poisson.pmf(k, rate) for k in (0, 1, 2)]
+            probs.append(1.0 - sum(probs))
+            obs = np.array([np.sum(counts == 0), np.sum(counts == 1), np.sum(counts == 2),
+                            np.sum(counts >= 3)], dtype=float)
+            exp = counts.size * np.array(probs)
+            return float(stats.chi2.sf(float(np.sum((obs - exp) ** 2 / exp)), df=3))
+
+        grid = make_insider_grid(eps, n_uniform=128, n_log=192)
+        plus, minus, common = np.empty(n), np.empty(n), 0
+        for i, bundle in enumerate(gen_bundles(SeedStream(7), n, grid, eps, rate)):
+            flip = flip_decompose(closure(bundle), bundle.n1_times, bundle.n2_times)
+            plus[i], minus[i] = len(flip.plus_times), len(flip.minus_times)
+            common += bool(set(flip.plus_times) & set(flip.minus_times))
+        return cx.PoissonFlipReport(
+            n, rate, chi2_p(plus), chi2_p(minus), common,
+            float(np.corrcoef(plus, minus)[0, 1]), int(np.sum(minus == 1)) / n)
+
+    @staticmethod
+    def prefix_sign_closure(bundle):
+        pts, vals = bundle.grid.points, bundle.s.values
+
+        def beta(t):
+            k = int(np.searchsorted(pts, t, side="left")) - 1
+            return 1.0 if vals[max(k, 0)] >= 0 else -1.0
+
+        return beta
+
+    @pytest.mark.parametrize("beta", ["const+", "const-", "switch", "prefix-sign"])
+    def test_matches_per_bundle_reference(self, beta):
+        # 1000 samples cross the first chunk boundary of the default grid
+        from qvmart.cli import _BETAS
+
+        closures = {
+            "const+": lambda bundle: lambda t: 1.0,
+            "const-": lambda bundle: lambda t: -1.0,
+            "switch": lambda bundle: lambda t: 1.0 if t <= 0.5 else -1.0,
+            "prefix-sign": self.prefix_sign_closure,
+        }
+        got = poisson_flip_test(SeedStream(7), 1000, _BETAS[beta], rate=3.0, eps=1e-2)
+        assert got == self.reference_report(closures[beta], 1000, 3.0, 1e-2)
+
+    def test_switch_off_plus_minus_one_rejected(self):
+        with pytest.raises(ContractViolation, match="not \\+-1"):
+            poisson_flip_test(SeedStream(7), 50, const_strategy(0.5), rate=3.0)
+
+    def test_switch_time_off_the_grid_rejected(self):
+        with pytest.raises(ContractViolation, match="not a grid point"):
+            poisson_flip_test(SeedStream(7), 50, beta_switch_at(0.77), rate=3.0)
 
 
 class TestNegativeWealth:
@@ -157,21 +212,13 @@ class TestUtilitySweep:
         # harvest roughly mu c/2 - c^2 sigma^2/6, so the sweep max must
         # grow with mu; this confirms the sweep can see unboundedness
         from dataclasses import replace
-        from qvmart.path_core import SamplePath
 
         family = default_sweep_family()
         maxes = {}
+        head = gen_bundles(SeedStream(11), 2000, bundles.grid, 1e-2, 1.0)
         for mu in (1.0, 4.0):
-            drifted = []
-            for b in bundles[:2000]:
-                grid = b.grid
-                m_vals = mu * grid.points + 0.5 * b.b.values
-                s_vals = m_vals + (b.s.values - b.m.values)
-                drifted.append(replace(
-                    b,
-                    m=SamplePath(grid, m_vals),
-                    s=SamplePath(grid, s_vals, b.s.jumps),
-                ))
+            m_vals = mu * head.grid.points + 0.5 * head.b
+            drifted = replace(head, values=m_vals + (head.values - head.m), m=m_vals)
             maxes[mu] = utility_sweep(family, drifted, eps=1e-2).running_max
         # measured +0.06 at mu=1 vs +0.73 at mu=4: the jump penalty caps the
         # harvest per unit drift, but the growth is unmistakable
@@ -192,8 +239,9 @@ class TestBoundTerms:
 
     def test_family_batch_matches_single(self, bundles):
         fam = [band_fraction_strategy(0.3), band_fraction_strategy(-0.6)]
-        batch = utility_bound_terms_family(fam, bundles[:500])
-        singles = [utility_bound_terms(s, bundles[:500]) for s in fam]
+        head = gen_bundles(SeedStream(11), 500, bundles.grid, 1e-2, 1.0)
+        batch = utility_bound_terms_family(fam, head)
+        singles = [utility_bound_terms(s, head) for s in fam]
         for a, b in zip(batch, singles):
             assert a == b
 
@@ -207,9 +255,7 @@ class TestOrdinaryInformationControl:
         from qvmart.inference import estimate_lambda
         from qvmart.strategy import sign_at_time_strategy, window_strategy
 
-        grid = bundles[0].grid
-        m_vals = np.stack([b.m.values for b in bundles])
-        ens = Ensemble(grid, m_vals, 11, "insider-model-continuous-part")
+        ens = Ensemble(bundles.grid, bundles.m, 11, "insider-model-continuous-part")
         for strat in (
             const_strategy(1.0),
             window_strategy(1.0, 0.0, 0.5),
@@ -394,15 +440,16 @@ class TestSharedFamilyPass:
         with pytest.raises(ContractViolation, match="admissible strategies only"):
             utility_bound_terms_family(family, ens)
 
-    def test_bundle_list_is_stacked_every_call(self):
-        family = default_sweep_family()[:6]
-        ens = self.fresh(120)
-        bundles = list(ens)
-        gc.collect()
-        held = len(cx._PASSES)
-        sweep = utility_sweep(family, bundles, 1e-2)
-        terms = utility_bound_terms_family(family, bundles)
-        gc.collect()
-        assert len(cx._PASSES) == held  # nothing outlives the stacked ensembles
-        assert self.dump(sweep, terms) == self.dump(utility_sweep(family, ens, 1e-2),
-                                                    utility_bound_terms_family(family, ens))
+    @pytest.mark.parametrize("call", [
+        lambda b: utility_sweep(default_sweep_family()[:3], b, 1e-2),
+        lambda b: utility_bound_terms(band_fraction_strategy(0.3), b),
+        lambda b: utility_bound_terms_family(default_sweep_family()[:3], b),
+        lambda b: negative_wealth_probability(const_strategy(0.99), b),
+        lambda b: insider_drift_divergence(b, [1e-2]),
+    ], ids=["sweep", "bound-terms", "bound-terms-family", "ruin", "divergence"])
+    def test_only_an_ensemble_is_taken(self, call):
+        ens = self.fresh(20)
+        call(ens)
+        for other in (list(ens), ens.head(20), ens[0]):
+            with pytest.raises(ContractViolation, match="expected a BundleEnsemble"):
+                call(other)

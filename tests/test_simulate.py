@@ -258,6 +258,10 @@ class TestCounterexampleBundle:
             assert (row.n1_times, row.n2_times, row.b1, row.late_jump_capped,
                     row.snap_collision) == (one.n1_times, one.n2_times, one.b1,
                                             one.late_jump_capped, one.snap_collision)
+        # an integer, numpy's included, indexes one row; a slice is refused
+        assert a[np.int64(-1)].b1 == a.b1[-1]
+        with pytest.raises(TypeError):
+            a[0:2]
 
 
 class TestJumpSnapping:
