@@ -152,13 +152,13 @@ class TestPoissonFlip:
         got = poisson_flip_test(SeedStream(7), 1000, _BETAS[beta], rate=3.0, eps=1e-2)
         assert got == self.reference_report(closures[beta], 1000, 3.0, 1e-2)
 
-    def test_switch_off_plus_minus_one_rejected(self):
-        with pytest.raises(ContractViolation, match="not \\+-1"):
-            poisson_flip_test(SeedStream(7), 50, const_strategy(0.5), rate=3.0)
-
-    def test_switch_time_off_the_grid_rejected(self):
-        with pytest.raises(ContractViolation, match="not a grid point"):
-            poisson_flip_test(SeedStream(7), 50, beta_switch_at(0.77), rate=3.0)
+    @pytest.mark.parametrize("switch, match", [
+        (const_strategy(0.5), "not \\+-1"),
+        (beta_switch_at(0.77), "not a grid point"),
+    ], ids=["not-plus-minus-one", "switch-time-off-grid"])
+    def test_bad_switch_rejected(self, switch, match):
+        with pytest.raises(ContractViolation, match=match):
+            poisson_flip_test(SeedStream(7), 50, switch, rate=3.0)
 
 
 class TestNegativeWealth:
