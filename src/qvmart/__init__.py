@@ -13,21 +13,15 @@ from .path_core import (
     quadratic_variation,
     qv_matrix,
     refine_and_compare_qv,
-    truncation_time,
 )
 from .simulate import (
     BrownianModel,
     DriftedDiffusion,
     ModelSpec,
-    PathBundle,
     SeedStream,
     gen_brownian,
     gen_bundles,
-    gen_counterexample,
     gen_ensemble,
-    gen_M,
-    gen_poisson_pair,
-    insider_drift,
     m_variance,
     make_insider_grid,
     sigma_profile,

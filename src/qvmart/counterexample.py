@@ -30,7 +30,7 @@ requires: a rule is a pure function of ``(ensemble, ctx)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -52,8 +52,6 @@ from .wealth import UtilityReport, log_utility_from_terminals
 from .wealth import _at_jumps, _jump_terms, _shape_moments, _terminal_log_wealth
 
 __all__ = [
-    "FlipDecomposition",
-    "flip_decompose",
     "PoissonFlipReport",
     "poisson_flip_test",
     "beta_const",
@@ -76,53 +74,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Predictable flips of a Poisson difference
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlipDecomposition:
-    """Result of routing each jump of N1 - N2 through a +-1 switch.
-
-    ``plus_times`` collects the up-jumps of the flipped process and
-    ``minus_times`` the down-jumps; the two sets are disjoint and
-    reconstruct the flipped integral exactly.
-    """
-
-    beta_at_jumps: tuple[tuple[float, float], ...]
-    plus_times: tuple[float, ...]
-    minus_times: tuple[float, ...]
-    n1_times: tuple[float, ...]
-    n2_times: tuple[float, ...]
-
-    def reconstructs(self) -> bool:
-        """Check plus - minus against the switch applied to the raw difference."""
-        beta = dict(self.beta_at_jumps)
-        lhs = {**{t: 1.0 for t in self.plus_times}, **{t: -1.0 for t in self.minus_times}}
-        rhs = {**{t: beta[t] for t in self.n1_times}, **{t: -beta[t] for t in self.n2_times}}
-        return lhs == rhs
-
-
-def flip_decompose(
-    beta: Callable[[float], float],
-    n1_times: Sequence[float],
-    n2_times: Sequence[float],
-) -> FlipDecomposition:
-    """Route each jump by the switch value at its time.
-
-    An up-source jump goes to the plus process when beta = +1 and to the
-    minus process otherwise; a down-source jump goes the opposite way.
-    beta must evaluate to exactly +-1 at every jump time.
-    """
-    if set(n1_times) & set(n2_times):
-        raise ContractViolation("the two jump-time lists must be disjoint")
-    plus, minus, betas = [], [], []
-    for t, sign in sorted([(t, +1) for t in n1_times] + [(t, -1) for t in n2_times]):
-        b = float(beta(t))
-        if b not in (-1.0, 1.0):
-            raise ContractViolation(f"switch value at t={t} is {b!r}, not +-1")
-        betas.append((t, b))
-        (plus if b * sign > 0 else minus).append(t)
-    return FlipDecomposition(tuple(betas), tuple(plus), tuple(minus),
-                             tuple(n1_times), tuple(n2_times))
-
 
 def beta_const(value: float) -> SimpleStrategy:
     """Constant switch; value must be +-1."""
@@ -194,9 +145,10 @@ def poisson_flip_test(
     """Replicate the flip over fresh bundles and test the resulting pair.
 
     ``switch`` is a strategy: its profile must be +-1 in the cell of
-    every raw jump, and a jump at t in (t_k, t_{k+1}] is routed by the
-    value of cell k, decided at t_k, as ``flip_decompose`` routes one
-    bundle's jumps.  Bundles are generated and profiled a chunk at a time.
+    every raw jump.  A jump at t in (t_k, t_{k+1}] is routed by beta, the
+    value of cell k, decided at t_k: an N1 jump goes to the plus process
+    when beta = +1 and to the minus process otherwise, an N2 jump the
+    opposite way.  Bundles are generated and profiled a chunk at a time.
 
     Checks: unit-interval counts of both flipped processes fit
     Poisson(rate); their jump-time sets never intersect; their counts
@@ -208,27 +160,23 @@ def poisson_flip_test(
     if grid is None:
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
     plus_counts, minus_counts, common = np.empty(n_samples), np.empty(n_samples), 0
-    # bundle i is gen_counterexample(..., index=i), generated a chunk at a time
+    # bundle i draws from its own substreams, generated a chunk at a time
     rows = max(1, _CHUNK_CELLS // grid.points.size)
     for lo in range(0, n_samples, rows):
         chunk = _build_bundles(stream, grid, eps, rate, range(lo, min(lo + rows, n_samples)))
-        n, lists = len(chunk), chunk.n1_times + chunk.n2_times
-        times = np.array([t for ts in lists for t in ts], dtype=float)
-        k = np.repeat(np.arange(2 * n), [len(ts) for ts in lists])  # N1 lists, then N2's
-        row, source = k % n, np.where(k < n, 1.0, -1.0)
+        n, row, times = chunk.n_paths, chunk.poisson_row, chunk.poisson_time
         cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
         beta = np.broadcast_to(_pi_matrix(switch, chunk), (n, grid.n_steps))[row, cell]
-        # each bundle's jumps in time order: a time twice must come from one
-        # source, and is then routed one way, as the common-time count checks
-        key = np.lexsort((times, row))
-        twice = (np.diff(row[key]) == 0) & (np.diff(times[key]) == 0)
-        if np.any(twice & (np.diff(source[key]) != 0)):
+        # jumps are sorted by bundle, then time: a time twice must come from
+        # one source, and is then routed one way, as the common-time count checks
+        twice = (np.diff(row) == 0) & (np.diff(times) == 0)
+        if np.any(twice & (np.diff(chunk.poisson_sign) != 0)):
             raise ContractViolation("the two jump-time lists must be disjoint")
         if np.any(bad := np.abs(beta) != 1.0):
             i = bad.argmax()
             raise ContractViolation(f"switch value at t={times[i]} is {float(beta[i])!r}, not +-1")
-        plus = beta * source > 0
-        common += np.unique(row[key][1:][twice & np.diff(plus[key])]).size
+        plus = beta * chunk.poisson_sign > 0
+        common += np.unique(row[1:][twice & np.diff(plus)]).size
         plus_counts[lo:lo + n] = np.bincount(row[plus], minlength=n)
         minus_counts[lo:lo + n] = np.bincount(row[~plus], minlength=n)
     flat = np.std(plus_counts) == 0 or np.std(minus_counts) == 0
@@ -263,7 +211,8 @@ def _band_probe(strategy, ens: BundleEnsemble):
 
 
 def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
-    """Increments of M_hat = M - A per bundle, as ``insider_drift`` computes them."""
+    """Increments of M_hat = M - A per bundle, A the insider drift of
+    ``BundleEnsemble.drift_values``."""
     return np.diff(ens.m - ens.drift_values(), axis=1)
 
 
@@ -327,7 +276,7 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
             # + 0.0 turns the -0.0 that c = 0 leaves on a negative sum into +0.0
             cont = c * a - (0.5 * c * c) * b + 0.0
             sm = np.exp(2.0 * (c * ah - (c * c) * bh))
-            jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, len(ens))
+            jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, ens.n_paths)
             memo[id(entry.member)] = replace(entry, cont=cont, jump=jump, wiped=wiped,
                                              supermartingale=sm)
     return [memo[id(p.member)] for p in passes]
@@ -357,7 +306,7 @@ def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWe
     if report.admissible:
         raise ContractViolation("strategy respects the open band |pi_t| < 1 - t; "
                                 "ruin probe is misconfigured")
-    n = len(ens)
+    n = ens.n_paths
     pj = _at_jumps(_pi_matrix(strategy, ens), ens.jump_path, ens.jump_cell)
     _, wiped = _jump_terms(pj, ens.jump_path, ens.jump_size, n)
     k = int(wiped.sum())
@@ -528,6 +477,6 @@ def insider_drift_divergence(
     rows = []
     for eps in sorted(eps_list, reverse=True):
         k_cut = int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1
-        tv = cum[:, k_cut - 1] if k_cut >= 1 else np.zeros(len(ens))
+        tv = cum[:, k_cut - 1] if k_cut >= 1 else np.zeros(ens.n_paths)
         rows.append(DivergenceRow(float(eps), *_mean_stderr(tv), drift_variation_closed_form(eps)))
     return rows

@@ -38,11 +38,8 @@ __all__ = [
     "qv_matrix",
     "refine_and_compare_qv",
     "truncation_index",
-    "truncation_time",
     "path_to_csv",
     "path_from_csv",
-    "path_to_json",
-    "path_from_json",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -345,15 +342,6 @@ def truncation_index(
     return int(stop) if stop.ndim == 0 else stop
 
 
-def truncation_time(path: SamplePath, qv: QVPath, n: float) -> float:
-    """First grid time where the level or the quadratic variation exceeds n,
-    capped at 1."""
-    if n <= 0:
-        raise ContractViolation("threshold n must be positive")
-    k = truncation_index(path.values, qv.values, n)
-    return float(path.grid.points[min(k, path.grid.n_steps)])
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo summaries
 # ---------------------------------------------------------------------------
@@ -397,22 +385,6 @@ def path_from_csv(body: str, jumps_body: str | None = None) -> SamplePath:
         jrows = [ln for ln in jumps_body.strip().splitlines()[1:] if ln]
         jumps = tuple((float(r.split(",")[0]), float(r.split(",")[1])) for r in jrows)
     return SamplePath(TimeGrid(pts), vals, jumps)
-
-
-def path_to_json(path: SamplePath) -> dict:
-    return {
-        "points": path.grid.points.tolist(),
-        "values": path.values.tolist(),
-        "jumps": [[t, s] for t, s in path.jumps],
-    }
-
-
-def path_from_json(obj: dict) -> SamplePath:
-    return SamplePath(
-        TimeGrid(np.array(obj["points"], dtype=float)),
-        np.array(obj["values"], dtype=float),
-        tuple((float(t), float(s)) for t, s in obj.get("jumps", [])),
-    )
 
 
 def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> None:

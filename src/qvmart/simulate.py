@@ -1,6 +1,6 @@
 """Seeded process generators: Brownian motion, drifted diffusions, the
-late-burst Gaussian martingale, Poisson jump pairs, and the joint insider
-bundle combining all of them.
+late-burst Gaussian martingale, and the joint insider bundle combining
+it with a pair of Poisson processes.
 
 Randomness discipline: every path draws from a substream derived from
 ``(master_seed, path_index, purpose_tag)`` via ``numpy``'s SeedSequence
@@ -16,7 +16,6 @@ Brownian ensembles are then built as one matrix, stage by stage.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,7 +29,6 @@ from .path_core import _CHUNK_CELLS, Ensemble, SamplePath, TimeGrid, _flat_jumps
 __all__ = [
     "SeedStream",
     "ModelSpec",
-    "PathBundle",
     "BundleEnsemble",
     "BrownianModel",
     "DriftedDiffusion",
@@ -41,12 +39,8 @@ __all__ = [
     "sigma_profile_vec",
     "m_variance",
     "make_insider_grid",
-    "gen_M",
     "m_from_b",
-    "gen_poisson_pair",
-    "gen_counterexample",
     "gen_bundles",
-    "insider_drift",
     "gen_ensemble",
 ]
 
@@ -536,69 +530,39 @@ def _check_freeze(grid: TimeGrid, eps: float) -> None:
         raise ConfigurationError("grid has interior points beyond the 1-eps freeze time")
 
 
-def gen_M(
-    stream: SeedStream, grid: TimeGrid, eps: float, index: int = 0
-) -> tuple[SamplePath, SamplePath]:
-    """Jointly generated (M, B): the late-burst martingale and its driver.
-
-    M uses the same Brownian increments as the returned B path, so the
-    joint law is preserved; generation is truncated at 1-eps and M is
-    frozen afterward.
-    """
-    _check_freeze(grid, eps)
-    b = gen_brownian(stream, grid, index)
-    return m_from_b(b, eps), b
-
-
 # ---------------------------------------------------------------------------
 # Poisson machinery and the insider bundle
 # ---------------------------------------------------------------------------
 
-def gen_poisson_pair(
-    stream: SeedStream, rate: float, index: int = 0
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Two independent unit-horizon Poisson jump-time lists.
+def _poisson_times(
+    master_seed: int, indices: np.ndarray, tag: str, rate: float, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump times in [0, 1] of one Poisson process per index, as flat
+    ``(row, time)`` arrays sorted by row, then time.
 
-    Exponential inter-arrival sampling, exact for a constant rate; each
-    process draws from its own substream.
+    Row r's inter-arrival times are exponentials of scale 1/rate, drawn
+    from the start of its substream ``(indices[r], tag)`` and summed left
+    to right: the times of a scalar draw-and-add loop, bit for bit.  Each
+    row draws ``block`` of them; a row whose block ends at or before t = 1
+    is drawn again from the start with twice the block.
     """
-    if rate <= 0:
-        raise ContractViolation("rate must be positive")
-    return (_poisson_times(stream.substream(index, "poisson-1"), rate),
-            _poisson_times(stream.substream(index, "poisson-2"), rate))
-
-
-def _poisson_times(rng: np.random.Generator, rate: float) -> tuple[float, ...]:
-    """Jump times in [0, 1] of one Poisson process, by exponential inter-arrivals."""
-    times = []
-    t = rng.exponential(1.0 / rate)
-    while t <= 1.0:
-        times.append(float(t))
-        t += rng.exponential(1.0 / rate)
-    return tuple(times)
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """One joint realization of the insider construction.
-
-    Carries the Brownian driver B, the late-burst martingale M, the raw
-    Poisson jump times, the combined jump process S = M + sum of
-    +-1/(1-u) jumps, and the terminal Brownian value revealed to the
-    insider at time 0.
-    """
-
-    grid: TimeGrid
-    b: SamplePath
-    m: SamplePath
-    s: SamplePath
-    n1_times: tuple[float, ...]
-    n2_times: tuple[float, ...]
-    b1: float
-    eps: float
-    rate: float
-    late_jump_capped: bool = False
-    snap_collision: bool = False
+    e = np.empty((indices.size, block))
+    for r, rng in enumerate(_row_rngs(master_seed, indices, tag)):
+        rng.standard_exponential(out=e[r])
+    e *= 1.0 / rate
+    t = np.cumsum(e, axis=1)
+    short = t[:, -1] <= 1.0
+    t[short] = np.inf
+    row, col = np.nonzero(t <= 1.0)
+    times = t[row, col]
+    if short.any():
+        redo = np.flatnonzero(short)
+        more_row, more_times = _poisson_times(master_seed, indices[redo], tag, rate, 2 * block)
+        row = np.concatenate([row, redo[more_row]])
+        times = np.concatenate([times, more_times])
+        order = np.argsort(row, kind="stable")
+        row, times = row[order], times[order]
+    return row, times
 
 
 def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int):
@@ -647,18 +611,17 @@ def _drift_values(grid: TimeGrid, b_vals: np.ndarray, b1, eps: float) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class BundleEnsemble(Ensemble, Sequence):
+class BundleEnsemble(Ensemble):
     """Insider bundles stored matrix-first, one row per bundle.
 
     An ``Ensemble`` of the combined jump paths S: ``values`` and the flat
     jump arrays are S's.  ``b`` and ``m`` are read-only ``(n_paths,
     n_points)`` value matrices of the driver B and the late-burst
     martingale M; ``b1`` holds each row's terminal driver value.  The raw
-    Poisson times and the two snapping flags are kept per row.
-
-    The ensemble is also a sequence of ``PathBundle``: an integer index
-    builds the bundle of one row, whose paths are read-only views into
-    the matrices.
+    Poisson times are flat read-only arrays like S's jumps:
+    ``poisson_row``, ``poisson_time`` and ``poisson_sign`` (+1 for N1, -1
+    for N2), sorted by row, then time, then sign.  The two snapping flags
+    are kept per row.
     """
 
     eps: float
@@ -666,35 +629,17 @@ class BundleEnsemble(Ensemble, Sequence):
     b: np.ndarray
     m: np.ndarray
     b1: np.ndarray
-    n1_times: tuple[tuple[float, ...], ...]
-    n2_times: tuple[tuple[float, ...], ...]
+    poisson_row: np.ndarray
+    poisson_time: np.ndarray
+    poisson_sign: np.ndarray
     late_jump_capped: np.ndarray
     snap_collision: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        for a in (self.b, self.m, self.b1, self.late_jump_capped, self.snap_collision):
+        for a in (self.b, self.m, self.b1, self.poisson_row, self.poisson_time,
+                  self.poisson_sign, self.late_jump_capped, self.snap_collision):
             a.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.n_paths
-
-    def __getitem__(self, i: int) -> PathBundle:
-        i = range(len(self))[operator.index(i)]  # a slice raises TypeError
-        grid = self.grid
-        return PathBundle(
-            grid=grid,
-            b=SamplePath(grid, self.b[i]),
-            m=SamplePath(grid, self.m[i]),
-            s=self.path(i),
-            n1_times=self.n1_times[i],
-            n2_times=self.n2_times[i],
-            b1=float(self.b1[i]),
-            eps=self.eps,
-            rate=self.rate,
-            late_jump_capped=bool(self.late_jump_capped[i]),
-            snap_collision=bool(self.snap_collision[i]),
-        )
 
     @cached_property
     def cont_inc(self) -> np.ndarray:
@@ -707,17 +652,14 @@ class BundleEnsemble(Ensemble, Sequence):
         return self.cont_inc * self.cont_inc
 
     def drift_values(self) -> np.ndarray:
-        """The insider drift A of every row, as ``insider_drift`` computes it."""
+        """The insider drift A of every row.
+
+        A accumulates sigma(u) (B1 - B_u)/(1 - u) du by left-endpoint
+        quadrature up to 1 - eps.  With left-endpoint evaluation the
+        increments of the recentred martingale M - A have exactly zero
+        conditional mean given (path prefix, B1).
+        """
         return _drift_values(self.grid, self.b, self.b1, self.eps)
-
-
-def _snap_pair(grid: TimeGrid, n1, n2):
-    """Snapped jumps of S from the two Poisson time lists: indices, sizes, flags."""
-    idx_cap = grid.points.size - 2  # last grid point before 1
-    merged = sorted([(t, +1.0) for t in n1] + [(t, -1.0) for t in n2])
-    idxs, capped, collision = _snap_jump_indices(grid, [t for t, _ in merged], idx_cap)
-    sizes = [sign / (1.0 - float(grid.points[k])) for k, (_, sign) in zip(idxs, merged)]
-    return idxs, sizes, capped, collision
 
 
 def _build_bundles(
@@ -727,46 +669,47 @@ def _build_bundles(
     rate: float,
     indices: Sequence[int],
 ) -> BundleEnsemble:
-    _check_freeze(grid, eps)
-    if rate <= 0:
-        raise ContractViolation("rate must be positive")
-    indices = np.asarray(indices)
-    b = _brownian_matrix(stream, grid, indices)
-    n1s, n2s = (
-        tuple(_poisson_times(rng, rate) for rng in _row_rngs(stream.master_seed, indices, tag))
-        for tag in ("poisson-1", "poisson-2")
-    )
-    capped, collision = [], []
-    jp, jc, js = [], [], []
-    for row, (n1, n2) in enumerate(zip(n1s, n2s)):
-        idxs, sizes, cap, col = _snap_pair(grid, n1, n2)
-        capped.append(cap)
-        collision.append(col)
-        jp += [row] * len(idxs)
-        jc += [k - 1 for k in idxs]
-        js += sizes
-    m = _m_values(grid, b, eps)
-    s = m.copy()
-    for row, cell, size in zip(jp, jc, js):
-        s[row, cell + 1 :] += size
-    return BundleEnsemble(
-        grid, s, stream.master_seed, "counterexample", jp, jc, js,
-        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(), n1_times=n1s, n2_times=n2s,
-        late_jump_capped=np.array(capped, dtype=bool),
-        snap_collision=np.array(collision, dtype=bool),
-    )
+    """Joint (B, M, N1, N2, S, B1) realizations of bundles ``indices``, one row each.
 
-
-def gen_counterexample(
-    stream: SeedStream, grid: TimeGrid, eps: float, rate: float, index: int = 0
-) -> PathBundle:
-    """Joint (B, M, N1, N2, S, B1) realization on a singular-time grid.
-
-    Jump sizes are the exact reciprocal gap 1/(1-u) at the snapped time
+    Jump sizes are the exact reciprocal gap +-1/(1-u) at the snapped time
     u; jumps past the freeze time keep their Poisson law but are capped
     at the last grid point before 1 and flagged.
     """
-    return _build_bundles(stream, grid, eps, rate, [index])[0]
+    _check_freeze(grid, eps)
+    if not 0.0 < rate < math.inf:
+        raise ContractViolation(f"rate must be positive and finite, not {rate!r}")
+    indices = np.asarray(indices)
+    n = indices.size
+    b = _brownian_matrix(stream, grid, indices)
+    block = int(rate + 4.0 * math.sqrt(rate)) + 8  # a redraw is rare
+    (row1, t1), (row2, t2) = (_poisson_times(stream.master_seed, indices, tag, rate, block)
+                              for tag in ("poisson-1", "poisson-2"))
+    row, time = np.concatenate([row1, row2]), np.concatenate([t1, t2])
+    sign = np.concatenate([np.ones(row1.size), -np.ones(row2.size)])
+    order = np.lexsort((sign, time, row))
+    row, time, sign = row[order], time[order], sign[order]
+
+    idx_cap = grid.points.size - 2  # last grid point before 1
+    raw = np.searchsorted(grid.points, time, side="left")
+    k = np.clip(raw, 1, idx_cap)
+    capped = np.bincount(row[raw > idx_cap], minlength=n) > 0
+    collision = np.zeros(n, dtype=bool)
+    clash = (np.diff(row) == 0) & (np.diff(k) == 0)
+    for r in np.unique(row[1:][clash]):  # the rare rows with two jumps on one grid point
+        lo, hi = np.searchsorted(row, (r, r + 1))
+        k[lo:hi], _, collision[r] = _snap_jump_indices(grid, time[lo:hi], idx_cap)
+    size = sign / (1.0 - grid.points[k])
+
+    m = _m_values(grid, b, eps)
+    s = m.copy()
+    for r, cell, z in zip(row.tolist(), (k - 1).tolist(), size.tolist()):
+        s[r, cell + 1 :] += z
+    return BundleEnsemble(
+        grid, s, stream.master_seed, "counterexample", row, k - 1, size,
+        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(),
+        poisson_row=row, poisson_time=time, poisson_sign=sign,
+        late_jump_capped=capped, snap_collision=collision,
+    )
 
 
 def gen_bundles(
@@ -778,28 +721,12 @@ def gen_bundles(
 ) -> BundleEnsemble:
     """Bundles 0 .. n_paths-1 as one ``BundleEnsemble``.
 
-    Row i is bit-identical to ``gen_counterexample(..., index=i)``: each
-    bundle draws from its own substreams.
+    Each bundle draws from its own substreams, so row i does not depend
+    on ``n_paths``.
     """
     if n_paths < 1:
         raise ContractViolation("need at least one path")
     return _build_bundles(stream, grid, eps, rate, range(n_paths))
-
-
-def insider_drift(bundle: PathBundle, eps: float | None = None) -> tuple[SamplePath, SamplePath]:
-    """Finite-variation part the insider sees in M, and the recentred martingale.
-
-    Returns (A, M_hat) where A accumulates sigma(u) (B1 - B_u)/(1 - u) du
-    by left-endpoint quadrature up to 1-eps, and M_hat = M - A.  With
-    left-endpoint evaluation the discrete M_hat increments have exactly
-    zero conditional mean given (path prefix, B1).
-    """
-    if eps is None:
-        eps = bundle.eps
-    if eps < bundle.eps:
-        raise ContractViolation("bundle was generated with a coarser truncation")
-    a_vals = _drift_values(bundle.grid, bundle.b.values, bundle.b1, eps)
-    return SamplePath(bundle.grid, a_vals), SamplePath(bundle.grid, bundle.m.values - a_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +774,8 @@ class ModelSpec:
             raise ConfigurationError("eps must lie in (0, 1/2) for singular models")
         if self.variant == "drifted" and self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
-        if self.variant == "counterexample" and self.rate <= 0:
-            raise ConfigurationError("rate must be positive")
+        if self.variant == "counterexample" and not 0.0 < self.rate < math.inf:
+            raise ConfigurationError(f"rate must be positive and finite, not {self.rate!r}")
 
     def build(self):
         if self.variant == "brownian":
@@ -856,5 +783,5 @@ class ModelSpec:
         if self.variant == "drifted":
             return DriftedDiffusion(self.mu, self.sigma)
         raise ConfigurationError(
-            f"variant {self.variant!r} generates joint bundles; use gen_M/gen_bundles"
+            f"variant {self.variant!r} generates joint bundles; use gen_bundles"
         )

@@ -415,6 +415,22 @@ def test_poisson_lemma_without_samples_exits_1(tmp_path, capsys):
     assert error["error"] == "contract"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "counterexample", "--paths", "2", "--steps", "16",
+     "--log-steps", "32"],
+    ["counterexample", "poisson-lemma", "--samples", "5"],
+    ["counterexample", "sweep", "--bundles", "5", "--steps", "16", "--log-steps", "32"],
+], ids=["simulate", "poisson-lemma", "sweep"])
+def test_non_finite_rate_is_refused_as_zero_rate_is(argv, tmp_path, capsys):
+    outcomes = []
+    for rate in ("0", "nan", "inf"):
+        rc = main(argv + ["--rate", rate, "--out", str(tmp_path / rate)])
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "rate must be positive and finite" in error["message"]
+        outcomes.append((rc, error["error"]))
+    assert outcomes[0][0] in (1, 2) and outcomes == [outcomes[0]] * 3
+
+
 @pytest.mark.parametrize("strategy", ["legs", "half"])  # every row ruined; two of four
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):

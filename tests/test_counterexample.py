@@ -1,5 +1,5 @@
-"""Insider jump model checks: the flip decomposition of a Poisson
-difference, the ruin mechanism outside the admissibility band, bounded
+"""Insider jump model checks: the flip of a Poisson difference through a
+predictable switch, the ruin mechanism outside the admissibility band, bounded
 log utility over insider strategies, and the drift-variation divergence."""
 
 import json
@@ -19,7 +19,6 @@ from qvmart.counterexample import (
     beta_switch_at,
     default_sweep_family,
     drift_variation_closed_form,
-    flip_decompose,
     insider_drift_divergence,
     negative_wealth_probability,
     poisson_flip_test,
@@ -50,25 +49,41 @@ def profile_strategy(name, fn):
                             path_independent=True)
 
 
+def flip_decompose(beta, n1_times, n2_times):
+    """Reference routing of one bundle's jumps of N1 - N2 through a +-1 switch.
+
+    An N1 jump goes to the plus process when beta = +1 at its time and to
+    the minus process otherwise; an N2 jump goes the opposite way.
+    Returns the plus and the minus times, each in time order.
+    """
+    if set(n1_times) & set(n2_times):
+        raise ContractViolation("the two jump-time lists must be disjoint")
+    plus, minus = [], []
+    for t, sign in sorted([(t, +1) for t in n1_times] + [(t, -1) for t in n2_times]):
+        b = float(beta(t))
+        if b not in (-1.0, 1.0):
+            raise ContractViolation(f"switch value at t={t} is {b!r}, not +-1")
+        (plus if b * sign > 0 else minus).append(t)
+    return tuple(plus), tuple(minus)
+
+
 class TestFlipDecompose:
+    """The routing reference that ``TestPoissonFlip`` holds the flip test to."""
+
     N1 = (0.2, 0.7)
     N2 = (0.4, 0.9)
 
     def test_identity_routing(self):
-        flip = flip_decompose(lambda t: 1.0, self.N1, self.N2)
-        assert flip.plus_times == self.N1
-        assert flip.minus_times == self.N2
+        assert flip_decompose(lambda t: 1.0, self.N1, self.N2) == (self.N1, self.N2)
 
     def test_swap_routing(self):
-        flip = flip_decompose(lambda t: -1.0, self.N1, self.N2)
-        assert flip.plus_times == self.N2
-        assert flip.minus_times == self.N1
+        assert flip_decompose(lambda t: -1.0, self.N1, self.N2) == (self.N2, self.N1)
 
     def test_switch_routing(self):
         # up-source jump at 0.7 under beta = -1 lands in the minus process
-        flip = flip_decompose(lambda t: 1.0 if t <= 0.5 else -1.0, self.N1, self.N2)
-        assert 0.7 in flip.minus_times
-        assert 0.9 in flip.plus_times
+        plus, minus = flip_decompose(lambda t: 1.0 if t <= 0.5 else -1.0, self.N1, self.N2)
+        assert 0.7 in minus
+        assert 0.9 in plus
 
     def test_zero_switch_rejected(self):
         with pytest.raises(ContractViolation):
@@ -85,9 +100,15 @@ class TestFlipDecompose:
         n1 = tuple(sorted(rng.uniform(0, 1, rng.integers(0, 5))))
         n2 = tuple(sorted(set(rng.uniform(0, 1, rng.integers(0, 5))) - set(n1)))
         cut = rng.uniform(0, 1)
-        flip = flip_decompose(lambda t: 1.0 if t < cut else -1.0, n1, n2)
-        assert flip.reconstructs()
-        assert not set(flip.plus_times) & set(flip.minus_times)
+
+        def beta(t):
+            return 1.0 if t < cut else -1.0
+
+        plus, minus = flip_decompose(beta, n1, n2)
+        # plus - minus is the switch applied to the raw difference N1 - N2
+        routed = {**{t: 1.0 for t in plus}, **{t: -1.0 for t in minus}}
+        assert routed == {**{t: beta(t) for t in n1}, **{t: -beta(t) for t in n2}}
+        assert not set(plus) & set(minus)
 
 
 class TestPoissonFlip:
@@ -107,7 +128,7 @@ class TestPoissonFlip:
     @staticmethod
     def reference_report(closure, n, rate, eps):
         """The report routed per bundle through ``flip_decompose``, with a
-        closure over each bundle as the switch."""
+        closure over each bundle's grid and S values as the switch."""
         from scipy import stats
 
         def chi2_p(counts):
@@ -119,19 +140,22 @@ class TestPoissonFlip:
             return float(stats.chi2.sf(float(np.sum((obs - exp) ** 2 / exp)), df=3))
 
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
+        ens = gen_bundles(SeedStream(7), n, grid, eps, rate)
         plus, minus, common = np.empty(n), np.empty(n), 0
-        for i, bundle in enumerate(gen_bundles(SeedStream(7), n, grid, eps, rate)):
-            flip = flip_decompose(closure(bundle), bundle.n1_times, bundle.n2_times)
-            plus[i], minus[i] = len(flip.plus_times), len(flip.minus_times)
-            common += bool(set(flip.plus_times) & set(flip.minus_times))
+        for i in range(n):
+            mine = ens.poisson_row == i
+            t, sign = ens.poisson_time[mine].tolist(), ens.poisson_sign[mine]
+            n1 = tuple(x for x, s in zip(t, sign) if s > 0)
+            n2 = tuple(x for x, s in zip(t, sign) if s < 0)
+            p, m = flip_decompose(closure(grid.points, ens.values[i]), n1, n2)
+            plus[i], minus[i] = len(p), len(m)
+            common += bool(set(p) & set(m))
         return cx.PoissonFlipReport(
             n, rate, chi2_p(plus), chi2_p(minus), common,
             float(np.corrcoef(plus, minus)[0, 1]), int(np.sum(minus == 1)) / n)
 
     @staticmethod
-    def prefix_sign_closure(bundle):
-        pts, vals = bundle.grid.points, bundle.s.values
-
+    def prefix_sign_closure(pts, vals):
         def beta(t):
             k = int(np.searchsorted(pts, t, side="left")) - 1
             return 1.0 if vals[max(k, 0)] >= 0 else -1.0
@@ -144,9 +168,9 @@ class TestPoissonFlip:
         from qvmart.cli import _BETAS
 
         closures = {
-            "const+": lambda bundle: lambda t: 1.0,
-            "const-": lambda bundle: lambda t: -1.0,
-            "switch": lambda bundle: lambda t: 1.0 if t <= 0.5 else -1.0,
+            "const+": lambda pts, vals: lambda t: 1.0,
+            "const-": lambda pts, vals: lambda t: -1.0,
+            "switch": lambda pts, vals: lambda t: 1.0 if t <= 0.5 else -1.0,
             "prefix-sign": self.prefix_sign_closure,
         }
         got = poisson_flip_test(SeedStream(7), 1000, _BETAS[beta], rate=3.0, eps=1e-2)
@@ -450,6 +474,6 @@ class TestSharedFamilyPass:
     def test_only_an_ensemble_is_taken(self, call):
         ens = self.fresh(20)
         call(ens)
-        for other in (list(ens), ens.head(20), ens[0]):
+        for other in (list(ens.paths()), ens.head(20), ens.path(0)):
             with pytest.raises(ContractViolation, match="expected a BundleEnsemble"):
                 call(other)

@@ -15,15 +15,12 @@ from qvmart.path_core import (
     TimeGrid,
     load_ensemble,
     path_from_csv,
-    path_from_json,
     path_to_csv,
-    path_to_json,
     qv_matrix,
     quadratic_variation,
     refine_and_compare_qv,
     save_ensemble,
     truncation_index,
-    truncation_time,
 )
 from qvmart.simulate import (
     BrownianModel,
@@ -195,14 +192,14 @@ class TestTruncationTime:
         g = TimeGrid.uniform(10)
         p = SamplePath(g, np.full(11, 2.0))
         qv = QVPath(g, np.linspace(0, 0.5, 11))
-        assert truncation_time(p, qv, 3.0) == 1.0
+        assert truncation_index(p.values, qv.values, 3.0) == 11  # one past the last point
 
     def test_deterministic_crossing(self):
         # S_t = 10 t on 100 steps crosses 5 strictly after t = 0.5
         g = TimeGrid.uniform(100)
         p = SamplePath(g, 10.0 * g.points)
         qv = QVPath(g, np.zeros(101))
-        assert truncation_time(p, qv, 5.0) == pytest.approx(0.51)
+        assert g.points[truncation_index(p.values, qv.values, 5.0)] == pytest.approx(0.51)
 
     def test_index_per_row(self):
         # a matrix gives one index per row; a row that never crosses gets one
@@ -212,8 +209,7 @@ class TestTruncationTime:
         np.testing.assert_array_equal(truncation_index(vals, qv, 1.0), [2, 3, 2])
         np.testing.assert_array_equal(truncation_index(vals, qv, 4.0), [4, 4, 4])
         assert truncation_index(vals[1], qv[1], 1.0) == 3
-        assert truncation_time(SamplePath(TimeGrid.uniform(3), vals[1]),
-                               QVPath(TimeGrid.uniform(3), qv[1]), 4.0) == 1.0
+        assert truncation_index(vals[1], qv[1], 4.0) == 4
 
     def test_brownian_rarely_stopped_at_three(self):
         # reflection-principle oracle: P(sup |B| > 3) = 4 Phi(-3) - ... ~ 0.0054,
@@ -230,8 +226,8 @@ class TestTruncationTime:
     def test_monotone_in_threshold(self, seed):
         p = brownian_path(seed, 8)
         qv = quadratic_variation(p)
-        times = [truncation_time(p, qv, n) for n in (0.05, 0.1, 0.5, 1.0, 2.0)]
-        assert times == sorted(times)
+        stops = [truncation_index(p.values, qv.values, n) for n in (0.05, 0.1, 0.5, 1.0, 2.0)]
+        assert stops == sorted(stops)
 
 
 class TestSerialization:
@@ -246,10 +242,12 @@ class TestSerialization:
         np.testing.assert_array_equal(p.grid.points, q.grid.points)
         assert p.jumps == q.jumps
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         p = brownian_path(6, 5)
-        q = path_from_json(path_to_json(p))
+        save_ensemble(Ensemble(p.grid, p.values[None], 6, "brownian"), tmp_path, fmt="json")
+        q = load_ensemble(tmp_path).path(0)
         np.testing.assert_array_equal(p.values, q.values)
+        np.testing.assert_array_equal(p.grid.points, q.grid.points)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ensemble_round_trip(self, tmp_path, fmt):
@@ -307,8 +305,3 @@ class TestSerialization:
             ],
         }
         assert (tmp_path / "ensemble.json").read_bytes() == (json.dumps(old) + "\n").encode()
-        p = ens.path(0)
-        old_path = {"points": [float(t) for t in grid.points],
-                    "values": [float(v) for v in p.values],
-                    "jumps": [[t, s] for t, s in p.jumps]}
-        assert json.dumps(path_to_json(p)) == json.dumps(old_path)

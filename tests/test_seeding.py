@@ -20,7 +20,6 @@ from qvmart.simulate import (
     DriftedDiffusion,
     SeedStream,
     gen_bundles,
-    gen_counterexample,
     gen_ensemble,
     m_from_b,
     make_insider_grid,
@@ -206,13 +205,23 @@ class TestMatrixMatchesPerPath:
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=48)
         rate = 2.0
         bundles = gen_bundles(SeedStream(seed), 12, grid, 1e-2, rate)
-        for i, row in enumerate(bundles):
+
+        def times_of(ens, row, sign):
+            mine = (ens.poisson_row == row) & (ens.poisson_sign == sign)
+            return tuple(ens.poisson_time[mine].tolist())
+
+        for i in range(12):
             b = ref_brownian_values(seed, grid, i)
-            assert row.b.values.tobytes() == b.tobytes()
-            assert row.b1 == b[-1]
-            assert row.m.values.tobytes() == m_from_b(SamplePath(grid, b), 1e-2).values.tobytes()
-            assert row.n1_times == ref_poisson(seed, i, "poisson-1", rate)
-            assert row.n2_times == ref_poisson(seed, i, "poisson-2", rate)
-        one = gen_counterexample(SeedStream(seed), grid, 1e-2, rate, index=2**35)
-        assert one.b.values.tobytes() == ref_brownian_values(seed, grid, 2**35).tobytes()
-        assert one.n2_times == ref_poisson(seed, 2**35, "poisson-2", rate)
+            assert bundles.b[i].tobytes() == b.tobytes()
+            assert bundles.b1[i] == b[-1]
+            assert bundles.m[i].tobytes() == m_from_b(SamplePath(grid, b), 1e-2).values.tobytes()
+            assert times_of(bundles, i, 1.0) == ref_poisson(seed, i, "poisson-1", rate)
+            assert times_of(bundles, i, -1.0) == ref_poisson(seed, i, "poisson-2", rate)
+        # a block of one exponential: every row with a jump is drawn again
+        row, times = simulate._poisson_times(seed, np.arange(12), "poisson-1", rate, 1)
+        assert np.all(np.diff(row) >= 0) and row.size > 12
+        for i in range(12):
+            assert tuple(times[row == i].tolist()) == ref_poisson(seed, i, "poisson-1", rate)
+        one = simulate._build_bundles(SeedStream(seed), grid, 1e-2, rate, [2**35])
+        assert one.b[0].tobytes() == ref_brownian_values(seed, grid, 2**35).tobytes()
+        assert times_of(one, 0, -1.0) == ref_poisson(seed, 2**35, "poisson-2", rate)

@@ -2,25 +2,23 @@
 martingale and its closed-form variance, Poisson pairs, and the joint
 insider bundle."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qvmart.counterexample import insider_drift_divergence
 from qvmart.errors import ConfigurationError, ContractViolation
-from qvmart.path_core import TimeGrid, quadratic_variation
+from qvmart.path_core import SamplePath, TimeGrid, quadratic_variation, qv_matrix
 from qvmart.simulate import (
     BrownianModel,
     DriftedDiffusion,
     ModelSpec,
     SeedStream,
+    _build_bundles,
     gen_brownian,
     gen_bundles,
-    gen_counterexample,
-    gen_M,
-    gen_poisson_pair,
-    insider_drift,
     m_from_b,
     m_variance,
     make_insider_grid,
@@ -150,17 +148,17 @@ class TestGaussianMartingale:
     def test_flat_before_half_and_after_freeze(self):
         eps = 1e-2
         grid = make_insider_grid(eps, n_uniform=64, n_log=128)
-        m, b = gen_M(SeedStream(3), grid, eps)
+        m = gen_bundles(SeedStream(3), 1, grid, eps, 1.0).m[0]
         half = grid.index_of(0.5)
-        assert np.all(m.values[: half + 1] == 0.0)
-        assert m.values[-1] == m.values[-2]  # frozen through the last cell
+        assert np.all(m[: half + 1] == 0.0)
+        assert m[-1] == m[-2]  # frozen through the last cell
 
     def test_variance_matches_closed_form(self):
         eps = 1e-3
         grid = make_insider_grid(eps, n_uniform=256, n_log=512)
         stream = SeedStream(2026)
         n = 4000
-        m1 = np.array([gen_M(stream, grid, eps, index=i)[0].values[-1] for i in range(n)])
+        m1 = gen_bundles(stream, n, grid, eps, 1.0).m[:, -1]
         target = m_variance(0.5, 1.0 - eps)
         se = target * np.sqrt(2.0 / n)  # chi-square spread of a variance estimate
         assert abs(m1.var(ddof=1) - target) <= 3.0 * se
@@ -169,18 +167,18 @@ class TestGaussianMartingale:
     def test_rebuild_from_driver_is_exact(self):
         eps = 1e-2
         grid = make_insider_grid(eps, n_uniform=64, n_log=128)
-        m, b = gen_M(SeedStream(8), grid, eps)
-        np.testing.assert_array_equal(m.values, m_from_b(b, eps).values)
+        ens = gen_bundles(SeedStream(8), 1, grid, eps, 1.0)
+        np.testing.assert_array_equal(ens.m[0], m_from_b(SamplePath(grid, ens.b[0]), eps).values)
 
     def test_zero_eps_refused(self):
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=32)
         with pytest.raises(ConfigurationError):
-            gen_M(SeedStream(0), grid, 0.0)
+            gen_bundles(SeedStream(0), 1, grid, 0.0, 1.0)
 
     def test_grid_beyond_freeze_refused(self):
         grid = make_insider_grid(1e-3, n_uniform=16, n_log=32)
         with pytest.raises(ConfigurationError):
-            gen_M(SeedStream(0), grid, 1e-2)  # interior points past 1 - eps
+            gen_bundles(SeedStream(0), 1, grid, 1e-2, 1.0)  # interior points past 1 - eps
 
 
 class TestInsiderGrid:
@@ -196,72 +194,69 @@ class TestInsiderGrid:
 
 class TestPoissonPair:
     def test_statistics(self):
-        stream = SeedStream(55)
         n = 10_000
-        c1 = np.empty(n)
-        c2 = np.empty(n)
-        for i in range(n):
-            a, b = gen_poisson_pair(stream, 1.0, index=i)
-            c1[i], c2[i] = len(a), len(b)
+        grid = make_insider_grid(1e-2, n_uniform=8, n_log=16)
+        ens = gen_bundles(SeedStream(55), n, grid, 1e-2, 1.0)
+        row, sign = ens.poisson_row, ens.poisson_sign
+        c1 = np.bincount(row[sign > 0], minlength=n)
+        c2 = np.bincount(row[sign < 0], minlength=n)
         assert abs(c1.mean() - 1.0) <= 0.03
         assert abs(np.mean(c1 == 0) - np.exp(-1)) <= 0.015
         assert abs(np.corrcoef(c1, c2)[0, 1]) <= 0.03
 
     def test_rate_validated(self):
-        with pytest.raises(ContractViolation):
-            gen_poisson_pair(SeedStream(0), 0.0)
+        grid = make_insider_grid(1e-2, n_uniform=8, n_log=16)
+        for rate in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ContractViolation, match="positive and finite"):
+                gen_bundles(SeedStream(0), 1, grid, 1e-2, rate)
 
 
 @pytest.fixture(scope="module")
 def bundle():
+    """Bundle 4 alone, as a one-row ensemble."""
     grid = make_insider_grid(1e-2, n_uniform=128, n_log=256)
-    return gen_counterexample(SeedStream(21), grid, 1e-2, 2.0, index=4)
+    return _build_bundles(SeedStream(21), grid, 1e-2, 2.0, [4])
 
 
 class TestCounterexampleBundle:
     def test_jump_count(self, bundle):
-        assert len(bundle.s.jumps) == len(bundle.n1_times) + len(bundle.n2_times)
+        assert bundle.jump_size.size == bundle.poisson_time.size > 0
+        np.testing.assert_array_equal(bundle.jump_path, bundle.poisson_row)
 
     def test_continuous_part_is_m(self, bundle):
-        np.testing.assert_allclose(
-            bundle.s.continuous_part().values, bundle.m.values, atol=1e-12
-        )
+        np.testing.assert_allclose(bundle.continuous_part().values, bundle.m, atol=1e-12)
 
     def test_qv_splits_into_m_and_jumps(self, bundle):
-        total = quadratic_variation(bundle.s).total
-        m_part = quadratic_variation(bundle.m).total
-        jump_part = sum(size**2 for _, size in bundle.s.jumps)
+        total = qv_matrix(bundle)[0, -1]
+        m_part = quadratic_variation(SamplePath(bundle.grid, bundle.m[0])).total
+        jump_part = np.sum(bundle.jump_size**2)
         assert total == pytest.approx(m_part + jump_part, rel=1e-12)
 
     def test_jump_sizes_are_reciprocal_gaps(self, bundle):
-        for t, size in bundle.s.jumps:
-            assert abs(size) == pytest.approx(1.0 / (1.0 - t), rel=1e-12)
+        t = bundle.grid.points[bundle.jump_cell + 1]
+        np.testing.assert_allclose(np.abs(bundle.jump_size), 1.0 / (1.0 - t), rtol=1e-12)
+        np.testing.assert_array_equal(np.sign(bundle.jump_size), bundle.poisson_sign)
 
     def test_terminal_driver_recorded(self, bundle):
-        assert bundle.b1 == bundle.b.values[-1]
+        assert bundle.b1[0] == bundle.b[0, -1]
 
     def test_bundles_deterministic(self):
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
         a = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0)
-        # each row is bundle i as generated alone, held as read-only views
-        for i, row in enumerate(a):
-            one = gen_counterexample(SeedStream(9), grid, 1e-2, 1.0, index=i)
-            m, drv = gen_M(SeedStream(9), grid, 1e-2, index=i)
-            for got, want, matrix in ((row.b, one.b, a.b), (row.m, one.m, a.m),
-                                      (row.s, one.s, a.values)):
-                assert got.values.tobytes() == want.values.tobytes()
-                assert got.jumps == want.jumps
-                assert np.shares_memory(got.values, matrix)
-                assert not got.values.flags.writeable
-            assert row.b.values.tobytes() == drv.values.tobytes()
-            assert row.m.values.tobytes() == m.values.tobytes()
-            assert (row.n1_times, row.n2_times, row.b1, row.late_jump_capped,
-                    row.snap_collision) == (one.n1_times, one.n2_times, one.b1,
-                                            one.late_jump_capped, one.snap_collision)
-        # an integer, numpy's included, indexes one row; a slice is refused
-        assert a[np.int64(-1)].b1 == a.b1[-1]
-        with pytest.raises(TypeError):
-            a[0:2]
+        per_row = ("values", "b", "m", "b1", "late_jump_capped", "snap_collision")
+        flat = ("jump_cell", "jump_size", "poisson_time", "poisson_sign")
+        # each row is bundle i as generated alone
+        for i in range(a.n_paths):
+            one = _build_bundles(SeedStream(9), grid, 1e-2, 1.0, [i])
+            for name in per_row:
+                assert getattr(a, name)[i].tobytes() == getattr(one, name)[0].tobytes()
+            mine = a.poisson_row == i
+            assert np.array_equal(a.jump_path == i, mine)
+            for name in flat:
+                assert getattr(a, name)[mine].tobytes() == getattr(one, name).tobytes()
+        assert np.all(np.diff(a.poisson_row) >= 0)
+        for name in per_row + flat + ("jump_path", "poisson_row"):
+            assert not getattr(a, name).flags.writeable
 
 
 class TestJumpSnapping:
@@ -305,13 +300,11 @@ class TestJumpSnapping:
         # a wide freeze window forces frequent late jumps: they cap at the
         # last grid point before 1 and the bundle is flagged
         grid = make_insider_grid(0.4, n_uniform=16, n_log=16)
-        flagged = 0
-        for i in range(50):
-            b = gen_counterexample(SeedStream(77), grid, 0.4, 2.0, index=i)
-            flagged += b.late_jump_capped
-            for t, _ in b.s.jumps:
-                assert t <= 1.0 - 0.4 + 1e-12
-        assert flagged > 0
+        ens = gen_bundles(SeedStream(77), 50, grid, 0.4, 2.0)
+        assert ens.late_jump_capped.sum() > 0
+        assert np.all(grid.points[ens.jump_cell + 1] <= 1.0 - 0.4 + 1e-12)
+        late = np.unique(ens.poisson_row[ens.poisson_time > 1.0 - 0.4])
+        np.testing.assert_array_equal(np.flatnonzero(ens.late_jump_capped), late)
 
     def test_more_jumps_than_slots_is_a_contract_error(self):
         from qvmart.simulate import _snap_jump_indices
@@ -324,37 +317,24 @@ class TestJumpSnapping:
 class TestInsiderDrift:
     def test_zero_driver_gives_zero_drift(self):
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
-        bundle = gen_counterexample(SeedStream(1), grid, 1e-2, 1.0)
-        from dataclasses import replace
-        from qvmart.path_core import SamplePath
-
-        flat = replace(
-            bundle,
-            b=SamplePath(grid, np.zeros(grid.points.size)),
-            b1=0.0,
-        )
-        a, m_hat = insider_drift(flat)
-        assert np.all(a.values == 0.0)
-        np.testing.assert_array_equal(m_hat.values, flat.m.values)
+        bundle = gen_bundles(SeedStream(1), 2, grid, 1e-2, 1.0)
+        flat = replace(bundle, b=np.zeros_like(bundle.b), b1=np.zeros(2))
+        assert np.all(flat.drift_values() == 0.0)
 
     def test_recentred_martingale_mean_zero(self):
         eps = 1e-3
         grid = make_insider_grid(eps, n_uniform=128, n_log=384)
-        stream = SeedStream(31)
         n = 4000
-        vals = np.empty(n)
-        for i in range(n):
-            bundle = gen_counterexample(stream, grid, eps, 1.0, index=i)
-            _, m_hat = insider_drift(bundle)
-            vals[i] = m_hat.values[-1]
+        bundles = gen_bundles(SeedStream(31), n, grid, eps, 1.0)
+        vals = bundles.m[:, -1] - bundles.drift_values()[:, -1]
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean()) <= 3.0 * se
 
     def test_coarser_cutoff_than_generation_rejected(self):
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
-        bundle = gen_counterexample(SeedStream(1), grid, 1e-2, 1.0)
-        with pytest.raises(ContractViolation):
-            insider_drift(bundle, eps=1e-3)
+        bundles = gen_bundles(SeedStream(1), 2, grid, 1e-2, 1.0)
+        with pytest.raises(ContractViolation, match="coarser truncation"):
+            insider_drift_divergence(bundles, [1e-3])
 
 
 class TestModelSpec:
@@ -370,6 +350,8 @@ class TestModelSpec:
             {"variant": "drifted", "sigma": 0.0},
             {"variant": "gaussian_m", "eps": 0.0},
             {"variant": "counterexample", "rate": -1.0},
+            {"variant": "counterexample", "rate": float("nan")},
+            {"variant": "counterexample", "rate": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -194,7 +194,7 @@ class TestEvaluate:
         with pytest.raises(ContractViolation, match="insider datum"):
             pi_for_ensemble(needs, bundles)
         pi = pi_for_ensemble(needs, bundles, insider=bundles.b1, driver=bundles.b)
-        assert pi.shape == (len(bundles), bundles.grid.n_steps)
+        assert pi.shape == (bundles.n_paths, bundles.grid.n_steps)
 
 
 def rows(*values):
