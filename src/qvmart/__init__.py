@@ -7,10 +7,7 @@ __version__ = "0.1.0"
 from .errors import ConfigurationError, ContractViolation
 from .path_core import (
     Ensemble,
-    QVPath,
-    SamplePath,
     TimeGrid,
-    quadratic_variation,
     qv_matrix,
     refine_and_compare_qv,
 )
@@ -19,7 +16,6 @@ from .simulate import (
     DriftedDiffusion,
     ModelSpec,
     SeedStream,
-    gen_brownian,
     gen_bundles,
     gen_ensemble,
     m_variance,
@@ -41,12 +37,8 @@ from .strategy import (
 )
 from .wealth import (
     UtilityReport,
-    WealthPath,
     dd_residual,
     log_utility,
-    simple_integral,
-    stoch_exp_continuous,
-    stoch_exp_jumps,
 )
 from .inference import (
     BinSpec,

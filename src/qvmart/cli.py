@@ -6,7 +6,8 @@ plus ``replay`` to re-run any written manifest.  One parameter table per
 subcommand, and per counterexample action, builds its parser, the config
 its manifest records and the argv that replays it.  Every run writes a
 manifest capturing the fully resolved configuration before any other
-artifact, outputs are written atomically (temp file then rename), and
+artifact, and a refused run removes it again, so only a finished run
+leaves one.  Outputs are written atomically (temp file then rename), and
 nothing in an artifact depends on anything but the configuration and
 the seed, so re-running a manifest reproduces every byte.
 """
@@ -128,6 +129,7 @@ def _record(args, keys=None) -> dict:
         "command": args.command,
         "config": config,
     })
+    args.manifest_written = True
     return config
 
 
@@ -563,16 +565,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ConfigurationError as exc:
-        print(json.dumps({"error": "configuration", "message": str(exc)}), file=sys.stderr)
-        return 2
+        error, code, message = "configuration", 2, str(exc)
     except ContractViolation as exc:
-        print(json.dumps({"error": "contract", "message": str(exc)}), file=sys.stderr)
-        return 1
+        error, code, message = "contract", 1, str(exc)
     except (OSError, KeyError, ValueError) as exc:
         # unreadable, missing or malformed input: files, manifests, list flags
-        message = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": "input", "message": message}), file=sys.stderr)
-        return 2
+        error, code, message = "input", 2, f"{type(exc).__name__}: {exc}"
+    if getattr(args, "manifest_written", False):
+        (Path(args.out) / "manifest.json").unlink(missing_ok=True)
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

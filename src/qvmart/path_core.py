@@ -1,11 +1,12 @@
-"""Time grids, cadlag sample paths, pathwise quadratic variation, and
+"""Time grids, path ensembles, pathwise quadratic variation, and
 level/variation truncation times.
 
-Paths live on the unit horizon [0, 1].  A path is a piecewise-linear
-continuous interpolant through per-grid-point samples plus an explicit,
-separately stored jump list; storing jumps apart from the continuous
-samples keeps their squared contribution to the quadratic variation
-exact rather than mesh-dependent.
+Paths live on the unit horizon [0, 1].  Every path is a row of an
+``Ensemble``: a piecewise-linear continuous interpolant through its
+samples at the grid points, plus its jumps, kept in flat arrays apart
+from the samples.  Storing jumps apart from the continuous samples
+keeps their squared contribution to the quadratic variation exact
+rather than mesh-dependent.  One path is a one-row ensemble.
 
 Conventions used throughout the package:
 
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,15 +32,10 @@ from .errors import ConfigurationError, ContractViolation
 
 __all__ = [
     "TimeGrid",
-    "SamplePath",
-    "QVPath",
     "Ensemble",
-    "quadratic_variation",
     "qv_matrix",
     "refine_and_compare_qv",
     "truncation_index",
-    "path_to_csv",
-    "path_from_csv",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -110,80 +106,6 @@ class TimeGrid:
         return not n & (n - 1) and bool(np.array_equal(self.points, np.linspace(0.0, 1.0, n + 1)))
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """Grid-aligned cadlag path: continuous samples plus an explicit jump list.
-
-    ``jumps`` is a sequence of ``(time, size)`` with strictly increasing
-    times, each time a member of ``grid.points`` and strictly positive.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    jumps: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        vals = _readonly(self.values)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "jumps", tuple((float(t), float(s)) for t, s in self.jumps))
-        if vals.shape != self.grid.points.shape:
-            raise ContractViolation("values must align with grid points")
-        times = [t for t, _ in self.jumps]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ContractViolation("jump times must be strictly increasing")
-        for t in times:
-            if t <= 0.0:
-                raise ContractViolation("jumps must occur in (0, 1]")
-            self.grid.index_of(t)  # raises if not on the grid
-
-    @property
-    def jump_indices(self) -> np.ndarray:
-        """Grid-point index of each jump."""
-        return np.array([self.grid.index_of(t) for t, _ in self.jumps], dtype=int)
-
-    @property
-    def jump_sizes(self) -> np.ndarray:
-        return np.array([s for _, s in self.jumps], dtype=float)
-
-    def continuous_part(self) -> "SamplePath":
-        """The path with all jumps removed (cumulative jump sizes subtracted)."""
-        steps = np.zeros_like(self.values)
-        steps[self.jump_indices] = self.jump_sizes
-        return SamplePath(self.grid, self.values - np.cumsum(steps))
-
-    def increments(self) -> np.ndarray:
-        """Total increment per grid cell, jumps included."""
-        return np.diff(self.values)
-
-    def continuous_increments(self) -> np.ndarray:
-        """Per-cell increment of the continuous part."""
-        inc = np.diff(self.values)
-        inc[self.jump_indices - 1] -= self.jump_sizes
-        return inc
-
-
-@dataclass(frozen=True)
-class QVPath:
-    """Running quadratic variation along a grid: non-decreasing, starts at 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _readonly(self.values)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ContractViolation("values must align with grid points")
-        if vals[0] != 0.0:
-            raise ContractViolation("quadratic variation starts at 0")
-        if np.any(np.diff(vals) < 0):
-            raise ContractViolation("quadratic variation must be non-decreasing")
-
-    @property
-    def total(self) -> float:
-        return float(self.values[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """A set of paths sharing one grid, stored as a (n_paths, n_points) matrix.
@@ -223,15 +145,6 @@ class Ensemble:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def path(self, i: int) -> SamplePath:
-        lo, hi = np.searchsorted(self.jump_path, (i, i + 1))
-        pts = self.grid.points
-        jumps = [(pts[c + 1], z) for c, z in zip(self.jump_cell[lo:hi], self.jump_size[lo:hi])]
-        return SamplePath(self.grid, self.values[i], jumps)
-
-    def paths(self) -> Iterable[SamplePath]:
-        return (self.path(i) for i in range(self.n_paths))
-
     def head(self, n: int) -> "Ensemble":
         """The first ``n`` paths with their jumps, as a plain ``Ensemble``."""
         k = int(np.searchsorted(self.jump_path, n))
@@ -239,7 +152,7 @@ class Ensemble:
                         self.jump_path[:k], self.jump_cell[:k], self.jump_size[:k])
 
     def continuous_part(self) -> "Ensemble":
-        """The paths with all jumps removed, as ``SamplePath.continuous_part`` removes them."""
+        """The paths with all jumps removed: each path less its cumulative jump sizes."""
         steps = np.zeros_like(self.values)
         steps[self.jump_path, self.jump_cell + 1] = self.jump_size
         return Ensemble(self.grid, self.values - np.cumsum(steps, axis=1), self.master_seed,
@@ -252,39 +165,15 @@ class Ensemble:
         return inc
 
 
-def _flat_jumps(grid: TimeGrid, jump_lists: Iterable[Iterable[tuple[float, float]]]) -> dict:
-    """``Ensemble`` jump arrays of per-path ``(time, size)`` lists, times on ``grid``."""
-    rows = [(i, grid.index_of(float(t)) - 1, float(z))
-            for i, jumps in enumerate(jump_lists) for t, z in jumps]
-    path, cell, size = zip(*rows) if rows else ((), (), ())
-    return {"jump_path": path, "jump_cell": cell, "jump_size": size}
-
-
 # ---------------------------------------------------------------------------
 # Quadratic variation
 # ---------------------------------------------------------------------------
-
-def quadratic_variation(path: SamplePath) -> QVPath:
-    """Running sum of squared continuous increments plus squared jump sizes.
-
-    The continuous contribution per cell is the squared increment of the
-    continuous interpolant; each jump adds its squared size exactly at
-    the jump time, independent of the mesh.
-    """
-    inc = path.continuous_increments()
-    cell = inc * inc
-    cell[path.jump_indices - 1] += path.jump_sizes * path.jump_sizes
-    out = np.empty_like(path.values)
-    out[0] = 0.0
-    np.cumsum(cell, out=out[1:])
-    return QVPath(path.grid, out)
-
 
 def qv_matrix(ensemble: Ensemble) -> np.ndarray:
     """Quadratic variation of every path, as a (n_paths, n_points) matrix.
 
     Per cell: the squared continuous increment, plus the squared size of
-    a jump in that cell, exactly as ``quadratic_variation`` sums one path.
+    a jump in that cell, so the jump term is exact whatever the mesh.
     """
     inc = ensemble.continuous_increments()
     cell = inc * inc
@@ -303,7 +192,8 @@ def refine_and_compare_qv(
     """Terminal quadratic variation of ONE realization on nested dyadic grids.
 
     ``model`` must expose ``refinable`` and ``path_at_level(stream, index,
-    level)`` evaluating the same realization on finer grids; the returned
+    level)`` evaluating the same realization, as a one-row ``Ensemble``, on
+    finer grids; the returned
     rows ``(n_steps, qv_total)`` stabilize when the realization has a
     mesh-robust quadratic variation, and the jump contribution is
     identical at every mesh by construction.
@@ -315,7 +205,7 @@ def refine_and_compare_qv(
     rows = []
     for level in levels:
         path = model.path_at_level(stream, index, level)
-        rows.append((path.grid.n_steps, quadratic_variation(path).total))
+        rows.append((path.grid.n_steps, float(qv_matrix(path)[0, -1])))
     return rows
 
 
@@ -360,33 +250,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def path_to_csv(path: SamplePath) -> tuple[str, str | None]:
-    """Render a path as a ``t,value`` CSV plus a ``t,jump_size`` sidecar.
-
-    The sidecar is None when the path has no jumps.  Floats are written
-    with the shortest representation that parses back to the same value.
-    """
-    lines = ["t,value"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(path.grid.points, path.values)]
-    body = "\n".join(lines) + "\n"
-    if not path.jumps:
-        return body, None
-    jlines = ["t,jump_size"]
-    jlines += [f"{_fmt(t)},{_fmt(s)}" for t, s in path.jumps]
-    return body, "\n".join(jlines) + "\n"
-
-
-def path_from_csv(body: str, jumps_body: str | None = None) -> SamplePath:
-    rows = [ln for ln in body.strip().splitlines()[1:] if ln]
-    pts = np.array([float(r.split(",")[0]) for r in rows])
-    vals = np.array([float(r.split(",")[1]) for r in rows])
-    jumps: tuple[tuple[float, float], ...] = ()
-    if jumps_body:
-        jrows = [ln for ln in jumps_body.strip().splitlines()[1:] if ln]
-        jumps = tuple((float(r.split(",")[0]), float(r.split(",")[1])) for r in jrows)
-    return SamplePath(TimeGrid(pts), vals, jumps)
-
-
 def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> None:
     """Write an ensemble to a directory with a replayable manifest."""
     out = Path(out_dir)
@@ -400,28 +263,30 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
         "format": fmt,
     }
     _atomic_write(out / "ensemble_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    points = ensemble.grid.points.tolist()
+    times = ensemble.grid.points[ensemble.jump_cell + 1].tolist()
+    sizes = ensemble.jump_size.tolist()
+    bounds = np.searchsorted(ensemble.jump_path, np.arange(ensemble.n_paths + 1)).tolist()
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # each path's jumps
     if fmt == "json":
-        jumps: list[list[list[float]]] = [[] for _ in range(ensemble.n_paths)]
-        times = ensemble.grid.points[ensemble.jump_cell + 1]
-        for i, t, z in zip(ensemble.jump_path.tolist(), times.tolist(), ensemble.jump_size.tolist()):
-            jumps[i].append([t, z])
-        payload = {
-            "manifest": manifest,
-            "points": ensemble.grid.points.tolist(),
-            "paths": [
-                {"values": ensemble.values[i].tolist(), "jumps": jumps[i]}
-                for i in range(ensemble.n_paths)
-            ],
-        }
+        payload = {"manifest": manifest, "points": points, "paths": [
+            {"values": row, "jumps": [[t, z] for t, z in zip(times[j], sizes[j])]}
+            for row, j in zip(ensemble.values.tolist(), spans)
+        ]}
         _atomic_write(out / "ensemble.json", json.dumps(payload) + "\n")
         return
     if fmt != "csv":
         raise ConfigurationError(f"unknown format {fmt!r}")
-    for i in range(ensemble.n_paths):
-        body, jumps_body = path_to_csv(ensemble.path(i))
-        _atomic_write(out / f"path_{i:05d}.csv", body)
-        if jumps_body is not None:
-            _atomic_write(out / f"path_{i:05d}.jumps.csv", jumps_body)
+    for i, (row, j) in enumerate(zip(ensemble.values.tolist(), spans)):
+        _atomic_write(out / f"path_{i:05d}.csv", _csv("t,value", points, row))
+        if j.stop > j.start:
+            _atomic_write(out / f"path_{i:05d}.jumps.csv",
+                          _csv("t,jump_size", times[j], sizes[j]))
+
+
+def _csv(header: str, col0: list[float], col1: list[float]) -> str:
+    """A two-column CSV, each float the shortest text that parses back to it."""
+    return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in zip(col0, col1))])
 
 
 def load_ensemble(in_dir: str | Path) -> Ensemble:
@@ -429,34 +294,62 @@ def load_ensemble(in_dir: str | Path) -> Ensemble:
 
     Malformed stored data raises ValueError naming the directory: a
     manifest listing no paths, paths off one grid, a grid not spanning
-    [0, 1], or a jump off the grid.
+    [0, 1], a jump off the grid, or a CSV row that is short or not
+    numeric.
     """
     src = Path(in_dir)
     manifest = json.loads((src / "ensemble_manifest.json").read_text())
     try:
         if manifest.get("format") == "json":
             payload = json.loads((src / "ensemble.json").read_text())
-            grid = TimeGrid(np.array(payload["points"], dtype=float))
+            points = np.array(payload["points"], dtype=float)
             values = np.array([p["values"] for p in payload["paths"]], dtype=float)
-            jump_lists = [p["jumps"] for p in payload["paths"]]
+            jumps = [(i, t, z) for i, p in enumerate(payload["paths"]) for t, z in p["jumps"]]
         else:
-            if manifest["n_paths"] < 1:
-                raise ValueError(f"{src} lists no paths")
-            paths = []
-            for i in range(manifest["n_paths"]):
-                body = (src / f"path_{i:05d}.csv").read_text()
-                jfile = src / f"path_{i:05d}.jumps.csv"
-                jbody = jfile.read_text() if jfile.exists() else None
-                paths.append(path_from_csv(body, jbody))
-                if not np.array_equal(paths[i].grid.points, paths[0].grid.points):
-                    raise ValueError(f"path_{i:05d}.csv is not on the grid of path_00000.csv")
-            grid = paths[0].grid
-            values = np.stack([p.values for p in paths])
-            jump_lists = [p.jumps for p in paths]
+            points, values, jumps = _read_csv_paths(src, manifest["n_paths"])
+        grid = TimeGrid(points)
+        path, time, size = np.array(jumps, dtype=float).reshape(-1, 3).T
         return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"],
-                        **_flat_jumps(grid, jump_lists))
-    except ContractViolation as exc:
+                        path.astype(np.intp), _cells_of(grid, time), size)
+    except (ContractViolation, TypeError, ValueError) as exc:
         raise ValueError(f"{src} holds a malformed ensemble: {exc}") from exc
+
+
+def _read_csv_paths(src: Path, n_paths: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Grid points, value matrix and ``(path, time, size)`` jumps of a CSV ensemble."""
+    if n_paths < 1:
+        raise ValueError("the manifest lists no paths")
+    cols = [_csv_columns(src / f"path_{i:05d}.csv") for i in range(n_paths)]
+    points = cols[0][0]
+    for i, (t, _) in enumerate(cols):
+        if not np.array_equal(t, points):
+            raise ValueError(f"path_{i:05d}.csv is not on the grid of path_00000.csv")
+    jumps = [(i, t, z) for i in range(n_paths)
+             if (jfile := src / f"path_{i:05d}.jumps.csv").exists()
+             for t, z in zip(*_csv_columns(jfile))]
+    return points, np.stack([v for _, v in cols]), jumps
+
+
+def _csv_columns(file: Path) -> np.ndarray:
+    """The two float columns below a CSV file's header, as a ``(2, rows)`` array."""
+    lines = file.read_text().splitlines()[1:]
+    try:
+        cols = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 2))
+    except ValueError as exc:
+        raise ValueError(f"{file.name}: {exc}") from exc
+    if cols.shape[1] != 2:
+        raise ValueError(f"{file.name} does not hold two columns")
+    return cols.T
+
+
+def _cells_of(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
+    """The cell of each jump time: the index of the grid point it names, less one."""
+    pts = grid.points
+    k = np.clip(np.searchsorted(pts, times), 1, pts.size - 1)
+    k -= (times - pts[k - 1] < pts[k] - times) & (k > 1)  # the nearer point
+    if not np.all(np.abs(pts[k] - times) <= 1e-12):
+        raise ContractViolation("jump times must be grid points in (0, 1]")
+    return k - 1
 
 
 def _atomic_write(target: Path, text: str) -> None:

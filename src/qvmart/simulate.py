@@ -19,12 +19,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import _CHUNK_CELLS, Ensemble, SamplePath, TimeGrid, _flat_jumps
+from .path_core import _CHUNK_CELLS, Ensemble, TimeGrid
 
 __all__ = [
     "SeedStream",
@@ -32,14 +31,10 @@ __all__ = [
     "BundleEnsemble",
     "BrownianModel",
     "DriftedDiffusion",
-    "DeterministicModel",
-    "PureJumpModel",
-    "gen_brownian",
     "sigma_profile",
     "sigma_profile_vec",
     "m_variance",
     "make_insider_grid",
-    "m_from_b",
     "gen_bundles",
     "gen_ensemble",
 ]
@@ -285,50 +280,34 @@ def _brownian_matrix(stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
     return vals
 
 
-def _bridge_values(stream: SeedStream, index: int, level: int) -> np.ndarray:
-    """Bridge values of path ``index`` on the dyadic grid of 2**level steps."""
-    vals = np.empty((1, 2**level + 1))
-    _fill_bridge(stream, np.array([index]), level, vals)
-    return vals[0]
-
-
-def _brownian_values(stream: SeedStream, grid: TimeGrid, index: int) -> np.ndarray:
-    return _brownian_matrix(stream, grid, [index])[0]
-
-
-def gen_brownian(stream: SeedStream, grid: TimeGrid, index: int = 0) -> SamplePath:
-    """Standard Brownian path on ``grid``, started at 0.
+class BrownianModel:
+    """Driftless Brownian motion; supports nested dyadic refinement.
 
     Dyadic uniform grids use the bridge construction and are therefore
     refinement-consistent across levels; other grids use sequential
     Gaussian increments with variance equal to the cell width.
     """
-    return SamplePath(grid, _brownian_values(stream, grid, index))
-
-
-class BrownianModel:
-    """Driftless Brownian motion; supports nested dyadic refinement."""
 
     tag = "brownian"
     refinable = True
 
-    def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
-        return gen_brownian(stream, grid, index)
-
     def _matrix(self, stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
         return _brownian_matrix(stream, grid, indices)
 
-    def path_at_level(self, stream: SeedStream, index: int, level: int) -> SamplePath:
-        return SamplePath(TimeGrid.dyadic(level), _bridge_values(stream, index, level))
+    def path_at_level(self, stream: SeedStream, index: int, level: int) -> Ensemble:
+        """Path ``index`` on the dyadic grid of 2**level steps, as a one-row ensemble."""
+        grid = TimeGrid.dyadic(level)
+        return Ensemble(grid, self._matrix(stream, grid, [index]), stream.master_seed, self.tag)
 
 
 class DriftedDiffusion:
     """dS = mu dt + sigma dB with constant or (t, s)-dependent coefficients.
 
     Constant coefficients give the exact solution S = s0 + mu t + sigma B
-    driven by the bridge construction (hence refinable); callable
-    coefficients fall back to a left-endpoint Euler scheme on the target
-    grid.
+    driven by the bridge construction (hence refinable).  Callable
+    coefficients take a time and the array of every row's state at that
+    time, and drive a left-endpoint Euler scheme on the target grid, one
+    column at a time over all rows.
     """
 
     def __init__(self, mu, sigma, s0: float = 0.0):
@@ -346,77 +325,30 @@ class DriftedDiffusion:
     def refinable(self) -> bool:
         return self._const
 
-    def _matrix(self, stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray | None:
-        """Rows of the exact solution s0 + mu t + sigma B; None for callable coefficients."""
-        if not self._const:
-            return None
+    def _matrix(self, stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
+        """Rows of the exact solution, or of the Euler scheme for callable coefficients."""
         vals = _brownian_matrix(stream, grid, indices)
-        vals *= float(self.sigma)
-        vals += self.s0 + float(self.mu) * grid.points
-        return vals
-
-    def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
         if self._const:
-            return SamplePath(grid, self._matrix(stream, grid, [index])[0])
-        b = gen_brownian(stream, grid, index)
+            vals *= float(self.sigma)
+            vals += self.s0 + float(self.mu) * grid.points
+            return vals
         mu_fn = self.mu if callable(self.mu) else (lambda t, s: self.mu)
         sig_fn = self.sigma if callable(self.sigma) else (lambda t, s: self.sigma)
-        db = np.diff(b.values)
-        dt = grid.dt
-        vals = np.empty(grid.points.size)
-        vals[0] = self.s0
-        s = self.s0
-        for k in range(grid.n_steps):
-            t = grid.points[k]
+        db = np.diff(vals, axis=1)
+        vals[:, 0] = self.s0
+        for k, (t, dt) in enumerate(zip(grid.points[:-1], grid.dt)):
+            s = vals[:, k]
             sig = sig_fn(t, s)
-            if sig <= 0:
+            if np.any(sig <= 0):
                 raise ContractViolation("sigma function must stay positive")
-            s = s + mu_fn(t, s) * dt[k] + sig * db[k]
-            vals[k + 1] = s
-        return SamplePath(grid, vals)
+            vals[:, k + 1] = s + mu_fn(t, s) * dt + sig * db[:, k]
+        return vals
 
-    def path_at_level(self, stream: SeedStream, index: int, level: int) -> SamplePath:
+    def path_at_level(self, stream: SeedStream, index: int, level: int) -> Ensemble:
         if not self._const:
             raise ConfigurationError("state-dependent coefficients are not refinable")
-        return self.generate(stream, index, TimeGrid.dyadic(level))
-
-
-class DeterministicModel:
-    """Deterministic path S_t = f(t); useful as a zero-QV control."""
-
-    refinable = True
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], tag: str = "deterministic"):
-        self.fn = fn
-        self.tag = tag
-
-    def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
-        return SamplePath(grid, np.asarray(self.fn(grid.points), dtype=float))
-
-    def path_at_level(self, stream: SeedStream, index: int, level: int) -> SamplePath:
-        return self.generate(stream, index, TimeGrid.dyadic(level))
-
-
-class PureJumpModel:
-    """Piecewise-constant path with fixed jumps at fixed dyadic times."""
-
-    refinable = True
-    tag = "pure_jump"
-
-    def __init__(self, jumps: Sequence[tuple[float, float]]):
-        self.raw_jumps = tuple(jumps)
-
-    def generate(self, stream: SeedStream, index: int, grid: TimeGrid) -> SamplePath:
-        vals = np.zeros(grid.points.size)
-        snapped = []
-        for t, s in self.raw_jumps:
-            k = int(np.searchsorted(grid.points, t, side="left"))
-            snapped.append((float(grid.points[k]), float(s)))
-            vals[k:] += s
-        return SamplePath(grid, vals, tuple(snapped))
-
-    def path_at_level(self, stream: SeedStream, index: int, level: int) -> SamplePath:
-        return self.generate(stream, index, TimeGrid.dyadic(level))
+        grid = TimeGrid.dyadic(level)
+        return Ensemble(grid, self._matrix(stream, grid, [index]), stream.master_seed, self.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +442,6 @@ def _m_values(grid: TimeGrid, b_vals: np.ndarray, eps: float) -> np.ndarray:
     vals[..., 0] = 0.0
     np.cumsum(inc, axis=-1, out=vals[..., 1:])
     return vals
-
-
-def m_from_b(b: SamplePath, eps: float) -> SamplePath:
-    """The late-burst martingale rebuilt from a Brownian path's increments.
-
-    Increment per cell is sigma(left endpoint) times the Brownian
-    increment, accumulated only over cells contained in [0, 1-eps]; the
-    path is frozen on (1-eps, 1].
-    """
-    return SamplePath(b.grid, _m_values(b.grid, b.values, eps))
 
 
 def _check_freeze(grid: TimeGrid, eps: float) -> None:
@@ -741,18 +663,12 @@ def gen_ensemble(
 ) -> Ensemble:
     """Materialize ``n_paths`` model paths into one value matrix.
 
-    Brownian and constant-coefficient drifted models fill the matrix
-    directly; other models stack their per-path ``generate``.
+    The model's ``_matrix(stream, grid, indices)`` fills one row per path
+    index; row i depends only on i.
     """
     if n_paths < 1:
         raise ContractViolation("need at least one path")
-    matrix = getattr(model, "_matrix", None)
-    values = None if matrix is None else matrix(stream, grid, range(n_paths))
-    if values is not None:
-        return Ensemble(grid, values, stream.master_seed, model.tag)
-    paths = [model.generate(stream, i, grid) for i in range(n_paths)]
-    return Ensemble(grid, np.stack([p.values for p in paths]), stream.master_seed, model.tag,
-                    **_flat_jumps(grid, [p.jumps for p in paths]))
+    return Ensemble(grid, model._matrix(stream, grid, range(n_paths)), stream.master_seed, model.tag)
 
 
 @dataclass(frozen=True)

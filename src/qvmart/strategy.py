@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, SamplePath, TimeGrid, _flat_jumps, _mean_stderr
+from .path_core import Ensemble, TimeGrid, _mean_stderr
 from .path_core import qv_matrix, truncation_index
 
 __all__ = [
@@ -293,19 +293,20 @@ def pi_for_ensemble(
 
 def evaluate(
     strategy: SimpleStrategy | GridRuleStrategy | BandStrategy,
-    path: SamplePath,
+    path: Ensemble,
     ctx: EvalContext = EvalContext(),
 ) -> np.ndarray:
-    """Per-cell proportions of a strategy along one path.
+    """Per-cell proportions of a strategy along one path, a one-row ensemble.
 
     The one-row case of ``pi_for_ensemble``: ``ctx`` holds this path's
     side information, a datum and two value rows (flat or one-row).
     """
-    grid = path.grid
-    ens = Ensemble(grid, path.values[None], None, "path", **_flat_jumps(grid, [path.jumps]))
+    if path.n_paths != 1:
+        raise ContractViolation(f"evaluate takes one path, not {path.n_paths}")
     rows = [None if a is None else np.reshape(a, (1, -1)) for a in (ctx.qv, ctx.driver)]
     insider = None if ctx.insider is None else np.reshape(ctx.insider, (1,))
-    return pi_for_ensemble(strategy, ens, rows[0], insider, rows[1]).reshape(-1, grid.n_steps)[0]
+    pi = pi_for_ensemble(strategy, path, rows[0], insider, rows[1])
+    return pi.reshape(-1, path.grid.n_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -336,8 +337,6 @@ def h2_norm(
 class BandReport:
     admissible: bool
     violations: tuple[tuple[float, float], ...]
-
-
 
 
 def band_check(

@@ -1,8 +1,9 @@
-"""Pathwise wealth dynamics for proportion strategies: simple integrals,
-continuous and jump stochastic exponentials, the left-endpoint residual of
-the wealth recursion dW = W pi dS, and log-utility aggregation.
+"""Pathwise wealth dynamics for proportion strategies over an ensemble:
+the stochastic exponential of every path (continuous paths are the case
+without jumps), the left-endpoint residual of the wealth recursion
+dW = W pi dS, and log-utility aggregation.
 
-The jump exponential is computed in its factorized form
+The exponential is computed in its factorized form
 
     W_t = exp( sum pi dS^c - 1/2 sum pi^2 d[S]^c ) * prod (1 + pi dS_jump),
 
@@ -15,20 +16,14 @@ jump compensators, so they are never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import _CHUNK_CELLS, Ensemble, QVPath, SamplePath, TimeGrid, _mean_stderr
-from .path_core import qv_matrix
+from .path_core import _CHUNK_CELLS, Ensemble, _mean_stderr, qv_matrix
 
 __all__ = [
-    "WealthPath",
     "UtilityReport",
-    "simple_integral",
-    "stoch_exp_continuous",
-    "stoch_exp_jumps",
     "stoch_exp_ensemble",
     "dd_residual",
     "log_utility",
@@ -36,34 +31,6 @@ __all__ = [
     "terminal_log_wealth_continuous",
     "terminal_log_wealth_jumps",
 ]
-
-
-@dataclass(frozen=True)
-class WealthPath:
-    """Wealth along the grid, started at 1.
-
-    ``hit_nonpositive`` marks a jump wipe-out; from the first nonpositive
-    time onward the values are frozen (log utility is ruined either way,
-    and freezing keeps downstream sums finite).
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    hit_nonpositive: bool = False
-    first_nonpositive_time: float | None = None
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise ContractViolation("values must align with grid points")
-        if vals[0] != 1.0:
-            raise ContractViolation("wealth starts at 1")
-
-    @property
-    def terminal(self) -> float:
-        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -89,63 +56,13 @@ class UtilityReport:
         }
 
 
-def simple_integral(pi: np.ndarray, path: SamplePath) -> SamplePath:
-    """Cumulative sum of pi times the path increments (jumps included).
-
-    The integrand is the per-cell step function; the result jumps by
-    pi * (jump size) wherever the path jumps and pi is nonzero there.
-    """
-    pi = np.asarray(pi, dtype=float)
-    grid = path.grid
-    if pi.shape != (grid.n_steps,):
-        raise ContractViolation("pi must hold one value per grid cell")
-    vals = np.empty(grid.points.size)
-    vals[0] = 0.0
-    np.cumsum(pi * path.increments(), out=vals[1:])
-    jumps = []
-    for idx, size in zip(path.jump_indices, path.jump_sizes):
-        scaled = pi[idx - 1] * size
-        if scaled != 0.0:
-            jumps.append((float(grid.points[idx]), float(scaled)))
-    return SamplePath(grid, vals, tuple(jumps))
-
-
-def stoch_exp_continuous(pi: np.ndarray, path: SamplePath, qv: QVPath) -> WealthPath:
-    """exp( integral of pi dS minus half the integral of pi^2 d[S] ).
-
-    Strictly positive on every input; the variation increments come from
-    the path's own running variation, not from model parameters.
-    """
-    if path.jumps:
-        raise ContractViolation("continuous exponential needs a jump-free path")
-    return stoch_exp_jumps(pi, path, qv)
-
-
-def stoch_exp_jumps(pi: np.ndarray, path: SamplePath, qv_continuous: QVPath) -> WealthPath:
-    """Jump stochastic exponential; ``qv_continuous`` excludes jump terms.
-
-    Nonpositive wealth is a flagged outcome, not an error: the first
-    cumulative jump factor prod (1 + pi dS) <= 0 freezes the path at its
-    nonpositive value.  With an empty jump list this is the continuous
-    exponential.  The one-row case of ``stoch_exp_ensemble``.
-    """
-    pi = np.asarray(pi, dtype=float)
-    grid = path.grid
-    if pi.shape != (grid.n_steps,):
-        raise ContractViolation("pi must hold one value per grid cell")
-    cells = path.jump_indices - 1
-    w, dead = _product_recursion(
-        pi, path.continuous_increments()[None], np.diff(qv_continuous.values)[None],
-        np.zeros_like(cells), cells, path.jump_sizes,
-    )
-    k = int(dead[0])
-    return WealthPath(grid, w[0], k >= 0, float(grid.points[k + 1]) if k >= 0 else None)
-
-
 def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Jump stochastic exponential of every path, as ``stoch_exp_jumps``
-    gives it with the variation of the path's continuous part.
+    """Stochastic exponential of every path, wealth started at 1.
 
+    The exponent sums ``pi`` against the increments and the variation of
+    each path's continuous part.  Nonpositive wealth is a flagged outcome,
+    not an error: ruin is absorbing, so the first cumulative jump factor
+    prod (1 + pi dS) <= 0 freezes the path at its nonpositive value.
     ``pi`` is one shared per-cell row or one row per path.  Returns the
     ``(n_paths, n_points)`` wealth matrix and each path's first cell
     whose cumulative jump factor is nonpositive (-1 when none).
@@ -173,27 +90,29 @@ def _product_recursion(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size):
     return np.take_along_axis(w, frozen, axis=1), dead
 
 
-def dd_residual(pi: np.ndarray, path: SamplePath, wealth: WealthPath) -> float:
-    """Worst-case gap between W and its left-endpoint wealth recursion.
+def dd_residual(pi: np.ndarray, ensemble: Ensemble, w: np.ndarray) -> np.ndarray:
+    """Worst-case gap between each row of the wealth matrix ``w`` and its
+    left-endpoint wealth recursion.
 
-    Measures max over grid times of |W_t - 1 - sum W pi dS|; on the same
-    realization this shrinks as the grid refines.
+    Measures, per path, max over grid times of |W_t - 1 - sum W pi dS|;
+    on the same realization this shrinks as the grid refines.  ``pi`` is
+    one shared per-cell row or one row per path.
     """
     pi = np.asarray(pi, dtype=float)
-    euler = np.cumsum(wealth.values[:-1] * pi * path.increments())
-    return float(np.max(np.abs(wealth.values[1:] - 1.0 - euler)))
+    euler = np.cumsum(w[:, :-1] * pi * np.diff(ensemble.values, axis=1), axis=1)
+    return np.max(np.abs(w[:, 1:] - 1.0 - euler), axis=1)
 
 
-def log_utility(wealths: Sequence[WealthPath] | np.ndarray) -> UtilityReport:
+def log_utility(w1: np.ndarray) -> UtilityReport:
     """Sample mean and standard error of log terminal wealth.
 
-    ``wealths`` are wealth paths or an array of terminal wealths.  Any
-    terminal wealth at or below zero makes the whole estimate -inf, the
-    Monte-Carlo rendering of assigning -inf to ruinous strategies.
+    ``w1`` holds the terminal wealths.  Any terminal wealth at or below
+    zero makes the whole estimate -inf, the Monte-Carlo rendering of
+    assigning -inf to ruinous strategies.
     """
-    if not len(wealths):
-        raise ContractViolation("need at least one wealth path")
-    w1 = np.array([w.terminal for w in wealths]) if not isinstance(wealths, np.ndarray) else wealths
+    w1 = np.asarray(w1, dtype=float)
+    if not w1.size:
+        raise ContractViolation("need at least one terminal wealth")
     nonpositive = w1 <= 0.0
     log_w1 = np.log(w1, out=np.full(w1.shape, -np.inf), where=~nonpositive)
     return log_utility_from_terminals(log_w1, int(np.sum(nonpositive)))

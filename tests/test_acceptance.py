@@ -50,7 +50,7 @@ from qvmart.inference import (
     martingale_residual,
     optimality_gap,
 )
-from qvmart.path_core import TimeGrid, quadratic_variation, qv_matrix
+from qvmart.path_core import TimeGrid, qv_matrix
 from qvmart.simulate import (
     BrownianModel,
     DriftedDiffusion,
@@ -67,7 +67,7 @@ from qvmart.strategy import (
     truncation_strategy,
     window_strategy,
 )
-from qvmart.wealth import dd_residual, stoch_exp_continuous
+from qvmart.wealth import dd_residual, stoch_exp_ensemble
 
 MU, SIGMA = 0.1, 0.2
 ALPHA = MU / SIGMA**2  # 2.5
@@ -103,7 +103,7 @@ def test_a1_qv_consistency():
     model = BrownianModel()
     qvs = np.empty(1000)
     for i in range(1000):
-        qvs[i] = quadratic_variation(model.path_at_level(stream, i, 20)).total
+        qvs[i] = qv_matrix(model.path_at_level(stream, i, 20))[0, -1]
     elapsed = time.time() - t0
     frac = float(np.mean(np.abs(qvs - 1.0) <= 0.02))
     assert frac >= 0.95
@@ -116,16 +116,12 @@ def test_a2_wealth_recursion_residual():
     # median residual shrink factor >= 2 between 2^10 and 2^14 over 100 seeds
     t0 = time.time()
     stream = SeedStream(2002)
-    model = BrownianModel()
-    ratios = []
-    for i in range(100):
-        res = {}
-        for level in (10, 14):
-            p = model.path_at_level(stream, i, level)
-            qv = quadratic_variation(p)
-            pi = np.ones(p.grid.n_steps)
-            res[level] = dd_residual(pi, p, stoch_exp_continuous(pi, p, qv))
-        ratios.append(res[10] / res[14])
+    res = {}
+    for level in (10, 14):  # path i is row i at both levels
+        ens = gen_ensemble(BrownianModel(), stream, 100, TimeGrid.dyadic(level))
+        pi = np.ones(ens.grid.n_steps)
+        res[level] = dd_residual(pi, ens, stoch_exp_ensemble(pi, ens)[0])
+    ratios = res[10] / res[14]
     elapsed = time.time() - t0
     med = float(np.median(ratios))
     assert med >= 2.0

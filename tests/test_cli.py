@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qvmart.cli import main
-from qvmart.path_core import load_ensemble, quadratic_variation
+from qvmart.path_core import load_ensemble
 from qvmart.strategy import load_strategy_file, pi_for_ensemble
-from qvmart.wealth import stoch_exp_jumps
+from test_wealth import ref_wealth
 
 
 def read_dir_bytes(d: Path) -> dict:
@@ -301,10 +301,12 @@ def inputs(tmp_path_factory):
     for name, obj in bad_strategies.items():
         (d / f"bad-{name}.json").write_text(json.dumps(obj))
     # malformed stored ensembles: no JSON paths, jumps off the grid, a grid
-    # not spanning [0, 1], a header-only path file
+    # not spanning [0, 1], a header-only path file, a CSV row without a comma
     for name, model, fmt in (("json-empty", "brownian", "json"), ("span", "brownian", "csv"),
                              ("header", "brownian", "csv"), ("jump-csv", "counterexample", "csv"),
-                             ("jump-json", "counterexample", "json")):
+                             ("jump-json", "counterexample", "json"),
+                             ("short-row", "brownian", "csv"),
+                             ("short-jump-row", "counterexample", "csv")):
         assert main(["simulate", "--model", model, "--paths", "2", "--steps", "4",
                      "--log-steps", "8", "--eps", "0.01", "--format", fmt,
                      "--out", str(d / name)]) == 0
@@ -318,6 +320,10 @@ def inputs(tmp_path_factory):
     p0.write_text(p0.read_text().replace("\n1.0,", "\n0.9,"))
     (d / "header" / "path_00000.csv").write_text("t,value\n")
     (d / "jump-csv" / "path_00000.jumps.csv").write_text("t,jump_size\n0.123,1.0\n")
+    p1 = d / "short-row" / "path_00001.csv"
+    p1.write_text("\n".join("0.25" if ln.startswith("0.25,") else ln
+                            for ln in p1.read_text().splitlines()) + "\n")
+    (d / "short-jump-row" / "path_00000.jumps.csv").write_text("t,jump_size\n0.5\n")
     # two finished runs for report to summarise
     assert main(["qv", "--in", str(d / "sim"), "--out", str(d / "qv")]) == 0
     assert main(["counterexample", "poisson-lemma", "--samples", "50", "--seed", "4",
@@ -331,7 +337,8 @@ def inputs(tmp_path_factory):
             "qv": str(d / "qv"), "pl": str(d / "pl"),
             **{f"bad_{k.replace('-', '_')}": str(d / f"bad-{k}.json") for k in bad_strategies},
             **{f"stored_{k.replace('-', '_')}": str(d / k)
-               for k in ("json-empty", "span", "header", "jump-csv", "jump-json")}}
+               for k in ("json-empty", "span", "header", "jump-csv", "jump-json", "short-row",
+                         "short-jump-row")}}
 
 
 _BUNDLES = ["--bundles", "40", "--steps", "32", "--log-steps", "64", "--seed", "6"]
@@ -427,6 +434,7 @@ def test_non_finite_rate_is_refused_as_zero_rate_is(argv, tmp_path, capsys):
         rc = main(argv + ["--rate", rate, "--out", str(tmp_path / rate)])
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "rate must be positive and finite" in error["message"]
+        assert not (tmp_path / rate / "manifest.json").exists()  # a refused run leaves none
         outcomes.append((rc, error["error"]))
     assert outcomes[0][0] in (1, 2) and outcomes == [outcomes[0]] * 3
 
@@ -434,23 +442,25 @@ def test_non_finite_rate_is_refused_as_zero_rate_is(argv, tmp_path, capsys):
 @pytest.mark.parametrize("strategy", ["legs", "half"])  # every row ruined; two of four
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
-    # the matrix wealth pass equals stoch_exp_jumps on each profile row,
-    # with the variation of the row's continuous part
+    # the matrix wealth pass equals the row-by-row reference on each
+    # profile row, with the variation of the row's continuous part
     assert main(["wealth", "--in", inputs[f"cx_{fmt}"], "--strategy", inputs[strategy],
                  "--out", str(tmp_path / "w")]) == 0
     ens = load_ensemble(inputs[f"cx_{fmt}"])
     pi = np.broadcast_to(pi_for_ensemble(load_strategy_file(inputs[strategy]), ens),
                          (ens.n_paths, ens.grid.n_steps))
     lines = ["path_id,W1,hit_nonpositive"]
-    for i, path in enumerate(ens.paths()):
-        w = stoch_exp_jumps(pi[i], path, quadratic_variation(path.continuous_part()))
-        lines.append(f"{i},{w.terminal!r},{int(w.hit_nonpositive)}")
+    for i in range(ens.n_paths):
+        mine = ens.jump_path == i
+        w, dead = ref_wealth(pi[i], ens.values[i], ens.jump_cell[mine], ens.jump_size[mine])
+        lines.append(f"{i},{float(w[-1])!r},{int(dead >= 0)}")
     assert (tmp_path / "w" / "w1.csv").read_text() == "\n".join(lines) + "\n"
 
 
 _BAD_STRATEGIES = ("str", "num", "list_of_num", "legs_str", "params_list", "until_null",
                    "margin_str", "default_str")
-_BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json")
+_BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json", "short_row",
+               "short_jump_row")
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,6 +485,7 @@ def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "input" and error["message"]
+    assert not (tmp_path / "out" / "manifest.json").exists()  # a refused run leaves none
 
 
 @pytest.mark.parametrize("flag", [["--levels", "99"], ["--seed", "0"], ["--model", "brownian"]],

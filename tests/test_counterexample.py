@@ -474,6 +474,6 @@ class TestSharedFamilyPass:
     def test_only_an_ensemble_is_taken(self, call):
         ens = self.fresh(20)
         call(ens)
-        for other in (list(ens.paths()), ens.head(20), ens.path(0)):
+        for other in ([ens.head(1), ens.head(2)], ens.head(20), ens.values):
             with pytest.raises(ContractViolation, match="expected a BundleEnsemble"):
                 call(other)

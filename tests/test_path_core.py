@@ -1,4 +1,7 @@
-"""Grid, path, quadratic variation, and truncation-time behavior."""
+"""Grid, path, quadratic variation, and truncation-time behavior.
+
+A path is a one-row ``Ensemble``; ``one_row`` builds one from samples
+and a jump list."""
 
 import json
 
@@ -10,31 +13,69 @@ from hypothesis import strategies as st
 from qvmart.errors import ConfigurationError, ContractViolation
 from qvmart.path_core import (
     Ensemble,
-    QVPath,
-    SamplePath,
     TimeGrid,
     load_ensemble,
-    path_from_csv,
-    path_to_csv,
     qv_matrix,
-    quadratic_variation,
     refine_and_compare_qv,
     save_ensemble,
     truncation_index,
 )
 from qvmart.simulate import (
     BrownianModel,
-    DeterministicModel,
-    PureJumpModel,
     SeedStream,
     gen_bundles,
-    gen_ensemble,
     make_insider_grid,
 )
 
 
-def brownian_path(seed: int, level: int) -> SamplePath:
+def brownian_path(seed: int, level: int) -> Ensemble:
     return BrownianModel().path_at_level(SeedStream(seed), 0, level)
+
+
+def one_row(grid: TimeGrid, base, jumps=()) -> Ensemble:
+    """A one-row ensemble: ``base`` plus a jump of each ``(time, size)``, times on the grid."""
+    vals = np.array(base, dtype=float)
+    cells = []
+    for t, z in jumps:
+        k = grid.index_of(t)
+        vals[k:] += z
+        cells.append(k - 1)
+    return Ensemble(grid, vals[None], None, "test", jump_path=[0] * len(cells),
+                    jump_cell=cells, jump_size=[z for _, z in jumps])
+
+
+def ref_qv(ens: Ensemble) -> np.ndarray:
+    """Running variation row by row: squared continuous increments, then
+    each jump's squared size added in its cell."""
+    out = np.zeros_like(ens.values)
+    for i, row in enumerate(ens.values):
+        mine = ens.jump_path == i
+        cells, sizes = ens.jump_cell[mine], ens.jump_size[mine]
+        inc = np.diff(row)
+        for c, z in zip(cells, sizes):
+            inc[c] -= z
+        sq = inc * inc
+        for c, z in zip(cells, sizes):
+            sq[c] += z * z
+        out[i, 1:] = np.cumsum(sq)
+    return out
+
+
+class FixedPath:
+    """A refinable model whose one path is ``fn`` plus fixed jumps on every
+    dyadic grid, each jump time rounded up to the next grid point."""
+
+    refinable = True
+    tag = "fixed"
+
+    def __init__(self, fn, jumps=()):
+        self.fn, self.jumps = fn, jumps
+
+    def path_at_level(self, stream, index, level):
+        grid = TimeGrid.dyadic(level)
+        pts = grid.points
+        snapped = [(pts[np.searchsorted(pts, t)], z) for t, z in self.jumps]
+        return one_row(grid, self.fn(pts), snapped)
 
 
 class TestTimeGrid:
@@ -66,63 +107,70 @@ class TestTimeGrid:
 
 
 class TestSamplePath:
-    def test_jump_must_sit_on_grid(self):
-        g = TimeGrid.uniform(4)
-        with pytest.raises(ContractViolation):
-            SamplePath(g, np.zeros(5), ((0.3, 1.0),))
+    """One path: a one-row ``Ensemble``."""
+
+    def test_jump_must_sit_on_grid(self, tmp_path):
+        # a stored jump at a time that is no grid point in (0, 1] is refused
+        save_ensemble(one_row(TimeGrid.uniform(4), np.zeros(5), [(0.5, 1.0)]), tmp_path)
+        for t in ("0.3", "0.0", "nan"):
+            (tmp_path / "path_00000.jumps.csv").write_text(f"t,jump_size\n{t},1.0\n")
+            with pytest.raises(ValueError, match="jump times must be grid points"):
+                load_ensemble(tmp_path)
 
     def test_continuous_part_removes_jumps(self):
         g = TimeGrid.uniform(4)
-        vals = np.array([0.0, 1.0, 3.0, 3.0, 3.0])  # jump of 2 at t=0.5
-        p = SamplePath(g, vals, ((0.5, 2.0),))
+        p = one_row(g, [0.0, 1.0, 1.0, 1.0, 1.0], [(0.5, 2.0)])
+        np.testing.assert_array_equal(p.values, [[0.0, 1.0, 3.0, 3.0, 3.0]])
         cont = p.continuous_part()
-        np.testing.assert_allclose(cont.values, [0.0, 1.0, 1.0, 1.0, 1.0])
-        assert cont.jumps == ()
+        np.testing.assert_allclose(cont.values, [[0.0, 1.0, 1.0, 1.0, 1.0]])
+        assert cont.jump_path.size == 0
 
     def test_immutable(self):
-        p = SamplePath(TimeGrid.uniform(2), np.zeros(3))
+        p = one_row(TimeGrid.uniform(2), np.zeros(3))
         with pytest.raises(ValueError):
-            p.values[0] = 1.0
+            p.values[0, 0] = 1.0
 
 
 class TestQuadraticVariation:
     def test_constant_path_is_zero(self):
-        p = SamplePath(TimeGrid.uniform(8), np.full(9, 5.0))
-        assert quadratic_variation(p).total == 0.0
+        p = one_row(TimeGrid.uniform(8), np.full(9, 5.0))
+        assert qv_matrix(p)[0, -1] == 0.0
 
     def test_single_jump(self):
         # flat path, one jump of size 2 at t = 0.5: QV jumps to 4 there
-        g = TimeGrid.uniform(4)
-        vals = np.array([0.0, 0.0, 2.0, 2.0, 2.0])
-        qv = quadratic_variation(SamplePath(g, vals, ((0.5, 2.0),)))
-        np.testing.assert_allclose(qv.values, [0.0, 0.0, 4.0, 4.0, 4.0])
+        qv = qv_matrix(one_row(TimeGrid.uniform(4), np.zeros(5), [(0.5, 2.0)]))
+        np.testing.assert_allclose(qv, [[0.0, 0.0, 4.0, 4.0, 4.0]])
 
     def test_brownian_concentration(self):
         # chi-square oracle: QV_1 ~ 1 with sd sqrt(2/n); at n = 2^14 the
         # band +-0.04 is roughly +-3.6 sd, so at least 95 of 100 paths pass
         ok = 0
         for seed in range(100):
-            qv = quadratic_variation(brownian_path(seed, 14)).total
+            qv = qv_matrix(brownian_path(seed, 14))[0, -1]
             ok += abs(qv - 1.0) <= 0.04
         assert ok >= 95
 
     @pytest.mark.parametrize("source", ["pure_jump", "bundles"])
     def test_qv_matrix_matches_per_path(self, source):
-        # the flat-array jump handling is byte-identical to the per-path sum
+        # the flat-array jump handling is byte-identical to the row-by-row sum
         if source == "pure_jump":
-            model = PureJumpModel([(0.3, 1.5), (0.5, -2.0), (0.52, 0.25)])
-            ens = gen_ensemble(model, SeedStream(0), 4, TimeGrid.uniform(16))
+            grid = TimeGrid.uniform(16)
+            jumps = [(0.3125, 1.5), (0.5, -2.0), (0.5625, 0.25)]
+            rows = [one_row(grid, np.zeros(17), jumps[:k]) for k in (3, 0, 1, 3)]
+            ens = Ensemble(grid, np.concatenate([r.values for r in rows]), 0, "pure_jump",
+                           jump_path=[i for i, r in enumerate(rows) for _ in r.jump_path],
+                           jump_cell=np.concatenate([r.jump_cell for r in rows]),
+                           jump_size=np.concatenate([r.jump_size for r in rows]))
         else:
             grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
             ens = gen_bundles(SeedStream(5), 12, grid, 1e-2, 3.0)
         assert ens.jump_path.size
-        want = np.stack([quadratic_variation(p).values for p in ens.paths()])
-        assert qv_matrix(ens).tobytes() == want.tobytes()
+        assert qv_matrix(ens).tobytes() == ref_qv(ens).tobytes()
 
     def test_monotone_and_starts_at_zero(self):
-        qv = quadratic_variation(brownian_path(3, 10))
-        assert qv.values[0] == 0.0
-        assert np.all(np.diff(qv.values) >= 0)
+        qv = qv_matrix(brownian_path(3, 10))[0]
+        assert qv[0] == 0.0
+        assert np.all(np.diff(qv) >= 0)
 
     @given(st.integers(0, 2**31), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -133,11 +181,9 @@ class TestQuadraticVariation:
         base = rng.standard_normal(g.points.size).cumsum()
         k = rng.integers(1, g.points.size)
         size = float(rng.standard_normal()) or 1.0
-        vals = base.copy()
-        vals[k:] += size
-        p = SamplePath(g, vals, ((float(g.points[k]), size),))
-        with_jumps = quadratic_variation(p).total
-        without = quadratic_variation(p.continuous_part()).total
+        p = one_row(g, base, [(float(g.points[k]), size)])
+        with_jumps = qv_matrix(p)[0, -1]
+        without = qv_matrix(p.continuous_part())[0, -1]
         assert with_jumps - without == pytest.approx(size**2, rel=1e-12)
 
     @given(st.integers(0, 2**31))
@@ -145,10 +191,10 @@ class TestQuadraticVariation:
     def test_additivity_along_the_grid(self, seed):
         # running QV at t equals the recomputed increment sums up to t
         p = brownian_path(seed % 1000, 6)
-        qv = quadratic_variation(p)
-        inc = np.diff(p.values)
+        qv = qv_matrix(p)[0]
+        inc = np.diff(p.values[0])
         for k in (1, 17, 33, 64):
-            assert qv.values[k] == pytest.approx(float(np.sum(inc[:k] ** 2)), rel=1e-12)
+            assert qv[k] == pytest.approx(float(np.sum(inc[:k] ** 2)), rel=1e-12)
 
 
 class TestRefinement:
@@ -167,14 +213,15 @@ class TestRefinement:
         assert abs(np.median(finals) - 1.0) < 0.02
 
     def test_smooth_path_vanishes_like_one_over_n(self):
-        model = DeterministicModel(np.sin, tag="sin")
+        model = FixedPath(np.sin)
         rows = refine_and_compare_qv(model, SeedStream(0), 0, [10, 14, 18])
         for n, qv in rows:
             assert qv <= 1.0 / n  # sum of (cos(x)/n)^2 over n cells
         assert rows[-1][1] < rows[0][1]
 
     def test_pure_jump_mesh_independent(self):
-        model = PureJumpModel([(0.5, 3.0)])
+        # a jump of 3 at t = 1/2: its variation is exact whatever the mesh
+        model = FixedPath(np.zeros_like, [(0.5, 3.0)])
         rows = refine_and_compare_qv(model, SeedStream(0), 0, [10, 14, 18])
         assert all(qv == 9.0 for _, qv in rows)
 
@@ -189,17 +236,12 @@ class TestRefinement:
 
 class TestTruncationTime:
     def test_no_threshold_crossed(self):
-        g = TimeGrid.uniform(10)
-        p = SamplePath(g, np.full(11, 2.0))
-        qv = QVPath(g, np.linspace(0, 0.5, 11))
-        assert truncation_index(p.values, qv.values, 3.0) == 11  # one past the last point
+        assert truncation_index(np.full(11, 2.0), np.linspace(0, 0.5, 11), 3.0) == 11  # one past the end
 
     def test_deterministic_crossing(self):
         # S_t = 10 t on 100 steps crosses 5 strictly after t = 0.5
         g = TimeGrid.uniform(100)
-        p = SamplePath(g, 10.0 * g.points)
-        qv = QVPath(g, np.zeros(101))
-        assert g.points[truncation_index(p.values, qv.values, 5.0)] == pytest.approx(0.51)
+        assert g.points[truncation_index(10.0 * g.points, np.zeros(101), 5.0)] == pytest.approx(0.51)
 
     def test_index_per_row(self):
         # a matrix gives one index per row; a row that never crosses gets one
@@ -225,29 +267,45 @@ class TestTruncationTime:
     @settings(max_examples=20, deadline=None)
     def test_monotone_in_threshold(self, seed):
         p = brownian_path(seed, 8)
-        qv = quadratic_variation(p)
-        stops = [truncation_index(p.values, qv.values, n) for n in (0.05, 0.1, 0.5, 1.0, 2.0)]
+        qv = qv_matrix(p)[0]
+        stops = [truncation_index(p.values[0], qv, n) for n in (0.05, 0.1, 0.5, 1.0, 2.0)]
         assert stops == sorted(stops)
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        p = brownian_path(5, 6)
-        vals = p.values.copy()
-        vals[10:] += 0.125
-        p = SamplePath(p.grid, vals, ((float(p.grid.points[10]), 0.125),))
-        body, jumps = path_to_csv(p)
-        q = path_from_csv(body, jumps)
-        np.testing.assert_array_equal(p.values, q.values)
+    def test_csv_round_trip(self, tmp_path):
+        # one "t,value" line per grid point and one "t,jump_size" line per
+        # jump, each float its repr; read back bit for bit
+        b = brownian_path(5, 6)
+        p = one_row(b.grid, b.values[0], [(float(b.grid.points[10]), 0.125)])
+        save_ensemble(p, tmp_path)
+        lines = [f"{t!r},{v!r}" for t, v in zip(p.grid.points.tolist(), p.values[0].tolist())]
+        assert (tmp_path / "path_00000.csv").read_text() == "\n".join(["t,value", *lines]) + "\n"
+        assert (tmp_path / "path_00000.jumps.csv").read_text() == "t,jump_size\n0.15625,0.125\n"
+        q = load_ensemble(tmp_path)
+        assert q.values.tobytes() == p.values.tobytes()
         np.testing.assert_array_equal(p.grid.points, q.grid.points)
-        assert p.jumps == q.jumps
+        for name in ("jump_path", "jump_cell", "jump_size"):
+            np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
 
     def test_json_round_trip(self, tmp_path):
         p = brownian_path(6, 5)
-        save_ensemble(Ensemble(p.grid, p.values[None], 6, "brownian"), tmp_path, fmt="json")
-        q = load_ensemble(tmp_path).path(0)
+        save_ensemble(p, tmp_path, fmt="json")
+        q = load_ensemble(tmp_path)
         np.testing.assert_array_equal(p.values, q.values)
         np.testing.assert_array_equal(p.grid.points, q.grid.points)
+
+    @pytest.mark.parametrize("name,text", [
+        ("path_00001.csv", "t,value\n0.0,0.0\n0.25\n0.5,0.0\n0.75,0.0\n1.0,0.0\n"),
+        ("path_00001.csv", "t,value\n0.0,0.0\n0.25,x\n0.5,0.0\n0.75,0.0\n1.0,0.0\n"),
+        ("path_00000.jumps.csv", "t,jump_size\n0.5\n"),
+        ("path_00000.jumps.csv", "t,jump_size,extra\n0.5,1.0,2.0\n"),
+    ], ids=["short-row", "not-numeric", "short-jump-row", "three-columns"])
+    def test_malformed_csv_refused(self, tmp_path, name, text):
+        save_ensemble(Ensemble(TimeGrid.uniform(4), np.zeros((2, 5)), 1, "flat"), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=f"{tmp_path} holds a malformed ensemble: {name}"):
+            load_ensemble(tmp_path)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ensemble_round_trip(self, tmp_path, fmt):
@@ -266,8 +324,10 @@ class TestSerialization:
         vals[0, 4:] = 1.5
         ens = Ensemble(g, vals, master_seed=3, model_tag="jumpy",
                        jump_path=[0], jump_cell=[3], jump_size=[1.5])
-        assert ens.path(0).jumps == ((0.5, 1.5),) and ens.path(1).jumps == ()
         save_ensemble(ens, tmp_path, fmt=fmt)
+        if fmt == "csv":  # a sidecar only for the path with a jump
+            assert (tmp_path / "path_00000.jumps.csv").read_text() == "t,jump_size\n0.5,1.5\n"
+            assert not (tmp_path / "path_00001.jumps.csv").exists()
         back = load_ensemble(tmp_path)
         np.testing.assert_array_equal(back.values, ens.values)
         for name in ("jump_path", "jump_cell", "jump_size"):
@@ -290,7 +350,9 @@ class TestSerialization:
         # those of the element-by-element float() payload they replaced
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
         ens = gen_bundles(SeedStream(4), 6, grid, 1e-2, 2.0)
-        jumps = [ens.path(i).jumps for i in range(ens.n_paths)]
+        times = grid.points[ens.jump_cell + 1]
+        jumps = [[(float(t), float(z)) for p, t, z in zip(ens.jump_path, times, ens.jump_size)
+                  if p == i] for i in range(ens.n_paths)]
         assert any(jumps)
         save_ensemble(ens, tmp_path, fmt="json")
         manifest = json.loads((tmp_path / "ensemble_manifest.json").read_text())

@@ -14,14 +14,14 @@ import pytest
 
 from qvmart import simulate
 from qvmart.errors import ContractViolation
-from qvmart.path_core import SamplePath, TimeGrid
+from qvmart.path_core import TimeGrid
 from qvmart.simulate import (
     BrownianModel,
     DriftedDiffusion,
     SeedStream,
+    _m_values,
     gen_bundles,
     gen_ensemble,
-    m_from_b,
     make_insider_grid,
 )
 
@@ -78,6 +78,18 @@ def ref_model_rows(model, seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray
     if isinstance(model, DriftedDiffusion):
         rows = [model.s0 + float(model.mu) * grid.points + float(model.sigma) * b for b in rows]
     return np.stack(rows)
+
+
+def ref_euler(mu_fn, sig_fn, s0: float, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """One path of the left-endpoint Euler scheme, driven by Brownian values ``b``."""
+    db = np.diff(b)
+    vals = np.empty(grid.points.size)
+    vals[0] = s = s0
+    for k in range(grid.n_steps):
+        t = grid.points[k]
+        s = s + mu_fn(t, s) * grid.dt[k] + sig_fn(t, s) * db[k]
+        vals[k + 1] = s
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +207,36 @@ class TestMatrixMatchesPerPath:
             assert got.values.tobytes() == ref_bridge_values(seed, index, level).tobytes()
 
     def test_generate_is_one_row(self):
-        grid = TimeGrid.uniform(16)
-        for model in MODELS.values():
-            got = model.generate(SeedStream(4), 6, grid).values
-            assert got.tobytes() == ref_model_rows(model, 4, 7, grid)[6].tobytes()
+        # generating path 6 alone gives row 6 of an ensemble
+        for grid in (TimeGrid.uniform(16), TimeGrid.dyadic(4)):
+            for model in MODELS.values():
+                got = model._matrix(SeedStream(4), grid, [6])
+                assert got.tobytes() == ref_model_rows(model, 4, 7, grid)[6].tobytes()
+        got = MODELS["drifted"].path_at_level(SeedStream(4), 6, 4)
+        assert got.n_paths == 1 and got.grid is TimeGrid.dyadic(4)
+        assert got.values.tobytes() == ref_model_rows(MODELS["drifted"], 4, 7, got.grid)[6].tobytes()
+
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(100), TimeGrid.dyadic(7)],
+                             ids=["uniform", "dyadic"])
+    def test_callable_coefficients_step_every_row(self, grid):
+        # one Euler column over all rows is the per-path scheme, bit for bit,
+        # with a time switch in the drift and a state-dependent sigma
+        def mu(t, s):
+            return 1.0 if t > 0.5 else -0.25
+
+        def sigma(t, s):
+            return 0.2 + 0.1 * np.sin(s) ** 2 + 0.05 * t
+
+        ens = gen_ensemble(DriftedDiffusion(mu, sigma, s0=0.5), SeedStream(5), 50, grid)
+        for i in range(50):
+            want = ref_euler(mu, sigma, 0.5, ref_brownian_values(5, grid, i), grid)
+            assert ens.values[i].tobytes() == want.tobytes()
+
+    def test_nonpositive_sigma_refused(self):
+        model = DriftedDiffusion(0.0, lambda t, s: 1.0 - 1.5 * t)  # negative from t = 2/3 on
+        gen_ensemble(model, SeedStream(1), 3, TimeGrid.uniform(2))  # read at t = 0 and 1/2 only
+        with pytest.raises(ContractViolation, match="sigma function must stay positive"):
+            gen_ensemble(model, SeedStream(1), 3, TimeGrid.uniform(4))
 
     @pytest.mark.parametrize("seed", (2, 2**130 + 3))
     def test_gen_bundles_rows(self, seed):
@@ -214,7 +252,7 @@ class TestMatrixMatchesPerPath:
             b = ref_brownian_values(seed, grid, i)
             assert bundles.b[i].tobytes() == b.tobytes()
             assert bundles.b1[i] == b[-1]
-            assert bundles.m[i].tobytes() == m_from_b(SamplePath(grid, b), 1e-2).values.tobytes()
+            assert bundles.m[i].tobytes() == _m_values(grid, b, 1e-2).tobytes()
             assert times_of(bundles, i, 1.0) == ref_poisson(seed, i, "poisson-1", rate)
             assert times_of(bundles, i, -1.0) == ref_poisson(seed, i, "poisson-2", rate)
         # a block of one exponential: every row with a jump is drawn again

@@ -10,16 +10,16 @@ from scipy.integrate import quad
 
 from qvmart.counterexample import insider_drift_divergence
 from qvmart.errors import ConfigurationError, ContractViolation
-from qvmart.path_core import SamplePath, TimeGrid, quadratic_variation, qv_matrix
+from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
 from qvmart.simulate import (
     BrownianModel,
     DriftedDiffusion,
     ModelSpec,
     SeedStream,
     _build_bundles,
-    gen_brownian,
+    _m_values,
     gen_bundles,
-    m_from_b,
+    gen_ensemble,
     m_variance,
     make_insider_grid,
     sigma_profile,
@@ -47,15 +47,15 @@ class TestSeedStream:
 
 class TestBrownian:
     def test_starts_at_zero(self):
-        b = gen_brownian(SeedStream(0), TimeGrid.dyadic(8))
-        assert b.values[0] == 0.0
+        b = gen_ensemble(BrownianModel(), SeedStream(0), 3, TimeGrid.dyadic(8))
+        assert np.all(b.values[:, 0] == 0.0)
 
     def test_terminal_moments(self):
         # CLT / chi-square oracle at 10^4 paths
         stream = SeedStream(101)
         model = BrownianModel()
         b1 = np.array(
-            [model.path_at_level(stream, i, 10).values[-1] for i in range(10_000)]
+            [model.path_at_level(stream, i, 10).values[0, -1] for i in range(10_000)]
         )
         assert abs(b1.mean()) <= 3.0 / np.sqrt(10_000)
         assert 0.94 <= b1.var(ddof=1) <= 1.06
@@ -65,15 +65,13 @@ class TestBrownian:
         model = BrownianModel()
         coarse = model.path_at_level(stream, 0, 10)
         fine = model.path_at_level(stream, 0, 11)
-        np.testing.assert_array_equal(coarse.values, fine.values[::2])
+        np.testing.assert_array_equal(coarse.values, fine.values[:, ::2])
 
     def test_nonuniform_grid_variance(self):
         pts = np.concatenate([np.linspace(0, 0.5, 101), np.linspace(0.52, 1.0, 25)])
         grid = TimeGrid(pts)
         stream = SeedStream(77)
-        b1 = np.array(
-            [gen_brownian(stream, grid, index=i).values[-1] for i in range(4000)]
-        )
+        b1 = gen_ensemble(BrownianModel(), stream, 4000, grid).values[:, -1]
         assert 0.9 <= b1.var(ddof=1) <= 1.1
 
 
@@ -81,16 +79,16 @@ class TestDriftedDiffusion:
     def test_constant_coefficients_exact(self):
         grid = TimeGrid.dyadic(8)
         stream = SeedStream(12)
-        b = gen_brownian(stream, grid, index=0)
-        s = DriftedDiffusion(0.1, 0.2).generate(stream, 0, grid)
+        b = gen_ensemble(BrownianModel(), stream, 2, grid)
+        s = gen_ensemble(DriftedDiffusion(0.1, 0.2), stream, 2, grid)
         np.testing.assert_allclose(s.values, 0.1 * grid.points + 0.2 * b.values)
 
     def test_time_dependent_drift_euler(self):
         grid = TimeGrid.dyadic(8)
         model = DriftedDiffusion(lambda t, s: 1.0 if t > 0.5 else 0.0, lambda t, s: 0.2)
         stream = SeedStream(12)
-        s = model.generate(stream, 0, grid)
-        b = gen_brownian(stream, grid, index=0)
+        s = gen_ensemble(model, stream, 2, grid)
+        b = gen_ensemble(BrownianModel(), stream, 2, grid)
         # left-endpoint evaluation: a cell picks up drift only when its
         # LEFT endpoint is past 0.5, so accumulation starts one cell late
         dt = 1.0 / grid.n_steps
@@ -168,7 +166,7 @@ class TestGaussianMartingale:
         eps = 1e-2
         grid = make_insider_grid(eps, n_uniform=64, n_log=128)
         ens = gen_bundles(SeedStream(8), 1, grid, eps, 1.0)
-        np.testing.assert_array_equal(ens.m[0], m_from_b(SamplePath(grid, ens.b[0]), eps).values)
+        np.testing.assert_array_equal(ens.m[0], _m_values(grid, ens.b[0], eps))
 
     def test_zero_eps_refused(self):
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=32)
@@ -228,7 +226,7 @@ class TestCounterexampleBundle:
 
     def test_qv_splits_into_m_and_jumps(self, bundle):
         total = qv_matrix(bundle)[0, -1]
-        m_part = quadratic_variation(SamplePath(bundle.grid, bundle.m[0])).total
+        m_part = qv_matrix(Ensemble(bundle.grid, bundle.m, None, "m"))[0, -1]
         jump_part = np.sum(bundle.jump_size**2)
         assert total == pytest.approx(m_part + jump_part, rel=1e-12)
 

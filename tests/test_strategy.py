@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmart.errors import ConfigurationError, ContractViolation
-from qvmart.path_core import Ensemble, SamplePath, TimeGrid, qv_matrix, quadratic_variation
+from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
 from qvmart.simulate import BrownianModel, SeedStream, gen_ensemble
 from qvmart.strategy import (
     BandStrategy,
@@ -33,11 +33,12 @@ from qvmart.strategy import (
     truncation_strategy,
     window_strategy,
 )
+from test_path_core import one_row
 
 
 def linear_path(level=4, slope=1.0):
     g = TimeGrid.dyadic(level)
-    return SamplePath(g, slope * g.points)
+    return one_row(g, slope * g.points)
 
 
 class TestEvaluate:
@@ -56,7 +57,7 @@ class TestEvaluate:
             name="reduce",
         )
         g = TimeGrid.uniform(100)
-        p = SamplePath(g, 10.0 * g.points)
+        p = one_row(g, 10.0 * g.points)
         pi = evaluate(strat, p)
         # S > 5 first at t = 0.51 (index 51): proportion held on cells 0..50
         assert np.all(pi[:51] == 1.0) and np.all(pi[51:] == 0.0)
@@ -91,7 +92,7 @@ class TestEvaluate:
             bound=1.0,
         )
         g = TimeGrid.dyadic(4)
-        pi = evaluate(strat, SamplePath(g, np.where(g.points <= 0.5, -g.points, 1.0)))
+        pi = evaluate(strat, one_row(g, np.where(g.points <= 0.5, -g.points, 1.0)))
         np.testing.assert_array_equal(pi, [0.0] * 8 + [-1.0] * 8)
 
     def test_predictability_under_suffix_perturbation(self):
@@ -101,9 +102,9 @@ class TestEvaluate:
         )
         p = linear_path(4)
         pi_before = evaluate(strat, p)
-        bumped = p.values.copy()
+        bumped = p.values[0].copy()
         bumped[9:] += 100.0  # strictly after the decision time
-        pi_after = evaluate(strat, SamplePath(p.grid, bumped))
+        pi_after = evaluate(strat, one_row(p.grid, bumped))
         np.testing.assert_array_equal(pi_before, pi_after)
 
     def test_piecewise_constant_with_at_most_n_values(self):
@@ -127,6 +128,11 @@ class TestEvaluate:
     def test_unknown_leg_rule_rejected(self):
         with pytest.raises(ConfigurationError):
             Leg(until=1.0, value=1.0, rule_id="mystery")
+
+    def test_takes_one_row(self):
+        g = TimeGrid.dyadic(2)
+        with pytest.raises(ContractViolation, match="one path, not 2"):
+            evaluate(const_strategy(0.5), Ensemble(g, np.zeros((2, 5)), None, "two"))
 
     def test_matrix_and_per_path_agree(self):
         # every row of an ensemble profile equals the one-row profile of that
@@ -157,11 +163,12 @@ class TestEvaluate:
             strategies += [band_fraction_strategy(c), insider_sign_band(c), insider_switch_band(c)]
         for strat in strategies:
             pim = pi_for_ensemble(strat, ens, qv, insider, driver)
+            rows = [one_row(grid, ens.values[i]) for i in range(ens.n_paths)]
             ref = np.stack([
-                evaluate(strat, ens.path(i), EvalContext(
-                    insider=insider[i], driver=driver[i], qv=quadratic_variation(ens.path(i)).values,
+                evaluate(strat, row, EvalContext(
+                    insider=insider[i], driver=driver[i], qv=qv_matrix(row)[0],
                 ))
-                for i in range(ens.n_paths)
+                for i, row in enumerate(rows)
             ])
             assert np.broadcast_to(pim, ref.shape).tobytes() == ref.tobytes(), strat.name
             # without the caller's variation, a rule computes the same one
@@ -358,7 +365,7 @@ class TestBandCheck:
         grid = TimeGrid.uniform(32)
         rng = np.random.default_rng(3)
         driver = np.concatenate([[0.0], rng.standard_normal(32).cumsum()])
-        path = SamplePath(grid, np.zeros(33))
+        path = one_row(grid, np.zeros(33))
         strat = insider_switch_band(0.5)
         k = 20
         base = evaluate(strat, path, EvalContext(insider=0.2, driver=driver))
@@ -476,7 +483,7 @@ class TestStrategyFiles:
         }
         strat = load_strategy(obj)
         g = TimeGrid.uniform(100)
-        pi = evaluate(strat, SamplePath(g, 10.0 * g.points))
+        pi = evaluate(strat, one_row(g, 10.0 * g.points))
         assert np.all(pi[:51] == 1.0) and np.all(pi[51:] == 0.0)
 
     def test_truncation_shorthand_matches_builder(self):

@@ -1,22 +1,23 @@
-"""Wealth dynamics: simple integrals, both stochastic exponentials, the
+"""Wealth dynamics over ensembles: the integral sum, the stochastic
+exponential with and without jumps against a row-by-row reference, the
 left-endpoint recursion residual, and the -inf utility convention."""
 
 import numpy as np
 import pytest
 
 from qvmart.errors import ContractViolation
-from qvmart.path_core import _CHUNK_CELLS, QVPath, SamplePath, TimeGrid, quadratic_variation
-from qvmart.simulate import BrownianModel, SeedStream
+from qvmart.path_core import _CHUNK_CELLS, Ensemble, TimeGrid, qv_matrix
+from qvmart.simulate import BrownianModel, SeedStream, gen_bundles, gen_ensemble, make_insider_grid
 from qvmart.wealth import (
     dd_residual,
     log_utility,
     log_utility_from_terminals,
-    simple_integral,
-    stoch_exp_continuous,
-    stoch_exp_jumps,
+    stoch_exp_ensemble,
+    terminal_log_wealth_continuous,
     terminal_log_wealth_jumps,
 )
 from qvmart.wealth import _log_wealth_terms, _shape_moments
+from test_path_core import one_row
 
 
 def brownian(seed, level):
@@ -25,179 +26,194 @@ def brownian(seed, level):
 
 def pure_jump_path(level=4, t=0.5, size=1.0):
     g = TimeGrid.dyadic(level)
-    vals = np.zeros(g.points.size)
-    k = g.index_of(t)
-    vals[k:] = size
-    return SamplePath(g, vals, ((t, size),))
+    return one_row(g, np.zeros(g.points.size), [(t, size)])
+
+
+def ref_wealth(pi, values, cells, sizes):
+    """Wealth along one path, cell by cell, and its first ruined cell (-1 if none).
+
+    Each cell multiplies the wealth by exp(pi dS^c - pi^2 d[S^c] / 2), the
+    variation being that of the path less its jumps, and a cell with a
+    jump also by (1 + pi dS).  Ruin is absorbing: from the first cell whose
+    running jump factor is nonpositive the wealth stays where it is.
+    """
+    jump = dict(zip(np.asarray(cells).tolist(), np.asarray(sizes, dtype=float).tolist()))
+    steps = np.zeros_like(values)
+    steps[np.asarray(cells, dtype=int) + 1] = sizes
+    inc = np.diff(values - np.cumsum(steps))
+    qv = np.concatenate([[0.0], np.cumsum(inc * inc)])
+    exponent, factor, logs, factors = 0.0, 1.0, [], []
+    for k in range(values.size - 1):
+        p, dq = pi[k], qv[k + 1] - qv[k]
+        exponent += p * (values[k + 1] - values[k] - jump.get(k, 0.0)) - 0.5 * p * p * dq
+        factor *= (1.0 + p * jump[k]) if k in jump else 1.0
+        logs.append(exponent)
+        factors.append(factor)
+    w = np.concatenate([[1.0], np.exp(logs) * factors])
+    dead = next((k for k, f in enumerate(factors) if f <= 0.0), -1)
+    if dead >= 0:
+        w[dead + 2:] = w[dead + 1]
+    return w, dead
+
+
+def ref_rows(pi, ens):
+    """``ref_wealth`` of every row of ``ens``, ``pi`` shared or one row per path."""
+    pi = np.broadcast_to(pi, (ens.n_paths, ens.grid.n_steps))
+    rows = [ref_wealth(pi[i], ens.values[i], ens.jump_cell[ens.jump_path == i],
+                       ens.jump_size[ens.jump_path == i]) for i in range(ens.n_paths)]
+    return np.stack([w for w, _ in rows]), np.array([d for _, d in rows])
 
 
 class TestSimpleIntegral:
+    """The integral sum pi dS, read as the continuous log-wealth sum
+    against zero variation."""
+
+    @staticmethod
+    def integral(pi, p):
+        return terminal_log_wealth_continuous(pi, p.values, np.zeros_like(p.values))[0]
+
     def test_unit_telescopes(self):
         p = brownian(1, 8)
-        out = simple_integral(np.ones(p.grid.n_steps), p)
-        np.testing.assert_allclose(out.values, p.values - p.values[0], atol=1e-15)
+        out = self.integral(np.ones(p.grid.n_steps), p)
+        assert out == pytest.approx(p.values[0, -1] - p.values[0, 0], abs=1e-12)
 
     def test_zero(self):
         p = brownian(1, 6)
-        out = simple_integral(np.zeros(p.grid.n_steps), p)
-        assert np.all(out.values == 0.0)
+        assert self.integral(np.zeros(p.grid.n_steps), p) == 0.0
 
     def test_deterministic_window(self):
         g = TimeGrid.uniform(100)
-        p = SamplePath(g, g.points.copy())
+        p = Ensemble(g, g.points[None], None, "line")
         pi = (g.points[:-1] < 0.5).astype(float)  # 1 on (0, 1/2]
-        out = simple_integral(pi, p)
-        assert out.values[-1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_jump_passes_through_scaled(self):
-        p = pure_jump_path(size=2.0)
-        pi = np.full(p.grid.n_steps, 0.25)
-        out = simple_integral(pi, p)
-        assert out.jumps == ((0.5, 0.5),)
-        assert out.values[-1] == pytest.approx(0.5)
+        assert self.integral(pi, p) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestContinuousExponential:
     def test_zero_strategy_is_flat_one(self):
-        p = brownian(2, 8)
-        w = stoch_exp_continuous(np.zeros(256), p, quadratic_variation(p))
-        assert np.all(w.values == 1.0)
+        w, dead = stoch_exp_ensemble(np.zeros(256), brownian(2, 8))
+        assert np.all(w == 1.0) and dead[0] == -1
 
     def test_unit_strategy_formula(self):
         p = brownian(3, 8)
-        qv = quadratic_variation(p)
-        w = stoch_exp_continuous(np.ones(256), p, qv)
-        np.testing.assert_allclose(
-            w.values, np.exp(p.values - 0.5 * qv.values), rtol=1e-12
-        )
+        w, _ = stoch_exp_ensemble(np.ones(256), p)
+        np.testing.assert_allclose(w, np.exp(p.values - 0.5 * qv_matrix(p)), rtol=1e-12)
 
     def test_exponential_martingale_mean_one(self):
-        stream = SeedStream(17)
-        model = BrownianModel()
-        w1 = np.empty(4000)
-        for i in range(4000):
-            p = model.path_at_level(stream, i, 8)
-            qv = quadratic_variation(p)
-            w1[i] = stoch_exp_continuous(np.ones(256), p, qv).terminal
+        ens = gen_ensemble(BrownianModel(), SeedStream(17), 4000, TimeGrid.dyadic(8))
+        w1 = stoch_exp_ensemble(np.ones(256), ens)[0][:, -1]
         se = w1.std(ddof=1) / np.sqrt(w1.size)
         assert abs(w1.mean() - 1.0) <= 3.0 * se
 
     def test_strict_positivity(self):
-        for seed in range(10):
-            p = brownian(seed, 6)
-            w = stoch_exp_continuous(np.full(64, 3.0), p, quadratic_variation(p))
-            assert np.all(w.values > 0.0)
-
-    def test_rejects_jumpy_path(self):
-        p = pure_jump_path()
-        with pytest.raises(ContractViolation):
-            stoch_exp_continuous(np.ones(16), p, quadratic_variation(p))
+        ens = gen_ensemble(BrownianModel(), SeedStream(0), 10, TimeGrid.dyadic(6))
+        w, dead = stoch_exp_ensemble(np.full(64, 3.0), ens)
+        assert np.all(w > 0.0) and np.all(dead == -1)
 
 
 class TestJumpExponential:
     def test_no_jumps_bit_equal_to_continuous(self):
+        # without jumps the wealth is the continuous exponential, bit for bit
         p = brownian(5, 7)
-        qv = quadratic_variation(p)
         pi = np.linspace(-1, 1, 128)
-        a = stoch_exp_continuous(pi, p, qv)
-        b = stoch_exp_jumps(pi, p, qv)
-        np.testing.assert_array_equal(a.values, b.values)
+        w, dead = stoch_exp_ensemble(pi, p)
+        inc = np.diff(p.values[0])
+        want = np.exp(np.cumsum(pi * inc - 0.5 * pi * pi * np.diff(np.cumsum(inc * inc), prepend=0.0)))
+        assert w[0, 1:].tobytes() == want.tobytes() and dead[0] == -1
 
     def test_single_up_jump(self):
         # pure jump of +1 with full proportion: W_1 = (1 + 1) = 2
-        p = pure_jump_path(size=1.0)
-        qv_cont = quadratic_variation(p.continuous_part())
-        w = stoch_exp_jumps(np.ones(16), p, qv_cont)
-        assert w.terminal == pytest.approx(2.0, rel=1e-12)
-        assert not w.hit_nonpositive
+        w, dead = stoch_exp_ensemble(np.ones(16), pure_jump_path(size=1.0))
+        assert w[0, -1] == pytest.approx(2.0, rel=1e-12)
+        assert dead[0] == -1
 
     def test_wipe_out_freezes(self):
         # jump of -2 against proportion 0.5: factor (1 - 1) = 0, flagged
         p = pure_jump_path(size=-2.0)
-        qv_cont = quadratic_variation(p.continuous_part())
-        w = stoch_exp_jumps(np.full(16, 0.5), p, qv_cont)
-        assert w.hit_nonpositive
-        assert w.first_nonpositive_time == 0.5
+        w, dead = stoch_exp_ensemble(np.full(16, 0.5), p)
+        assert p.grid.points[dead[0] + 1] == 0.5
         k = p.grid.index_of(0.5)
-        assert np.all(w.values[k:] == 0.0)
-        assert np.all(w.values[:k] == 1.0)
+        assert np.all(w[0, k:] == 0.0)
+        assert np.all(w[0, :k] == 1.0)
 
     def test_flag_iff_some_factor_nonpositive(self):
         g = TimeGrid.uniform(10)
-        vals = np.zeros(11)
-        vals[3:] += -2.0
-        vals[7:] += -2.0
-        p = SamplePath(g, vals, ((0.3, -2.0), (0.7, -2.0)))
-        qv_cont = quadratic_variation(p.continuous_part())
+        p = one_row(g, np.zeros(11), [(0.3, -2.0), (0.7, -2.0)])
         # both factors negative: the product would flip back positive, but
         # ruin is absorbing, so the path stays frozen at its first death
-        w = stoch_exp_jumps(np.ones(10), p, qv_cont)
-        assert w.hit_nonpositive and w.first_nonpositive_time == pytest.approx(0.3)
-        pi = np.full(10, 0.25)  # factors 0.5 each: no ruin
-        w2 = stoch_exp_jumps(pi, p, qv_cont)
-        assert not w2.hit_nonpositive
-        assert w2.terminal == pytest.approx(0.25, rel=1e-12)
+        w, dead = stoch_exp_ensemble(np.ones(10), p)
+        assert g.points[dead[0] + 1] == pytest.approx(0.3)
+        w2, dead2 = stoch_exp_ensemble(np.full(10, 0.25), p)  # factors 0.5 each: no ruin
+        assert dead2[0] == -1
+        assert w2[0, -1] == pytest.approx(0.25, rel=1e-12)
 
     def test_gamma_zero_is_numeraire(self):
-        p = pure_jump_path(size=3.0)
-        w = stoch_exp_jumps(np.zeros(16), p, quadratic_variation(p.continuous_part()))
-        assert np.all(w.values == 1.0)
+        w, _ = stoch_exp_ensemble(np.zeros(16), pure_jump_path(size=3.0))
+        assert np.all(w == 1.0)
 
     def test_matrix_helper_matches_pathwise(self):
         p = pure_jump_path(size=-0.5)
-        qv_cont = quadratic_variation(p.continuous_part())
         pi = np.full(16, 0.8)
-        w = stoch_exp_jumps(pi, p, qv_cont)
+        w, _ = stoch_exp_ensemble(pi, p)
         logw, wiped = terminal_log_wealth_jumps(
-            pi[None, :].repeat(1, axis=0),
-            np.diff(p.continuous_part().values)[None, :],
-            np.diff(qv_cont.values)[None, :],
-            np.array([0]),
-            np.array([p.grid.index_of(0.5) - 1]),
-            np.array([-0.5]),
+            pi[None, :],
+            p.continuous_increments(),
+            np.diff(qv_matrix(p.continuous_part()), axis=1),
+            p.jump_path, p.jump_cell, p.jump_size,
         )
         assert not wiped[0]
-        assert np.exp(logw[0]) == pytest.approx(w.terminal, rel=1e-12)
+        assert np.exp(logw[0]) == pytest.approx(w[0, -1], rel=1e-12)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
+    def test_matches_row_by_row_reference(self, shared):
+        # insider bundles: several jumps per row, some rows ruined
+        grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
+        ens = gen_bundles(SeedStream(7), 30, grid, 1e-2, 3.0)
+        rng = np.random.default_rng(1)
+        pi = rng.uniform(-1.0, 1.0, grid.n_steps if shared else (30, grid.n_steps))
+        w, dead = stoch_exp_ensemble(pi, ens)
+        want_w, want_dead = ref_rows(pi, ens)
+        assert w.tobytes() == want_w.tobytes()
+        np.testing.assert_array_equal(dead, want_dead)
+        assert (dead >= 0).any() and (dead < 0).any()
 
 
 class TestDDResidual:
     def test_zero_strategy(self):
         p = brownian(4, 8)
-        w = stoch_exp_continuous(np.zeros(256), p, quadratic_variation(p))
-        assert dd_residual(np.zeros(256), p, w) == 0.0
+        w, _ = stoch_exp_ensemble(np.zeros(256), p)
+        np.testing.assert_array_equal(dd_residual(np.zeros(256), p, w), [0.0])
 
     def test_deterministic_linear_path(self):
         # S_t = t: exact wealth ~ e^t, Euler error O(1/n), analyzed upfront
         g = TimeGrid.dyadic(10)
-        p = SamplePath(g, g.points.copy())
+        p = Ensemble(g, g.points[None], None, "line")
         pi = np.ones(g.n_steps)
-        w = stoch_exp_continuous(pi, p, quadratic_variation(p))
-        assert dd_residual(pi, p, w) <= 1e-2
+        w, _ = stoch_exp_ensemble(pi, p)
+        assert dd_residual(pi, p, w)[0] <= 1e-2
 
     def test_brownian_residual_shrinks_under_refinement(self):
         # same realization, strong-order-1/2 shrink: median factor >= 2
         # between levels 10 and 14 (the mesh ratio is 16)
-        stream = SeedStream(99)
-        model = BrownianModel()
-        ratios = []
-        for i in range(30):
-            res = {}
-            for level in (10, 14):
-                p = model.path_at_level(stream, i, level)
-                qv = quadratic_variation(p)
-                pi = np.ones(p.grid.n_steps)
-                w = stoch_exp_continuous(pi, p, qv)
-                res[level] = dd_residual(pi, p, w)
-            ratios.append(res[10] / res[14])
-        assert np.median(ratios) >= 2.0
+        res = {}
+        for level in (10, 14):
+            ens = gen_ensemble(BrownianModel(), SeedStream(99), 30, TimeGrid.dyadic(level))
+            pi = np.ones(ens.grid.n_steps)
+            res[level] = dd_residual(pi, ens, stoch_exp_ensemble(pi, ens)[0])
+        assert np.median(res[10] / res[14]) >= 2.0
+
+    def test_one_residual_per_row(self):
+        # each row's residual is that of the row alone
+        ens = gen_ensemble(BrownianModel(), SeedStream(5), 6, TimeGrid.dyadic(6))
+        pi = np.linspace(-1.0, 1.0, 64)
+        res = dd_residual(pi, ens, stoch_exp_ensemble(pi, ens)[0])
+        for i in range(6):
+            one = Ensemble(ens.grid, ens.values[i : i + 1], None, "row")
+            assert dd_residual(pi, one, stoch_exp_ensemble(pi, one)[0])[0] == res[i]
 
 
 class TestLogUtility:
     def test_all_unit_wealth(self):
-        g = TimeGrid.dyadic(3)
-        paths = [stoch_exp_continuous(np.zeros(8), SamplePath(g, np.zeros(9)),
-                                      QVPath(g, np.zeros(9))) for _ in range(5)]
-        rep = log_utility(paths)
+        rep = log_utility(np.ones(5))
         assert rep.estimate == 0.0 and rep.stderr == 0.0 and rep.n_nonpositive == 0
 
     def test_single_ruin_dominates(self):
@@ -207,22 +223,15 @@ class TestLogUtility:
 
     def test_driftless_constant_proportion_mean(self):
         # log W_1 = a B_1 - a^2/2 QV_1, so the mean is about -a^2/2
-        stream = SeedStream(23)
-        model = BrownianModel()
         a = 0.7
-        logs = np.empty(4000)
-        for i in range(4000):
-            p = model.path_at_level(stream, i, 8)
-            qv = quadratic_variation(p)
-            logs[i] = np.log(
-                stoch_exp_continuous(np.full(256, a), p, qv).terminal
-            )
+        ens = gen_ensemble(BrownianModel(), SeedStream(23), 4000, TimeGrid.dyadic(8))
+        logs = np.log(stoch_exp_ensemble(np.full(256, a), ens)[0][:, -1])
         se = logs.std(ddof=1) / np.sqrt(logs.size)
         assert abs(logs.mean() - (-0.5 * a * a)) <= 3.0 * se
 
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
-            log_utility([])
+            log_utility(np.empty(0))
 
 
 class TestRowBlockedKernel:
