@@ -23,15 +23,14 @@ from .simulate import (
     sigma_profile,
 )
 from .strategy import (
-    BandStrategy,
     EvalContext,
     GridRuleStrategy,
     HitRule,
     Leg,
-    SimpleStrategy,
     band_check,
     evaluate,
     h2_norm,
+    legs_strategy,
     shares_from_proportion,
     proportion_from_shares,
 )

@@ -7,9 +7,11 @@ subcommand, and per counterexample action, builds its parser, the config
 its manifest records and the argv that replays it.  Every run writes a
 manifest capturing the fully resolved configuration before any other
 artifact, and a refused run removes it again, so only a finished run
-leaves one.  Outputs are written atomically (temp file then rename), and
-nothing in an artifact depends on anything but the configuration and
-the seed, so re-running a manifest reproduces every byte.
+leaves one; it also removes the output directory when it made the
+directory and left it empty.  Outputs are written atomically (temp file
+then rename), and nothing in an artifact depends on anything but the
+configuration and the seed, so re-running a manifest reproduces every
+byte.
 """
 
 from __future__ import annotations
@@ -200,9 +202,8 @@ def _cmd_wealth(args) -> int:
     w1 = w[:, -1]
     _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
                zip(range(ens.n_paths), w1.tolist(), (dead >= 0).astype(int).tolist()))
-    report = log_utility(w1)
-    name = getattr(strat, "name", "")
-    _write_json(out / "utility.json", {"strategy": name, **report.as_dict()})
+    report = log_utility(np.log(w1, out=np.full(w1.shape, -np.inf), where=~(w1 <= 0.0)))
+    _write_json(out / "utility.json", {"strategy": strat.name, **report.as_dict()})
     return 0
 
 
@@ -306,7 +307,7 @@ def _cmd_optimize(args) -> int:
     gaps = []
     for s in strategies:
         g = optimality_gap(s, est, ens, qv)
-        gaps.append({"strategy": getattr(s, "name", ""), "gap": g.gap,
+        gaps.append({"strategy": s.name, "gap": g.gap,
                      "stderr": g.stderr, "within_noise": g.gap <= 3.0 * g.stderr})
     _write_json(out / "growth_report.json", {
         "growth_value": growth.value,
@@ -319,8 +320,8 @@ def _cmd_optimize(args) -> int:
 
 
 _BETAS = {
-    "const+": cx.beta_const(1.0),
-    "const-": cx.beta_const(-1.0),
+    "const+": const_strategy(1.0),
+    "const-": const_strategy(-1.0),
     "switch": cx.beta_switch_at(0.5),
     "prefix-sign": cx.beta_prefix_sign(),
 }
@@ -562,6 +563,8 @@ def _argv_from_manifest(manifest: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    out = Path(args.out)
+    fresh = not out.exists()
     try:
         return args.fn(args)
     except ConfigurationError as exc:
@@ -572,7 +575,9 @@ def main(argv: list[str] | None = None) -> int:
         # unreadable, missing or malformed input: files, manifests, list flags
         error, code, message = "input", 2, f"{type(exc).__name__}: {exc}"
     if getattr(args, "manifest_written", False):
-        (Path(args.out) / "manifest.json").unlink(missing_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
+    if fresh and out.is_dir() and not any(out.iterdir()):
+        out.rmdir()
     print(json.dumps({"error": error, "message": message}), file=sys.stderr)
     return code
 

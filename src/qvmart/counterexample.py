@@ -14,17 +14,19 @@ no decomposition survives the information enlargement.
 per family member: its band probe and four per-bundle columns (the
 continuous and jump log-wealth sums, the wipe-out mask and the
 supermartingale column), computed once and kept, at 4 floats per bundle
-per member, for the lifetime of the ensemble.  Members that differ only
-by a coefficient c (the default family is 3 shapes x 9 coefficients)
-share one dense pass over their unit shape: the continuous sums are
-linear and quadratic in c, so only the jump factors are formed per
-member.  Jump sums and wipe-out masks are bit for bit those of the
-member's own profile; continuous sums and supermartingale columns agree
-with per-member sums within 1e-12 (absolute, resp. relative).  A pass
-is reused only for the same ``BundleEnsemble`` object and the same
-strategy object; every public entry point takes a ``BundleEnsemble``
-and refuses anything else.  Reuse relies on what the strategy protocol
-requires: a rule is a pure function of ``(ensemble, ctx)``.
+per member, for the lifetime of the ensemble.  Every member is a
+``GridRuleStrategy``; members that differ only by their ``scale`` c (the
+default family is 3 shapes x 9 coefficients) share one dense pass over
+their unit shape, and each member's bound and margin are checked on its
+scaled shape.  The continuous sums are linear and quadratic in c, so
+only the jump factors are formed per member.  Jump sums and wipe-out
+masks are bit for bit those of the member's own profile; continuous sums
+and supermartingale columns agree with per-member sums within 1e-12
+(absolute, resp. relative).  A pass is reused only for the same
+``BundleEnsemble`` object and the same strategy object; every public
+entry point takes a ``BundleEnsemble`` and refuses anything else.  Reuse
+relies on what the strategy protocol requires: a rule is a pure function
+of ``(ensemble, ctx)``.
 """
 
 from __future__ import annotations
@@ -44,17 +46,15 @@ from .simulate import (
     make_insider_grid,
     sigma_profile_vec,
 )
-from .strategy import BandReport, BandStrategy, EvalContext, GridRuleStrategy, Leg
-from .strategy import SimpleStrategy, band_check, const_strategy, pi_for_ensemble
+from .strategy import BandReport, EvalContext, GridRuleStrategy, Leg, band_check, legs_strategy
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
-from .strategy import _as_rule, _check_bound, _check_margin
-from .wealth import UtilityReport, log_utility_from_terminals
+from .strategy import pi_for_ensemble, _check_bound, _check_margin, _unit_profile
+from .wealth import UtilityReport, log_utility
 from .wealth import _at_jumps, _jump_terms, _shape_moments, _terminal_log_wealth
 
 __all__ = [
     "PoissonFlipReport",
     "poisson_flip_test",
-    "beta_const",
     "beta_switch_at",
     "beta_prefix_sign",
     "NegativeWealthReport",
@@ -75,15 +75,10 @@ __all__ = [
 # Predictable flips of a Poisson difference
 # ---------------------------------------------------------------------------
 
-def beta_const(value: float) -> SimpleStrategy:
-    """Constant switch; value must be +-1."""
-    return const_strategy(value)
-
-
-def beta_switch_at(t0: float) -> SimpleStrategy:
+def beta_switch_at(t0: float) -> GridRuleStrategy:
     """Deterministic switch: +1 on (0, t0], -1 afterwards; t0 must be a grid time."""
     legs = (Leg(until=t0, value=1.0), Leg(until=1.0, value=-1.0))
-    return SimpleStrategy(legs, bound=1.0, name=f"switch_at({t0:g})")
+    return legs_strategy(legs, 1.0, f"switch_at({t0:g})")
 
 
 def _prefix_sign(ensemble, ctx: EvalContext) -> np.ndarray:
@@ -242,9 +237,9 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
     entry points pass only ``BundleEnsemble`` objects): later calls with
     the same strategy object read the stored columns.  New members
     are probed in family order, then grouped by rule shape (``fn`` and
-    its flags): each group's unit shape x is evaluated and summed once,
-    and each member applies its ``scale`` c.  Bound and margin are
-    checked on ``|c| max|x|``, which rounds as ``max|c x|`` does.
+    its flags): each group's unit shape x is evaluated, shape-checked and
+    summed once, and each member applies its ``scale`` c.  Bound and
+    margin are checked on ``|c| max|x|``, which rounds as ``max|c x|`` does.
     """
     memo = _PASSES.setdefault(ens, {})
     passes, shapes = [], {}
@@ -253,9 +248,8 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
         if entry is None:
             entry = _MemberPass(member, _band_probe(member, ens))
             if entry.probe.admissible:
-                rule = _as_rule(member)
-                key = (rule.fn, rule.needs_insider, rule.path_independent)
-                shapes.setdefault(key, []).append((entry, rule))
+                key = (member.fn, member.needs_insider, member.path_independent)
+                shapes.setdefault(key, []).append(entry)
             else:
                 memo[id(member)] = entry
         passes.append(entry)
@@ -263,22 +257,22 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
             break
     dh = _m_hat_increments(ens) if shapes else None
     for group in shapes.values():
-        x = _pi_matrix(replace(group[0][1], scale=1.0, bound=np.inf), ens)
+        x = _unit_profile(group[0].member, ens, EvalContext(insider=ens.b1, driver=ens.b))
         colmax = np.abs(x) if x.ndim == 1 else np.abs(x).max(axis=0)
         a, b, ah, bh = _shape_moments(x, ens.cont_inc, ens.cont_dqv, dh)
         xj = _at_jumps(x, ens.jump_path, ens.jump_cell)
         del x
-        for entry, rule in group:
+        for entry in group:
+            rule = entry.member
             c = rule.scale
             _check_bound(rule, abs(c) * colmax.max(initial=0.0))
-            if isinstance(entry.member, BandStrategy):
-                _check_margin(entry.member, abs(c) * colmax, ens.grid)
+            if rule.margin is not None:
+                _check_margin(rule, abs(c) * colmax, ens.grid)
             # + 0.0 turns the -0.0 that c = 0 leaves on a negative sum into +0.0
             cont = c * a - (0.5 * c * c) * b + 0.0
             sm = np.exp(2.0 * (c * ah - (c * c) * bh))
             jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, ens.n_paths)
-            memo[id(entry.member)] = replace(entry, cont=cont, jump=jump, wiped=wiped,
-                                             supermartingale=sm)
+            memo[id(rule)] = replace(entry, cont=cont, jump=jump, wiped=wiped, supermartingale=sm)
     return [memo[id(p.member)] for p in passes]
 
 
@@ -339,10 +333,10 @@ class SweepReport:
 def default_sweep_family(
     cs: Sequence[float] = (-0.9, -0.675, -0.45, -0.225, 0.0, 0.225, 0.45, 0.675, 0.9),
     margin: float = 0.05,
-) -> list[BandStrategy]:
+) -> list[GridRuleStrategy]:
     """27 admissible strategies: decaying bands, terminal-sign bands, and
     gap-sign switching bands, across a symmetric coefficient grid."""
-    family: list[BandStrategy] = []
+    family: list[GridRuleStrategy] = []
     for c in cs:
         m = max(margin, 1.0 - abs(c))
         family.append(band_fraction_strategy(c, m))
@@ -352,7 +346,7 @@ def default_sweep_family(
 
 
 def utility_sweep(
-    family: Sequence[BandStrategy], bundles: BundleEnsemble, eps: float
+    family: Sequence[GridRuleStrategy], bundles: BundleEnsemble, eps: float
 ) -> SweepReport:
     """Expected log utility per admissible strategy, with the family max.
 
@@ -373,7 +367,7 @@ def utility_sweep(
                 f"(pi={v:.4g} at t={t:.4g}); inadmissible strategies are ruled out"
             )
         logw = _terminal_log_wealth(p.cont, p.jump, p.wiped)
-        rep = log_utility_from_terminals(logw, int(p.wiped.sum()))
+        rep = log_utility(logw)
         entries.append((p.member.name, rep))
         if rep.estimate == -np.inf:
             ruined += 1

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .path_core import Ensemble, _mean_stderr, qv_matrix, truncation_index
-from .strategy import h2_norm, pi_for_ensemble
-from .wealth import UtilityReport, log_utility_from_terminals, terminal_log_wealth_continuous
+from .strategy import GridRuleStrategy, h2_norm, pi_for_ensemble
+from .wealth import UtilityReport, log_utility, terminal_log_wealth_continuous
 
 __all__ = [
     "BinSpec",
@@ -155,11 +155,10 @@ def choose_truncation_level(
 
 
 def estimate_lambda(
-    strategy,
+    strategy: GridRuleStrategy,
     ensemble: Ensemble,
     qv_vals: np.ndarray | None = None,
     stop_n: float | None = None,
-    insider: np.ndarray | None = None,
 ) -> LambdaEstimate:
     """Mean terminal value of the simple integral of the strategy against
     the paths, with its standard error.
@@ -170,7 +169,7 @@ def estimate_lambda(
     """
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals, insider)
+    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
     ds = np.diff(ensemble.values, axis=1)
     if stop_n is not None:
         if qv_vals is None:
@@ -178,8 +177,7 @@ def estimate_lambda(
         stop = truncation_index(ensemble.values, qv_vals, stop_n)
         ds = ds * (np.arange(ensemble.grid.n_steps) < stop[:, None])
     per_path = np.sum(pi * ds, axis=1)
-    name = getattr(strategy, "name", "") or strategy.__class__.__name__
-    return LambdaEstimate(*_mean_stderr(per_path), name, ensemble.n_paths)
+    return LambdaEstimate(*_mean_stderr(per_path), strategy.name, ensemble.n_paths)
 
 
 def estimate_alpha(
@@ -358,7 +356,7 @@ def growth_optimal_value(
     )
     se = float(np.sqrt(se_paths**2 + se_alpha_sq))
     logw = terminal_log_wealth_continuous(alpha_cells, ensemble.values, qv_vals)
-    return GrowthReport(value, se, log_utility_from_terminals(logw, 0))
+    return GrowthReport(value, se, log_utility(logw))
 
 
 @dataclass(frozen=True)
@@ -370,11 +368,7 @@ class GapReport:
 
 
 def optimality_gap(
-    strategy,
-    est: DriftEstimate,
-    ensemble: Ensemble,
-    qv_vals: np.ndarray,
-    insider: np.ndarray | None = None,
+    strategy: GridRuleStrategy, est: DriftEstimate, ensemble: Ensemble, qv_vals: np.ndarray
 ) -> GapReport:
     """Paired estimate of E[log W(strategy)] - E[log W(alpha_hat)].
 
@@ -382,7 +376,7 @@ def optimality_gap(
     the right scale for the one-sided check gap <= 3 stderr.
     """
     _require_continuous(ensemble)
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals, insider)
+    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
     logw_pi = terminal_log_wealth_continuous(pi, ensemble.values, qv_vals)
     alpha_cells, _ = cell_alpha(est, ensemble)
     logw_a = terminal_log_wealth_continuous(alpha_cells, ensemble.values, qv_vals)

@@ -300,6 +300,16 @@ class BrownianModel:
         return Ensemble(grid, self._matrix(stream, grid, [index]), stream.master_seed, self.tag)
 
 
+def _coef_tag(coef) -> str:
+    """A coefficient as a model tag records it: a constant by its repr, a
+    callable by its module and qualified name, which do not change from
+    run to run as its repr's address does."""
+    if not callable(coef):
+        return repr(coef)
+    kind = coef if hasattr(coef, "__qualname__") else type(coef)
+    return f"{kind.__module__}.{kind.__qualname__}"
+
+
 class DriftedDiffusion:
     """dS = mu dt + sigma dB with constant or (t, s)-dependent coefficients.
 
@@ -317,9 +327,9 @@ class DriftedDiffusion:
         self._const = not callable(mu) and not callable(sigma)
         if self._const and sigma <= 0:
             raise ConfigurationError("sigma must be positive")
-        self.tag = f"drifted(mu={mu!r},sigma={sigma!r})" if not self._const else (
-            f"drifted(mu={float(mu)!r},sigma={float(sigma)!r})"
-        )
+        if self._const:
+            mu, sigma = float(mu), float(sigma)
+        self.tag = f"drifted(mu={_coef_tag(mu)},sigma={_coef_tag(sigma)})"
 
     @property
     def refinable(self) -> bool:

@@ -2,15 +2,15 @@
 on each interval is decided from the path prefix available at the interval's
 start.
 
-Every strategy is evaluated the same way: a rule maps an ensemble, with
-its per-path side information, to one shared per-cell row or one row per
-path.  ``GridRuleStrategy`` holds such a rule directly.
-``SimpleStrategy`` is the explicit form: an ordered list of legs, each
-ending at a grid time or at a first-hitting rule, holding a constant or
-the sign of the level at the leg's decision time; its legs compile to
-the same matrix form.  Every rule only reads quantities available at
-each cell's left endpoint.  Evaluation produces one value per grid
-cell, applying on ``(t_k, t_{k+1}]``; one path is the one-row case.
+Every strategy is a ``GridRuleStrategy``: a rule that maps an ensemble,
+with its per-path side information, to one shared per-cell row or one
+row per path, with a coefficient, a bound and an optional decay margin.
+``legs_strategy`` builds one from an ordered list of legs, each ending
+at a grid time or at a first-hitting rule, holding a constant or the
+sign of the level at the leg's decision time; the legs are compiled into
+the rule once.  Every rule only reads quantities available at each
+cell's left endpoint.  Evaluation produces one value per grid cell,
+applying on ``(t_k, t_{k+1}]``; one path is the one-row case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,9 +31,7 @@ __all__ = [
     "EvalContext",
     "HitRule",
     "Leg",
-    "SimpleStrategy",
     "GridRuleStrategy",
-    "BandStrategy",
     "evaluate",
     "pi_for_ensemble",
     "h2_norm",
@@ -42,6 +40,7 @@ __all__ = [
     "BandReport",
     "shares_from_proportion",
     "proportion_from_shares",
+    "legs_strategy",
     "const_strategy",
     "window_strategy",
     "sign_at_time_strategy",
@@ -112,28 +111,6 @@ class Leg:
 
 
 @dataclass(frozen=True)
-class SimpleStrategy:
-    """Ordered legs covering (0, 1]: the last leg must end at time 1."""
-
-    legs: tuple[Leg, ...]
-    bound: float
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "legs", tuple(self.legs))
-        if not self.legs:
-            raise ConfigurationError("strategy needs at least one leg")
-        last = self.legs[-1].until
-        if isinstance(last, HitRule) or float(last) != 1.0:
-            raise ConfigurationError("the final leg must end at time 1")
-        fixed = [float(l.until) for l in self.legs if not isinstance(l.until, HitRule)]
-        if any(b < a for a, b in zip(fixed, fixed[1:])):
-            raise ConfigurationError("leg end times must be non-decreasing")
-        if self.bound <= 0 or not np.isfinite(self.bound):
-            raise ConfigurationError("bound must be a positive finite number")
-
-
-@dataclass(frozen=True)
 class GridRuleStrategy:
     """Vectorized proportion profile: one call yields all cell values.
 
@@ -147,9 +124,10 @@ class GridRuleStrategy:
 
     The profile is ``scale * fn(ensemble, ctx)``, so rules that differ
     only by a coefficient can share one ``fn`` (the insider bands do);
-    ``bound`` limits the scaled profile.  Callers that sum over a family
-    may evaluate each shared ``fn`` once and apply the coefficients
-    afterwards.
+    ``bound``, positive and finite, limits the scaled profile.  A
+    ``margin`` in (0, 1] declares the decay ``|pi_t| <= (1 - margin)(1 - t)``,
+    and every profile is held to it.  Callers that sum over a family may
+    evaluate each shared ``fn`` once and apply the coefficients afterwards.
     """
 
     name: str
@@ -158,29 +136,13 @@ class GridRuleStrategy:
     needs_insider: bool = False
     path_independent: bool = False
     scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class BandStrategy:
-    """A strategy with declared decay margin: |pi_t| <= (1-margin)(1-t).
-
-    ``pi_for_ensemble`` holds every profile of it to that declaration.
-    """
-
-    strategy: SimpleStrategy | GridRuleStrategy
-    margin: float
+    margin: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.margin <= 1.0):
+        if not (self.bound > 0 and np.isfinite(self.bound)):
+            raise ConfigurationError("bound must be a positive finite number")
+        if self.margin is not None and not (0.0 < self.margin <= 1.0):
             raise ConfigurationError("margin must lie in (0, 1]")
-
-    @property
-    def name(self) -> str:
-        return self.strategy.name
-
-    @property
-    def bound(self) -> float:
-        return self.strategy.bound
 
 
 def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start, default) -> np.ndarray:
@@ -229,21 +191,12 @@ def _legs_profile(legs: tuple[Leg, ...], ensemble: Ensemble, ctx: EvalContext) -
     return pi
 
 
-def _as_rule(strategy) -> GridRuleStrategy:
-    """The grid rule of any strategy: band strategies unwrap, legs compile."""
-    if isinstance(strategy, BandStrategy):
-        strategy = strategy.strategy
-    if isinstance(strategy, SimpleStrategy):
-        return GridRuleStrategy(strategy.name, strategy.bound, partial(_legs_profile, strategy.legs))
-    return strategy
+def _unit_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    """Run a grid rule's ``fn``, before its scale, and check its shape.
 
-
-def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-    """Run a grid rule and check what it returns.
-
-    The insider datum must be there when the rule needs one, the profile
-    must be one shared row or (unless the rule is path-independent) one
-    row per path, and no value may exceed the declared bound.
+    The insider datum must be there when the rule needs one, and the
+    profile must be one shared row or (unless the rule is
+    path-independent) one row per path.
     """
     if rule.needs_insider and ctx.insider is None:
         raise ContractViolation(f"strategy {rule.name!r} needs an insider datum")
@@ -251,9 +204,19 @@ def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) 
     row = (ensemble.grid.n_steps,)
     if pi.shape != row and (rule.path_independent or pi.shape != (ensemble.n_paths, *row)):
         raise ContractViolation("rule returned a wrongly shaped profile")
+    return pi
+
+
+def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
+    """A grid rule's profile: its checked unit profile times its scale, with
+    no value above the declared bound and, when it declares one, inside
+    its margin."""
+    pi = _unit_profile(rule, ensemble, ctx)
     if rule.scale != 1.0:
         pi = rule.scale * pi
     _check_bound(rule, max(pi.max(initial=0.0), -pi.min(initial=0.0)))
+    if rule.margin is not None:
+        _check_margin(rule, np.abs(pi), ensemble.grid)
     return pi
 
 
@@ -263,17 +226,17 @@ def _check_bound(rule: GridRuleStrategy, peak: float) -> None:
         raise ContractViolation(f"strategy {rule.name!r} exceeded its declared bound")
 
 
-def _check_margin(band: BandStrategy, abs_pi: np.ndarray, grid: TimeGrid) -> None:
+def _check_margin(rule: GridRuleStrategy, abs_pi: np.ndarray, grid: TimeGrid) -> None:
     """Refuse absolute proportions (a row, or one row per path) above the
     declared decay ``(1 - margin)(1 - t)`` at any cell's left endpoint."""
-    if np.any(abs_pi > (1.0 - band.margin) * (1.0 - grid.points[:-1]) + 1e-12):
+    if np.any(abs_pi > (1.0 - rule.margin) * (1.0 - grid.points[:-1]) + 1e-12):
         raise ContractViolation(
-            f"strategy {band.name!r} leaves its declared margin: "
-            f"|pi_t| exceeds (1 - {band.margin:g})(1 - t)")
+            f"strategy {rule.name!r} leaves its declared margin: "
+            f"|pi_t| exceeds (1 - {rule.margin:g})(1 - t)")
 
 
 def pi_for_ensemble(
-    strategy,
+    strategy: GridRuleStrategy,
     ensemble: Ensemble,
     qv_vals: np.ndarray | None = None,
     insider: np.ndarray | None = None,
@@ -283,16 +246,12 @@ def pi_for_ensemble(
 
     ``qv_vals``, ``insider`` and ``driver`` are the ``EvalContext`` rows;
     a rule that reads the variation computes it when ``qv_vals`` is None.
-    A band strategy's profile is also held to its declared margin.
     """
-    pi = _rule_profile(_as_rule(strategy), ensemble, EvalContext(insider, driver, qv_vals))
-    if isinstance(strategy, BandStrategy):
-        _check_margin(strategy, np.abs(pi), ensemble.grid)
-    return pi
+    return _rule_profile(strategy, ensemble, EvalContext(insider, driver, qv_vals))
 
 
 def evaluate(
-    strategy: SimpleStrategy | GridRuleStrategy | BandStrategy,
+    strategy: GridRuleStrategy,
     path: Ensemble,
     ctx: EvalContext = EvalContext(),
 ) -> np.ndarray:
@@ -316,18 +275,13 @@ class NormEstimate:
     n_paths: int
 
 
-def h2_norm(
-    strategy,
-    ensemble: Ensemble,
-    qv_vals: np.ndarray,
-    insider: np.ndarray | None = None,
-) -> NormEstimate:
+def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble, qv_vals: np.ndarray) -> NormEstimate:
     """Monte-Carlo estimate of E of the pathwise integral of pi^2 against
     the running variation (jump contributions included via the variation
     increments themselves)."""
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals, insider)
+    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
     dqv = np.diff(qv_vals, axis=1)
     per_path = np.sum(pi * pi * dqv, axis=1)
     return NormEstimate(*_mean_stderr(per_path), ensemble.n_paths)
@@ -384,16 +338,31 @@ def proportion_from_shares(shares: float, wealth: float, price: float) -> float:
 # Built-in strategies
 # ---------------------------------------------------------------------------
 
-def const_strategy(c: float, name: str | None = None) -> SimpleStrategy:
+def legs_strategy(legs: Sequence[Leg], bound: float, name: str = "") -> GridRuleStrategy:
+    """Ordered legs covering (0, 1], compiled once into a grid rule.
+
+    There must be at least one leg, the last must end at time 1, and the
+    fixed end times must not decrease.
+    """
+    legs = tuple(legs)
+    if not legs:
+        raise ConfigurationError("strategy needs at least one leg")
+    last = legs[-1].until
+    if isinstance(last, HitRule) or float(last) != 1.0:
+        raise ConfigurationError("the final leg must end at time 1")
+    fixed = [float(l.until) for l in legs if not isinstance(l.until, HitRule)]
+    if any(b < a for a, b in zip(fixed, fixed[1:])):
+        raise ConfigurationError("leg end times must be non-decreasing")
+    return GridRuleStrategy(name, bound, partial(_legs_profile, legs))
+
+
+def const_strategy(c: float, name: str | None = None) -> GridRuleStrategy:
     """pi identically c on (0, 1]."""
-    return SimpleStrategy(
-        (Leg(until=1.0, value=float(c)),),
-        bound=max(abs(c), 1e-12),
-        name=name or f"const({c:g})",
-    )
+    return legs_strategy((Leg(until=1.0, value=float(c)),), max(abs(c), 1e-12),
+                         name or f"const({c:g})")
 
 
-def window_strategy(c: float, a: float, b: float, name: str | None = None) -> SimpleStrategy:
+def window_strategy(c: float, a: float, b: float, name: str | None = None) -> GridRuleStrategy:
     """pi = c on (a, b], zero elsewhere; a and b must be grid times."""
     legs = []
     if a > 0.0:
@@ -401,7 +370,7 @@ def window_strategy(c: float, a: float, b: float, name: str | None = None) -> Si
     legs.append(Leg(until=b, value=float(c)))
     if b < 1.0:
         legs.append(Leg(until=1.0, value=0.0))
-    return SimpleStrategy(tuple(legs), bound=max(abs(c), 1e-12), name=name or f"window({c:g},{a:g},{b:g})")
+    return legs_strategy(legs, max(abs(c), 1e-12), name or f"window({c:g},{a:g},{b:g})")
 
 
 def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
@@ -415,7 +384,7 @@ def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
         pi[:, k0:] = scale * s[:, None]
         return pi
 
-    return GridRuleStrategy(f"sign_at({t0:g})*{scale:g}", abs(scale), fn)
+    return GridRuleStrategy(f"sign_at({t0:g})*{scale:g}", max(abs(scale), 1e-12), fn)
 
 
 def truncation_strategy(n: float) -> GridRuleStrategy:
@@ -428,7 +397,7 @@ def truncation_strategy(n: float) -> GridRuleStrategy:
     return GridRuleStrategy(f"truncation({n:g})", 1.0, fn)
 
 
-def _band(c: float, margin: float | None, name: str, fn, **flags) -> BandStrategy:
+def _band(c: float, margin: float | None, name: str, fn, **flags) -> GridRuleStrategy:
     """A ``pi_t = c (1 - t)`` rule, up to sign: bound ``|c| < 1``, margin ``1 - |c|``.
 
     ``fn`` is the unit shape (``c = 1``) and ``c`` its scale.  Every
@@ -438,8 +407,8 @@ def _band(c: float, margin: float | None, name: str, fn, **flags) -> BandStrateg
     """
     if not (-1.0 < c < 1.0):
         raise ConfigurationError("band fraction needs |c| < 1")
-    inner = GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, scale=float(c), **flags)
-    return BandStrategy(inner, margin if margin is not None else 1.0 - abs(c))
+    return GridRuleStrategy(f"{name}({c:+.3g})", max(abs(c), 1e-12), fn, scale=float(c),
+                            margin=margin if margin is not None else 1.0 - abs(c), **flags)
 
 
 def _band_shape(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
@@ -459,17 +428,17 @@ def _switch_band_shape(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
     return np.where(gap >= 0, row, -row)
 
 
-def band_fraction_strategy(c: float, margin: float | None = None) -> BandStrategy:
+def band_fraction_strategy(c: float, margin: float | None = None) -> GridRuleStrategy:
     """pi_t = c (1 - t), evaluated at each cell's left endpoint."""
     return _band(c, margin, "band", _band_shape, path_independent=True)
 
 
-def insider_sign_band(c: float, margin: float | None = None) -> BandStrategy:
+def insider_sign_band(c: float, margin: float | None = None) -> GridRuleStrategy:
     """pi_t = c (1 - t) sign(revealed terminal driver value)."""
     return _band(c, margin, "sign_band", _sign_band_shape, needs_insider=True)
 
 
-def insider_switch_band(c: float, margin: float | None = None) -> BandStrategy:
+def insider_switch_band(c: float, margin: float | None = None) -> GridRuleStrategy:
     """pi_t = c (1 - t) sign(insider datum minus current driver level).
 
     The comparison uses the driver level at each cell's left endpoint,
@@ -500,27 +469,26 @@ def _leg_from_json(obj: dict) -> Leg:
     raise ConfigurationError(f"unknown leg rule_id {rid!r}")
 
 
-def load_strategy(obj: dict):
+def load_strategy(obj: dict) -> GridRuleStrategy:
     """Build a strategy from its JSON description.
 
     Either a ``legs`` list (rule_ids ``const``, ``sign_prefix_end``) or a
     top-level ``rule_id`` shorthand (``const``, ``band_fraction``,
-    ``truncation``, ``sign_prefix_end``).  An optional ``margin`` wraps
-    the result as a band strategy.
+    ``truncation``, ``sign_prefix_end``).  An optional ``margin`` is the
+    strategy's declared decay margin.
     """
     name = obj.get("name", "")
     margin = obj.get("margin")
+    rid = obj.get("rule_id")
+    params = obj.get("params", {})
     if "legs" in obj:
         legs = tuple(_leg_from_json(l) for l in obj["legs"])
         bound = obj.get("bound")
         if bound is None:
             # the largest value or sign scale of any leg
             bound = max((abs(l.value) for l in legs), default=1.0) or 1.0
-        out = SimpleStrategy(legs, bound=float(bound), name=name)
-        return BandStrategy(out, margin) if margin is not None else out
-    rid = obj.get("rule_id")
-    params = obj.get("params", {})
-    if rid == "const":
+        out = legs_strategy(legs, float(bound), name)
+    elif rid == "const":
         out = const_strategy(float(params["value"]), name=name or None)
     elif rid == "band_fraction":
         return band_fraction_strategy(float(params["c"]), margin)
@@ -530,7 +498,7 @@ def load_strategy(obj: dict):
         out = sign_at_time_strategy(float(params.get("t0", 0.5)), float(params.get("scale", 1.0)))
     else:
         raise ConfigurationError(f"strategy file needs 'legs' or a known 'rule_id', got {rid!r}")
-    return BandStrategy(out, margin) if margin is not None else out
+    return out if margin is None else replace(out, margin=margin)
 
 
 def load_strategy_file(path: str | Path):

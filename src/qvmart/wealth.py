@@ -1,7 +1,7 @@
 """Pathwise wealth dynamics for proportion strategies over an ensemble:
 the stochastic exponential of every path (continuous paths are the case
 without jumps), the left-endpoint residual of the wealth recursion
-dW = W pi dS, and log-utility aggregation.
+dW = W pi dS, and log-utility aggregation over log terminal wealths.
 
 The exponential is computed in its factorized form
 
@@ -27,7 +27,6 @@ __all__ = [
     "stoch_exp_ensemble",
     "dd_residual",
     "log_utility",
-    "log_utility_from_terminals",
     "terminal_log_wealth_continuous",
     "terminal_log_wealth_jumps",
 ]
@@ -103,26 +102,20 @@ def dd_residual(pi: np.ndarray, ensemble: Ensemble, w: np.ndarray) -> np.ndarray
     return np.max(np.abs(w[:, 1:] - 1.0 - euler), axis=1)
 
 
-def log_utility(w1: np.ndarray) -> UtilityReport:
+def log_utility(log_w1: np.ndarray) -> UtilityReport:
     """Sample mean and standard error of log terminal wealth.
 
-    ``w1`` holds the terminal wealths.  Any terminal wealth at or below
-    zero makes the whole estimate -inf, the Monte-Carlo rendering of
-    assigning -inf to ruinous strategies.
+    ``log_w1`` holds the log terminal wealths, -inf on a ruined path (one
+    whose terminal wealth is at or below zero).  Any ruined path makes
+    the whole estimate -inf, the Monte-Carlo rendering of assigning -inf
+    to ruinous strategies; the ruined paths are counted.
     """
-    w1 = np.asarray(w1, dtype=float)
-    if not w1.size:
+    log_w1 = np.asarray(log_w1, dtype=float)
+    if not log_w1.size:
         raise ContractViolation("need at least one terminal wealth")
-    nonpositive = w1 <= 0.0
-    log_w1 = np.log(w1, out=np.full(w1.shape, -np.inf), where=~nonpositive)
-    return log_utility_from_terminals(log_w1, int(np.sum(nonpositive)))
-
-
-def log_utility_from_terminals(log_w1: np.ndarray, n_nonpositive: int) -> UtilityReport:
-    """Aggregate precomputed per-path log terminal wealths (-inf allowed)."""
-    n = log_w1.size
-    if n_nonpositive:
-        return UtilityReport(-np.inf, float("nan"), n, int(n_nonpositive))
+    n, ruined = log_w1.size, int(np.count_nonzero(log_w1 == -np.inf))
+    if ruined:
+        return UtilityReport(-np.inf, float("nan"), n, ruined)
     return UtilityReport(*_mean_stderr(log_w1), n, 0)
 
 

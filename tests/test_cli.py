@@ -297,6 +297,9 @@ def inputs(tmp_path_factory):
                        "margin": "a"},
         "default-str": {"name": "x", "legs": [{"until": {"threshold": 0.3, "default": "x"}},
                                               {"until": 1.0}]},
+        # a scale that is not finite gives a bound that is not
+        "scale-nan": {"rule_id": "sign_prefix_end", "params": {"t0": 0.5, "scale": float("nan")}},
+        "scale-inf": {"rule_id": "sign_prefix_end", "params": {"t0": 0.5, "scale": float("inf")}},
     }
     for name, obj in bad_strategies.items():
         (d / f"bad-{name}.json").write_text(json.dumps(obj))
@@ -434,9 +437,22 @@ def test_non_finite_rate_is_refused_as_zero_rate_is(argv, tmp_path, capsys):
         rc = main(argv + ["--rate", rate, "--out", str(tmp_path / rate)])
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "rate must be positive and finite" in error["message"]
-        assert not (tmp_path / rate / "manifest.json").exists()  # a refused run leaves none
+        assert not (tmp_path / rate).exists()  # a refused run leaves no manifest, nor its directory
         outcomes.append((rc, error["error"]))
     assert outcomes[0][0] in (1, 2) and outcomes == [outcomes[0]] * 3
+
+
+def test_refused_run_keeps_a_directory_it_did_not_make(tmp_path, capsys):
+    argv = ["counterexample", "sweep", "--bundles", "5", "--rate", "inf", "--out"]
+    empty, used = tmp_path / "empty", tmp_path / "used"
+    empty.mkdir()
+    used.mkdir()
+    (used / "notes.txt").write_text("kept\n")
+    for out in (empty, used):
+        assert main(argv + [str(out)]) == 1
+    assert empty.is_dir() and not any(empty.iterdir())
+    assert sorted(p.name for p in used.iterdir()) == ["notes.txt"]
+    assert (used / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("strategy", ["legs", "half"])  # every row ruined; two of four
@@ -459,33 +475,39 @@ def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
 
 _BAD_STRATEGIES = ("str", "num", "list_of_num", "legs_str", "params_list", "until_null",
                    "margin_str", "default_str")
+_NON_FINITE_SCALES = ("scale_nan", "scale_inf")
 _BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json", "short_row",
                "short_jump_row")
 
 
-@pytest.mark.parametrize("argv", [
-    ["qv", "--levels", "8,x"],
-    ["wealth", "--in", "{sim}-missing", "--strategy", "{half}"],
-    ["replay", "{broken}"],
-    ["counterexample", "divergence", "--eps-list", "0.1,zz"],
-    ["qv", "--in", "{empty}"],
-    ["qv", "--in", "{offgrid}"],
-    ["qv", "--levels", "40"],
-    ["qv", "--levels", "-1"],
-    *(["wealth", "--in", "{sim}", "--strategy", f"{{bad_{k}}}"] for k in _BAD_STRATEGIES),
-    ["wealth", "--in", "{sim}", "--strategy", "{strategies}"],
-    ["counterexample", "band", "--strategy", "{strategies}", *_BUNDLES],
-    *(["qv", "--in", f"{{stored_{k}}}"] for k in _BAD_STORED),
+@pytest.mark.parametrize("argv, kind", [
+    *((argv, "input") for argv in (
+        ["qv", "--levels", "8,x"],
+        ["wealth", "--in", "{sim}-missing", "--strategy", "{half}"],
+        ["replay", "{broken}"],
+        ["counterexample", "divergence", "--eps-list", "0.1,zz"],
+        ["qv", "--in", "{empty}"],
+        ["qv", "--in", "{offgrid}"],
+        ["qv", "--levels", "40"],
+        ["qv", "--levels", "-1"],
+        *(["wealth", "--in", "{sim}", "--strategy", f"{{bad_{k}}}"] for k in _BAD_STRATEGIES),
+        ["wealth", "--in", "{sim}", "--strategy", "{strategies}"],
+        ["counterexample", "band", "--strategy", "{strategies}", *_BUNDLES],
+        *(["qv", "--in", f"{{stored_{k}}}"] for k in _BAD_STORED),
+    )),
+    *((["wealth", "--in", "{sim}", "--strategy", f"{{bad_{k}}}"], "configuration")
+      for k in _NON_FINITE_SCALES),
 ], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list",
         "qv-no-paths", "qv-off-grid-path", "qv-level-too-fine", "qv-level-negative",
         *(f"strategy-{k}" for k in _BAD_STRATEGIES), "wealth-strategy-list",
-        "band-strategy-list", *(f"stored-{k}" for k in _BAD_STORED)])
-def test_bad_input_exits_2_with_json_error(argv, inputs, tmp_path, capsys):
+        "band-strategy-list", *(f"stored-{k}" for k in _BAD_STORED),
+        *(f"strategy-{k}" for k in _NON_FINITE_SCALES)])
+def test_bad_input_exits_2_with_json_error(argv, kind, inputs, tmp_path, capsys):
     argv = [a.format(**inputs) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert error["error"] == "input" and error["message"]
-    assert not (tmp_path / "out" / "manifest.json").exists()  # a refused run leaves none
+    assert error["error"] == kind and error["message"]
+    assert not (tmp_path / "out").exists()  # a refused run leaves no manifest, nor its directory
 
 
 @pytest.mark.parametrize("flag", [["--levels", "99"], ["--seed", "0"], ["--model", "brownian"]],

@@ -4,7 +4,7 @@ log utility over insider strategies, and the drift-variation divergence."""
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from qvmart import counterexample as cx
 from qvmart.counterexample import (
-    beta_const,
     beta_prefix_sign,
     beta_switch_at,
     default_sweep_family,
@@ -113,7 +112,7 @@ class TestFlipDecompose:
 
 class TestPoissonFlip:
     @pytest.mark.parametrize(
-        "switch", [beta_const(1.0), beta_switch_at(0.5), beta_prefix_sign()],
+        "switch", [const_strategy(1.0), beta_switch_at(0.5), beta_prefix_sign()],
         ids=["const", "switch", "prefix-sign"],
     )
     def test_flipped_pair_is_fresh_poisson(self, switch):
@@ -338,8 +337,8 @@ class TestSharedFamilyPass:
     def test_shared_pass_matches_fresh_ensembles(self, monkeypatch):
         family = default_sweep_family()
         ens = self.fresh()
-        calls, profile = [], cx.pi_for_ensemble
-        monkeypatch.setattr(cx, "pi_for_ensemble",
+        calls, profile = [], cx._unit_profile
+        monkeypatch.setattr(cx, "_unit_profile",
                             lambda *a, **k: calls.append(1) or profile(*a, **k))
         sweep = utility_sweep(family, ens, 1e-2)
         assert len(calls) == 3  # one unit shape per rule shape, not one per member
@@ -418,8 +417,6 @@ class TestSharedFamilyPass:
     def test_bound_and_margin_checked_past_the_probe_rows(self):
         # zero on the probe rows, 0.5 (1 - t) later: inside the band, but
         # outside a bound of 0.4 and outside the margin (1 - 0.9)(1 - t)
-        from qvmart.strategy import BandStrategy
-
         def fn(ens, ctx):
             rows = np.arange(ens.n_paths)[:, None] >= 3
             return np.where(rows, 1.0 - ens.grid.points[:-1], 0.0)
@@ -427,10 +424,10 @@ class TestSharedFamilyPass:
         ens = self.fresh(50)
         with pytest.raises(ContractViolation, match="declared bound"):
             utility_sweep([GridRuleStrategy("late", 0.4, fn, scale=0.5)], ens, 1e-2)
-        late = BandStrategy(GridRuleStrategy("late", 0.5, fn, scale=0.5), 0.9)
+        late = GridRuleStrategy("late", 0.5, fn, scale=0.5, margin=0.9)
         with pytest.raises(ContractViolation, match="margin"):
             utility_sweep([late], ens, 1e-2)
-        ok = BandStrategy(late.strategy, 0.5)
+        ok = replace(late, margin=0.5)
         assert utility_sweep([ok], ens, 1e-2).n_ruined_strategies == 0
 
     def test_same_name_different_rule_not_shared(self):

@@ -83,9 +83,9 @@ class TestEstimateLambda:
 
 def _combo(a, b):
     # a on (1/2, 1], a + b on (0, 1/2]
-    from qvmart.strategy import Leg, SimpleStrategy
+    from qvmart.strategy import Leg, legs_strategy
 
-    return SimpleStrategy(
+    return legs_strategy(
         legs=(Leg(until=0.5, value=a + b), Leg(until=1.0, value=a)),
         bound=abs(a) + abs(b),
         name="combo",

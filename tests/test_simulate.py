@@ -99,6 +99,20 @@ class TestDriftedDiffusion:
         with pytest.raises(ConfigurationError):
             DriftedDiffusion(0.0, -1.0)
 
+    def test_tag_is_deterministic(self):
+        # a callable is tagged by module and qualified name, not by its address
+        def make():
+            def mu(t, s):
+                return 0.1 * s
+            return mu
+
+        a, b = make(), make()  # the same function, at two addresses
+        tags = {DriftedDiffusion(a, 0.2).tag, DriftedDiffusion(b, 0.2).tag}
+        assert tags == {f"drifted(mu={__name__}.{a.__qualname__},sigma=0.2)"}
+        assert "0x" not in DriftedDiffusion(lambda t, s: 0.0, a).tag
+        assert DriftedDiffusion(0.1, 0.2).tag == "drifted(mu=0.1,sigma=0.2)"
+        assert DriftedDiffusion(0, 1).tag == "drifted(mu=0.0,sigma=1.0)"
+
 
 class TestSigmaProfile:
     def test_vanishes_up_to_half(self):

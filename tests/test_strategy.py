@@ -2,6 +2,7 @@
 band, the Hilbert norm, and the JSON description format."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from qvmart.errors import ConfigurationError, ContractViolation
 from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
 from qvmart.simulate import BrownianModel, SeedStream, gen_ensemble
 from qvmart.strategy import (
-    BandStrategy,
     EvalContext,
+    GridRuleStrategy,
     HitRule,
     Leg,
-    SimpleStrategy,
     band_check,
     band_fraction_strategy,
     const_strategy,
@@ -24,6 +24,7 @@ from qvmart.strategy import (
     h2_norm,
     insider_sign_band,
     insider_switch_band,
+    legs_strategy,
     load_strategy,
     load_strategy_file,
     pi_for_ensemble,
@@ -48,7 +49,7 @@ class TestEvaluate:
 
     def test_reduction_strategy(self):
         # 1 up to the first |S| > n crossing, 0 afterwards
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(
                 Leg(until=HitRule("abs_level", 5.0, default=1.0), value=1.0),
                 Leg(until=1.0, value=0.0),
@@ -63,7 +64,7 @@ class TestEvaluate:
         assert np.all(pi[:51] == 1.0) and np.all(pi[51:] == 0.0)
 
     def test_hit_never_triggers_with_default(self):
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(
                 Leg(until=HitRule("abs_level", 99.0, default=1.0), value=1.0),
                 Leg(until=1.0, value=0.0),
@@ -74,7 +75,7 @@ class TestEvaluate:
         assert np.all(pi == 1.0)
 
     def test_hit_never_triggers_without_default_empties_leg(self):
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(
                 Leg(until=HitRule("abs_level", 99.0), value=1.0),
                 Leg(until=1.0, value=0.5),
@@ -87,7 +88,7 @@ class TestEvaluate:
     def test_rule_sees_only_prefix(self):
         # the sign leg decides at t = 0.5 (index 8) from the level there, -0.5,
         # though the path turns positive right after
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, value=1.0, rule_id="sign_prefix_end")),
             bound=1.0,
         )
@@ -96,7 +97,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(pi, [0.0] * 8 + [-1.0] * 8)
 
     def test_predictability_under_suffix_perturbation(self):
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(Leg(until=0.5, value=0.0), Leg(until=1.0, value=1.0, rule_id="sign_prefix_end")),
             bound=1.0,
         )
@@ -108,7 +109,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(pi_before, pi_after)
 
     def test_piecewise_constant_with_at_most_n_values(self):
-        strat = SimpleStrategy(
+        strat = legs_strategy(
             legs=(Leg(until=0.25, value=1.0), Leg(until=0.75, value=-2.0), Leg(until=1.0, value=0.5)),
             bound=2.0,
         )
@@ -116,14 +117,32 @@ class TestEvaluate:
         assert len(np.unique(pi)) <= 3
 
     def test_bound_enforced(self):
-        strat = SimpleStrategy(legs=(Leg(until=1.0, value=7.0, rule_id="sign_prefix_end"),),
+        strat = legs_strategy(legs=(Leg(until=1.0, value=7.0, rule_id="sign_prefix_end"),),
                                bound=1.0)
         with pytest.raises(ContractViolation):
             evaluate(strat, linear_path())
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bound_must_be_positive_and_finite(self, bound):
+        with pytest.raises(ConfigurationError, match="bound must be a positive finite number"):
+            GridRuleStrategy("bad", bound, lambda e, ctx: np.zeros(e.grid.n_steps))
+
+    @pytest.mark.parametrize("margin", [np.nan, 0.0, -0.5, 1.5])
+    def test_margin_must_lie_in_unit_interval(self, margin):
+        with pytest.raises(ConfigurationError, match="margin must lie in"):
+            GridRuleStrategy("bad", 1.0, lambda e, ctx: np.zeros(e.grid.n_steps), margin=margin)
+
+    def test_zero_scale_sign_rule_is_a_zero_profile(self):
+        # the 1e-12 floor keeps the bound positive, as const_strategy(0) does
+        for strat in (sign_at_time_strategy(0.5, 0.0), const_strategy(0.0)):
+            assert strat.bound == 1e-12
+            np.testing.assert_array_equal(evaluate(strat, linear_path()), np.zeros(16))
+        with pytest.raises(ConfigurationError):
+            sign_at_time_strategy(0.5, np.nan)
+
     def test_final_leg_must_reach_horizon(self):
         with pytest.raises(ConfigurationError):
-            SimpleStrategy(legs=(Leg(until=0.5, value=1.0),), bound=1.0)
+            legs_strategy(legs=(Leg(until=0.5, value=1.0),), bound=1.0)
 
     def test_unknown_leg_rule_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -176,8 +195,6 @@ class TestEvaluate:
 
     def test_matrix_form_passes_the_same_checks(self):
         from qvmart.simulate import gen_bundles, make_insider_grid
-        from qvmart.strategy import GridRuleStrategy
-
         ens = gen_ensemble(BrownianModel(), SeedStream(1), 4, TimeGrid.dyadic(4))
         bundles = gen_bundles(SeedStream(1), 4, make_insider_grid(1e-2, 16, 32), 1e-2, 1.0)
 
@@ -214,7 +231,7 @@ class TestCompiledLegs:
 
     def test_hit_leg_after_hit_leg(self):
         # the second leg starts where each row's first leg ended: cells 2, 5, 1
-        strat = SimpleStrategy((
+        strat = legs_strategy((
             Leg(HitRule("abs_level", 1.0), 1.0),
             Leg(HitRule("abs_level", 2.0, default=1.0), -0.5),
             Leg(1.0, 0.25),
@@ -233,7 +250,7 @@ class TestCompiledLegs:
 
     def test_sign_leg_after_hit_leg(self):
         # the sign is read at each row's own decision index, not later
-        strat = SimpleStrategy((
+        strat = legs_strategy((
             Leg(HitRule("abs_level", 1.0, default=1.0), 0.0),
             Leg(1.0, 0.5, "sign_prefix_end"),
         ), bound=0.5)
@@ -251,7 +268,7 @@ class TestCompiledLegs:
 
     @pytest.mark.parametrize("metric", ["abs_level", "qv", "level_or_qv"])
     def test_negative_threshold_ends_the_leg_at_once(self, metric):
-        strat = SimpleStrategy((
+        strat = legs_strategy((
             Leg(0.25, 0.5),
             Leg(HitRule(metric, -1.0, default=0.75), 1.0),
             Leg(1.0, -0.5),
@@ -262,7 +279,7 @@ class TestCompiledLegs:
 
     def test_never_crossed(self):
         # without a default the leg is empty; with one it ends there
-        strat = SimpleStrategy((
+        strat = legs_strategy((
             Leg(HitRule("abs_level", 99.0), 1.0),
             Leg(HitRule("level_or_qv", 99.0, default=0.5), 0.7),
             Leg(1.0, -0.2),
@@ -277,7 +294,7 @@ class TestCompiledLegs:
 
     @pytest.mark.parametrize("threshold", [-1.0, 99.0])  # every row crosses; none does
     def test_default_off_the_grid_rejected_whatever_the_rows(self, threshold):
-        strat = SimpleStrategy((
+        strat = legs_strategy((
             Leg(HitRule("level_or_qv", threshold, default=0.3), 1.0),
             Leg(1.0, -0.5),
         ), bound=1.0)
@@ -328,8 +345,6 @@ class TestBandCheck:
         def fn(path, ctx):
             return 1.0 - path.grid.points[:-1]
 
-        from qvmart.strategy import GridRuleStrategy
-
         strat = GridRuleStrategy("edge", 1.0, fn)
         rep = band_check(strat, TimeGrid.uniform(32))
         assert not rep.admissible
@@ -354,7 +369,7 @@ class TestBandCheck:
         # report takes row 2's value at 1/4 and row 1's from then on
         grid = TimeGrid.uniform(4)
         vals = np.array([[0.0] * 5, [0.0, 0.1, 0.7, 0.7, 0.7], [0.0, -0.9, 0.0, 0.0, 0.0]])
-        strat = SimpleStrategy((Leg(HitRule("abs_level", 0.5, default=1.0), 0.0),
+        strat = legs_strategy((Leg(HitRule("abs_level", 0.5, default=1.0), 0.0),
                                 Leg(1.0, 0.8, "sign_prefix_end")), bound=0.8)
         rep = band_check(strat, grid, Ensemble(grid, vals, None, "probe"))
         assert rep.violations == ((0.25, -0.8), (0.5, 0.8), (0.75, 0.8))
@@ -405,13 +420,13 @@ class TestBandProfiles:
         }
         for build, want in closed.items():
             strat = build(c)
-            assert strat.strategy.scale == c
+            assert strat.scale == c
             got = pi_for_ensemble(strat, ens, insider=insider, driver=driver)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), strat.name
 
     def test_coefficients_share_one_shape(self):
         for build in (band_fraction_strategy, insider_sign_band, insider_switch_band):
-            assert len({build(c).strategy.fn for c in self.CS}) == 1
+            assert len({build(c).fn for c in self.CS}) == 1
 
 
 class TestMargin:
@@ -428,18 +443,16 @@ class TestMargin:
             evaluate(band_fraction_strategy(c, 1.0 - abs(c)), linear_path())
 
     def test_margin_checked_on_every_row(self):
-        from qvmart.strategy import GridRuleStrategy
-
         def fn(ens, ctx):
             return np.where(np.arange(ens.n_paths)[:, None] == 1, 0.5, 0.0) * (
                 1.0 - ens.grid.points[:-1])
 
         g = TimeGrid.dyadic(3)
-        strat = BandStrategy(GridRuleStrategy("row1", 0.5, fn), 0.9)
+        strat = GridRuleStrategy("row1", 0.5, fn, margin=0.9)
         ens = Ensemble(g, np.zeros((2, g.points.size)), None, "x")
         with pytest.raises(ContractViolation, match="margin"):
             pi_for_ensemble(strat, ens)
-        pi_for_ensemble(BandStrategy(strat.strategy, 0.5), ens)
+        pi_for_ensemble(replace(strat, margin=0.5), ens)
 
 
 class TestShares:
@@ -496,8 +509,23 @@ class TestStrategyFiles:
         strat = load_strategy(
             {"rule_id": "band_fraction", "params": {"c": 0.5}, "margin": 0.5}
         )
-        assert isinstance(strat, BandStrategy)
+        assert isinstance(strat, GridRuleStrategy)
         assert strat.margin == 0.5
+
+    def test_legs_with_margin(self):
+        # the margin is checked on the legs form too: 0.2 up to t = 1/2 and 0.1
+        # up to t = 7/8 lie inside (1 - 0.1)(1 - t); a sign leg held to t = 1 does not
+        legs = [{"until": 0.5, "params": {"value": 0.2}},
+                {"until": 0.875, "rule_id": "sign_prefix_end", "params": {"scale": 0.1}},
+                {"until": 1.0, "params": {"value": 0.0}}]
+        strat = load_strategy({"name": "m", "margin": 0.1, "legs": legs})
+        assert isinstance(strat, GridRuleStrategy) and strat.margin == 0.1
+        pi = evaluate(strat, linear_path(4, slope=-2.0))
+        np.testing.assert_array_equal(pi, [0.2] * 8 + [-0.1] * 6 + [0.0] * 2)
+        late = load_strategy({"name": "m", "margin": 0.1, "legs": legs[:1] + [
+            {"until": 1.0, "rule_id": "sign_prefix_end", "params": {"scale": 0.1}}]})
+        with pytest.raises(ContractViolation, match="margin"):
+            evaluate(late, linear_path(4, slope=-2.0))
 
     def test_sign_prefix_leg(self):
         obj = {

@@ -11,7 +11,6 @@ from qvmart.simulate import BrownianModel, SeedStream, gen_bundles, gen_ensemble
 from qvmart.wealth import (
     dd_residual,
     log_utility,
-    log_utility_from_terminals,
     stoch_exp_ensemble,
     terminal_log_wealth_continuous,
     terminal_log_wealth_jumps,
@@ -213,13 +212,16 @@ class TestDDResidual:
 
 class TestLogUtility:
     def test_all_unit_wealth(self):
-        rep = log_utility(np.ones(5))
+        rep = log_utility(np.zeros(5))
         assert rep.estimate == 0.0 and rep.stderr == 0.0 and rep.n_nonpositive == 0
 
     def test_single_ruin_dominates(self):
-        rep = log_utility_from_terminals(np.array([0.1, 0.2, -np.inf]), 1)
+        rep = log_utility(np.array([0.1, 0.2, -np.inf]))
         assert rep.estimate == -np.inf
         assert rep.n_nonpositive == 1
+        # every ruined path is counted
+        rep = log_utility(np.array([-np.inf, 0.3, -np.inf, np.log(0.5)]))
+        assert (rep.estimate, rep.n_paths, rep.n_nonpositive) == (-np.inf, 4, 2)
 
     def test_driftless_constant_proportion_mean(self):
         # log W_1 = a B_1 - a^2/2 QV_1, so the mean is about -a^2/2
