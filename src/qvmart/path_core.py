@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -246,12 +247,22 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 # Serialization (round-trip-safe decimal: repr of the float)
 # ---------------------------------------------------------------------------
 
+# The binary copy of a stored ensemble's arrays, written beside its text.
+_CACHE = "ensemble.npy"
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> None:
-    """Write an ensemble to a directory with a replayable manifest."""
+    """Write an ensemble to a directory with a replayable manifest.
+
+    The text (``ensemble.json``, or one CSV file per path and one per
+    path with jumps) is the stored ensemble.  After it comes
+    ``ensemble.npy``: the same arrays in binary, bound to the text by its
+    SHA-256, which ``load_ensemble`` reads instead of parsing the text.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -268,55 +279,138 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     sizes = ensemble.jump_size.tolist()
     bounds = np.searchsorted(ensemble.jump_path, np.arange(ensemble.n_paths + 1)).tolist()
     spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # each path's jumps
-    if fmt == "json":
-        payload = {"manifest": manifest, "points": points, "paths": [
+    if fmt == "json":  # encoded once: the row lists are gone before the copy is built
+        files = [("ensemble.json", (json.dumps({"manifest": manifest, "points": points, "paths": [
             {"values": row, "jumps": [[t, z] for t, z in zip(times[j], sizes[j])]}
             for row, j in zip(ensemble.values.tolist(), spans)
-        ]}
-        _atomic_write(out / "ensemble.json", json.dumps(payload) + "\n")
-        return
-    if fmt != "csv":
+        ]}) + "\n").encode())]
+    elif fmt == "csv":
+        files = _csv_files(ensemble, points, times, sizes, spans)
+    else:
         raise ConfigurationError(f"unknown format {fmt!r}")
+    _write_cache(out / _CACHE, _digest(files, out), ensemble)
+
+
+def _csv_files(ensemble, points, times, sizes, spans):
+    """Name and bytes of each path's CSV file, each followed by its jumps file if it has jumps."""
     for i, (row, j) in enumerate(zip(ensemble.values.tolist(), spans)):
-        _atomic_write(out / f"path_{i:05d}.csv", _csv("t,value", points, row))
+        yield f"path_{i:05d}.csv", _csv("t,value", points, row)
         if j.stop > j.start:
-            _atomic_write(out / f"path_{i:05d}.jumps.csv",
-                          _csv("t,jump_size", times[j], sizes[j]))
+            yield f"path_{i:05d}.jumps.csv", _csv("t,jump_size", times[j], sizes[j])
 
 
-def _csv(header: str, col0: list[float], col1: list[float]) -> str:
+def _csv(header: str, col0: list[float], col1: list[float]) -> bytes:
     """A two-column CSV, each float the shortest text that parses back to it."""
-    return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in zip(col0, col1))])
+    return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in zip(col0, col1))]).encode()
+
+
+def _digest(files, out: Path | None = None) -> bytes:
+    """SHA-256 over the name, length and bytes of each ``(name, bytes)`` in
+    turn; with ``out``, each file is also written there."""
+    h = hashlib.sha256()
+    for name, data in files:
+        if out is not None:
+            _atomic_write(out / name, data)
+        h.update(b"%s %d\n" % (name.encode(), len(data)))
+        h.update(data)
+    return h.digest()
+
+
+def _cache_dtype(n_paths: int, n_steps: int, n_jumps: int) -> np.dtype:
+    """One record: the text's digest, the grid, the value matrix and the flat jumps."""
+    return np.dtype([("digest", "u1", (32,)), ("points", "<f8", (n_steps + 1,)),
+                     ("values", "<f8", (n_paths, n_steps + 1)), ("jump_path", "<i8", (n_jumps,)),
+                     ("jump_time", "<f8", (n_jumps,)), ("jump_size", "<f8", (n_jumps,))])
+
+
+def _write_cache(target: Path, digest: bytes, ensemble: Ensemble) -> None:
+    """Write the binary copy of ``ensemble``'s arrays, as the text reads them back."""
+    try:
+        rec = np.zeros((), _cache_dtype(ensemble.n_paths, ensemble.grid.n_steps,
+                                        ensemble.jump_size.size))
+    except ValueError:  # too large for one record (numpy 1.x caps it at 2 GiB): no copy
+        target.unlink(missing_ok=True)
+        return
+    rec["digest"] = np.frombuffer(digest, np.uint8)
+    rec["points"] = ensemble.grid.points
+    rec["jump_path"] = ensemble.jump_path
+    rec["jump_time"] = ensemble.grid.points[ensemble.jump_cell + 1]
+    for name, a in (("values", ensemble.values), ("jump_size", ensemble.jump_size)):
+        rec[name] = a
+        rec[name][np.isnan(a)] = np.nan  # the text writes every NaN as "nan"
+    _atomic_write(target, rec)
+
+
+def _read_cache(src: Path, manifest: dict, files) -> tuple | None:
+    """The arrays in ``ensemble.npy``, or None unless it loads cleanly, fits
+    the manifest's shape and holds the digest of ``files()``, the text files
+    as ``(name, bytes)``."""
+    try:
+        rec = np.load(src / _CACHE, mmap_mode="r", allow_pickle=False)
+        want = _cache_dtype(manifest["n_paths"], manifest["n_steps"],
+                            rec.dtype["jump_size"].shape[0])
+        if rec.shape != () or rec.dtype != want or rec["digest"].tobytes() != _digest(files()):
+            return None
+        return tuple(np.array(rec[name]) for name in want.names[1:])
+    except Exception:  # a bad copy is never an error: the text is parsed instead
+        # (numpy's header parser alone raises ValueError, EOFError or
+        # tokenize.TokenError, and the manifest may hold values of any type)
+        return None
 
 
 def load_ensemble(in_dir: str | Path) -> Ensemble:
     """Read an ensemble that ``save_ensemble`` wrote.
 
-    Malformed stored data raises ValueError naming the directory: a
-    manifest listing no paths, paths off one grid, a grid not spanning
-    [0, 1], a jump off the grid, or a CSV row that is short or not
-    numeric.
+    The arrays come from ``ensemble.npy`` when its digest matches the
+    text, else from parsing the text; either way they pass the same
+    checks.  Malformed stored data raises ValueError naming the
+    directory: a manifest listing no paths, paths off one grid, a grid
+    not spanning [0, 1], a jump off the grid, or a CSV row that is short
+    or not numeric.
     """
     src = Path(in_dir)
     manifest = json.loads((src / "ensemble_manifest.json").read_text())
     try:
         if manifest.get("format") == "json":
-            payload = json.loads((src / "ensemble.json").read_text())
-            points = np.array(payload["points"], dtype=float)
-            values = np.array([p["values"] for p in payload["paths"]], dtype=float)
-            jumps = [(i, t, z) for i, p in enumerate(payload["paths"]) for t, z in p["jumps"]]
+            text = (src / "ensemble.json").read_bytes()
+            arrays = (_read_cache(src, manifest, lambda: [("ensemble.json", text)])
+                      or _parse_json(text))
         else:
-            points, values, jumps = _read_csv_paths(src, manifest["n_paths"])
+            n_paths = manifest["n_paths"]
+            arrays = (_read_cache(src, manifest, lambda: _stored_csv_files(src, n_paths))
+                      or _read_csv_paths(src, n_paths))
+        points, values, path, time, size = arrays
         grid = TimeGrid(points)
-        path, time, size = np.array(jumps, dtype=float).reshape(-1, 3).T
         return Ensemble(grid, values, manifest["master_seed"], manifest["model_tag"],
                         path.astype(np.intp), _cells_of(grid, time), size)
     except (ContractViolation, TypeError, ValueError) as exc:
         raise ValueError(f"{src} holds a malformed ensemble: {exc}") from exc
 
 
-def _read_csv_paths(src: Path, n_paths: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Grid points, value matrix and ``(path, time, size)`` jumps of a CSV ensemble."""
+def _flat_jumps(jumps: list) -> np.ndarray:
+    """``(path, time, size)`` triples as three float arrays."""
+    return np.array(jumps, dtype=float).reshape(-1, 3).T
+
+
+def _parse_json(text: bytes) -> tuple:
+    """Grid points, value matrix and flat jumps of ``ensemble.json``'s bytes."""
+    payload = json.loads(text.decode())
+    points = np.array(payload["points"], dtype=float)
+    values = np.array([p["values"] for p in payload["paths"]], dtype=float)
+    jumps = [(i, t, z) for i, p in enumerate(payload["paths"]) for t, z in p["jumps"]]
+    return points, values, *_flat_jumps(jumps)
+
+
+def _stored_csv_files(src: Path, n_paths: int):
+    """Name and bytes of each stored path file, each followed by its jumps file if any."""
+    for i in range(n_paths):
+        yield (name := f"path_{i:05d}.csv"), (src / name).read_bytes()
+        if (jfile := src / f"path_{i:05d}.jumps.csv").exists():
+            yield jfile.name, jfile.read_bytes()
+
+
+def _read_csv_paths(src: Path, n_paths: int) -> tuple:
+    """Grid points, value matrix and flat jumps of a CSV ensemble."""
     if n_paths < 1:
         raise ValueError("the manifest lists no paths")
     cols = [_csv_columns(src / f"path_{i:05d}.csv") for i in range(n_paths)]
@@ -327,7 +421,7 @@ def _read_csv_paths(src: Path, n_paths: int) -> tuple[np.ndarray, np.ndarray, li
     jumps = [(i, t, z) for i in range(n_paths)
              if (jfile := src / f"path_{i:05d}.jumps.csv").exists()
              for t, z in zip(*_csv_columns(jfile))]
-    return points, np.stack([v for _, v in cols]), jumps
+    return points, np.stack([v for _, v in cols]), *_flat_jumps(jumps)
 
 
 def _csv_columns(file: Path) -> np.ndarray:
@@ -352,9 +446,16 @@ def _cells_of(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
     return k - 1
 
 
-def _atomic_write(target: Path, text: str) -> None:
-    """Write ``text`` to a temporary sibling, then rename it onto ``target``."""
+def _atomic_write(target: Path, data: str | bytes | np.ndarray) -> None:
+    """Write text, bytes or an array (as ``.npy``) to a temporary sibling,
+    then rename it onto ``target``."""
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
+    if isinstance(data, np.ndarray):
+        with open(tmp, "wb") as f:
+            np.save(f, data, allow_pickle=False)
+    elif isinstance(data, bytes):
+        tmp.write_bytes(data)
+    else:
+        tmp.write_text(data)
     tmp.replace(target)

@@ -503,11 +503,12 @@ def load_strategy(obj: dict) -> GridRuleStrategy:
 
 def load_strategy_file(path: str | Path):
     """Load one strategy or a list of them from a JSON file; JSON of the
-    wrong shape raises ValueError naming the file."""
+    wrong shape or with values a strategy refuses raises ValueError naming
+    the file."""
     obj = json.loads(Path(path).read_text())
     try:
         if isinstance(obj, list):
             return [load_strategy(o) for o in obj]
         return load_strategy(obj)
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ConfigurationError) as exc:
         raise ValueError(f"{path} is not a strategy description: {exc}") from exc

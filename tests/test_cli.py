@@ -84,7 +84,7 @@ def test_decompose_tests_file_with_zero_bound_exits_2(tmp_path, capsys):
     assert main(["decompose", "--in", str(sim), "--bins", "4", "--tests", str(tests),
                  "--out", str(tmp_path / "dec")]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert error["error"] == "configuration" and "bound" in error["message"]
+    assert error["error"] == "input" and "bound" in error["message"]
 
 
 def test_qv_refinement_table(tmp_path):
@@ -297,6 +297,7 @@ def inputs(tmp_path_factory):
                        "margin": "a"},
         "default-str": {"name": "x", "legs": [{"until": {"threshold": 0.3, "default": "x"}},
                                               {"until": 1.0}]},
+        "margin-big": {"name": "x", "rule_id": "const", "params": {"value": 0.5}, "margin": 2},
         # a scale that is not finite gives a bound that is not
         "scale-nan": {"rule_id": "sign_prefix_end", "params": {"t0": 0.5, "scale": float("nan")}},
         "scale-inf": {"rule_id": "sign_prefix_end", "params": {"t0": 0.5, "scale": float("inf")}},
@@ -319,6 +320,7 @@ def inputs(tmp_path_factory):
         obj = json.loads(f.read_text())
         edit(obj)
         f.write_text(json.dumps(obj))
+        assert (d / name / "ensemble.npy").exists()  # now stale: the edited text is read
     p0 = d / "span" / "path_00000.csv"
     p0.write_text(p0.read_text().replace("\n1.0,", "\n0.9,"))
     (d / "header" / "path_00000.csv").write_text("t,value\n")
@@ -473,9 +475,31 @@ def test_wealth_matches_per_row_exponential(fmt, strategy, inputs, tmp_path):
     assert (tmp_path / "w" / "w1.csv").read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model", [
+    ["drifted", "--mu", "0.3", "--steps", "32"],
+    ["gaussian_m", "--steps", "16", "--log-steps", "32", "--eps", "0.01"],
+    ["counterexample", "--steps", "16", "--log-steps", "32", "--eps", "0.01", "--rate", "3.0"],
+], ids=["drifted", "gaussian_m", "counterexample"])
+def test_binary_copy_loads_bit_equal_to_the_text(model, fmt, tmp_path):
+    # ensemble.npy gives the arrays the text parses to, bit for bit (a -0.0
+    # or a NaN payload would show in the int64 view)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", *model, "--paths", "5", "--seed", "3",
+                 "--format", fmt, "--out", str(sim)]) == 0
+    cached = load_ensemble(sim)
+    (sim / "ensemble.npy").unlink()
+    parsed = load_ensemble(sim)
+    for name in ("values", "jump_path", "jump_cell", "jump_size"):
+        assert np.array_equal(getattr(cached, name).view(np.int64),
+                              getattr(parsed, name).view(np.int64)), name
+    assert np.array_equal(cached.grid.points.view(np.int64), parsed.grid.points.view(np.int64))
+    assert (cached.master_seed, cached.model_tag) == (parsed.master_seed, parsed.model_tag)
+
+
+# JSON of the wrong shape, and values a strategy refuses: all malformed input
 _BAD_STRATEGIES = ("str", "num", "list_of_num", "legs_str", "params_list", "until_null",
-                   "margin_str", "default_str")
-_NON_FINITE_SCALES = ("scale_nan", "scale_inf")
+                   "margin_str", "default_str", "margin_big", "scale_nan", "scale_inf")
 _BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json", "short_row",
                "short_jump_row")
 
@@ -495,13 +519,10 @@ _BAD_STORED = ("json_empty", "span", "header", "jump_csv", "jump_json", "short_r
         ["counterexample", "band", "--strategy", "{strategies}", *_BUNDLES],
         *(["qv", "--in", f"{{stored_{k}}}"] for k in _BAD_STORED),
     )),
-    *((["wealth", "--in", "{sim}", "--strategy", f"{{bad_{k}}}"], "configuration")
-      for k in _NON_FINITE_SCALES),
 ], ids=["qv-levels", "wealth-missing-input", "replay-non-json", "divergence-eps-list",
         "qv-no-paths", "qv-off-grid-path", "qv-level-too-fine", "qv-level-negative",
         *(f"strategy-{k}" for k in _BAD_STRATEGIES), "wealth-strategy-list",
-        "band-strategy-list", *(f"stored-{k}" for k in _BAD_STORED),
-        *(f"strategy-{k}" for k in _NON_FINITE_SCALES)])
+        "band-strategy-list", *(f"stored-{k}" for k in _BAD_STORED)])
 def test_bad_input_exits_2_with_json_error(argv, kind, inputs, tmp_path, capsys):
     argv = [a.format(**inputs) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -3,6 +3,7 @@
 A path is a one-row ``Ensemble``; ``one_row`` builds one from samples
 and a jump list."""
 
+import io
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvmart import path_core
 from qvmart.errors import ConfigurationError, ContractViolation
 from qvmart.path_core import (
     Ensemble,
@@ -344,6 +346,83 @@ class TestSerialization:
         with pytest.raises(ContractViolation):
             Ensemble(TimeGrid.uniform(8), np.zeros((2, 9)), 0, "x",
                      jump_path=path, jump_cell=cell, jump_size=size)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_binary_copy_is_read_instead_of_the_text(self, tmp_path, fmt, monkeypatch):
+        # the copy is written after the text, bytes stable across saves,
+        # and a load with it parses no text
+        ens = gen_bundles(SeedStream(4), 6, make_insider_grid(1e-2, n_uniform=16, n_log=24),
+                          1e-2, 2.0)
+        save_ensemble(ens, tmp_path / "a", fmt=fmt)
+        save_ensemble(ens, tmp_path / "b", fmt=fmt)
+        copy = (tmp_path / "a" / "ensemble.npy").read_bytes()
+        assert copy == (tmp_path / "b" / "ensemble.npy").read_bytes()
+        last = max((tmp_path / "a").iterdir(), key=lambda f: f.stat().st_mtime_ns)
+        assert last.stat().st_mtime_ns == (tmp_path / "a" / "ensemble.npy").stat().st_mtime_ns
+        for parser in ("_parse_json", "_read_csv_paths"):
+            monkeypatch.setattr(path_core, parser, None)  # calling it would raise TypeError
+        back = load_ensemble(tmp_path / "a")
+        for name in ("values", "jump_path", "jump_cell", "jump_size"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_binary_copy_holds_what_the_text_reads_back(self, tmp_path, fmt):
+        # the text keeps -0.0 and infinities but writes every NaN as "nan",
+        # so a NaN with its sign bit set reads back as the plain NaN
+        vals = np.array([[0.0, -0.0, np.inf, -np.inf, 1.0], [0.0, 0.5, 0.5, -np.nan, np.nan]])
+        ens = Ensemble(TimeGrid.uniform(4), vals, 1, "x", [1], [1], [-np.nan])
+        save_ensemble(ens, tmp_path, fmt=fmt)
+        cached = load_ensemble(tmp_path)
+        (tmp_path / "ensemble.npy").unlink()
+        parsed = load_ensemble(tmp_path)
+        for name in ("values", "jump_size"):
+            assert np.array_equal(getattr(cached, name).view(np.int64),
+                                  getattr(parsed, name).view(np.int64)), name
+        assert np.signbit(parsed.values[0, 1]) and not np.signbit(parsed.values[1, 3])
+
+    @pytest.mark.parametrize("damage", ["truncated", "not-npy", "bad-header", "wrong-dtype",
+                                        "wrong-shape", "stale-digest"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_binary_copy_falls_back_to_the_text(self, tmp_path, fmt, damage):
+        ens = gen_bundles(SeedStream(5), 3, make_insider_grid(1e-2, n_uniform=16, n_log=24),
+                          1e-2, 2.0)
+        save_ensemble(ens, tmp_path, fmt=fmt)
+        cache = tmp_path / "ensemble.npy"
+        good = cache.read_bytes()
+        cache.unlink()
+        parsed = load_ensemble(tmp_path)
+        rec = np.load(io.BytesIO(good))
+        rec["values"] += 1.0  # what the copy would wrongly give, were it read
+        if damage == "truncated":
+            cache.write_bytes(good[:-8])
+        elif damage == "not-npy":
+            cache.write_bytes(b"not an npy file\n")
+        elif damage == "bad-header":  # numpy's header parser raises tokenize.TokenError
+            cache.write_bytes(good.replace(b"}", b" ", 1))
+        elif damage == "wrong-dtype":
+            np.save(cache, rec["values"].astype(np.float32))
+        elif damage == "wrong-shape":  # a record one path short of the manifest
+            short = Ensemble(ens.grid, rec["values"][:-1], 5, "x")
+            path_core._write_cache(cache, rec["digest"].tobytes(), short)
+        else:
+            rec["digest"][0] ^= 1
+            np.save(cache, rec)
+        back = load_ensemble(tmp_path)
+        for name in ("values", "jump_path", "jump_cell", "jump_size"):
+            assert getattr(back, name).tobytes() == getattr(parsed, name).tobytes()
+
+    def test_no_binary_copy_when_no_record_can_hold_it(self, tmp_path, monkeypatch):
+        # numpy 1.x refuses a record past 2 GiB; the save then drops its copy
+        save_ensemble(Ensemble(TimeGrid.uniform(4), np.ones((2, 5)), 1, "x"), tmp_path)
+        assert (tmp_path / "ensemble.npy").exists()
+
+        def too_large(*shape):
+            raise ValueError("dtype size in bytes must fit into a C int")
+
+        monkeypatch.setattr(path_core, "_cache_dtype", too_large)
+        save_ensemble(Ensemble(TimeGrid.uniform(4), np.zeros((2, 5)), 1, "x"), tmp_path)
+        assert not (tmp_path / "ensemble.npy").exists()
+        np.testing.assert_array_equal(load_ensemble(tmp_path).values, np.zeros((2, 5)))
 
     def test_json_bytes_match_per_element_conversion(self, tmp_path):
         # the writers convert whole rows with tolist(); the bytes must equal
