@@ -44,7 +44,6 @@ from .path_core import (
     _atomic_write,
     _fmt,
     load_ensemble,
-    qv_matrix,
     refine_and_compare_qv,
     save_ensemble,
 )
@@ -172,7 +171,7 @@ def _cmd_qv(args) -> int:
             raise ConfigurationError(f"qv --in reads stored paths; {', '.join(given)} "
                                      "would go unread")
         cfg = _record(args, ("in",))
-        totals = qv_matrix(load_ensemble(cfg["in"]))[:, -1]
+        totals = load_ensemble(cfg["in"]).qv[:, -1]
         rows = list(enumerate(totals.tolist()))
         _write_csv(out / "qv.csv", ["path_id", "qv_total"], rows)
         return 0
@@ -224,12 +223,14 @@ def _cmd_decompose(args) -> int:
     out = Path(args.out)
     cfg = _record(args)
     ens = load_ensemble(cfg["in"])
-    qv = qv_matrix(ens)
     spec = BinSpec(time_bins=cfg["bins"], state_bins=cfg["state_bins"],
                    min_count=cfg["min_count"])
-    est = estimate_alpha(ens, qv, spec)
+    est = estimate_alpha(ens, spec)
     result = decompose(ens, est)
-    stop_n = choose_truncation_level(result.s_hat, qv)
+    # checked before the recentred paths' variation is cached, so that the
+    # check's temporaries and that matrix are never held at once
+    rebuild_error = reconstruction_error(result, ens)
+    stop_n = choose_truncation_level(result.s_hat)
     tests = (
         load_strategy_file(cfg["tests"]) if cfg["tests"] else _default_tests(ens.grid, stop_n)
     )
@@ -257,7 +258,7 @@ def _cmd_decompose(args) -> int:
     second_moments = np.mean(result.s_hat.values**2, axis=0)
     payload = {
         "coverage": result.coverage,
-        "reconstruction_error": reconstruction_error(result, ens),
+        "reconstruction_error": rebuild_error,
         "truncation_level": stop_n,
         "all_diagnostics_passed": all(d.passed for d in diags),
         "n_bins_estimated": int(est.estimated.sum()),
@@ -295,9 +296,8 @@ def _cmd_optimize(args) -> int:
     out = Path(args.out)
     cfg = _record(args)
     ens = load_ensemble(cfg["in"])
-    qv = qv_matrix(ens)
-    est = estimate_alpha(ens, qv, BinSpec(time_bins=cfg["bins"]))
-    growth = growth_optimal_value(est, ens, qv)
+    est = estimate_alpha(ens, BinSpec(time_bins=cfg["bins"]))
+    growth = growth_optimal_value(est, ens)
     if cfg["strategies"]:
         strategies = load_strategy_file(cfg["strategies"])
         if not isinstance(strategies, list):
@@ -306,7 +306,7 @@ def _cmd_optimize(args) -> int:
         strategies = [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)]
     gaps = []
     for s in strategies:
-        g = optimality_gap(s, est, ens, qv)
+        g = optimality_gap(s, est, ens)
         gaps.append({"strategy": s.name, "gap": g.gap,
                      "stderr": g.stderr, "within_noise": g.gap <= 3.0 * g.stderr})
     _write_json(out / "growth_report.json", {

@@ -102,7 +102,6 @@ class PoissonFlipReport:
     rate: float
     chi2_p_plus: float
     chi2_p_minus: float
-    n_common_jump_times: int
     count_correlation: float
     p_exactly_one_minus: float
 
@@ -111,7 +110,6 @@ class PoissonFlipReport:
         return (
             self.chi2_p_plus > significance
             and self.chi2_p_minus > significance
-            and self.n_common_jump_times == 0
             and abs(self.count_correlation) <= corr_tol
             and abs(self.p_exactly_one_minus - np.exp(-self.rate) * self.rate)
             <= pmf_tol
@@ -145,16 +143,17 @@ def poisson_flip_test(
     when beta = +1 and to the minus process otherwise, an N2 jump the
     opposite way.  Bundles are generated and profiled a chunk at a time.
 
+    The raw jump-time lists must be disjoint (ContractViolation
+    otherwise), so the flipped processes never share a jump time.
     Checks: unit-interval counts of both flipped processes fit
-    Poisson(rate); their jump-time sets never intersect; their counts
-    are uncorrelated; and the exactly-one-down-jump frequency matches
-    the Poisson mass function.
+    Poisson(rate); their counts are uncorrelated; and the
+    exactly-one-down-jump frequency matches the Poisson mass function.
     """
     if n_samples < 1:
         raise ContractViolation("need at least one sample")
     if grid is None:
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
-    plus_counts, minus_counts, common = np.empty(n_samples), np.empty(n_samples), 0
+    plus_counts, minus_counts = np.empty(n_samples), np.empty(n_samples)
     # bundle i draws from its own substreams, generated a chunk at a time
     rows = max(1, _CHUNK_CELLS // grid.points.size)
     for lo in range(0, n_samples, rows):
@@ -163,7 +162,7 @@ def poisson_flip_test(
         cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
         beta = np.broadcast_to(_pi_matrix(switch, chunk), (n, grid.n_steps))[row, cell]
         # jumps are sorted by bundle, then time: a time twice must come from
-        # one source, and is then routed one way, as the common-time count checks
+        # one source, and so sits in one cell and is routed one way
         twice = (np.diff(row) == 0) & (np.diff(times) == 0)
         if np.any(twice & (np.diff(chunk.poisson_sign) != 0)):
             raise ContractViolation("the two jump-time lists must be disjoint")
@@ -171,13 +170,12 @@ def poisson_flip_test(
             i = bad.argmax()
             raise ContractViolation(f"switch value at t={times[i]} is {float(beta[i])!r}, not +-1")
         plus = beta * chunk.poisson_sign > 0
-        common += np.unique(row[1:][twice & np.diff(plus)]).size
         plus_counts[lo:lo + n] = np.bincount(row[plus], minlength=n)
         minus_counts[lo:lo + n] = np.bincount(row[~plus], minlength=n)
     flat = np.std(plus_counts) == 0 or np.std(minus_counts) == 0
     corr = 0.0 if flat else float(np.corrcoef(plus_counts, minus_counts)[0, 1])
     return PoissonFlipReport(n_samples, rate, _poisson_chi2_p(plus_counts, rate),
-                             _poisson_chi2_p(minus_counts, rate), common, corr,
+                             _poisson_chi2_p(minus_counts, rate), corr,
                              int(np.count_nonzero(minus_counts == 1)) / n_samples)
 
 

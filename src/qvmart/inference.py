@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble, _mean_stderr, qv_matrix, truncation_index
+from .path_core import Ensemble, _mean_stderr, truncation_index
 from .strategy import GridRuleStrategy, h2_norm, pi_for_ensemble
 from .wealth import UtilityReport, log_utility, terminal_log_wealth_continuous
 
@@ -139,14 +139,12 @@ def _require_continuous(ensemble: Ensemble) -> None:
         raise ContractViolation("this estimator expects a continuous-model ensemble")
 
 
-def choose_truncation_level(
-    ensemble: Ensemble, qv_vals: np.ndarray, target: float = 0.99
-) -> float:
+def choose_truncation_level(ensemble: Ensemble, target: float = 0.99) -> float:
     """Smallest power-of-two threshold leaving at least ``target`` of the
     paths unstopped."""
     n = 1.0
     for _ in range(64):
-        stopped = truncation_index(ensemble.values, qv_vals, n) < ensemble.values.shape[1]
+        stopped = truncation_index(ensemble.values, ensemble.qv, n) < ensemble.values.shape[1]
         frac_free = 1.0 - stopped.mean()
         if frac_free >= target:
             return n
@@ -157,7 +155,6 @@ def choose_truncation_level(
 def estimate_lambda(
     strategy: GridRuleStrategy,
     ensemble: Ensemble,
-    qv_vals: np.ndarray | None = None,
     stop_n: float | None = None,
 ) -> LambdaEstimate:
     """Mean terminal value of the simple integral of the strategy against
@@ -169,20 +166,16 @@ def estimate_lambda(
     """
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
+    pi = pi_for_ensemble(strategy, ensemble)
     ds = np.diff(ensemble.values, axis=1)
     if stop_n is not None:
-        if qv_vals is None:
-            raise ContractViolation("stopping needs the per-path variation")
-        stop = truncation_index(ensemble.values, qv_vals, stop_n)
+        stop = truncation_index(ensemble.values, ensemble.qv, stop_n)
         ds = ds * (np.arange(ensemble.grid.n_steps) < stop[:, None])
     per_path = np.sum(pi * ds, axis=1)
     return LambdaEstimate(*_mean_stderr(per_path), strategy.name, ensemble.n_paths)
 
 
-def estimate_alpha(
-    ensemble: Ensemble, qv_vals: np.ndarray, bin_spec: BinSpec = BinSpec()
-) -> DriftEstimate:
+def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEstimate:
     """Per-bin ratio-of-sums drift density alpha_hat = sum dS / sum d[S].
 
     Standard errors treat paths as the independent unit (cells within a
@@ -192,7 +185,7 @@ def estimate_alpha(
     _require_continuous(ensemble)
     grid = ensemble.grid
     ds = np.diff(ensemble.values, axis=1)
-    dqv = np.diff(qv_vals, axis=1)
+    dqv = np.diff(ensemble.qv, axis=1)
     time_edges = np.linspace(0.0, 1.0, bin_spec.time_bins + 1)
     state_edges = None
     if bin_spec.state_bins:
@@ -270,8 +263,7 @@ def decompose(
     in bins without an estimate.
     """
     _require_continuous(ensemble)
-    qv_vals = qv_matrix(ensemble)
-    dqv = np.diff(qv_vals, axis=1)
+    dqv = np.diff(ensemble.qv, axis=1)
     alpha_cells, covered = cell_alpha(est, ensemble)
     mass = float(np.sum(dqv))
     covered_mass = float(np.sum(dqv * covered)) if mass > 0 else 1.0
@@ -293,7 +285,7 @@ def decompose(
 
 def reconstruction_error(result: DecompositionResult, ensemble: Ensemble) -> float:
     """Max absolute gap of S_hat + sum alpha d[S] against the original paths."""
-    dqv = np.diff(qv_matrix(ensemble), axis=1)
+    dqv = np.diff(ensemble.qv, axis=1)
     alpha_cells, _ = cell_alpha(result.alpha, ensemble)
     drift = np.cumsum(alpha_cells * dqv, axis=1)
     rebuilt = result.s_hat.values.copy()
@@ -312,11 +304,9 @@ def martingale_residual(
     condition; the same harness run on un-recentred drifted paths is the
     negative control.
     """
-    s_hat = result.s_hat
-    qv_vals = qv_matrix(s_hat)
     out = []
     for strat in strategies:
-        lam = estimate_lambda(strat, s_hat, qv_vals, stop_n=stop_n)
+        lam = estimate_lambda(strat, result.s_hat, stop_n=stop_n)
         out.append(Diagnostic(lam.strategy, lam.value, lam.stderr, lam.z))
     result.diagnostics.extend(out)
     return out
@@ -331,9 +321,7 @@ class GrowthReport:
     direct: UtilityReport
 
 
-def growth_optimal_value(
-    est: DriftEstimate, ensemble: Ensemble, qv_vals: np.ndarray
-) -> GrowthReport:
+def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport:
     """Expected log wealth of trading the fitted drift density itself.
 
     Computed as half the mean of sum alpha_hat^2 d[S], and cross-checked
@@ -343,7 +331,7 @@ def growth_optimal_value(
     Monte-Carlo spread.
     """
     _require_continuous(ensemble)
-    dqv = np.diff(qv_vals, axis=1)
+    dqv = np.diff(ensemble.qv, axis=1)
     alpha_cells, _ = cell_alpha(est, ensemble)
     quad = np.sum(alpha_cells * alpha_cells * dqv, axis=1)
     n = ensemble.n_paths
@@ -355,7 +343,7 @@ def growth_optimal_value(
         (est.alpha[ok] * est.mass[ok] * est.stderr[ok] / n) ** 2
     )
     se = float(np.sqrt(se_paths**2 + se_alpha_sq))
-    logw = terminal_log_wealth_continuous(alpha_cells, ensemble.values, qv_vals)
+    logw = terminal_log_wealth_continuous(alpha_cells, ensemble)
     return GrowthReport(value, se, log_utility(logw))
 
 
@@ -368,7 +356,7 @@ class GapReport:
 
 
 def optimality_gap(
-    strategy: GridRuleStrategy, est: DriftEstimate, ensemble: Ensemble, qv_vals: np.ndarray
+    strategy: GridRuleStrategy, est: DriftEstimate, ensemble: Ensemble
 ) -> GapReport:
     """Paired estimate of E[log W(strategy)] - E[log W(alpha_hat)].
 
@@ -376,10 +364,9 @@ def optimality_gap(
     the right scale for the one-sided check gap <= 3 stderr.
     """
     _require_continuous(ensemble)
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
-    logw_pi = terminal_log_wealth_continuous(pi, ensemble.values, qv_vals)
+    logw_pi = terminal_log_wealth_continuous(pi_for_ensemble(strategy, ensemble), ensemble)
     alpha_cells, _ = cell_alpha(est, ensemble)
-    logw_a = terminal_log_wealth_continuous(alpha_cells, ensemble.values, qv_vals)
+    logw_a = terminal_log_wealth_continuous(alpha_cells, ensemble)
     gap, se = _mean_stderr(logw_pi - logw_a)
     return GapReport(gap, se, float(np.mean(logw_pi)), float(np.mean(logw_a)))
 
@@ -397,7 +384,6 @@ class BoundCheckRow:
 def cauchy_schwarz_bound_check(
     strategies,
     ensemble: Ensemble,
-    qv_vals: np.ndarray,
     c_bound: float,
     stop_n: float | None = None,
 ) -> list[BoundCheckRow]:
@@ -411,8 +397,8 @@ def cauchy_schwarz_bound_check(
     root = np.sqrt(2.0 * c_bound)
     rows = []
     for strat in strategies:
-        lam = estimate_lambda(strat, ensemble, qv_vals, stop_n=stop_n)
-        nrm = h2_norm(strat, ensemble, qv_vals)
+        lam = estimate_lambda(strat, ensemble, stop_n=stop_n)
+        nrm = h2_norm(strat, ensemble)
         norm_val = float(np.sqrt(max(nrm.value, 0.0)))
         se_norm = nrm.stderr / (2.0 * norm_val) if norm_val > 0 else 0.0
         slack = 3.0 * float(np.hypot(lam.stderr, root * se_norm))

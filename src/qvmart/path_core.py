@@ -146,6 +146,12 @@ class Ensemble:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def qv(self) -> np.ndarray:
+        """The running quadratic variation of every path (``qv_matrix``),
+        computed once per ensemble and read-only."""
+        return _readonly(qv_matrix(self))
+
     def head(self, n: int) -> "Ensemble":
         """The first ``n`` paths with their jumps, as a plain ``Ensemble``."""
         k = int(np.searchsorted(self.jump_path, n))
@@ -206,7 +212,7 @@ def refine_and_compare_qv(
     rows = []
     for level in levels:
         path = model.path_at_level(stream, index, level)
-        rows.append((path.grid.n_steps, float(qv_matrix(path)[0, -1])))
+        rows.append((path.grid.n_steps, float(path.qv[0, -1])))
     return rows
 
 

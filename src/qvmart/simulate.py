@@ -504,16 +504,11 @@ def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int)
     are pulled back to it.  Ties (two jumps landing on one grid point)
     are resolved by pushing the later jump to the next free index, and a
     group overflowing the cap is right-aligned at the cap and cascaded
-    backward, preserving relative order.
+    backward, preserving relative order.  Returns the indices and whether
+    any tie was pushed.
     """
-    idxs: list[int] = []
-    capped = False
-    for t in raw_times:
-        k = int(np.searchsorted(grid.points, t, side="left"))
-        if k > idx_cap:
-            k = idx_cap
-            capped = True
-        idxs.append(max(k, 1))
+    idxs = [max(min(int(np.searchsorted(grid.points, t, side="left")), idx_cap), 1)
+            for t in raw_times]
     collision = False
     for i in range(1, len(idxs)):
         if idxs[i] <= idxs[i - 1]:
@@ -526,7 +521,7 @@ def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int)
                 idxs[i] = idxs[i + 1] - 1
     if idxs and (idxs[0] < 1 or any(b <= a for a, b in zip(idxs, idxs[1:]))):
         raise ContractViolation("jump snapping could not produce distinct grid slots")
-    return idxs, capped, collision
+    return idxs, collision
 
 
 def _drift_values(grid: TimeGrid, b_vals: np.ndarray, b1, eps: float) -> np.ndarray:
@@ -629,7 +624,7 @@ def _build_bundles(
     clash = (np.diff(row) == 0) & (np.diff(k) == 0)
     for r in np.unique(row[1:][clash]):  # the rare rows with two jumps on one grid point
         lo, hi = np.searchsorted(row, (r, r + 1))
-        k[lo:hi], _, collision[r] = _snap_jump_indices(grid, time[lo:hi], idx_cap)
+        k[lo:hi], collision[r] = _snap_jump_indices(grid, time[lo:hi], idx_cap)
     size = sign / (1.0 - grid.points[k])
 
     m = _m_values(grid, b, eps)

@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, TimeGrid, _mean_stderr
-from .path_core import qv_matrix, truncation_index
+from .path_core import Ensemble, TimeGrid, _mean_stderr, truncation_index
 
 __all__ = [
     "EvalContext",
@@ -60,18 +59,12 @@ class EvalContext:
     ``insider`` holds one time-0 datum per path, shape ``(n_paths,)``
     (the revealed terminal driver value in the enlarged-information
     runs); ``driver`` the ``(n_paths, n_points)`` values of the Brownian
-    paths the traded paths are built on; ``qv`` the ``(n_paths,
-    n_points)`` running variation.  Each is None when absent.
+    paths the traded paths are built on.  Each is None when absent.  A
+    rule reads the running variation from ``ensemble.qv``.
     """
 
     insider: np.ndarray | None = None
     driver: np.ndarray | None = None
-    qv: np.ndarray | None = None
-
-
-def _qv(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-    """The caller's running variation, else the ensemble's own."""
-    return ctx.qv if ctx.qv is not None else qv_matrix(ensemble)
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,8 @@ class GridRuleStrategy:
     """Vectorized proportion profile: one call yields all cell values.
 
     ``fn(ensemble, ctx)`` evaluates a whole ensemble at once: ``ensemble``
-    has ``grid``, ``n_paths`` and the ``(n_paths, n_points)`` matrix
-    ``values``, and ``ctx`` is its ``EvalContext``.  It returns one
+    has ``grid``, ``n_paths`` and the ``(n_paths, n_points)`` matrices
+    ``values`` and ``qv``, and ``ctx`` is its ``EvalContext``.  It returns one
     shared per-cell row or a per-path matrix.  ``path_independent``
     declares that the rule returns the shared row, and is checked.  The
     rule must be a pure function of ``(ensemble, ctx)``: callers may
@@ -145,14 +138,14 @@ class GridRuleStrategy:
             raise ConfigurationError("margin must lie in (0, 1]")
 
 
-def _hit_end(ensemble: Ensemble, ctx: EvalContext, rule: HitRule, start, default) -> np.ndarray:
+def _hit_end(ensemble: Ensemble, rule: HitRule, start, default) -> np.ndarray:
     # A statistic the metric leaves out is held at zero, which moves no first
     # crossing: zero never exceeds a nonnegative threshold, and both
     # statistics exceed a negative one at the first point.
     n_points = ensemble.grid.points.size
     zero = np.zeros(n_points)
     level = zero if rule.metric == "qv" else ensemble.values
-    qv = zero if rule.metric == "abs_level" else ctx.qv
+    qv = zero if rule.metric == "abs_level" else ensemble.qv
     k = truncation_index(level, qv, rule.threshold, start)
     return np.where(k == n_points, start if default is None else default, k)
 
@@ -169,14 +162,12 @@ def _legs_profile(legs: tuple[Leg, ...], ensemble: Ensemble, ctx: EvalContext) -
     ends = [grid.index_of(float(l.until)) if not isinstance(l.until, HitRule)
             else None if l.until.default is None else grid.index_of(l.until.default)
             for l in legs]
-    if any(isinstance(l.until, HitRule) and l.until.metric != "abs_level" for l in legs):
-        ctx = replace(ctx, qv=_qv(ensemble, ctx))
     cells = np.arange(grid.n_steps)
     pi = np.zeros(grid.n_steps)
     prev = 0
     for leg, end in zip(legs, ends):
         if isinstance(leg.until, HitRule):
-            end = _hit_end(ensemble, ctx, leg.until, prev, end)
+            end = _hit_end(ensemble, leg.until, prev, end)
         end = np.maximum(end, prev)
         value = leg.value
         if leg.rule_id == "sign_prefix_end":
@@ -238,16 +229,14 @@ def _check_margin(rule: GridRuleStrategy, abs_pi: np.ndarray, grid: TimeGrid) ->
 def pi_for_ensemble(
     strategy: GridRuleStrategy,
     ensemble: Ensemble,
-    qv_vals: np.ndarray | None = None,
     insider: np.ndarray | None = None,
     driver: np.ndarray | None = None,
 ) -> np.ndarray:
     """Proportions for every ensemble path: (n_cells,) when shared, else a matrix.
 
-    ``qv_vals``, ``insider`` and ``driver`` are the ``EvalContext`` rows;
-    a rule that reads the variation computes it when ``qv_vals`` is None.
+    ``insider`` and ``driver`` are the ``EvalContext`` rows.
     """
-    return _rule_profile(strategy, ensemble, EvalContext(insider, driver, qv_vals))
+    return _rule_profile(strategy, ensemble, EvalContext(insider, driver))
 
 
 def evaluate(
@@ -258,13 +247,13 @@ def evaluate(
     """Per-cell proportions of a strategy along one path, a one-row ensemble.
 
     The one-row case of ``pi_for_ensemble``: ``ctx`` holds this path's
-    side information, a datum and two value rows (flat or one-row).
+    side information, a datum and a driver row (flat or one-row).
     """
     if path.n_paths != 1:
         raise ContractViolation(f"evaluate takes one path, not {path.n_paths}")
-    rows = [None if a is None else np.reshape(a, (1, -1)) for a in (ctx.qv, ctx.driver)]
     insider = None if ctx.insider is None else np.reshape(ctx.insider, (1,))
-    pi = pi_for_ensemble(strategy, path, rows[0], insider, rows[1])
+    driver = None if ctx.driver is None else np.reshape(ctx.driver, (1, -1))
+    pi = pi_for_ensemble(strategy, path, insider, driver)
     return pi.reshape(-1, path.grid.n_steps)[0]
 
 
@@ -275,14 +264,14 @@ class NormEstimate:
     n_paths: int
 
 
-def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble, qv_vals: np.ndarray) -> NormEstimate:
+def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble) -> NormEstimate:
     """Monte-Carlo estimate of E of the pathwise integral of pi^2 against
     the running variation (jump contributions included via the variation
     increments themselves)."""
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble, qv_vals)
-    dqv = np.diff(qv_vals, axis=1)
+    pi = pi_for_ensemble(strategy, ensemble)
+    dqv = np.diff(ensemble.qv, axis=1)
     per_path = np.sum(pi * pi * dqv, axis=1)
     return NormEstimate(*_mean_stderr(per_path), ensemble.n_paths)
 
@@ -312,7 +301,7 @@ def band_check(
     if probe is None:
         zero = np.zeros((1, grid.points.size))
         probe, ctx = Ensemble(grid, zero, None, "probe"), EvalContext(np.zeros(1), zero)
-    pi = np.atleast_2d(pi_for_ensemble(strategy, probe, ctx.qv, ctx.insider, ctx.driver))
+    pi = np.atleast_2d(pi_for_ensemble(strategy, probe, ctx.insider, ctx.driver))
     t_left = grid.points[:-1]
     bad = np.abs(pi) >= 1.0 - t_left
     cols = np.flatnonzero(bad.any(axis=0))
@@ -391,7 +380,7 @@ def truncation_strategy(n: float) -> GridRuleStrategy:
     """pi = 1 up to the first time level or variation exceeds n, then 0."""
 
     def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        stop = truncation_index(ensemble.values, _qv(ensemble, ctx), n)
+        stop = truncation_index(ensemble.values, ensemble.qv, n)
         return (np.arange(ensemble.grid.n_steps) < stop[:, None]).astype(float)
 
     return GridRuleStrategy(f"truncation({n:g})", 1.0, fn)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import _CHUNK_CELLS, Ensemble, _mean_stderr, qv_matrix
+from .path_core import _CHUNK_CELLS, Ensemble, _mean_stderr
 
 __all__ = [
     "UtilityReport",
@@ -66,7 +66,7 @@ def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, 
     ``(n_paths, n_points)`` wealth matrix and each path's first cell
     whose cumulative jump factor is nonpositive (-1 when none).
     """
-    dqv = np.diff(qv_matrix(ensemble.continuous_part()), axis=1)
+    dqv = np.diff(ensemble.continuous_part().qv, axis=1)
     return _product_recursion(np.asarray(pi, dtype=float), ensemble.continuous_increments(), dqv,
                               ensemble.jump_path, ensemble.jump_cell, ensemble.jump_size)
 
@@ -211,16 +211,14 @@ def _terminal_log_wealth(cont: np.ndarray, jump: np.ndarray, wiped: np.ndarray) 
     return logw
 
 
-def terminal_log_wealth_continuous(
-    pi: np.ndarray, values: np.ndarray, qv_vals: np.ndarray
-) -> np.ndarray:
+def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.ndarray:
     """Per-path log terminal wealth for a continuous ensemble.
 
     ``pi`` broadcasts: either one shared per-cell vector or a per-path
     matrix.
     """
-    ds = np.diff(values, axis=1)
-    dqv = np.diff(qv_vals, axis=1)
+    ds = np.diff(ensemble.values, axis=1)
+    dqv = np.diff(ensemble.qv, axis=1)
     return _log_wealth_terms(pi, ds, dqv, *_NO_JUMPS)[0]
 
 

@@ -1,6 +1,13 @@
 """Shared pytest wiring: collects the acceptance criteria's result lines
 and prints them as one summary block, so a plain ``pytest -v`` run shows
-one pass/fail line per criterion without needing ``-s``."""
+one pass/fail line per criterion without needing ``-s``; and counts the
+quadratic-variation passes a test runs (``qv_calls``)."""
+
+import sys
+
+import pytest
+
+from qvmart import path_core
 
 _criterion_lines: list[str] = []
 _failed_criteria: list[str] = []
@@ -23,3 +30,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
     for name in _failed_criteria:
         terminalreporter.write_line(f"[FAIL] {name}")
+
+
+@pytest.fixture
+def qv_calls(monkeypatch):
+    """The ensembles ``qv_matrix`` runs on, in call order, through every
+    qvmart module that names it."""
+    calls = []
+    original = path_core.qv_matrix
+
+    def counting(ensemble):
+        calls.append(ensemble)
+        return original(ensemble)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qvmart" or name.startswith("qvmart."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

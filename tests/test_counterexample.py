@@ -119,7 +119,6 @@ class TestPoissonFlip:
         rep = poisson_flip_test(SeedStream(11), 4000, switch, rate=1.0, eps=1e-2)
         assert rep.chi2_p_plus > 0.01
         assert rep.chi2_p_minus > 0.01
-        assert rep.n_common_jump_times == 0
         assert abs(rep.count_correlation) <= 3.0 / np.sqrt(4000)
         assert abs(rep.p_exactly_one_minus - np.exp(-1.0)) <= 0.015
         assert rep.passed()
@@ -140,7 +139,7 @@ class TestPoissonFlip:
 
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
         ens = gen_bundles(SeedStream(7), n, grid, eps, rate)
-        plus, minus, common = np.empty(n), np.empty(n), 0
+        plus, minus = np.empty(n), np.empty(n)
         for i in range(n):
             mine = ens.poisson_row == i
             t, sign = ens.poisson_time[mine].tolist(), ens.poisson_sign[mine]
@@ -148,9 +147,9 @@ class TestPoissonFlip:
             n2 = tuple(x for x, s in zip(t, sign) if s < 0)
             p, m = flip_decompose(closure(grid.points, ens.values[i]), n1, n2)
             plus[i], minus[i] = len(p), len(m)
-            common += bool(set(p) & set(m))
+            assert not set(p) & set(m)
         return cx.PoissonFlipReport(
-            n, rate, chi2_p(plus), chi2_p(minus), common,
+            n, rate, chi2_p(plus), chi2_p(minus),
             float(np.corrcoef(plus, minus)[0, 1]), int(np.sum(minus == 1)) / n)
 
     @staticmethod

@@ -19,7 +19,7 @@ from qvmart.inference import (
     optimality_gap,
     reconstruction_error,
 )
-from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
+from qvmart.path_core import Ensemble, TimeGrid
 from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_ensemble
 from qvmart.strategy import (
     const_strategy,
@@ -36,47 +36,45 @@ GRID = TimeGrid.uniform(256)
 @pytest.fixture(scope="module")
 def bs():
     ens = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(314), 20_000, GRID)
-    return ens, qv_matrix(ens)
+    return ens
 
 
 @pytest.fixture(scope="module")
 def driftless():
     ens = gen_ensemble(BrownianModel(), SeedStream(42), 8000, TimeGrid.dyadic(8))
-    return ens, qv_matrix(ens)
+    return ens
 
 
 @pytest.fixture(scope="module")
 def bs_alpha(bs):
-    ens, qv = bs
-    return estimate_alpha(ens, qv, BinSpec(32))
+    return estimate_alpha(bs, BinSpec(32))
 
 
 class TestEstimateLambda:
     def test_zero_strategy_exact(self, driftless):
-        ens, qv = driftless
-        lam = estimate_lambda(const_strategy(0.0), ens, qv)
+        ens = driftless
+        lam = estimate_lambda(const_strategy(0.0), ens)
         assert lam.value == 0.0 and lam.stderr == 0.0
 
     def test_driftless_within_noise(self, driftless):
-        ens, qv = driftless
-        lam = estimate_lambda(const_strategy(1.0), ens, qv, stop_n=4.0)
+        ens = driftless
+        lam = estimate_lambda(const_strategy(1.0), ens, stop_n=4.0)
         assert abs(lam.z) <= 3.0
 
     def test_drift_recovered(self, bs):
-        ens, qv = bs
-        lam = estimate_lambda(const_strategy(1.0), ens, qv)
+        ens = bs
+        lam = estimate_lambda(const_strategy(1.0), ens)
         assert abs(lam.value - MU) <= 3.0 * lam.stderr
 
     def test_linearity_per_path(self, driftless):
-        ens, qv = driftless
+        ens = driftless
         a, b = 2.0, -3.0
-        lam1 = estimate_lambda(const_strategy(1.0), ens, qv)
-        lam2 = estimate_lambda(window_strategy(1.0, 0.0, 0.5), ens, qv)
+        lam1 = estimate_lambda(const_strategy(1.0), ens)
+        lam2 = estimate_lambda(window_strategy(1.0, 0.0, 0.5), ens)
         combo = estimate_lambda(
             # a * 1 + b * window rendered as explicit leg values
             window_strategy(b, 0.0, 0.5) if False else _combo(a, b),
             ens,
-            qv,
         )
         assert combo.value == pytest.approx(a * lam1.value + b * lam2.value, rel=1e-10)
 
@@ -100,16 +98,15 @@ class TestEstimateAlpha:
         assert np.max(np.abs(z)) <= 3.0
 
     def test_driftless_all_bins_near_zero(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(16))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(16))
         z = est.alpha / est.stderr
         assert np.max(np.abs(z)) <= 3.0
 
     def test_time_dependent_drift_localized(self):
         model = DriftedDiffusion(lambda t, s: 1.0 if t > 0.5 else 0.0, lambda t, s: 1.0)
         ens = gen_ensemble(model, SeedStream(11), 8000, TimeGrid.uniform(128))
-        qv = qv_matrix(ens)
-        est = estimate_alpha(ens, qv, BinSpec(8))
+        est = estimate_alpha(ens, BinSpec(8))
         early = est.alpha[:4] / est.stderr[:4]
         late = (est.alpha[4:] - 1.0) / est.stderr[4:]
         # the switch-on cell bleeds one left-endpoint increment into bin 4
@@ -117,14 +114,14 @@ class TestEstimateAlpha:
         assert np.max(np.abs(late)) <= 3.5
 
     def test_min_count_marks_no_estimate(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(16, min_count=10**9))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(16, min_count=10**9))
         assert not est.estimated.any()
         assert np.isnan(est.alpha).all()
 
     def test_state_bins_shape(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(4, state_bins=3, min_count=10))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(4, state_bins=3, min_count=10))
         assert est.alpha.size == 12
         assert est.estimated.any()
         a_cells, covered = cell_alpha(est, ens)
@@ -133,8 +130,8 @@ class TestEstimateAlpha:
 
 class TestDecompose:
     def test_zero_alpha_identity(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(4))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(4))
         zeroed = type(est)(
             est.bin_spec, est.time_edges, est.state_edges,
             np.zeros_like(est.alpha), est.stderr, est.count, est.estimated, est.mass,
@@ -143,23 +140,23 @@ class TestDecompose:
         np.testing.assert_array_equal(res.s_hat.values, ens.values)
 
     def test_reconstruction_identity(self, bs, bs_alpha):
-        ens, qv = bs
+        ens = bs
         res = decompose(ens, bs_alpha)
         scale = max(1.0, float(np.max(np.abs(ens.values))))
         assert reconstruction_error(res, ens) / scale <= 1e-10
 
     def test_refuses_thin_coverage(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(16, min_count=10**9))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(16, min_count=10**9))
         with pytest.raises(ContractViolation):
             decompose(ens, est)
 
 
 class TestMartingaleResidual:
     def test_recentred_paths_pass_and_raw_fail(self, bs, bs_alpha):
-        ens, qv = bs
+        ens = bs
         res = decompose(ens, bs_alpha)
-        stop_n = choose_truncation_level(res.s_hat, qv_matrix(res.s_hat))
+        stop_n = choose_truncation_level(res.s_hat)
         tests = [
             const_strategy(1.0),
             const_strategy(-1.0),
@@ -172,12 +169,12 @@ class TestMartingaleResidual:
         assert all(d.passed for d in diags)
         assert res.diagnostics == diags
         # negative control: the raw drifted paths are loudly non-martingale
-        raw = estimate_lambda(const_strategy(1.0), ens, qv, stop_n=stop_n)
+        raw = estimate_lambda(const_strategy(1.0), ens, stop_n=stop_n)
         assert abs(raw.z) > 3.0
 
     def test_oracle_alpha_also_passes(self, bs, bs_alpha):
         # inject the closed-form drift instead of the fitted one
-        ens, qv = bs
+        ens = bs
         est = bs_alpha
         oracle = type(est)(
             est.bin_spec, est.time_edges, est.state_edges,
@@ -191,18 +188,18 @@ class TestMartingaleResidual:
 
 class TestGrowthOptimal:
     def test_zero_alpha_gives_zero(self, driftless):
-        ens, qv = driftless
-        est = estimate_alpha(ens, qv, BinSpec(4))
+        ens = driftless
+        est = estimate_alpha(ens, BinSpec(4))
         zeroed = type(est)(
             est.bin_spec, est.time_edges, est.state_edges,
             np.zeros_like(est.alpha), est.stderr, est.count, est.estimated, est.mass,
         )
-        rep = growth_optimal_value(zeroed, ens, qv)
+        rep = growth_optimal_value(zeroed, ens)
         assert rep.value == 0.0
 
     def test_matches_closed_form(self, bs, bs_alpha):
-        ens, qv = bs
-        rep = growth_optimal_value(bs_alpha, ens, qv)
+        ens = bs
+        rep = growth_optimal_value(bs_alpha, ens)
         target = MU**2 / (2.0 * SIGMA**2)
         assert abs(rep.value - target) <= 3.0 * rep.stderr
         # direct wealth pricing agrees (identical in-sample by construction)
@@ -210,44 +207,43 @@ class TestGrowthOptimal:
 
     def test_quadrupling_with_doubled_drift(self):
         ens = gen_ensemble(DriftedDiffusion(2 * MU, SIGMA), SeedStream(5), 20_000, GRID)
-        qv = qv_matrix(ens)
-        est = estimate_alpha(ens, qv, BinSpec(32))
-        rep = growth_optimal_value(est, ens, qv)
+        est = estimate_alpha(ens, BinSpec(32))
+        rep = growth_optimal_value(est, ens)
         assert abs(rep.value - 4.0 * 0.125) <= 3.0 * rep.stderr
 
 
 class TestOptimalityGap:
     def test_fitted_drift_gap_is_zero(self, bs, bs_alpha):
-        ens, qv = bs
+        ens = bs
         # representing alpha_hat itself: reuse cell_alpha through a plain matrix
         a_cells, _ = cell_alpha(bs_alpha, ens)
         from qvmart.strategy import GridRuleStrategy
 
         strat = GridRuleStrategy("alpha_hat", 10.0, lambda e, ctx: a_cells)
-        g = optimality_gap(strat, bs_alpha, ens, qv)
+        g = optimality_gap(strat, bs_alpha, ens)
         assert g.gap == pytest.approx(0.0, abs=1e-14)
         assert g.stderr == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_optimum_matches_fit(self, bs, bs_alpha):
-        ens, qv = bs
-        g = optimality_gap(const_strategy(ALPHA), bs_alpha, ens, qv)
+        ens = bs
+        g = optimality_gap(const_strategy(ALPHA), bs_alpha, ens)
         assert g.gap <= 3.0 * g.stderr
         assert abs(g.gap) <= 3.0 * g.stderr + 1e-3  # near-zero both ways
 
     def test_doubled_proportion_quadratic_penalty(self, bs, bs_alpha):
         # pi = 2 alpha loses (pi - alpha)^2 sigma^2 / 2 = 0.125 of log utility
-        ens, qv = bs
-        g = optimality_gap(const_strategy(2 * ALPHA), bs_alpha, ens, qv)
+        ens = bs
+        g = optimality_gap(const_strategy(2 * ALPHA), bs_alpha, ens)
         assert g.gap == pytest.approx(-0.125, abs=3.0 * g.stderr + 0.005)
 
     def test_gap_never_significantly_positive(self, bs, bs_alpha):
-        ens, qv = bs
+        ens = bs
         for strat in [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)] + [
             window_strategy(2.5, 0.0, 0.5),
             sign_at_time_strategy(0.5, 2.5),
             truncation_strategy(1.0),
         ]:
-            g = optimality_gap(strat, bs_alpha, ens, qv)
+            g = optimality_gap(strat, bs_alpha, ens)
             assert g.gap <= 3.0 * g.stderr
 
 
@@ -255,27 +251,27 @@ class TestRieszIdentity:
     def test_bin_measurable_exact(self, bs, bs_alpha):
         # test strategy constant on the estimator's own bins: equality is
         # an algebraic identity up to accumulation rounding
-        ens, qv = bs
+        ens = bs
         pi_strategy = window_strategy(1.0, 0.0, 0.25)  # 0.25 is a bin edge of 32
-        lam = estimate_lambda(pi_strategy, ens, qv)
+        lam = estimate_lambda(pi_strategy, ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
-        dqv = np.diff(qv, axis=1)
+        dqv = np.diff(ens.qv, axis=1)
         from qvmart.strategy import pi_for_ensemble
 
-        pi = pi_for_ensemble(pi_strategy, ens, qv)
+        pi = pi_for_ensemble(pi_strategy, ens)
         rhs = float(np.mean(np.sum(pi * a_cells * dqv, axis=1)))
         assert lam.value == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_off_bin_within_noise(self, bs, bs_alpha):
         # half-bin window straddles a bin: only statistical agreement holds
-        ens, qv = bs
+        ens = bs
         pi_strategy = window_strategy(1.0, 0.25 / 2.0 ** 5, 0.25)  # starts mid-bin
-        lam = estimate_lambda(pi_strategy, ens, qv)
+        lam = estimate_lambda(pi_strategy, ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
-        dqv = np.diff(qv, axis=1)
+        dqv = np.diff(ens.qv, axis=1)
         from qvmart.strategy import pi_for_ensemble
 
-        pi = pi_for_ensemble(pi_strategy, ens, qv)
+        pi = pi_for_ensemble(pi_strategy, ens)
         per_path = np.sum(pi * a_cells * dqv, axis=1)
         rhs = float(np.mean(per_path))
         se = float(np.std(per_path, ddof=1) / np.sqrt(ens.n_paths))
@@ -286,37 +282,37 @@ class TestCauchySchwarzBound:
     def test_constant_family(self, bs):
         # closed form: C = mu^2/(2 sigma^2), Lambda(pi) = pi mu, norm = |pi| sigma,
         # so the bound holds with near equality for constants
-        ens, qv = bs
+        ens = bs
         rows = cauchy_schwarz_bound_check(
             [const_strategy(c) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)],
-            ens, qv, c_bound=0.125,
+            ens, c_bound=0.125,
         )
         assert all(r.ok for r in rows)
 
     def test_scaling_preserves_inequality(self, bs):
-        ens, qv = bs
+        ens = bs
         rows = cauchy_schwarz_bound_check(
-            [const_strategy(1.0), const_strategy(4.0)], ens, qv, c_bound=0.125
+            [const_strategy(1.0), const_strategy(4.0)], ens, c_bound=0.125
         )
         assert rows[1].lam == pytest.approx(4.0 * rows[0].lam, rel=1e-10)
         assert rows[1].norm == pytest.approx(4.0 * rows[0].norm, rel=1e-10)
         assert all(r.ok for r in rows)
 
     def test_negative_c_rejected(self, bs):
-        ens, qv = bs
+        ens = bs
         with pytest.raises(ContractViolation):
-            cauchy_schwarz_bound_check([const_strategy(1.0)], ens, qv, c_bound=-1.0)
+            cauchy_schwarz_bound_check([const_strategy(1.0)], ens, c_bound=-1.0)
 
 
 class TestTruncationDiscipline:
     def test_choose_level_keeps_paths(self, bs):
-        ens, qv = bs
-        n = choose_truncation_level(ens, qv, target=0.99)
-        hit = (np.abs(ens.values) > n) | (qv > n)
+        ens = bs
+        n = choose_truncation_level(ens, target=0.99)
+        hit = (np.abs(ens.values) > n) | (ens.qv > n)
         assert 1.0 - hit.any(axis=1).mean() >= 0.99
 
     def test_crossing_at_last_point_is_a_stop(self):
         vals = np.zeros((4, 4))
-        vals[0, -1] = 1.5  # above n = 1 only at t = 1
+        vals[0, 1:] = [0.5, 0.9, 1.5]  # above n = 1 only at t = 1; variation 0.77 < 1
         ens = Ensemble(TimeGrid.uniform(3), vals, 0, "flat")
-        assert choose_truncation_level(ens, np.zeros_like(vals), target=1.0) == 2.0
+        assert choose_truncation_level(ens, target=1.0) == 2.0

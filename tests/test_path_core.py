@@ -169,6 +169,27 @@ class TestQuadraticVariation:
         assert ens.jump_path.size
         assert qv_matrix(ens).tobytes() == ref_qv(ens).tobytes()
 
+    def test_ensemble_qv_is_qv_matrix_once_and_read_only(self, qv_calls):
+        ens = gen_bundles(SeedStream(5), 6, make_insider_grid(1e-2, n_uniform=16, n_log=24),
+                          1e-2, 3.0)
+        qv = ens.qv
+        assert ens.qv is qv and qv_calls == [ens]
+        assert qv.tobytes() == path_core.qv_matrix(ens).tobytes()
+        assert not qv.flags.writeable
+        with pytest.raises(ValueError):
+            qv[0, -1] = 0.0
+
+    def test_head_and_continuous_part_compute_their_own(self, qv_calls):
+        ens = gen_bundles(SeedStream(5), 6, make_insider_grid(1e-2, n_uniform=16, n_log=24),
+                          1e-2, 3.0)
+        assert ens.jump_path.size
+        qv = ens.qv
+        head, cont = ens.head(3), ens.continuous_part()
+        assert head.qv.tobytes() == qv[:3].tobytes()
+        assert cont.qv.tobytes() == ref_qv(cont).tobytes()
+        assert np.all(cont.qv[:, -1] < qv[:, -1])
+        assert qv_calls == [ens, head, cont]
+
     def test_monotone_and_starts_at_zero(self):
         qv = qv_matrix(brownian_path(3, 10))[0]
         assert qv[0] == 0.0

@@ -276,26 +276,26 @@ class TestJumpSnapping:
         from qvmart.simulate import _snap_jump_indices
 
         grid = TimeGrid.uniform(10)
-        idxs, capped, collision = _snap_jump_indices(grid, [0.21, 0.79], idx_cap=9)
+        idxs, collision = _snap_jump_indices(grid, [0.21, 0.79], idx_cap=9)
         assert idxs == [3, 8]
-        assert not capped and not collision
+        assert not collision
 
     def test_collision_pushes_later_jump_forward(self):
         from qvmart.simulate import _snap_jump_indices
 
         grid = TimeGrid.uniform(10)
-        idxs, capped, collision = _snap_jump_indices(grid, [0.31, 0.39], idx_cap=9)
+        idxs, collision = _snap_jump_indices(grid, [0.31, 0.39], idx_cap=9)
         assert idxs == [4, 5]
-        assert collision and not capped
+        assert collision
 
     def test_late_jumps_right_align_below_cap(self):
         from qvmart.simulate import _snap_jump_indices
 
         grid = TimeGrid.uniform(10)
         # cap at index 8 (t = 0.8): both tail jumps must land at 7 and 8
-        idxs, capped, collision = _snap_jump_indices(grid, [0.85, 0.95], idx_cap=8)
+        idxs, collision = _snap_jump_indices(grid, [0.85, 0.95], idx_cap=8)
         assert idxs == [7, 8]
-        assert capped
+        assert collision
 
     def test_snap_keeps_strictly_increasing_order(self):
         from qvmart.simulate import _snap_jump_indices
@@ -304,7 +304,7 @@ class TestJumpSnapping:
         rng = np.random.default_rng(0)
         for _ in range(200):
             raw = sorted(rng.uniform(0.01, 1.0, rng.integers(1, 8)))
-            idxs, _, _ = _snap_jump_indices(grid, raw, idx_cap=19)
+            idxs, _ = _snap_jump_indices(grid, raw, idx_cap=19)
             assert all(b > a for a, b in zip(idxs, idxs[1:]))
             assert idxs[0] >= 1 and idxs[-1] <= 19
 

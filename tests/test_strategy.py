@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmart.errors import ConfigurationError, ContractViolation
-from qvmart.path_core import Ensemble, TimeGrid, qv_matrix
+from qvmart.path_core import Ensemble, TimeGrid
 from qvmart.simulate import BrownianModel, SeedStream, gen_ensemble
 from qvmart.strategy import (
     EvalContext,
@@ -160,7 +160,6 @@ class TestEvaluate:
         stream = SeedStream(42)
         grid = TimeGrid.dyadic(6)
         ens = gen_ensemble(BrownianModel(), stream, 16, grid)
-        qv = qv_matrix(ens)
         driver = gen_ensemble(BrownianModel(), SeedStream(43), 16, grid).values.copy()
         driver[2] = 0.0
         insider = driver[:, -1].copy()
@@ -181,17 +180,13 @@ class TestEvaluate:
         for c in (-0.7, 0.0, 0.45):
             strategies += [band_fraction_strategy(c), insider_sign_band(c), insider_switch_band(c)]
         for strat in strategies:
-            pim = pi_for_ensemble(strat, ens, qv, insider, driver)
+            pim = pi_for_ensemble(strat, ens, insider, driver)
             rows = [one_row(grid, ens.values[i]) for i in range(ens.n_paths)]
             ref = np.stack([
-                evaluate(strat, row, EvalContext(
-                    insider=insider[i], driver=driver[i], qv=qv_matrix(row)[0],
-                ))
+                evaluate(strat, row, EvalContext(insider=insider[i], driver=driver[i]))
                 for i, row in enumerate(rows)
             ])
             assert np.broadcast_to(pim, ref.shape).tobytes() == ref.tobytes(), strat.name
-            # without the caller's variation, a rule computes the same one
-            assert pi_for_ensemble(strat, ens, None, insider, driver).tobytes() == pim.tobytes()
 
     def test_matrix_form_passes_the_same_checks(self):
         from qvmart.simulate import gen_bundles, make_insider_grid
@@ -304,24 +299,23 @@ class TestCompiledLegs:
 
 @pytest.fixture(scope="module")
 def brownian():
-    ens = gen_ensemble(BrownianModel(), SeedStream(7), 4000, TimeGrid.dyadic(9))
-    return ens, qv_matrix(ens)
+    return gen_ensemble(BrownianModel(), SeedStream(7), 4000, TimeGrid.dyadic(9))
 
 
 class TestH2Norm:
     def test_zero_strategy(self, brownian):
-        ens, qv = brownian
-        assert h2_norm(const_strategy(0.0), ens, qv).value == 0.0
+        ens = brownian
+        assert h2_norm(const_strategy(0.0), ens).value == 0.0
 
     def test_unit_strategy_estimates_expected_variation(self, brownian):
-        ens, qv = brownian
-        est = h2_norm(const_strategy(1.0), ens, qv)
+        ens = brownian
+        est = h2_norm(const_strategy(1.0), ens)
         assert abs(est.value - 1.0) <= 3.0 * est.stderr
 
     def test_quadratic_scaling(self, brownian):
-        ens, qv = brownian
-        base = h2_norm(const_strategy(1.0), ens, qv).value
-        scaled = h2_norm(const_strategy(2.5), ens, qv).value
+        ens = brownian
+        base = h2_norm(const_strategy(1.0), ens).value
+        scaled = h2_norm(const_strategy(2.5), ens).value
         assert scaled == pytest.approx(2.5**2 * base, rel=1e-12)
 
     def test_empty_ensemble_rejected(self):

@@ -69,7 +69,9 @@ class TestSimpleIntegral:
 
     @staticmethod
     def integral(pi, p):
-        return terminal_log_wealth_continuous(pi, p.values, np.zeros_like(p.values))[0]
+        ds = np.diff(p.values, axis=1)
+        return _log_wealth_terms(np.asarray(pi, dtype=float), ds, np.zeros_like(ds),
+                                 p.jump_path, p.jump_cell, p.jump_size)[0][0]
 
     def test_unit_telescopes(self):
         p = brownian(1, 8)
@@ -85,6 +87,12 @@ class TestSimpleIntegral:
         p = Ensemble(g, g.points[None], None, "line")
         pi = (g.points[:-1] < 0.5).astype(float)  # 1 on (0, 1/2]
         assert self.integral(pi, p) == pytest.approx(0.5, abs=1e-12)
+
+    def test_log_wealth_subtracts_half_the_ensembles_variation(self):
+        p = brownian(3, 8)
+        pi = np.ones(p.grid.n_steps)
+        got = terminal_log_wealth_continuous(pi, p)[0]
+        assert got == pytest.approx(self.integral(pi, p) - 0.5 * qv_matrix(p)[0, -1], abs=1e-12)
 
 
 class TestContinuousExponential:
