@@ -227,12 +227,14 @@ def _cmd_decompose(args) -> int:
                    min_count=cfg["min_count"])
     est = estimate_alpha(ens, spec)
     result = decompose(ens, est)
-    # checked before the recentred paths' variation is cached, so that the
-    # check's temporaries and that matrix are never held at once
+    # checked before the recentred paths' variation is cached; every step
+    # after it reads the recentred paths alone, so the source's matrices go
     rebuild_error = reconstruction_error(result, ens)
+    del ens
     stop_n = choose_truncation_level(result.s_hat)
     tests = (
-        load_strategy_file(cfg["tests"]) if cfg["tests"] else _default_tests(ens.grid, stop_n)
+        load_strategy_file(cfg["tests"]) if cfg["tests"] else
+        _default_tests(result.s_hat.grid, stop_n)
     )
     if not isinstance(tests, list):
         tests = [tests]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble, _mean_stderr, truncation_index
+from .path_core import Ensemble, TimeGrid, _mean_stderr, _row_blocks, truncation_index
 from .strategy import GridRuleStrategy, h2_norm, pi_for_ensemble
 from .wealth import UtilityReport, log_utility, terminal_log_wealth_continuous
 
@@ -142,10 +142,13 @@ def _require_continuous(ensemble: Ensemble) -> None:
 def choose_truncation_level(ensemble: Ensemble, target: float = 0.99) -> float:
     """Smallest power-of-two threshold leaving at least ``target`` of the
     paths unstopped."""
+    vals, qv, width = ensemble.values, ensemble.qv, ensemble.values.shape[1]
+    blocks = _row_blocks(ensemble.n_paths, ensemble.grid.n_steps)
     n = 1.0
     for _ in range(64):
-        stopped = truncation_index(ensemble.values, ensemble.qv, n) < ensemble.values.shape[1]
-        frac_free = 1.0 - stopped.mean()
+        stopped = sum(np.count_nonzero(truncation_index(vals[blk], qv[blk], n) < width)
+                      for blk in blocks)
+        frac_free = 1.0 - stopped / ensemble.n_paths
         if frac_free >= target:
             return n
         n *= 2.0
@@ -167,11 +170,14 @@ def estimate_lambda(
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
     pi = pi_for_ensemble(strategy, ensemble)
-    ds = np.diff(ensemble.values, axis=1)
-    if stop_n is not None:
-        stop = truncation_index(ensemble.values, ensemble.qv, stop_n)
-        ds = ds * (np.arange(ensemble.grid.n_steps) < stop[:, None])
-    per_path = np.sum(pi * ds, axis=1)
+    vals, n_cells = ensemble.values, ensemble.grid.n_steps
+    per_path = np.empty(ensemble.n_paths)
+    for blk in _row_blocks(ensemble.n_paths, n_cells):
+        ds = np.diff(vals[blk], axis=1)
+        if stop_n is not None:
+            stop = truncation_index(vals[blk], ensemble.qv[blk], stop_n)
+            ds = ds * (np.arange(n_cells) < stop[:, None])
+        per_path[blk] = np.sum((pi if pi.ndim == 1 else pi[blk]) * ds, axis=1)
     return LambdaEstimate(*_mean_stderr(per_path), strategy.name, ensemble.n_paths)
 
 
@@ -180,34 +186,39 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
 
     Standard errors treat paths as the independent unit (cells within a
     path are summed first), which is exact for the ratio estimator under
-    path-level resampling.
+    path-level resampling.  With state bins the per-path sums are taken
+    one row block at a time.
     """
     _require_continuous(ensemble)
-    grid = ensemble.grid
-    ds = np.diff(ensemble.values, axis=1)
-    dqv = np.diff(ensemble.qv, axis=1)
+    grid, vals, qv = ensemble.grid, ensemble.values, ensemble.qv
     time_edges = np.linspace(0.0, 1.0, bin_spec.time_bins + 1)
     state_edges = None
-    if bin_spec.state_bins:
-        qs = np.linspace(0.0, 1.0, bin_spec.state_bins + 1)[1:-1]
-        state_edges = np.quantile(ensemble.values[:, :-1], qs)
-    bin_of = _cell_bins(bin_spec, time_edges, state_edges, ensemble)
     P = ensemble.n_paths
     B = bin_spec.n_bins
     if bin_spec.state_bins:
-        num = np.zeros((P, B))
-        den = np.zeros((P, B))
+        qs = np.linspace(0.0, 1.0, bin_spec.state_bins + 1)[1:-1]
+        state_edges = np.quantile(vals[:, :-1], qs)
+        num = np.empty((P, B))  # (paths, bins): per-path, per-bin sums
+        den = np.empty((P, B))
         cnt = np.zeros(B)
-        rows = np.repeat(np.arange(P), grid.n_steps)
-        flat = bin_of.ravel()
-        np.add.at(num, (rows, flat), ds.ravel())
-        np.add.at(den, (rows, flat), dqv.ravel())
-        np.add.at(cnt, flat, 1.0)
+        for blk in _row_blocks(P, grid.n_steps):
+            bins = _cell_bins(bin_spec, time_edges, state_edges, grid, vals[blk])
+            cnt += np.bincount(bins.ravel(), minlength=B)
+            # each (row, bin) of the block as one index; bincount adds its
+            # weights in cell order from 0.0, as a running sum would
+            n_rows = bins.shape[0]
+            bins += B * np.arange(n_rows)[:, None]
+            for out, m in ((num, vals), (den, qv)):
+                inc = np.diff(m[blk], axis=1).ravel()
+                out[blk] = np.bincount(bins.ravel(), inc, n_rows * B).reshape(n_rows, B)
     else:
         ind = np.zeros((grid.n_steps, B))
-        ind[np.arange(grid.n_steps), bin_of] = 1.0
-        num = ds @ ind  # (paths, bins): per-path, per-bin sums
-        den = dqv @ ind
+        ind[np.arange(grid.n_steps), _cell_bins(bin_spec, time_edges, None, grid, vals)] = 1.0
+        # BLAS's sum for one row depends on how many rows the product holds,
+        # so both products take every row; one increment buffer serves both
+        inc = np.diff(vals, axis=1)
+        num = inc @ ind
+        den = np.subtract(qv[:, 1:], qv[:, :-1], out=inc) @ ind
         cnt = np.full(B, float(P)) * ind.sum(axis=0)
     tot_num = num.sum(axis=0)
     tot_den = den.sum(axis=0)
@@ -225,19 +236,21 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
 
 
 def _cell_bins(
-    spec: BinSpec, time_edges: np.ndarray, state_edges: np.ndarray | None, ensemble: Ensemble
+    spec: BinSpec, time_edges: np.ndarray, state_edges: np.ndarray | None, grid: TimeGrid,
+    values: np.ndarray,
 ) -> np.ndarray:
     """Bin of every grid cell, by its left endpoint's time and path level.
 
-    A per-cell vector for time-only binning; a ``(paths, cells)`` matrix
-    when state bins are active.
+    A per-cell vector for time-only binning; a ``(rows, cells)`` matrix
+    for the paths ``values`` when state bins are active.
     """
-    t_left = ensemble.grid.points[:-1]
+    t_left = grid.points[:-1]
     tb = np.clip(np.searchsorted(time_edges, t_left, side="right") - 1, 0, spec.time_bins - 1)
     if not spec.state_bins:
         return tb
-    sb = np.searchsorted(state_edges, ensemble.values[:, :-1], side="right")
-    return tb[None, :] * spec.state_bins + sb
+    sb = np.searchsorted(state_edges, values[:, :-1], side="right")
+    sb += tb * spec.state_bins
+    return sb
 
 
 def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -248,10 +261,16 @@ def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.n
     matrices when state bins are active.  Uncovered cells carry 0 in
     ``alpha_cells`` and False in ``covered``.
     """
-    bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, ensemble)
-    covered = est.estimated[bins]
-    alpha_cells = np.where(covered, np.nan_to_num(est.alpha[bins], nan=0.0), 0.0)
-    return alpha_cells, covered
+    return _cell_alpha(est, ensemble.grid, ensemble.values)
+
+
+def _cell_alpha(
+    est: DriftEstimate, grid: TimeGrid, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_alpha`` for the paths ``values``, some rows of an ensemble on ``grid``."""
+    bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, grid, values)
+    alpha = np.where(est.estimated, np.nan_to_num(est.alpha, nan=0.0), 0.0)
+    return alpha[bins], est.estimated[bins]
 
 
 def decompose(
@@ -263,34 +282,44 @@ def decompose(
     in bins without an estimate.
     """
     _require_continuous(ensemble)
-    dqv = np.diff(ensemble.qv, axis=1)
-    alpha_cells, covered = cell_alpha(est, ensemble)
+    grid, vals, qv = ensemble.grid, ensemble.values, ensemble.qv
+    blocks = _row_blocks(ensemble.n_paths, grid.n_steps)
+    # each mass is one sum over the whole increment matrix, whose order of
+    # addition follows its shape: the covered mass zeroes that matrix's
+    # uncovered cells in place, block by block, and sums it again
+    dqv = np.diff(qv, axis=1)
     mass = float(np.sum(dqv))
-    covered_mass = float(np.sum(dqv * covered)) if mass > 0 else 1.0
-    coverage = covered_mass / mass if mass > 0 else 1.0
+    if mass > 0:
+        for blk in blocks:
+            dqv[blk] *= _cell_alpha(est, grid, vals[blk])[1]
+        coverage = float(np.sum(dqv)) / mass
+    else:
+        coverage = 1.0
+    del dqv
     if coverage < 1.0 - max_uncovered:
         raise ContractViolation(
             f"only {coverage:.1%} of the variation mass has a drift estimate"
         )
-    drift = np.zeros_like(ensemble.values)
-    np.cumsum(alpha_cells * dqv, axis=1, out=drift[:, 1:])
-    s_hat = Ensemble(
-        ensemble.grid,
-        ensemble.values - drift,
-        ensemble.master_seed,
-        ensemble.model_tag + "-recentred",
-    )
+    s_vals = np.empty_like(vals)
+    for blk in blocks:
+        drift = np.zeros_like(vals[blk])
+        dq = np.diff(qv[blk], axis=1)
+        np.cumsum(_cell_alpha(est, grid, vals[blk])[0] * dq, axis=1, out=drift[:, 1:])
+        np.subtract(vals[blk], drift, out=s_vals[blk])
+    s_hat = Ensemble(grid, s_vals, ensemble.master_seed, ensemble.model_tag + "-recentred")
     return DecompositionResult(est, s_hat, coverage)
 
 
 def reconstruction_error(result: DecompositionResult, ensemble: Ensemble) -> float:
     """Max absolute gap of S_hat + sum alpha d[S] against the original paths."""
-    dqv = np.diff(ensemble.qv, axis=1)
-    alpha_cells, _ = cell_alpha(result.alpha, ensemble)
-    drift = np.cumsum(alpha_cells * dqv, axis=1)
-    rebuilt = result.s_hat.values.copy()
-    rebuilt[:, 1:] += drift
-    return float(np.max(np.abs(rebuilt - ensemble.values)))
+    vals, qv = ensemble.values, ensemble.qv
+    worst = []
+    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        alpha_cells, _ = _cell_alpha(result.alpha, ensemble.grid, vals[blk])
+        rebuilt = result.s_hat.values[blk].copy()
+        rebuilt[:, 1:] += np.cumsum(alpha_cells * np.diff(qv[blk], axis=1), axis=1)
+        worst.append(np.max(np.abs(rebuilt - vals[blk])))
+    return float(np.max(worst))
 
 
 def martingale_residual(
@@ -331,10 +360,12 @@ def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport
     Monte-Carlo spread.
     """
     _require_continuous(ensemble)
-    dqv = np.diff(ensemble.qv, axis=1)
     alpha_cells, _ = cell_alpha(est, ensemble)
-    quad = np.sum(alpha_cells * alpha_cells * dqv, axis=1)
     n = ensemble.n_paths
+    quad = np.empty(n)
+    for blk in _row_blocks(n, ensemble.grid.n_steps):
+        a = alpha_cells if alpha_cells.ndim == 1 else alpha_cells[blk]
+        quad[blk] = np.sum(a * a * np.diff(ensemble.qv[blk], axis=1), axis=1)
     mean, se_quad = _mean_stderr(quad)
     value = 0.5 * mean
     se_paths = 0.5 * se_quad

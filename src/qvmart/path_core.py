@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,8 +44,16 @@ __all__ = [
 
 
 # Cells a row-blocked matrix pass holds at once (2 MiB of float64): path
-# generation and the log-wealth kernel work in row blocks of this many cells.
+# generation, the variation, the log-wealth kernel and the drift estimators
+# work in row blocks of this many cells.
 _CHUNK_CELLS = 1 << 18
+
+
+def _row_blocks(n_rows: int, n_cells: int) -> list[slice]:
+    """Slices of consecutive rows, each at most ``_CHUNK_CELLS`` cells of
+    ``n_cells`` per row (one row at least)."""
+    rows = max(1, _CHUNK_CELLS // n_cells)
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -165,11 +174,16 @@ class Ensemble:
         return Ensemble(self.grid, self.values - np.cumsum(steps, axis=1), self.master_seed,
                         self.model_tag)
 
-    def continuous_increments(self) -> np.ndarray:
-        """Per-cell increments of every path, jump sizes taken out."""
-        inc = np.diff(self.values, axis=1)
-        np.subtract.at(inc, (self.jump_path, self.jump_cell), self.jump_size)
+    def continuous_increments(self, rows: slice = slice(None)) -> np.ndarray:
+        """Per-cell increments of the paths in ``rows`` (all by default), jump sizes taken out."""
+        inc = np.diff(self.values[rows], axis=1)
+        j, lo = self._jumps_in(rows), rows.start or 0
+        np.subtract.at(inc, (self.jump_path[j] - lo, self.jump_cell[j]), self.jump_size[j])
         return inc
+
+    def _jumps_in(self, rows: slice) -> slice:
+        """The span of the flat jump arrays that belongs to the paths in ``rows``."""
+        return slice(*np.searchsorted(self.jump_path, rows.indices(self.n_paths)[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +195,16 @@ def qv_matrix(ensemble: Ensemble) -> np.ndarray:
 
     Per cell: the squared continuous increment, plus the squared size of
     a jump in that cell, so the jump term is exact whatever the mesh.
+    Each row's sum is its own, so the rows are summed in row blocks.
     """
-    inc = ensemble.continuous_increments()
-    cell = inc * inc
-    np.add.at(cell, (ensemble.jump_path, ensemble.jump_cell), ensemble.jump_size * ensemble.jump_size)
     out = np.zeros_like(ensemble.values)
-    np.cumsum(cell, axis=1, out=out[:, 1:])
+    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        inc = ensemble.continuous_increments(blk)
+        cell = np.multiply(inc, inc, out=inc)
+        j = ensemble._jumps_in(blk)
+        size = ensemble.jump_size[j]
+        np.add.at(cell, (ensemble.jump_path[j] - blk.start, ensemble.jump_cell[j]), size * size)
+        np.cumsum(cell, axis=1, out=out[blk, 1:])
     return out
 
 
@@ -255,6 +273,8 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 
 # The binary copy of a stored ensemble's arrays, written beside its text.
 _CACHE = "ensemble.npy"
+# Bytes the digest reads from a stored file at a time.
+_DIGEST_PIECE = 1 << 20
 
 
 def _fmt(x: float) -> str:
@@ -265,9 +285,10 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     """Write an ensemble to a directory with a replayable manifest.
 
     The text (``ensemble.json``, or one CSV file per path and one per
-    path with jumps) is the stored ensemble.  After it comes
-    ``ensemble.npy``: the same arrays in binary, bound to the text by its
-    SHA-256, which ``load_ensemble`` reads instead of parsing the text.
+    path with jumps) is the stored ensemble, encoded and written one path
+    at a time.  After it comes ``ensemble.npy``: the same arrays in
+    binary, bound by its SHA-256 to the text as written, which
+    ``load_ensemble`` reads instead of parsing the text.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,29 +301,48 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
         "format": fmt,
     }
     _atomic_write(out / "ensemble_manifest.json", json.dumps(manifest, indent=2) + "\n")
-    points = ensemble.grid.points.tolist()
+    if fmt == "json":
+        names = ["ensemble.json"]
+        _atomic_write(out / names[0], _json_pieces(ensemble, manifest))
+    elif fmt == "csv":
+        names = []
+        for name, data in _csv_files(ensemble):
+            _atomic_write(out / name, data)
+            names.append(name)
+    else:
+        raise ConfigurationError(f"unknown format {fmt!r}")
+    _write_cache(out / _CACHE, _digest(out, names), ensemble)
+
+
+def _text_rows(ensemble: Ensemble):
+    """Each path's values, jump times and jump sizes as float lists, one path at a time."""
     times = ensemble.grid.points[ensemble.jump_cell + 1].tolist()
     sizes = ensemble.jump_size.tolist()
     bounds = np.searchsorted(ensemble.jump_path, np.arange(ensemble.n_paths + 1)).tolist()
-    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]  # each path's jumps
-    if fmt == "json":  # encoded once: the row lists are gone before the copy is built
-        files = [("ensemble.json", (json.dumps({"manifest": manifest, "points": points, "paths": [
-            {"values": row, "jumps": [[t, z] for t, z in zip(times[j], sizes[j])]}
-            for row, j in zip(ensemble.values.tolist(), spans)
-        ]}) + "\n").encode())]
-    elif fmt == "csv":
-        files = _csv_files(ensemble, points, times, sizes, spans)
-    else:
-        raise ConfigurationError(f"unknown format {fmt!r}")
-    _write_cache(out / _CACHE, _digest(files, out), ensemble)
+    for row, lo, hi in zip(ensemble.values, bounds, bounds[1:]):
+        yield row.tolist(), times[lo:hi], sizes[lo:hi]
 
 
-def _csv_files(ensemble, points, times, sizes, spans):
+def _json_pieces(ensemble: Ensemble, manifest: dict):
+    """The bytes of ``json.dumps({"manifest": ..., "points": ..., "paths":
+    [...]}) + "\\n"``, one path at a time after the head."""
+    head = json.dumps({"manifest": manifest, "points": ensemble.grid.points.tolist()})
+    yield (head[:-1] + ', "paths": [').encode()
+    sep = ""
+    for row, times, sizes in _text_rows(ensemble):
+        jumps = [[t, z] for t, z in zip(times, sizes)]
+        yield (sep + json.dumps({"values": row, "jumps": jumps})).encode()
+        sep = ", "
+    yield b"]}\n"
+
+
+def _csv_files(ensemble: Ensemble):
     """Name and bytes of each path's CSV file, each followed by its jumps file if it has jumps."""
-    for i, (row, j) in enumerate(zip(ensemble.values.tolist(), spans)):
+    points = ensemble.grid.points.tolist()
+    for i, (row, times, sizes) in enumerate(_text_rows(ensemble)):
         yield f"path_{i:05d}.csv", _csv("t,value", points, row)
-        if j.stop > j.start:
-            yield f"path_{i:05d}.jumps.csv", _csv("t,jump_size", times[j], sizes[j])
+        if times:
+            yield f"path_{i:05d}.jumps.csv", _csv("t,jump_size", times, sizes)
 
 
 def _csv(header: str, col0: list[float], col1: list[float]) -> bytes:
@@ -310,15 +350,15 @@ def _csv(header: str, col0: list[float], col1: list[float]) -> bytes:
     return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in zip(col0, col1))]).encode()
 
 
-def _digest(files, out: Path | None = None) -> bytes:
-    """SHA-256 over the name, length and bytes of each ``(name, bytes)`` in
-    turn; with ``out``, each file is also written there."""
+def _digest(src: Path, names) -> bytes:
+    """SHA-256 over the name, length and bytes of each named file in
+    ``src`` in turn, each read back from disk in ``_DIGEST_PIECE`` pieces."""
     h = hashlib.sha256()
-    for name, data in files:
-        if out is not None:
-            _atomic_write(out / name, data)
-        h.update(b"%s %d\n" % (name.encode(), len(data)))
-        h.update(data)
+    for name in names:
+        with open(src / name, "rb") as f:
+            h.update(b"%s %d\n" % (name.encode(), os.fstat(f.fileno()).st_size))
+            while piece := f.read(_DIGEST_PIECE):
+                h.update(piece)
     return h.digest()
 
 
@@ -347,15 +387,14 @@ def _write_cache(target: Path, digest: bytes, ensemble: Ensemble) -> None:
     _atomic_write(target, rec)
 
 
-def _read_cache(src: Path, manifest: dict, files) -> tuple | None:
+def _read_cache(src: Path, manifest: dict, names) -> tuple | None:
     """The arrays in ``ensemble.npy``, or None unless it loads cleanly, fits
-    the manifest's shape and holds the digest of ``files()``, the text files
-    as ``(name, bytes)``."""
+    the manifest's shape and holds the digest of the text files ``names``."""
     try:
         rec = np.load(src / _CACHE, mmap_mode="r", allow_pickle=False)
         want = _cache_dtype(manifest["n_paths"], manifest["n_steps"],
                             rec.dtype["jump_size"].shape[0])
-        if rec.shape != () or rec.dtype != want or rec["digest"].tobytes() != _digest(files()):
+        if rec.shape != () or rec.dtype != want or rec["digest"].tobytes() != _digest(src, names):
             return None
         return tuple(np.array(rec[name]) for name in want.names[1:])
     except Exception:  # a bad copy is never an error: the text is parsed instead
@@ -378,12 +417,11 @@ def load_ensemble(in_dir: str | Path) -> Ensemble:
     manifest = json.loads((src / "ensemble_manifest.json").read_text())
     try:
         if manifest.get("format") == "json":
-            text = (src / "ensemble.json").read_bytes()
-            arrays = (_read_cache(src, manifest, lambda: [("ensemble.json", text)])
-                      or _parse_json(text))
+            arrays = (_read_cache(src, manifest, ["ensemble.json"])
+                      or _parse_json((src / "ensemble.json").read_bytes()))
         else:
             n_paths = manifest["n_paths"]
-            arrays = (_read_cache(src, manifest, lambda: _stored_csv_files(src, n_paths))
+            arrays = (_read_cache(src, manifest, _stored_csv_names(src, n_paths))
                       or _read_csv_paths(src, n_paths))
         points, values, path, time, size = arrays
         grid = TimeGrid(points)
@@ -407,12 +445,12 @@ def _parse_json(text: bytes) -> tuple:
     return points, values, *_flat_jumps(jumps)
 
 
-def _stored_csv_files(src: Path, n_paths: int):
-    """Name and bytes of each stored path file, each followed by its jumps file if any."""
+def _stored_csv_names(src: Path, n_paths: int):
+    """Name of each stored path file, each followed by its jumps file's if it has one."""
     for i in range(n_paths):
-        yield (name := f"path_{i:05d}.csv"), (src / name).read_bytes()
-        if (jfile := src / f"path_{i:05d}.jumps.csv").exists():
-            yield jfile.name, jfile.read_bytes()
+        yield f"path_{i:05d}.csv"
+        if (src / (name := f"path_{i:05d}.jumps.csv")).exists():
+            yield name
 
 
 def _read_csv_paths(src: Path, n_paths: int) -> tuple:
@@ -452,16 +490,22 @@ def _cells_of(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
     return k - 1
 
 
-def _atomic_write(target: Path, data: str | bytes | np.ndarray) -> None:
-    """Write text, bytes or an array (as ``.npy``) to a temporary sibling,
-    then rename it onto ``target``."""
+def _atomic_write(target: Path, data: str | bytes | Iterable[bytes] | np.ndarray) -> None:
+    """Write text, bytes, byte pieces in turn or an array (as ``.npy``) to a
+    temporary sibling, then rename it onto ``target``.  A write that fails
+    removes the sibling and leaves ``target`` as it was."""
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
-    if isinstance(data, np.ndarray):
-        with open(tmp, "wb") as f:
-            np.save(f, data, allow_pickle=False)
-    elif isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    tmp.replace(target)
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            with open(tmp, "wb") as f:
+                if isinstance(data, np.ndarray):
+                    np.save(f, data, allow_pickle=False)
+                else:
+                    f.writelines([data] if isinstance(data, bytes) else data)
+        tmp.replace(target)
+    except BaseException:  # an interrupt too: no partial file is left behind
+        tmp.unlink(missing_ok=True)
+        raise

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -301,13 +301,23 @@ class BrownianModel:
 
 
 def _coef_tag(coef) -> str:
-    """A coefficient as a model tag records it: a constant by its repr, a
-    callable by its module and qualified name, which do not change from
-    run to run as its repr's address does."""
+    """A coefficient as a model tag records it, the same in every run (a
+    repr's address is not): a constant by its repr; a function by its
+    module and qualified name, and a lambda or nested function, whose
+    qualified name others share, by its first line too; a
+    ``functools.partial`` by its function's tag and its arguments' tags;
+    any other callable by its class.  Two lambdas on one line, a method
+    bound to two objects, or two callable objects of one class still
+    share a tag."""
+    if isinstance(coef, partial):
+        kw = (f"{k}={_coef_tag(v)}" for k, v in coef.keywords.items())
+        return f"partial({','.join([_coef_tag(coef.func), *map(_coef_tag, coef.args), *kw])})"
     if not callable(coef):
         return repr(coef)
     kind = coef if hasattr(coef, "__qualname__") else type(coef)
-    return f"{kind.__module__}.{kind.__qualname__}"
+    tag = f"{kind.__module__}.{kind.__qualname__}"
+    code = getattr(kind, "__code__", None)
+    return f"{tag}:{code.co_firstlineno}" if code and "<" in kind.__qualname__ else tag
 
 
 class DriftedDiffusion:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import _CHUNK_CELLS, Ensemble, _mean_stderr
+from .path_core import Ensemble, _mean_stderr, _row_blocks
 
 __all__ = [
     "UtilityReport",
@@ -147,9 +147,7 @@ def _log_wealth_terms(
     """
     n_paths, n_cells = cont_inc.shape
     cont = np.empty(n_paths)
-    rows = max(1, _CHUNK_CELLS // n_cells)
-    for lo in range(0, n_paths, rows):
-        blk = slice(lo, lo + rows)
+    for blk in _row_blocks(n_paths, n_cells):
         p = pi if pi.ndim == 1 else pi[blk]
         cont[blk] = np.sum(p * cont_inc[blk] - 0.5 * p * p * dqv_cont[blk], axis=1)
     return (cont, *_jump_terms(_at_jumps(pi, jump_path, jump_cell), jump_path, jump_size, n_paths))
@@ -169,9 +167,7 @@ def _shape_moments(
     """
     n_paths, n_cells = cont_inc.shape
     out = np.empty((4, n_paths))
-    rows = max(1, _CHUNK_CELLS // n_cells)
-    for lo in range(0, n_paths, rows):
-        blk = slice(lo, lo + rows)
+    for blk in _row_blocks(n_paths, n_cells):
         p = x if x.ndim == 1 else x[blk]
         pp, h = p * p, dh[blk]
         pairs = ((p, cont_inc[blk]), (pp, dqv_cont[blk]), (p, h), (pp, h * h))
@@ -217,9 +213,13 @@ def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.nda
     ``pi`` broadcasts: either one shared per-cell vector or a per-path
     matrix.
     """
-    ds = np.diff(ensemble.values, axis=1)
-    dqv = np.diff(ensemble.qv, axis=1)
-    return _log_wealth_terms(pi, ds, dqv, *_NO_JUMPS)[0]
+    pi = np.asarray(pi, dtype=float)
+    out = np.empty(ensemble.n_paths)
+    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        ds = np.diff(ensemble.values[blk], axis=1)
+        dqv = np.diff(ensemble.qv[blk], axis=1)
+        out[blk] = _log_wealth_terms(pi if pi.ndim == 1 else pi[blk], ds, dqv, *_NO_JUMPS)[0]
+    return out
 
 
 def terminal_log_wealth_jumps(

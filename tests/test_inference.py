@@ -2,9 +2,12 @@
 a drifted diffusion with known closed forms (mu = 0.1, sigma = 0.2 gives
 alpha = mu/sigma^2 = 2.5 and optimal log utility mu^2/(2 sigma^2) = 0.125)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qvmart import path_core
 from qvmart.errors import ContractViolation
 from qvmart.inference import (
     BinSpec,
@@ -31,6 +34,7 @@ from qvmart.strategy import (
 MU, SIGMA = 0.1, 0.2
 ALPHA = MU / SIGMA**2
 GRID = TimeGrid.uniform(256)
+GRID_32 = TimeGrid.uniform(32)
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +320,48 @@ class TestTruncationDiscipline:
         vals[0, 1:] = [0.5, 0.9, 1.5]  # above n = 1 only at t = 1; variation 0.77 < 1
         ens = Ensemble(TimeGrid.uniform(3), vals, 0, "flat")
         assert choose_truncation_level(ens, target=1.0) == 2.0
+
+
+class TestRowBlocks:
+    """Each per-path sum is its own, so the estimators give the same bits
+    whatever rows a block holds, and the blocks bound the working set."""
+
+    @staticmethod
+    def outputs(values: np.ndarray) -> list[bytes]:
+        ens = Ensemble(GRID_32, values, 7, "x")  # a fresh one: its variation is not cached
+        est = estimate_alpha(ens, BinSpec(8, state_bins=3, min_count=60))
+        res = decompose(ens, est, max_uncovered=1.0)
+        assert 0.0 < res.coverage < 1.0  # some bins have no estimate
+        stop_n = choose_truncation_level(res.s_hat)
+        est_t = estimate_alpha(ens, BinSpec(8))
+        growth = growth_optimal_value(est_t, ens)
+        gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), est_t, ens)
+        lams = [estimate_lambda(s, res.s_hat, stop_n=0.25)
+                for s in (const_strategy(1.0), truncation_strategy(0.25))]
+        nums = [res.coverage, reconstruction_error(res, ens), stop_n, growth.value,
+                growth.stderr, growth.direct.estimate, gap.gap, gap.stderr,
+                *(x for lam in lams for x in (lam.value, lam.stderr))]
+        arrays = [est.alpha, est.stderr, est.count, est.mass, est_t.alpha, est_t.stderr,
+                  res.s_hat.values, res.s_hat.qv]
+        return [np.asarray(nums).tobytes(), *(a.tobytes() for a in arrays)]
+
+    def test_same_bits_in_blocks_of_any_size(self, monkeypatch):
+        values = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(9), 50, GRID_32).values
+        whole = self.outputs(values)
+        for rows in (1, 3, 49):
+            monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * GRID_32.n_steps)
+            assert self.outputs(values) == whole, rows
+
+    def test_state_bin_fit_and_rebuild_stay_bounded(self):
+        # the variation (1x), num and den at 256 bins (1x each) and a row
+        # block's temporaries, against 7x and more with whole-matrix passes
+        vals = np.cumsum(np.random.default_rng(3).normal(0.0, 0.06, (2000, 257)), axis=1)
+        ens = Ensemble(TimeGrid.uniform(256), vals, 3, "x")
+        tracemalloc.start()
+        try:
+            est = estimate_alpha(ens, BinSpec(32, state_bins=8, min_count=20))
+            reconstruction_error(decompose(ens, est), ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * vals.nbytes

@@ -5,6 +5,7 @@ and a jump list."""
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,8 +154,9 @@ class TestQuadraticVariation:
         assert ok >= 95
 
     @pytest.mark.parametrize("source", ["pure_jump", "bundles"])
-    def test_qv_matrix_matches_per_path(self, source):
-        # the flat-array jump handling is byte-identical to the row-by-row sum
+    def test_qv_matrix_matches_per_path(self, source, monkeypatch):
+        # the flat-array jump handling, in row blocks of any size, is
+        # byte-identical to the row-by-row sum
         if source == "pure_jump":
             grid = TimeGrid.uniform(16)
             jumps = [(0.3125, 1.5), (0.5, -2.0), (0.5625, 0.25)]
@@ -168,6 +170,9 @@ class TestQuadraticVariation:
             ens = gen_bundles(SeedStream(5), 12, grid, 1e-2, 3.0)
         assert ens.jump_path.size
         assert qv_matrix(ens).tobytes() == ref_qv(ens).tobytes()
+        for rows_per_block in (1, 3):
+            monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows_per_block * grid.n_steps)
+            assert qv_matrix(ens).tobytes() == ref_qv(ens).tobytes()
 
     def test_ensemble_qv_is_qv_matrix_once_and_read_only(self, qv_calls):
         ens = gen_bundles(SeedStream(5), 6, make_insider_grid(1e-2, n_uniform=16, n_log=24),
@@ -402,19 +407,35 @@ class TestSerialization:
         assert np.signbit(parsed.values[0, 1]) and not np.signbit(parsed.values[1, 3])
 
     @pytest.mark.parametrize("damage", ["truncated", "not-npy", "bad-header", "wrong-dtype",
-                                        "wrong-shape", "stale-digest"])
+                                        "wrong-shape", "stale-digest", "text-digit",
+                                        "text-appended"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_bad_binary_copy_falls_back_to_the_text(self, tmp_path, fmt, damage):
+    def test_bad_binary_copy_falls_back_to_the_text(self, tmp_path, fmt, damage, monkeypatch):
         ens = gen_bundles(SeedStream(5), 3, make_insider_grid(1e-2, n_uniform=16, n_log=24),
                           1e-2, 2.0)
         save_ensemble(ens, tmp_path, fmt=fmt)
         cache = tmp_path / "ensemble.npy"
         good = cache.read_bytes()
+        if damage.startswith("text-"):  # the copy is sound, the text beside it edited
+            text = tmp_path / ("ensemble.json" if fmt == "json" else "path_00000.csv")
+            data = text.read_bytes()
+            if damage == "text-digit":  # the same length: the last number's first decimal moves
+                k = data.rfind(b".") + 1
+                data = data[:k] + b"%d" % ((int(data[k:k + 1]) + 1) % 10) + data[k + 1:]
+            else:
+                data += b"\n"
+            text.write_bytes(data)
         cache.unlink()
         parsed = load_ensemble(tmp_path)
         rec = np.load(io.BytesIO(good))
         rec["values"] += 1.0  # what the copy would wrongly give, were it read
-        if damage == "truncated":
+        if damage.startswith("text-"):
+            cache.write_bytes(good)
+            parser = "_parse_json" if fmt == "json" else "_read_csv_paths"
+            calls = []
+            real = getattr(path_core, parser)
+            monkeypatch.setattr(path_core, parser, lambda *a: calls.append(a) or real(*a))
+        elif damage == "truncated":
             cache.write_bytes(good[:-8])
         elif damage == "not-npy":
             cache.write_bytes(b"not an npy file\n")
@@ -431,6 +452,11 @@ class TestSerialization:
         back = load_ensemble(tmp_path)
         for name in ("values", "jump_path", "jump_cell", "jump_size"):
             assert getattr(back, name).tobytes() == getattr(parsed, name).tobytes()
+        if damage.startswith("text-"):
+            assert len(calls) == 1  # the copy was refused and the text parsed
+            same = all(np.array_equal(getattr(parsed, n), getattr(ens, n), equal_nan=True)
+                       for n in ("values", "jump_size"))
+            assert same == (damage == "text-appended")
 
     def test_no_binary_copy_when_no_record_can_hold_it(self, tmp_path, monkeypatch):
         # numpy 1.x refuses a record past 2 GiB; the save then drops its copy
@@ -446,10 +472,14 @@ class TestSerialization:
         np.testing.assert_array_equal(load_ensemble(tmp_path).values, np.zeros((2, 5)))
 
     def test_json_bytes_match_per_element_conversion(self, tmp_path):
-        # the writers convert whole rows with tolist(); the bytes must equal
-        # those of the element-by-element float() payload they replaced
+        # the writer encodes one path at a time from tolist(); the bytes must
+        # equal those of the whole element-by-element float() payload
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
         ens = gen_bundles(SeedStream(4), 6, grid, 1e-2, 2.0)
+        vals = ens.values.copy()
+        vals[1, 3:7] = [np.nan, np.inf, -np.inf, -0.0]
+        ens = Ensemble(grid, vals, 4, "counterexample", ens.jump_path, ens.jump_cell,
+                       ens.jump_size)
         times = grid.points[ens.jump_cell + 1]
         jumps = [[(float(t), float(z)) for p, t, z in zip(ens.jump_path, times, ens.jump_size)
                   if p == i] for i in range(ens.n_paths)]
@@ -467,3 +497,52 @@ class TestSerialization:
             ],
         }
         assert (tmp_path / "ensemble.json").read_bytes() == (json.dumps(old) + "\n").encode()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # a save that raises mid-stream leaves the stored text as it was
+        ens = Ensemble(TimeGrid.uniform(4), np.arange(15.0).reshape(3, 5), 1, "x")
+        save_ensemble(ens, tmp_path, fmt="json")
+        before = (tmp_path / "ensemble.json").read_bytes()
+        real, calls = json.dumps, []
+
+        def failing(obj, **kw):
+            calls.append(obj)
+            if len(calls) == 3:  # the head, the first path, then this
+                raise OSError("disk full")
+            return real(obj, **kw)
+
+        monkeypatch.setattr(path_core.json, "dumps", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_ensemble(Ensemble(ens.grid, -ens.values, 1, "x"), tmp_path, fmt="json")
+        monkeypatch.undo()
+        assert not (tmp_path / "ensemble.json.tmp").exists()
+        assert (tmp_path / "ensemble.json").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestStorageMemory:
+    """Traced heap peaks of storage on a 2000 x 257 ensemble, against the
+    8-byte value matrix: the text is written and read back in pieces, so
+    neither a save nor a load holds it whole."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        vals = np.cumsum(np.random.default_rng(3).normal(0.0, 0.06, (2000, 257)), axis=1)
+        return Ensemble(TimeGrid.uniform(256), vals, 3, "x")
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_json_save(self, big, tmp_path):
+        assert self.peak(lambda: save_ensemble(big, tmp_path, fmt="json")) <= 2 * big.values.nbytes
+
+    def test_cached_json_load(self, big, tmp_path):
+        save_ensemble(big, tmp_path, fmt="json")
+        assert self.peak(lambda: load_ensemble(tmp_path)) <= 2 * big.values.nbytes
+        assert load_ensemble(tmp_path).values.tobytes() == big.values.tobytes()

@@ -2,6 +2,10 @@
 martingale and its closed-form variance, Poisson pairs, and the joint
 insider bundle."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -100,7 +104,8 @@ class TestDriftedDiffusion:
             DriftedDiffusion(0.0, -1.0)
 
     def test_tag_is_deterministic(self):
-        # a callable is tagged by module and qualified name, not by its address
+        # a callable is tagged by module, qualified name and, when nested,
+        # first line, not by its address
         def make():
             def mu(t, s):
                 return 0.1 * s
@@ -108,10 +113,37 @@ class TestDriftedDiffusion:
 
         a, b = make(), make()  # the same function, at two addresses
         tags = {DriftedDiffusion(a, 0.2).tag, DriftedDiffusion(b, 0.2).tag}
-        assert tags == {f"drifted(mu={__name__}.{a.__qualname__},sigma=0.2)"}
+        line = a.__code__.co_firstlineno
+        assert tags == {f"drifted(mu={__name__}.{a.__qualname__}:{line},sigma=0.2)"}
         assert "0x" not in DriftedDiffusion(lambda t, s: 0.0, a).tag
         assert DriftedDiffusion(0.1, 0.2).tag == "drifted(mu=0.1,sigma=0.2)"
         assert DriftedDiffusion(0, 1).tag == "drifted(mu=0.0,sigma=1.0)"
+
+    def test_tag_tells_lambdas_and_partials_apart(self, tmp_path):
+        # two lambdas in one scope, and partials of one function with other
+        # arguments, once all shared one tag; each tag is the same in every run
+        script = tmp_path / "tags.py"
+        script.write_text(
+            "import json\n"
+            "from functools import partial\n"
+            "from qvmart.simulate import _coef_tag\n"
+            "f = lambda t, s: 0.1\n"
+            "g = lambda t, s: 0.2\n"
+            "def h(t, s, c=0.0):\n"
+            "    return c\n"
+            "print(json.dumps([_coef_tag(x) for x in (f, g, partial(h, c=0.1), partial(h, c=0.2),\n"
+            "                                          partial(h, 1, c=f), 0.3)]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = [subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                               env=env, check=True, timeout=60).stdout for _ in range(2)]
+        assert runs[0] == runs[1]
+        tags = json.loads(runs[0])
+        assert len(set(tags)) == len(tags)
+        assert tags[0] == "__main__.<lambda>:4" and tags[1] == "__main__.<lambda>:5"
+        assert tags[2] == "partial(__main__.h,c=0.1)"
+        assert tags[4] == "partial(__main__.h,1,c=__main__.<lambda>:4)"
+        assert tags[5] == "0.3"
 
 
 class TestSigmaProfile:
