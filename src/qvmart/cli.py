@@ -308,7 +308,7 @@ def _cmd_optimize(args) -> int:
         strategies = [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)]
     gaps = []
     for s in strategies:
-        g = optimality_gap(s, est, ens)
+        g = optimality_gap(s, growth, ens)
         gaps.append({"strategy": s.name, "gap": g.gap,
                      "stderr": g.stderr, "within_noise": g.gap <= 3.0 * g.stderr})
     _write_json(out / "growth_report.json", {

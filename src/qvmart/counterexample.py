@@ -38,7 +38,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import _CHUNK_CELLS, TimeGrid, _mean_stderr
+from .path_core import TimeGrid, _mean_stderr, _row_blocks
 from .simulate import (
     BundleEnsemble,
     SeedStream,
@@ -141,7 +141,7 @@ def poisson_flip_test(
     every raw jump.  A jump at t in (t_k, t_{k+1}] is routed by beta, the
     value of cell k, decided at t_k: an N1 jump goes to the plus process
     when beta = +1 and to the minus process otherwise, an N2 jump the
-    opposite way.  Bundles are generated and profiled a chunk at a time.
+    opposite way.  Bundles are generated and profiled one row block at a time.
 
     The raw jump-time lists must be disjoint (ContractViolation
     otherwise), so the flipped processes never share a jump time.
@@ -154,10 +154,9 @@ def poisson_flip_test(
     if grid is None:
         grid = make_insider_grid(eps, n_uniform=128, n_log=192)
     plus_counts, minus_counts = np.empty(n_samples), np.empty(n_samples)
-    # bundle i draws from its own substreams, generated a chunk at a time
-    rows = max(1, _CHUNK_CELLS // grid.points.size)
-    for lo in range(0, n_samples, rows):
-        chunk = _build_bundles(stream, grid, eps, rate, range(lo, min(lo + rows, n_samples)))
+    # bundle i draws from its own substreams, generated a row block at a time
+    for blk in _row_blocks(n_samples, grid.n_steps):
+        chunk = _build_bundles(stream, grid, eps, rate, range(n_samples)[blk])
         n, row, times = chunk.n_paths, chunk.poisson_row, chunk.poisson_time
         cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
         beta = np.broadcast_to(_pi_matrix(switch, chunk), (n, grid.n_steps))[row, cell]
@@ -170,8 +169,8 @@ def poisson_flip_test(
             i = bad.argmax()
             raise ContractViolation(f"switch value at t={times[i]} is {float(beta[i])!r}, not +-1")
         plus = beta * chunk.poisson_sign > 0
-        plus_counts[lo:lo + n] = np.bincount(row[plus], minlength=n)
-        minus_counts[lo:lo + n] = np.bincount(row[~plus], minlength=n)
+        plus_counts[blk] = np.bincount(row[plus], minlength=n)
+        minus_counts[blk] = np.bincount(row[~plus], minlength=n)
     flat = np.std(plus_counts) == 0 or np.std(minus_counts) == 0
     corr = 0.0 if flat else float(np.corrcoef(plus_counts, minus_counts)[0, 1])
     return PoissonFlipReport(n_samples, rate, _poisson_chi2_p(plus_counts, rate),

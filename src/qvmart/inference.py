@@ -186,40 +186,32 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
 
     Standard errors treat paths as the independent unit (cells within a
     path are summed first), which is exact for the ratio estimator under
-    path-level resampling.  With state bins the per-path sums are taken
-    one row block at a time.
+    path-level resampling.  The per-path sums are taken one row block at
+    a time; time-only binning is the case of one state bin, to the bit.
     """
     _require_continuous(ensemble)
     grid, vals, qv = ensemble.grid, ensemble.values, ensemble.qv
     time_edges = np.linspace(0.0, 1.0, bin_spec.time_bins + 1)
     state_edges = None
-    P = ensemble.n_paths
-    B = bin_spec.n_bins
     if bin_spec.state_bins:
         qs = np.linspace(0.0, 1.0, bin_spec.state_bins + 1)[1:-1]
         state_edges = np.quantile(vals[:, :-1], qs)
-        num = np.empty((P, B))  # (paths, bins): per-path, per-bin sums
-        den = np.empty((P, B))
-        cnt = np.zeros(B)
-        for blk in _row_blocks(P, grid.n_steps):
-            bins = _cell_bins(bin_spec, time_edges, state_edges, grid, vals[blk])
-            cnt += np.bincount(bins.ravel(), minlength=B)
-            # each (row, bin) of the block as one index; bincount adds its
-            # weights in cell order from 0.0, as a running sum would
-            n_rows = bins.shape[0]
-            bins += B * np.arange(n_rows)[:, None]
-            for out, m in ((num, vals), (den, qv)):
-                inc = np.diff(m[blk], axis=1).ravel()
-                out[blk] = np.bincount(bins.ravel(), inc, n_rows * B).reshape(n_rows, B)
-    else:
-        ind = np.zeros((grid.n_steps, B))
-        ind[np.arange(grid.n_steps), _cell_bins(bin_spec, time_edges, None, grid, vals)] = 1.0
-        # BLAS's sum for one row depends on how many rows the product holds,
-        # so both products take every row; one increment buffer serves both
-        inc = np.diff(vals, axis=1)
-        num = inc @ ind
-        den = np.subtract(qv[:, 1:], qv[:, :-1], out=inc) @ ind
-        cnt = np.full(B, float(P)) * ind.sum(axis=0)
+    P = ensemble.n_paths
+    B = bin_spec.n_bins
+    num = np.empty((P, B))  # (paths, bins): per-path, per-bin sums
+    den = np.empty((P, B))
+    cnt = np.zeros(B)
+    for blk in _row_blocks(P, grid.n_steps):
+        n_rows = vals[blk].shape[0]
+        bins = np.broadcast_to(_cell_bins(bin_spec, time_edges, state_edges, grid, vals[blk]),
+                               (n_rows, grid.n_steps))
+        cnt += np.bincount(bins.ravel(), minlength=B)
+        # each (row, bin) of the block as one index; bincount adds its
+        # weights in cell order from 0.0, as a running sum would
+        keys = (bins + B * np.arange(n_rows)[:, None]).ravel()
+        for out, m in ((num, vals), (den, qv)):
+            inc = np.diff(m[blk], axis=1).ravel()
+            out[blk] = np.bincount(keys, inc, n_rows * B).reshape(n_rows, B)
     tot_num = num.sum(axis=0)
     tot_den = den.sum(axis=0)
     estimated = (cnt >= bin_spec.min_count) & (tot_den > 0.0)
@@ -253,22 +245,19 @@ def _cell_bins(
     return sb
 
 
-def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Drift value and coverage mask for every grid cell.
+def cell_alpha(
+    est: DriftEstimate, ensemble: Ensemble, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift value and coverage mask for every grid cell of the paths in
+    ``rows`` (all by default).
 
     Returns ``(alpha_cells, covered)`` where both broadcast against the
     increment matrices: per-cell vectors for time-only binning, per-path
     matrices when state bins are active.  Uncovered cells carry 0 in
     ``alpha_cells`` and False in ``covered``.
     """
-    return _cell_alpha(est, ensemble.grid, ensemble.values)
-
-
-def _cell_alpha(
-    est: DriftEstimate, grid: TimeGrid, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``cell_alpha`` for the paths ``values``, some rows of an ensemble on ``grid``."""
-    bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, grid, values)
+    bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, ensemble.grid,
+                      ensemble.values[rows])
     alpha = np.where(est.estimated, np.nan_to_num(est.alpha, nan=0.0), 0.0)
     return alpha[bins], est.estimated[bins]
 
@@ -291,7 +280,7 @@ def decompose(
     mass = float(np.sum(dqv))
     if mass > 0:
         for blk in blocks:
-            dqv[blk] *= _cell_alpha(est, grid, vals[blk])[1]
+            dqv[blk] *= cell_alpha(est, ensemble, blk)[1]
         coverage = float(np.sum(dqv)) / mass
     else:
         coverage = 1.0
@@ -304,7 +293,7 @@ def decompose(
     for blk in blocks:
         drift = np.zeros_like(vals[blk])
         dq = np.diff(qv[blk], axis=1)
-        np.cumsum(_cell_alpha(est, grid, vals[blk])[0] * dq, axis=1, out=drift[:, 1:])
+        np.cumsum(cell_alpha(est, ensemble, blk)[0] * dq, axis=1, out=drift[:, 1:])
         np.subtract(vals[blk], drift, out=s_vals[blk])
     s_hat = Ensemble(grid, s_vals, ensemble.master_seed, ensemble.model_tag + "-recentred")
     return DecompositionResult(est, s_hat, coverage)
@@ -315,7 +304,7 @@ def reconstruction_error(result: DecompositionResult, ensemble: Ensemble) -> flo
     vals, qv = ensemble.values, ensemble.qv
     worst = []
     for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        alpha_cells, _ = _cell_alpha(result.alpha, ensemble.grid, vals[blk])
+        alpha_cells, _ = cell_alpha(result.alpha, ensemble, blk)
         rebuilt = result.s_hat.values[blk].copy()
         rebuilt[:, 1:] += np.cumsum(alpha_cells * np.diff(qv[blk], axis=1), axis=1)
         worst.append(np.max(np.abs(rebuilt - vals[blk])))
@@ -341,13 +330,18 @@ def martingale_residual(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthReport:
-    """Half the fitted quadratic drift mass, with a direct utility cross-check."""
+    """Half the fitted quadratic drift mass, with a direct utility cross-check.
+
+    ``log_wealth`` holds every path's log terminal wealth under the fitted
+    drift, the sample ``direct`` summarises.
+    """
 
     value: float
     stderr: float
     direct: UtilityReport
+    log_wealth: np.ndarray
 
 
 def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport:
@@ -375,7 +369,7 @@ def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport
     )
     se = float(np.sqrt(se_paths**2 + se_alpha_sq))
     logw = terminal_log_wealth_continuous(alpha_cells, ensemble)
-    return GrowthReport(value, se, log_utility(logw))
+    return GrowthReport(value, se, log_utility(logw), logw)
 
 
 @dataclass(frozen=True)
@@ -387,17 +381,20 @@ class GapReport:
 
 
 def optimality_gap(
-    strategy: GridRuleStrategy, est: DriftEstimate, ensemble: Ensemble
+    strategy: GridRuleStrategy, growth: GrowthReport, ensemble: Ensemble
 ) -> GapReport:
     """Paired estimate of E[log W(strategy)] - E[log W(alpha_hat)].
 
+    ``growth`` is the fitted drift's ``growth_optimal_value`` on the same
+    ensemble, whose log wealths the strategy's are paired against.
     Pairing on common paths makes the standard error of the difference
     the right scale for the one-sided check gap <= 3 stderr.
     """
     _require_continuous(ensemble)
+    logw_a = growth.log_wealth
+    if logw_a.shape != (ensemble.n_paths,):
+        raise ContractViolation("the growth report belongs to another ensemble")
     logw_pi = terminal_log_wealth_continuous(pi_for_ensemble(strategy, ensemble), ensemble)
-    alpha_cells, _ = cell_alpha(est, ensemble)
-    logw_a = terminal_log_wealth_continuous(alpha_cells, ensemble)
     gap, se = _mean_stderr(logw_pi - logw_a)
     return GapReport(gap, se, float(np.mean(logw_pi)), float(np.mean(logw_a)))
 

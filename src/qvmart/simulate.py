@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import _CHUNK_CELLS, Ensemble, TimeGrid
+from .path_core import Ensemble, TimeGrid, _row_blocks
 
 __all__ = [
     "SeedStream",
@@ -265,8 +265,8 @@ def _fill_sequential(stream: SeedStream, indices: np.ndarray, grid: TimeGrid, va
 def _brownian_matrix(stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
     """Brownian values of paths ``indices`` on ``grid``, one row per path.
 
-    Row r depends only on ``indices[r]``.  Rows are generated in chunks
-    of at most ``_CHUNK_CELLS`` normals.
+    Row r depends only on ``indices[r]``.  Rows are generated one row
+    block at a time.
     """
     indices = np.asarray(indices)
     vals = np.empty((indices.size, grid.points.size))
@@ -274,9 +274,8 @@ def _brownian_matrix(stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
         fill, shape = _fill_bridge, int(round(math.log2(grid.n_steps)))
     else:
         fill, shape = _fill_sequential, grid
-    rows = max(1, _CHUNK_CELLS // grid.n_steps)
-    for lo in range(0, indices.size, rows):
-        fill(stream, indices[lo : lo + rows], shape, vals[lo : lo + rows])
+    for blk in _row_blocks(indices.size, grid.n_steps):
+        fill(stream, indices[blk], shape, vals[blk])
     return vals
 
 

@@ -364,26 +364,14 @@ def window_strategy(c: float, a: float, b: float, name: str | None = None) -> Gr
 
 def sign_at_time_strategy(t0: float, scale: float = 1.0) -> GridRuleStrategy:
     """pi = scale * sign(level at t0) on (t0, 1], zero before; +scale at level zero."""
-
-    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        k0 = ensemble.grid.index_of(t0)
-        s = np.sign(ensemble.values[:, k0])
-        s[s == 0] = 1.0
-        pi = np.zeros((ensemble.n_paths, ensemble.grid.n_steps))
-        pi[:, k0:] = scale * s[:, None]
-        return pi
-
-    return GridRuleStrategy(f"sign_at({t0:g})*{scale:g}", max(abs(scale), 1e-12), fn)
+    legs = (Leg(t0, 0.0), Leg(1.0, float(scale), "sign_prefix_end"))
+    return legs_strategy(legs, max(abs(scale), 1e-12), f"sign_at({t0:g})*{scale:g}")
 
 
 def truncation_strategy(n: float) -> GridRuleStrategy:
     """pi = 1 up to the first time level or variation exceeds n, then 0."""
-
-    def fn(ensemble: Ensemble, ctx: EvalContext) -> np.ndarray:
-        stop = truncation_index(ensemble.values, ensemble.qv, n)
-        return (np.arange(ensemble.grid.n_steps) < stop[:, None]).astype(float)
-
-    return GridRuleStrategy(f"truncation({n:g})", 1.0, fn)
+    legs = (Leg(HitRule("level_or_qv", n, default=1.0), 1.0), Leg(1.0, 0.0))
+    return legs_strategy(legs, 1.0, f"truncation({n:g})")
 
 
 def _band(c: float, margin: float | None, name: str, fn, **flags) -> GridRuleStrategy:

@@ -123,9 +123,6 @@ def log_utility(log_w1: np.ndarray) -> UtilityReport:
 # Vectorized terminal-wealth helpers (matrix form, used by the estimators)
 # ---------------------------------------------------------------------------
 
-_NO_JUMPS = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
-
-
 def _log_wealth_terms(
     pi: np.ndarray,
     cont_inc: np.ndarray,
@@ -141,9 +138,9 @@ def _log_wealth_terms(
     per-path matrix.  Jump data comes flattened: parallel arrays of path
     row, cell index and jump size.
 
-    The row sums run in blocks of at most ``_CHUNK_CELLS`` cells; a row's
-    sum does not depend on the rows beside it, so the result is the one
-    a single whole-matrix sum gives, bit for bit.
+    The row sums run in row blocks; a row's sum does not depend on the
+    rows beside it, so the result is the one a single whole-matrix sum
+    gives, bit for bit.
     """
     n_paths, n_cells = cont_inc.shape
     cont = np.empty(n_paths)
@@ -208,7 +205,8 @@ def _terminal_log_wealth(cont: np.ndarray, jump: np.ndarray, wiped: np.ndarray) 
 
 
 def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.ndarray:
-    """Per-path log terminal wealth for a continuous ensemble.
+    """Per-path log terminal wealth ``sum(pi dS - pi^2 d[S] / 2)`` for a
+    continuous ensemble, summed one row block at a time.
 
     ``pi`` broadcasts: either one shared per-cell vector or a per-path
     matrix.
@@ -216,9 +214,10 @@ def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.nda
     pi = np.asarray(pi, dtype=float)
     out = np.empty(ensemble.n_paths)
     for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        p = pi if pi.ndim == 1 else pi[blk]
         ds = np.diff(ensemble.values[blk], axis=1)
         dqv = np.diff(ensemble.qv[blk], axis=1)
-        out[blk] = _log_wealth_terms(pi if pi.ndim == 1 else pi[blk], ds, dqv, *_NO_JUMPS)[0]
+        out[blk] = np.sum(p * ds - 0.5 * p * p * dqv, axis=1)
     return out
 
 

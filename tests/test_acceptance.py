@@ -173,7 +173,7 @@ def test_a4_growth_optimal(bs, bs_alpha):
         sign_at_time_strategy(0.5, ALPHA),
         truncation_strategy(1.0),
     ]
-    gaps = [optimality_gap(s, bs_alpha, ens) for s in strategies]
+    gaps = [optimality_gap(s, growth, ens) for s in strategies]
     assert all(g.gap <= 3.0 * g.stderr for g in gaps)
     elapsed = time.time() - t0
     assert elapsed <= 300.0

@@ -54,6 +54,11 @@ def bs_alpha(bs):
     return estimate_alpha(bs, BinSpec(32))
 
 
+@pytest.fixture(scope="module")
+def bs_growth(bs, bs_alpha):
+    return growth_optimal_value(bs_alpha, bs)
+
+
 class TestEstimateLambda:
     def test_zero_strategy_exact(self, driftless):
         ens = driftless
@@ -130,6 +135,18 @@ class TestEstimateAlpha:
         assert est.estimated.any()
         a_cells, covered = cell_alpha(est, ens)
         assert a_cells.shape == (ens.n_paths, ens.grid.n_steps)
+
+    @pytest.mark.parametrize("n_rows", [1, 50])
+    @pytest.mark.parametrize("k", [1, 2, 4, 32])
+    def test_time_bins_are_one_state_bin(self, k, n_rows):
+        # time-only binning is the one-state-bin case, to the bit, whatever
+        # the bin count and however few rows
+        ens = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(5), n_rows, GRID)
+        time_only = estimate_alpha(ens, BinSpec(k, min_count=1))
+        one_state = estimate_alpha(ens, BinSpec(k, state_bins=1, min_count=1))
+        assert time_only.estimated.all()
+        for name in ("alpha", "stderr", "count", "mass"):
+            assert getattr(time_only, name).tobytes() == getattr(one_state, name).tobytes(), name
 
 
 class TestDecompose:
@@ -217,38 +234,44 @@ class TestGrowthOptimal:
 
 
 class TestOptimalityGap:
-    def test_fitted_drift_gap_is_zero(self, bs, bs_alpha):
+    def test_fitted_drift_gap_is_zero(self, bs, bs_alpha, bs_growth):
         ens = bs
         # representing alpha_hat itself: reuse cell_alpha through a plain matrix
         a_cells, _ = cell_alpha(bs_alpha, ens)
         from qvmart.strategy import GridRuleStrategy
 
         strat = GridRuleStrategy("alpha_hat", 10.0, lambda e, ctx: a_cells)
-        g = optimality_gap(strat, bs_alpha, ens)
+        g = optimality_gap(strat, bs_growth, ens)
         assert g.gap == pytest.approx(0.0, abs=1e-14)
         assert g.stderr == pytest.approx(0.0, abs=1e-14)
 
-    def test_constant_optimum_matches_fit(self, bs, bs_alpha):
+    def test_constant_optimum_matches_fit(self, bs, bs_growth):
         ens = bs
-        g = optimality_gap(const_strategy(ALPHA), bs_alpha, ens)
+        g = optimality_gap(const_strategy(ALPHA), bs_growth, ens)
         assert g.gap <= 3.0 * g.stderr
         assert abs(g.gap) <= 3.0 * g.stderr + 1e-3  # near-zero both ways
 
-    def test_doubled_proportion_quadratic_penalty(self, bs, bs_alpha):
+    def test_doubled_proportion_quadratic_penalty(self, bs, bs_growth):
         # pi = 2 alpha loses (pi - alpha)^2 sigma^2 / 2 = 0.125 of log utility
         ens = bs
-        g = optimality_gap(const_strategy(2 * ALPHA), bs_alpha, ens)
+        g = optimality_gap(const_strategy(2 * ALPHA), bs_growth, ens)
         assert g.gap == pytest.approx(-0.125, abs=3.0 * g.stderr + 0.005)
 
-    def test_gap_never_significantly_positive(self, bs, bs_alpha):
+    def test_gap_never_significantly_positive(self, bs, bs_growth):
         ens = bs
         for strat in [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)] + [
             window_strategy(2.5, 0.0, 0.5),
             sign_at_time_strategy(0.5, 2.5),
             truncation_strategy(1.0),
         ]:
-            g = optimality_gap(strat, bs_alpha, ens)
+            g = optimality_gap(strat, bs_growth, ens)
             assert g.gap <= 3.0 * g.stderr
+
+    def test_growth_of_another_ensemble_refused(self, bs, bs_alpha):
+        # one path's log wealth would broadcast against every path's
+        growth = growth_optimal_value(bs_alpha, bs.head(1))
+        with pytest.raises(ContractViolation, match="another ensemble"):
+            optimality_gap(const_strategy(ALPHA), growth, bs)
 
 
 class TestRieszIdentity:
@@ -335,7 +358,7 @@ class TestRowBlocks:
         stop_n = choose_truncation_level(res.s_hat)
         est_t = estimate_alpha(ens, BinSpec(8))
         growth = growth_optimal_value(est_t, ens)
-        gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), est_t, ens)
+        gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), growth, ens)
         lams = [estimate_lambda(s, res.s_hat, stop_n=0.25)
                 for s in (const_strategy(1.0), truncation_strategy(0.25))]
         nums = [res.coverage, reconstruction_error(res, ens), stop_n, growth.value,
@@ -365,3 +388,17 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * vals.nbytes
+
+    def test_time_only_fit_stays_bounded(self):
+        # num and den at 32 bins (1/8x each) and a row block's temporaries,
+        # against an increment matrix and more with whole-matrix passes
+        vals = np.cumsum(np.random.default_rng(4).normal(0.0, 0.06, (20_000, 257)), axis=1)
+        ens = Ensemble(TimeGrid.uniform(256), vals, 4, "x")
+        ens.qv  # the ensemble's own variation, computed before the fit
+        tracemalloc.start()
+        try:
+            estimate_alpha(ens, BinSpec(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * vals.nbytes

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from qvmart import simulate
+from qvmart import path_core, simulate
 from qvmart.errors import ContractViolation
 from qvmart.path_core import TimeGrid
 from qvmart.simulate import (
@@ -187,7 +187,7 @@ class TestMatrixMatchesPerPath:
     @pytest.mark.parametrize("grid", [TimeGrid.dyadic(12), TimeGrid.uniform(3000)],
                              ids=["dyadic", "sequential"])
     def test_rows_straddling_the_chunk(self, grid):
-        per_chunk = simulate._CHUNK_CELLS // grid.n_steps
+        per_chunk = path_core._CHUNK_CELLS // grid.n_steps
         n = per_chunk + 2
         ens = gen_ensemble(BrownianModel(), SeedStream(8), n, grid)
         for i in (0, per_chunk - 1, per_chunk, n - 1):

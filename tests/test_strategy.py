@@ -287,6 +287,27 @@ class TestCompiledLegs:
         pi = pi_for_ensemble(window_strategy(2.0, 0.25, 0.5), rows([0] * 9, [1] * 9))
         np.testing.assert_array_equal(pi, [0, 0, 2, 2, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("t0, row, expected", [
+        (0.5, [0, 1, 2, 3, -1, 5, 6, 7, 8], [0] * 4 + [-0.5] * 4),
+        (0.5, [0, -1, -2, -3, 0.0, -5, -6, -7, -8], [0] * 4 + [0.5] * 4),  # level zero
+        (0.5, [0, -1, -2, -3, -0.0, -5, -6, -7, -8], [0] * 4 + [0.5] * 4),  # and its negative
+        (0.0, [-1, 1, 1, 1, 1, 1, 1, 1, 1], [-0.5] * 8),
+        (1.0, [0, -1, -2, -3, -4, -5, -6, -7, -8], [0] * 8),
+    ], ids=["negative", "zero", "minus-zero", "at-start", "at-end"])
+    def test_sign_at_time(self, t0, row, expected):
+        pi = pi_for_ensemble(sign_at_time_strategy(t0, 0.5), rows(row))
+        np.testing.assert_array_equal(pi, [expected])
+
+    @pytest.mark.parametrize("row, expected", [
+        ([0, 0.5, 0.5, 1.5, 0, 0, 0, 0, 0], [1] * 3 + [0] * 5),
+        ([2, 2, 2, 2, 2, 2, 2, 2, 2], [0] * 8),  # crossing at the first point
+        ([0, 0, 0, 0, 0, 0, 0, 0, 2], [1] * 8),  # at the last point
+        ([0.1] * 9, [1] * 8),  # no crossing
+    ], ids=["middle", "first-point", "last-point", "never"])
+    def test_truncation(self, row, expected):
+        pi = pi_for_ensemble(truncation_strategy(1.0), rows(row))
+        np.testing.assert_array_equal(pi, [expected])
+
     @pytest.mark.parametrize("threshold", [-1.0, 99.0])  # every row crosses; none does
     def test_default_off_the_grid_rejected_whatever_the_rows(self, threshold):
         strat = legs_strategy((
