@@ -13,20 +13,22 @@ no decomposition survives the information enlargement.
 ``utility_sweep`` and ``utility_bound_terms_family`` read one shared pass
 per family member: its band probe and four per-bundle columns (the
 continuous and jump log-wealth sums, the wipe-out mask and the
-supermartingale column), computed once and kept, at 4 floats per bundle
-per member, for the lifetime of the ensemble.  Every member is a
-``GridRuleStrategy``; members that differ only by their ``scale`` c (the
-default family is 3 shapes x 9 coefficients) share one dense pass over
-their unit shape, and each member's bound and margin are checked on its
-scaled shape.  The continuous sums are linear and quadratic in c, so
-only the jump factors are formed per member.  Jump sums and wipe-out
-masks are bit for bit those of the member's own profile; continuous sums
-and supermartingale columns agree with per-member sums within 1e-12
-(absolute, resp. relative).  A pass is reused only for the same
-``BundleEnsemble`` object and the same strategy object; every public
-entry point takes a ``BundleEnsemble`` and refuses anything else.  Reuse
-relies on what the strategy protocol requires: a rule is a pure function
-of ``(ensemble, ctx)``.
+supermartingale column), computed once and kept for the lifetime of the
+ensemble.  Every member is a ``GridRuleStrategy``; members that differ
+only by their ``scale`` c (the default family is 3 shapes x 9
+coefficients) share one unit shape x, and each member's bound and margin
+are checked on its scaled shape.  One pass of the wealth kernel over the
+ensemble's row blocks sums every unit shape against ``dS^c``, ``d[S]^c``
+and the increments of the insider-recentred martingale; the continuous
+sums are linear and quadratic in c, so only the jump factors are formed
+per member.  Jump sums and wipe-out masks are bit for bit those of the
+member's own profile; continuous sums and supermartingale columns agree
+with sums over the member's own profile within 1e-12 (absolute, resp.
+relative).  A pass is reused only for the same ``BundleEnsemble`` object
+and the same strategy object; every public entry point takes a
+``BundleEnsemble`` and refuses anything else.  Reuse relies on what the
+strategy protocol requires: a rule is a pure function of ``(ensemble,
+ctx)``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .strategy import BandReport, EvalContext, GridRuleStrategy, Leg, band_check
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
 from .strategy import pi_for_ensemble, _check_bound, _check_margin, _unit_profile
 from .wealth import UtilityReport, log_utility
-from .wealth import _at_jumps, _jump_terms, _shape_moments, _terminal_log_wealth
+from .wealth import _at_jumps, _continuous_sum, _jump_terms, _moments, _terminal_log_wealth
 
 __all__ = [
     "PoissonFlipReport",
@@ -118,13 +120,14 @@ class PoissonFlipReport:
 
 def _poisson_chi2_p(counts: np.ndarray, rate: float) -> float:
     """Goodness of fit against Poisson(rate) with bins {0, 1, 2, >=3}."""
-    from scipy import stats
+    from scipy import special
 
-    probs = stats.poisson.pmf([0, 1, 2], rate)
+    k = np.arange(3.0)
+    probs = np.exp(special.xlogy(k, rate) - special.gammaln(k + 1) - rate)
     exp = counts.size * np.append(probs, 1.0 - probs.sum())
     obs = np.bincount(np.minimum(counts, 3).astype(int), minlength=4)
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    return float(stats.chi2.sf(stat, df=len(obs) - 1))
+    return float(special.chdtrc(len(obs) - 1, stat))
 
 
 def poisson_flip_test(
@@ -202,12 +205,6 @@ def _band_probe(strategy, ens: BundleEnsemble):
     return band_check(strategy, ens.grid, ens.head(3), ctx)
 
 
-def _m_hat_increments(ens: BundleEnsemble) -> np.ndarray:
-    """Increments of M_hat = M - A per bundle, A the insider drift of
-    ``BundleEnsemble.drift_values``."""
-    return np.diff(ens.m - ens.drift_values(), axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class _MemberPass:
     """One family member on one ensemble: its band probe and, when it is
@@ -252,24 +249,26 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
         passes.append(entry)
         if not entry.probe.admissible:
             break
-    dh = _m_hat_increments(ens) if shapes else None
+    ctx, xs = EvalContext(insider=ens.b1, driver=ens.b), []
     for group in shapes.values():
-        x = _unit_profile(group[0].member, ens, EvalContext(insider=ens.b1, driver=ens.b))
+        x = _unit_profile(group[0].member, ens, ctx)
         colmax = np.abs(x) if x.ndim == 1 else np.abs(x).max(axis=0)
-        a, b, ah, bh = _shape_moments(x, ens.cont_inc, ens.cont_dqv, dh)
-        xj = _at_jumps(x, ens.jump_path, ens.jump_cell)
-        del x
-        for entry in group:
-            rule = entry.member
-            c = rule.scale
-            _check_bound(rule, abs(c) * colmax.max(initial=0.0))
+        for rule in (entry.member for entry in group):
+            _check_bound(rule, abs(rule.scale) * colmax.max(initial=0.0))
             if rule.margin is not None:
-                _check_margin(rule, abs(c) * colmax, ens.grid)
-            # + 0.0 turns the -0.0 that c = 0 leaves on a negative sum into +0.0
-            cont = c * a - (0.5 * c * c) * b + 0.0
-            sm = np.exp(2.0 * (c * ah - (c * c) * bh))
+                _check_margin(rule, abs(rule.scale) * colmax, ens.grid)
+        xs.append(x)
+    moments = []
+    if xs:  # with the increments of M_hat = M - A, A the insider drift, per row block
+        moments = _moments(xs, ens, lambda blk: np.diff(ens.m[blk] - ens.drift_values(blk), axis=1))
+    for group, x, (a, b, ah, bh) in zip(shapes.values(), xs, moments):
+        xj = _at_jumps(x, ens.jump_path, ens.jump_cell)
+        for entry in group:
+            c = entry.member.scale
             jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, ens.n_paths)
-            memo[id(rule)] = replace(entry, cont=cont, jump=jump, wiped=wiped, supermartingale=sm)
+            memo[id(entry.member)] = replace(
+                entry, cont=_continuous_sum(a, b, c), jump=jump, wiped=wiped,
+                supermartingale=np.exp(2.0 * (c * ah - (c * c) * bh)))
     return [memo[id(p.member)] for p in passes]
 
 
@@ -290,7 +289,7 @@ def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWe
     no continuous sum is formed.  The interval is an exact 99% binomial
     Clopper-Pearson interval.
     """
-    from scipy import stats
+    from scipy import special
 
     ens = _bundles(bundles)
     report = _band_probe(strategy, ens)
@@ -302,8 +301,8 @@ def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWe
     _, wiped = _jump_terms(pj, ens.jump_path, ens.jump_size, n)
     k = int(wiped.sum())
     alpha = 0.01
-    low = float(stats.beta.ppf(alpha / 2, k, n - k + 1)) if k > 0 else 0.0
-    high = float(stats.beta.ppf(1 - alpha / 2, k + 1, n - k)) if k < n else 1.0
+    low = float(special.betaincinv(k, n - k + 1, alpha / 2)) if k > 0 else 0.0
+    high = float(special.betaincinv(k + 1, n - k, 1 - alpha / 2)) if k < n else 1.0
     return NegativeWealthReport(k / n, low, high, n, k)
 
 

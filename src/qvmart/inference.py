@@ -22,6 +22,7 @@ from .errors import ContractViolation
 from .path_core import Ensemble, TimeGrid, _mean_stderr, _row_blocks, truncation_index
 from .strategy import GridRuleStrategy, h2_norm, pi_for_ensemble
 from .wealth import UtilityReport, log_utility, terminal_log_wealth_continuous
+from .wealth import _continuous_sum, _moments
 
 __all__ = [
     "BinSpec",
@@ -348,18 +349,15 @@ def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport
     """Expected log wealth of trading the fitted drift density itself.
 
     Computed as half the mean of sum alpha_hat^2 d[S], and cross-checked
-    by pricing the wealth of the alpha_hat strategy directly.  The
-    stderr propagates the per-bin drift uncertainty (the dominant term:
-    the value is quadratic in the fitted alpha) on top of the per-path
-    Monte-Carlo spread.
+    by pricing the wealth of the alpha_hat strategy directly; one kernel
+    pass gives both sums.  The stderr propagates the per-bin drift
+    uncertainty (the dominant term: the value is quadratic in the fitted
+    alpha) on top of the per-path Monte-Carlo spread.
     """
     _require_continuous(ensemble)
     alpha_cells, _ = cell_alpha(est, ensemble)
     n = ensemble.n_paths
-    quad = np.empty(n)
-    for blk in _row_blocks(n, ensemble.grid.n_steps):
-        a = alpha_cells if alpha_cells.ndim == 1 else alpha_cells[blk]
-        quad[blk] = np.sum(a * a * np.diff(ensemble.qv[blk], axis=1), axis=1)
+    lin, quad = _moments([alpha_cells], ensemble)[0]
     mean, se_quad = _mean_stderr(quad)
     value = 0.5 * mean
     se_paths = 0.5 * se_quad
@@ -368,7 +366,7 @@ def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport
         (est.alpha[ok] * est.mass[ok] * est.stderr[ok] / n) ** 2
     )
     se = float(np.sqrt(se_paths**2 + se_alpha_sq))
-    logw = terminal_log_wealth_continuous(alpha_cells, ensemble)
+    logw = _continuous_sum(lin, quad)
     return GrowthReport(value, se, log_utility(logw), logw)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -577,25 +577,15 @@ class BundleEnsemble(Ensemble):
                   self.poisson_sign, self.late_jump_capped, self.snap_collision):
             a.setflags(write=False)
 
-    @cached_property
-    def cont_inc(self) -> np.ndarray:
-        """Per-cell increments of M, the continuous part of S."""
-        return np.diff(self.m, axis=1)
-
-    @cached_property
-    def cont_dqv(self) -> np.ndarray:
-        """Per-cell continuous variation increments of S."""
-        return self.cont_inc * self.cont_inc
-
-    def drift_values(self) -> np.ndarray:
-        """The insider drift A of every row.
+    def drift_values(self, rows: slice = slice(None)) -> np.ndarray:
+        """The insider drift A of the rows ``rows`` (all by default).
 
         A accumulates sigma(u) (B1 - B_u)/(1 - u) du by left-endpoint
         quadrature up to 1 - eps.  With left-endpoint evaluation the
         increments of the recentred martingale M - A have exactly zero
         conditional mean given (path prefix, B1).
         """
-        return _drift_values(self.grid, self.b, self.b1, self.eps)
+        return _drift_values(self.grid, self.b[rows], self.b1[rows], self.eps)
 
 
 def _build_bundles(

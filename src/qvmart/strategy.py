@@ -451,8 +451,9 @@ def load_strategy(obj: dict) -> GridRuleStrategy:
 
     Either a ``legs`` list (rule_ids ``const``, ``sign_prefix_end``) or a
     top-level ``rule_id`` shorthand (``const``, ``band_fraction``,
-    ``truncation``, ``sign_prefix_end``).  An optional ``margin`` is the
-    strategy's declared decay margin.
+    ``truncation``, ``sign_prefix_end``).  An optional ``name`` replaces
+    the built-in one, and an optional ``margin`` is the strategy's
+    declared decay margin.
     """
     name = obj.get("name", "")
     margin = obj.get("margin")
@@ -464,17 +465,19 @@ def load_strategy(obj: dict) -> GridRuleStrategy:
         if bound is None:
             # the largest value or sign scale of any leg
             bound = max((abs(l.value) for l in legs), default=1.0) or 1.0
-        out = legs_strategy(legs, float(bound), name)
+        out = legs_strategy(legs, float(bound))
     elif rid == "const":
-        out = const_strategy(float(params["value"]), name=name or None)
+        out = const_strategy(float(params["value"]))
     elif rid == "band_fraction":
-        return band_fraction_strategy(float(params["c"]), margin)
+        out = band_fraction_strategy(float(params["c"]))
     elif rid == "truncation":
         out = truncation_strategy(float(params["n"]))
     elif rid == "sign_prefix_end":
         out = sign_at_time_strategy(float(params.get("t0", 0.5)), float(params.get("scale", 1.0)))
     else:
         raise ConfigurationError(f"strategy file needs 'legs' or a known 'rule_id', got {rid!r}")
+    if name:
+        out = replace(out, name=name)
     return out if margin is None else replace(out, margin=margin)
 
 

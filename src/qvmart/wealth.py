@@ -10,12 +10,20 @@ The exponential is computed in its factorized form
 algebraically identical to exponential-times-compensated-jump-products
 but immune to overflow when individual jumps are huge: the raw jump
 terms inside the exponent cancel exactly against the ``exp(-pi dS)``
-jump compensators, so they are never materialized.
+jump compensators, so they are never materialized.  ``dS^c`` is
+``Ensemble.continuous_increments`` and ``d[S]^c`` its square, for every
+ensemble.
+
+Every terminal log-wealth sum comes from one kernel: a row-block pass
+(``_moments``) gives each path's ``A = sum x dS^c`` and ``B = sum x^2
+d[S]^c`` for a list of profiles x, and a profile ``c x`` has log terminal
+wealth ``c A - c^2 B / 2`` plus its jump terms, -inf on a ruined path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,28 +66,22 @@ class UtilityReport:
 def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic exponential of every path, wealth started at 1.
 
-    The exponent sums ``pi`` against the increments and the variation of
-    each path's continuous part.  Nonpositive wealth is a flagged outcome,
-    not an error: ruin is absorbing, so the first cumulative jump factor
-    prod (1 + pi dS) <= 0 freezes the path at its nonpositive value.
-    ``pi`` is one shared per-cell row or one row per path.  Returns the
-    ``(n_paths, n_points)`` wealth matrix and each path's first cell
-    whose cumulative jump factor is nonpositive (-1 when none).
+    The exponent sums ``pi`` against the continuous increments and their
+    squares, the kernel's ``dS^c`` and ``d[S]^c``.  Nonpositive wealth is a
+    flagged outcome, not an error: ruin is absorbing, so the first
+    cumulative jump factor prod (1 + pi dS) <= 0 freezes the path at its
+    nonpositive value.  ``pi`` is one shared per-cell row or one row per
+    path.  Returns the ``(n_paths, n_points)`` wealth matrix and each
+    path's first cell whose cumulative jump factor is nonpositive (-1 when
+    none).
     """
-    dqv = np.diff(ensemble.continuous_part().qv, axis=1)
-    return _product_recursion(np.asarray(pi, dtype=float), ensemble.continuous_increments(), dqv,
-                              ensemble.jump_path, ensemble.jump_cell, ensemble.jump_size)
-
-
-def _product_recursion(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size):
-    """Wealth rows exp(sum pi dS^c - sum pi^2 d[S]^c / 2) * prod (1 + pi dS),
-    each frozen from its first nonpositive cumulative factor; and the
-    index of that cell per row, -1 when there is none."""
-    w = np.ones((cont_inc.shape[0], cont_inc.shape[1] + 1))
-    w[:, 1:] = np.exp(np.cumsum(pi * cont_inc - 0.5 * pi * pi * dqv_cont, axis=1))
-    factors = np.ones(cont_inc.shape)
-    pj = _at_jumps(pi, jump_path, jump_cell)
-    np.multiply.at(factors, (jump_path, jump_cell), 1.0 + pj * jump_size)
+    pi = np.asarray(pi, dtype=float)
+    inc = ensemble.continuous_increments()
+    w = np.ones((inc.shape[0], inc.shape[1] + 1))
+    w[:, 1:] = np.exp(np.cumsum(pi * inc - 0.5 * pi * pi * (inc * inc), axis=1))
+    factors = np.ones(inc.shape)
+    path, cell = ensemble.jump_path, ensemble.jump_cell
+    np.multiply.at(factors, (path, cell), 1.0 + _at_jumps(pi, path, cell) * ensemble.jump_size)
     cumfac = np.cumprod(factors, axis=1)
     w[:, 1:] *= cumfac
     nonpos = cumfac <= 0.0
@@ -120,57 +122,44 @@ def log_utility(log_w1: np.ndarray) -> UtilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized terminal-wealth helpers (matrix form, used by the estimators)
+# The log-wealth kernel
 # ---------------------------------------------------------------------------
 
-def _log_wealth_terms(
-    pi: np.ndarray,
-    cont_inc: np.ndarray,
-    dqv_cont: np.ndarray,
-    jump_path: np.ndarray,
-    jump_cell: np.ndarray,
-    jump_size: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two parts of every path's log terminal wealth, and its wipe-out mask.
-
-    Returns ``sum(pi dS^c - pi^2 d[S]^c / 2)`` and the ``_jump_terms`` of
-    the profile.  ``pi`` broadcasts: one shared per-cell vector or a
-    per-path matrix.  Jump data comes flattened: parallel arrays of path
-    row, cell index and jump size.
-
-    The row sums run in row blocks; a row's sum does not depend on the
-    rows beside it, so the result is the one a single whole-matrix sum
-    gives, bit for bit.
-    """
-    n_paths, n_cells = cont_inc.shape
-    cont = np.empty(n_paths)
-    for blk in _row_blocks(n_paths, n_cells):
-        p = pi if pi.ndim == 1 else pi[blk]
-        cont[blk] = np.sum(p * cont_inc[blk] - 0.5 * p * p * dqv_cont[blk], axis=1)
-    return (cont, *_jump_terms(_at_jumps(pi, jump_path, jump_cell), jump_path, jump_size, n_paths))
-
-
-def _shape_moments(
-    x: np.ndarray, cont_inc: np.ndarray, dqv_cont: np.ndarray, dh: np.ndarray
+def _moments(
+    xs: Sequence[np.ndarray], ensemble: Ensemble, dh: Callable[[slice], np.ndarray] | None = None
 ) -> np.ndarray:
-    """Per-path sums ``x dS^c``, ``x^2 d[S]^c``, ``x dh`` and ``x^2 dh^2``, as
-    the rows of a ``(4, n_paths)`` array.
+    """Per-path sums ``A = sum x dS^c`` and ``B = sum x^2 d[S]^c`` of every
+    profile ``x`` in ``xs``, as a ``(len(xs), 2, n_paths)`` array.
 
-    For a profile ``c x`` the continuous log-wealth sum is
-    ``c A - c^2 B / 2`` and the supermartingale exponent ``c Ah - c^2 Bh``
-    in these four moments ``A, B, Ah, Bh``, so one pass over ``x`` serves
-    every coefficient.  ``x`` broadcasts like ``pi`` in
-    ``_log_wealth_terms`` and is summed in the same row blocks.
+    ``dS^c`` is ``ensemble.continuous_increments`` and ``d[S]^c`` its
+    square, formed once per row block for all the profiles.  With ``dh``, a
+    function of a row slice giving those rows' recentred increments, the
+    rows ``sum x dh`` and ``sum x^2 dh^2`` follow (``(len(xs), 4,
+    n_paths)``).  Each ``x`` is one shared per-cell row or a per-path
+    matrix.  A profile ``c x`` has the continuous log-wealth sum ``c A -
+    c^2 B / 2`` (``_continuous_sum``), so one pass over ``x`` serves every
+    coefficient.  A row's sum does not depend on the rows beside it, so
+    the result is the one a single whole-matrix sum gives, bit for bit.
     """
-    n_paths, n_cells = cont_inc.shape
-    out = np.empty((4, n_paths))
-    for blk in _row_blocks(n_paths, n_cells):
-        p = x if x.ndim == 1 else x[blk]
-        pp, h = p * p, dh[blk]
-        pairs = ((p, cont_inc[blk]), (pp, dqv_cont[blk]), (p, h), (pp, h * h))
-        for k, (w, inc) in enumerate(pairs):
-            out[k, blk] = np.sum(w * inc, axis=1)
+    n = ensemble.n_paths
+    out = np.empty((len(xs), 2 if dh is None else 4, n))
+    for blk in _row_blocks(n, ensemble.grid.n_steps):
+        inc = ensemble.continuous_increments(blk)
+        cells = [inc, inc * inc]
+        if dh is not None:
+            h = dh(blk)
+            cells += [h, h * h]
+        for x, o in zip(xs, out):
+            p = x if x.ndim == 1 else x[blk]
+            for k, (w, d) in enumerate(zip((p, p * p) * 2, cells)):
+                o[k, blk] = np.sum(w * d, axis=1)
     return out
+
+
+def _continuous_sum(a: np.ndarray, b: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """The continuous log-wealth sum ``c A - c^2 B / 2`` of a profile ``c x``."""
+    # + 0.0 turns the -0.0 that c = 0 leaves on a negative sum into +0.0
+    return c * a - (0.5 * c * c) * b + 0.0
 
 
 def _at_jumps(pi: np.ndarray, jump_path: np.ndarray, jump_cell: np.ndarray) -> np.ndarray:
@@ -205,34 +194,25 @@ def _terminal_log_wealth(cont: np.ndarray, jump: np.ndarray, wiped: np.ndarray) 
 
 
 def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.ndarray:
-    """Per-path log terminal wealth ``sum(pi dS - pi^2 d[S] / 2)`` for a
-    continuous ensemble, summed one row block at a time.
+    """Per-path continuous log-wealth sum ``sum(pi dS^c - pi^2 d[S]^c / 2)``:
+    the log terminal wealth of a continuous ensemble.
 
     ``pi`` broadcasts: either one shared per-cell vector or a per-path
     matrix.
     """
     pi = np.asarray(pi, dtype=float)
-    out = np.empty(ensemble.n_paths)
-    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        p = pi if pi.ndim == 1 else pi[blk]
-        ds = np.diff(ensemble.values[blk], axis=1)
-        dqv = np.diff(ensemble.qv[blk], axis=1)
-        out[blk] = np.sum(p * ds - 0.5 * p * p * dqv, axis=1)
-    return out
+    return _continuous_sum(*_moments([pi], ensemble)[0])
 
 
-def terminal_log_wealth_jumps(
-    pi: np.ndarray,
-    cont_inc: np.ndarray,
-    dqv_cont: np.ndarray,
-    jump_path: np.ndarray,
-    jump_cell: np.ndarray,
-    jump_size: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def terminal_log_wealth_jumps(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-path log terminal wealth with jumps, plus the wipe-out mask.
 
-    Jump data comes flattened: parallel arrays of path row, cell index,
-    and jump size.  Paths with any factor (1 + pi dS) <= 0 get -inf.
+    The continuous sum plus ``sum log(1 + pi dS)`` over the jumps; paths
+    with any factor (1 + pi dS) <= 0 get -inf.  ``pi`` broadcasts like
+    ``terminal_log_wealth_continuous``'s.
     """
-    cont, jump, wiped = _log_wealth_terms(pi, cont_inc, dqv_cont, jump_path, jump_cell, jump_size)
-    return _terminal_log_wealth(cont, jump, wiped), wiped
+    pi = np.asarray(pi, dtype=float)
+    path = ensemble.jump_path
+    jump, wiped = _jump_terms(_at_jumps(pi, path, ensemble.jump_cell), path,
+                              ensemble.jump_size, ensemble.n_paths)
+    return _terminal_log_wealth(terminal_log_wealth_continuous(pi, ensemble), jump, wiped), wiped

@@ -34,7 +34,7 @@ from qvmart.simulate import (
 )
 from qvmart.strategy import GridRuleStrategy, band_fraction_strategy, const_strategy
 from qvmart.strategy import pi_for_ensemble
-from qvmart.wealth import _log_wealth_terms
+from qvmart.wealth import _at_jumps, _jump_terms
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,21 @@ class TestNegativeWealth:
         binom_se = np.sqrt(max(rep.p_hat * (1 - rep.p_hat), 1e-9) / rep.n_paths)
         assert rep.p_hat >= 0.1 * np.exp(-0.1) - 3.0 * binom_se
 
+    @pytest.mark.parametrize("n", [50, 4000])
+    @pytest.mark.parametrize("tail", [0.0, 0.9])
+    def test_interval_is_clopper_pearson(self, bundles, n, tail):
+        # the exact 99% interval, against scipy.stats' beta quantiles
+        from scipy import stats
+
+        if n != bundles.n_paths:
+            bundles = gen_bundles(SeedStream(3), n, make_insider_grid(1e-2, 32, 64), 1e-2, 1.0)
+        strat = profile_strategy("over", lambda t: np.where(t >= tail, 1.0 - t / 2.0, 0.0))
+        rep = negative_wealth_probability(strat, bundles)
+        k = rep.n_nonpositive
+        assert 0 < k < n and rep.n_paths == n
+        assert rep.ci99_low == float(stats.beta.ppf(0.005, k, n - k + 1))
+        assert rep.ci99_high == float(stats.beta.ppf(0.995, k + 1, n - k))
+
     def test_zero_strategy_never_ruins(self, bundles):
         # pi = 0 is admissible, so the probe refuses it; wealth stays at 1
         with pytest.raises(ContractViolation):
@@ -320,6 +335,12 @@ class TestDriftVariationDivergence:
             insider_drift_divergence(bundles, [1e-3])
 
 
+def own_jump_terms(pi, ens):
+    """The jump sums and wipe-out mask of one member's own profile."""
+    return _jump_terms(_at_jumps(pi, ens.jump_path, ens.jump_cell), ens.jump_path,
+                       ens.jump_size, ens.n_paths)
+
+
 class TestSharedFamilyPass:
     """utility_sweep and utility_bound_terms_family share one pass per member
     and ensemble object."""
@@ -351,16 +372,15 @@ class TestSharedFamilyPass:
         # the reference sums each member's own profile cell by cell
         family = default_sweep_family()
         ens = self.fresh(400)
-        dh = cx._m_hat_increments(ens)
+        inc, dh = ens.continuous_increments(), np.diff(ens.m - ens.drift_values(), axis=1)
         passes = cx._family_pass(family, ens)
         assert len(passes) == len(family)
         wiped_any = False
         for member, p in zip(family, passes):
             pi = pi_for_ensemble(member, ens, insider=ens.b1, driver=ens.b)
-            cont = np.sum(pi * ens.cont_inc - 0.5 * pi * pi * ens.cont_dqv, axis=1)
+            cont = np.sum(pi * inc - 0.5 * pi * pi * (inc * inc), axis=1)
             sm = np.exp(2.0 * np.sum(pi * dh - pi * pi * dh * dh, axis=1))
-            _, jump, wiped = _log_wealth_terms(pi, ens.cont_inc, ens.cont_dqv, ens.jump_path,
-                                               ens.jump_cell, ens.jump_size)
+            jump, wiped = own_jump_terms(pi, ens)
             np.testing.assert_allclose(p.cont, cont, rtol=0, atol=1e-12, err_msg=member.name)
             np.testing.assert_allclose(p.supermartingale, sm, rtol=1e-12, atol=0,
                                        err_msg=member.name)
@@ -379,9 +399,7 @@ class TestSharedFamilyPass:
         ens = self.fresh()
         family = [GridRuleStrategy(f"late{c:+g}", 2.0, fn, scale=c) for c in (-2.0, 1.5, 0.5)]
         for member, p in zip(family, cx._family_pass(family, ens)):
-            pi = pi_for_ensemble(member, ens)
-            _, jump, wiped = _log_wealth_terms(pi, ens.cont_inc, ens.cont_dqv, ens.jump_path,
-                                               ens.jump_cell, ens.jump_size)
+            jump, wiped = own_jump_terms(pi_for_ensemble(member, ens), ens)
             assert p.jump.tobytes() == jump.tobytes() and p.wiped.tobytes() == wiped.tobytes()
         assert cx._family_pass(family, ens)[0].wiped.any()
 

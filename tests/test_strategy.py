@@ -520,6 +520,19 @@ class TestStrategyFiles:
         ref = evaluate(truncation_strategy(0.5), p)
         np.testing.assert_array_equal(evaluate(strat, p), ref)
 
+    @pytest.mark.parametrize("obj, builtin", [
+        ({"rule_id": "const", "params": {"value": 0.5}}, "const(0.5)"),
+        ({"rule_id": "band_fraction", "params": {"c": 0.5}}, "band(+0.5)"),
+        ({"rule_id": "truncation", "params": {"n": 2.0}}, "truncation(2)"),
+        ({"rule_id": "sign_prefix_end", "params": {"t0": 0.5}}, "sign_at(0.5)*1"),
+        ({"bound": 1.0, "legs": [{"until": 1.0, "rule_id": "const", "params": {"value": 0.5}}]},
+         ""),
+    ], ids=["const", "band_fraction", "truncation", "sign_prefix_end", "legs"])
+    def test_name_honoured_for_every_form(self, obj, builtin):
+        named = load_strategy({"name": "x", **obj})
+        plain = load_strategy(obj)
+        assert named.name == "x" and plain.name == builtin
+
     def test_band_fraction_with_margin(self):
         strat = load_strategy(
             {"rule_id": "band_fraction", "params": {"c": 0.5}, "margin": 0.5}

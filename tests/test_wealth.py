@@ -1,13 +1,16 @@
 """Wealth dynamics over ensembles: the integral sum, the stochastic
 exponential with and without jumps against a row-by-row reference, the
-left-endpoint recursion residual, and the -inf utility convention."""
+left-endpoint recursion residual, the -inf utility convention, and the
+row-blocked log-wealth kernel against whole-matrix sums."""
 
 import numpy as np
 import pytest
 
 from qvmart.errors import ContractViolation
+from qvmart.inference import BinSpec, estimate_alpha, growth_optimal_value
 from qvmart.path_core import _CHUNK_CELLS, Ensemble, TimeGrid, qv_matrix
-from qvmart.simulate import BrownianModel, SeedStream, gen_bundles, gen_ensemble, make_insider_grid
+from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_bundles, gen_ensemble
+from qvmart.simulate import make_insider_grid
 from qvmart.wealth import (
     dd_residual,
     log_utility,
@@ -15,7 +18,7 @@ from qvmart.wealth import (
     terminal_log_wealth_continuous,
     terminal_log_wealth_jumps,
 )
-from qvmart.wealth import _log_wealth_terms, _shape_moments
+from qvmart.wealth import _moments
 from test_path_core import one_row
 
 
@@ -31,20 +34,17 @@ def pure_jump_path(level=4, t=0.5, size=1.0):
 def ref_wealth(pi, values, cells, sizes):
     """Wealth along one path, cell by cell, and its first ruined cell (-1 if none).
 
-    Each cell multiplies the wealth by exp(pi dS^c - pi^2 d[S^c] / 2), the
-    variation being that of the path less its jumps, and a cell with a
-    jump also by (1 + pi dS).  Ruin is absorbing: from the first cell whose
-    running jump factor is nonpositive the wealth stays where it is.
+    Each cell multiplies the wealth by exp(pi dS^c - pi^2 d[S^c] / 2), with
+    dS^c the increment less the cell's jump and d[S^c] its square, and a
+    cell with a jump also by (1 + pi dS).  Ruin is absorbing: from the
+    first cell whose running jump factor is nonpositive the wealth stays
+    where it is.
     """
     jump = dict(zip(np.asarray(cells).tolist(), np.asarray(sizes, dtype=float).tolist()))
-    steps = np.zeros_like(values)
-    steps[np.asarray(cells, dtype=int) + 1] = sizes
-    inc = np.diff(values - np.cumsum(steps))
-    qv = np.concatenate([[0.0], np.cumsum(inc * inc)])
     exponent, factor, logs, factors = 0.0, 1.0, [], []
     for k in range(values.size - 1):
-        p, dq = pi[k], qv[k + 1] - qv[k]
-        exponent += p * (values[k + 1] - values[k] - jump.get(k, 0.0)) - 0.5 * p * p * dq
+        p, inc = pi[k], values[k + 1] - values[k] - jump.get(k, 0.0)
+        exponent += p * inc - 0.5 * p * p * (inc * inc)
         factor *= (1.0 + p * jump[k]) if k in jump else 1.0
         logs.append(exponent)
         factors.append(factor)
@@ -64,14 +64,11 @@ def ref_rows(pi, ens):
 
 
 class TestSimpleIntegral:
-    """The integral sum pi dS, read as the continuous log-wealth sum
-    against zero variation."""
+    """The integral sum pi dS, read as the kernel's linear moment."""
 
     @staticmethod
     def integral(pi, p):
-        ds = np.diff(p.values, axis=1)
-        return _log_wealth_terms(np.asarray(pi, dtype=float), ds, np.zeros_like(ds),
-                                 p.jump_path, p.jump_cell, p.jump_size)[0][0]
+        return _moments([np.asarray(pi, dtype=float)], p)[0, 0, 0]
 
     def test_unit_telescopes(self):
         p = brownian(1, 8)
@@ -124,7 +121,7 @@ class TestJumpExponential:
         pi = np.linspace(-1, 1, 128)
         w, dead = stoch_exp_ensemble(pi, p)
         inc = np.diff(p.values[0])
-        want = np.exp(np.cumsum(pi * inc - 0.5 * pi * pi * np.diff(np.cumsum(inc * inc), prepend=0.0)))
+        want = np.exp(np.cumsum(pi * inc - 0.5 * pi * pi * (inc * inc)))
         assert w[0, 1:].tobytes() == want.tobytes() and dead[0] == -1
 
     def test_single_up_jump(self):
@@ -161,12 +158,7 @@ class TestJumpExponential:
         p = pure_jump_path(size=-0.5)
         pi = np.full(16, 0.8)
         w, _ = stoch_exp_ensemble(pi, p)
-        logw, wiped = terminal_log_wealth_jumps(
-            pi[None, :],
-            p.continuous_increments(),
-            np.diff(qv_matrix(p.continuous_part()), axis=1),
-            p.jump_path, p.jump_cell, p.jump_size,
-        )
+        logw, wiped = terminal_log_wealth_jumps(pi[None, :], p)
         assert not wiped[0]
         assert np.exp(logw[0]) == pytest.approx(w[0, -1], rel=1e-12)
 
@@ -245,52 +237,75 @@ class TestLogUtility:
 
 
 class TestRowBlockedKernel:
-    """The row-blocked log-wealth and moment kernels against whole-matrix sums
-    written out here."""
+    """The row-blocked moment kernel and the terminal log wealths built on
+    it, against whole-matrix sums written out here."""
 
     CELLS = 2048
     ROWS = _CHUNK_CELLS // CELLS  # rows per block
 
-    def data(self, n_paths, shared, jumps, seed=3):
+    def data(self, n_paths, shared, jumps=True, seed=3):
+        """An ensemble, a profile, recentred increments and the continuous
+        increments written out over the whole matrix."""
         rng = np.random.default_rng(seed)
-        ci = rng.normal(0.0, 0.05, (n_paths, self.CELLS))
-        dq = ci * ci
-        dh = rng.normal(0.0, 0.05, (n_paths, self.CELLS))
-        pi = rng.uniform(-0.9, 0.9, self.CELLS if shared else (n_paths, self.CELLS))
+        values = np.cumsum(rng.normal(0.0, 0.05, (n_paths, self.CELLS + 1)), axis=1)
         if jumps:
-            flat = np.sort(rng.choice(n_paths * self.CELLS, 3 * n_paths, replace=False))
+            flat = np.sort(rng.choice(n_paths * self.CELLS, 8 * n_paths, replace=False))
             jp, jc = np.divmod(flat, self.CELLS)
             js = rng.choice([-1.0, 1.0], flat.size) * rng.uniform(0.5, 3.0, flat.size)
         else:
             jp, jc, js = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
-        return pi, ci, dq, jp, jc, js, dh
+        ens = Ensemble(TimeGrid.uniform(self.CELLS), values, None, "kernel", jp, jc, js)
+        pi = rng.uniform(-0.9, 0.9, self.CELLS if shared else (n_paths, self.CELLS))
+        dh = rng.normal(0.0, 0.05, (n_paths, self.CELLS))
+        inc = np.diff(values, axis=1)
+        inc[jp, jc] -= js
+        return ens, pi, dh, inc
 
     @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
     @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
     @pytest.mark.parametrize("jumps", [False, True], ids=["jump-free", "jumps"])
     def test_bit_equal_to_whole_matrix_sums(self, n_paths, shared, jumps):
-        pi, ci, dq, jp, jc, js, dh = self.data(n_paths, shared, jumps)
-        cont, jump, wiped = _log_wealth_terms(pi, ci, dq, jp, jc, js)
-        assert cont.tobytes() == np.sum(pi * ci - 0.5 * pi * pi * dq, axis=1).tobytes()
+        ens, pi, _, inc = self.data(n_paths, shared, jumps)
+        cont = np.sum(pi * inc, axis=1) - 0.5 * np.sum(pi * pi * (inc * inc), axis=1)
+        assert terminal_log_wealth_continuous(pi, ens).tobytes() == cont.tobytes()
         ref_jump, ref_wiped = np.zeros(n_paths), np.zeros(n_paths, dtype=bool)
-        pm = np.broadcast_to(pi, ci.shape)
-        for p, c, z in zip(jp, jc, js):
+        pm = np.broadcast_to(pi, inc.shape)
+        for p, c, z in zip(ens.jump_path, ens.jump_cell, ens.jump_size):
             f = 1.0 + pm[p, c] * z
             if f <= 0.0:
                 ref_wiped[p] = True
             else:
                 ref_jump[p] += np.log(f)
-        assert jump.tobytes() == ref_jump.tobytes()
+        logw, wiped = terminal_log_wealth_jumps(pi, ens)
         assert wiped.tobytes() == ref_wiped.tobytes()
         assert ref_wiped.any() == jumps  # the mask is exercised
+        assert logw.tobytes() == np.where(ref_wiped, -np.inf, cont + ref_jump).tobytes()
 
     @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
     @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
     def test_moments_bit_equal_to_whole_matrix_sums(self, n_paths, shared):
-        x, ci, dq, _, _, _, dh = self.data(n_paths, shared, False)
-        moments = _shape_moments(x, ci, dq, dh)
-        ref = [np.sum(x * ci, axis=1), np.sum(x * x * dq, axis=1),
-               np.sum(x * dh, axis=1), np.sum(x * x * (dh * dh), axis=1)]
-        assert moments.shape == (4, n_paths)
-        for got, want in zip(moments, ref):
-            assert got.tobytes() == want.tobytes()
+        ens, x, dh, inc = self.data(n_paths, shared)
+        want = [np.sum(x * inc, axis=1), np.sum(x * x * (inc * inc), axis=1),
+                np.sum(x * dh, axis=1), np.sum(x * x * (dh * dh), axis=1)]
+        without, with_dh = _moments([x], ens)[0], _moments([x], ens, lambda blk: dh[blk])[0]
+        assert without.shape == (2, n_paths) and with_dh.shape == (4, n_paths)
+        for got in (without, with_dh):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("recentred", [False, True], ids=["no-dh", "dh"])
+    def test_several_profiles_equal_one_call_each(self, recentred):
+        ens, x, dh, _ = self.data(self.ROWS + 3, False)
+        xs = [x, x[0], np.abs(x), np.zeros(self.CELLS)]
+        f = (lambda blk: dh[blk]) if recentred else None
+        got = _moments(xs, ens, f)
+        for g, one in zip(got, xs):
+            assert g.tobytes() == _moments([one], ens, f)[0].tobytes()
+
+    @pytest.mark.parametrize("state_bins", [0, 4])
+    def test_growth_direct_matches_value(self, state_bins):
+        # the fitted drift's log wealth A - B/2 and half its quadratic mass
+        # B / 2 come from one pass; in-sample their means agree
+        ens = gen_ensemble(DriftedDiffusion(0.1, 0.2), SeedStream(8), 2000, TimeGrid.uniform(64))
+        growth = growth_optimal_value(estimate_alpha(ens, BinSpec(8, state_bins)), ens)
+        assert growth.direct.estimate == pytest.approx(growth.value, rel=1e-12)
