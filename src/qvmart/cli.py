@@ -36,7 +36,6 @@ from .inference import (
     growth_optimal_value,
     martingale_residual,
     optimality_gap,
-    reconstruction_error,
 )
 from .path_core import (
     Ensemble,
@@ -227,10 +226,7 @@ def _cmd_decompose(args) -> int:
                    min_count=cfg["min_count"])
     est = estimate_alpha(ens, spec)
     result = decompose(ens, est)
-    # checked before the recentred paths' variation is cached; every step
-    # after it reads the recentred paths alone, so the source's matrices go
-    rebuild_error = reconstruction_error(result, ens)
-    del ens
+    del ens  # every step after it reads the recentred paths alone
     stop_n = choose_truncation_level(result.s_hat)
     tests = (
         load_strategy_file(cfg["tests"]) if cfg["tests"] else
@@ -260,7 +256,7 @@ def _cmd_decompose(args) -> int:
     second_moments = np.mean(result.s_hat.values**2, axis=0)
     payload = {
         "coverage": result.coverage,
-        "reconstruction_error": rebuild_error,
+        "reconstruction_error": result.reconstruction_error,
         "truncation_level": stop_n,
         "all_diagnostics_passed": all(d.passed for d in diags),
         "n_bins_estimated": int(est.estimated.sum()),

@@ -7,9 +7,10 @@ The estimator recovers the drift density alpha in the representation
 by a per-bin ratio of sums: within each (time, state) bin, alpha_hat is
 the total path increment divided by the total variation increment, the
 exact least-squares solution of dS ~ alpha d[S] on bin-measurable test
-functions.  Recentring S by the fitted drift yields paths whose simple
-integrals against bounded test strategies should be statistically zero;
-those z-scores are the martingale diagnostics.
+functions.  ``d[S]`` is ``Ensemble.variation_increments``, read one row
+block at a time.  Recentring S by the fitted drift yields paths whose
+simple integrals against bounded test strategies should be statistically
+zero; those z-scores are the martingale diagnostics.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "estimate_alpha",
     "cell_alpha",
     "decompose",
-    "reconstruction_error",
     "martingale_residual",
     "growth_optimal_value",
     "optimality_gap",
@@ -117,9 +117,13 @@ class LambdaEstimate:
 
 @dataclass
 class DecompositionResult:
+    """``reconstruction_error`` is the largest gap of ``S_hat + sum alpha
+    d[S]`` against the original paths, NaN when a path holds a NaN."""
+
     alpha: DriftEstimate
     s_hat: Ensemble
     coverage: float
+    reconstruction_error: float
     diagnostics: list["Diagnostic"] = field(default_factory=list)
 
 
@@ -142,14 +146,15 @@ def _require_continuous(ensemble: Ensemble) -> None:
 
 def choose_truncation_level(ensemble: Ensemble, target: float = 0.99) -> float:
     """Smallest power-of-two threshold leaving at least ``target`` of the
-    paths unstopped."""
-    vals, qv, width = ensemble.values, ensemble.qv, ensemble.values.shape[1]
-    blocks = _row_blocks(ensemble.n_paths, ensemble.grid.n_steps)
+    paths unstopped: a path stops at ``n`` when the peak of its level and
+    variation exceeds ``n`` (``fmax`` skips NaN, as the comparisons do)."""
+    vals, qv = ensemble.values, ensemble.qv
+    peak = np.empty(ensemble.n_paths)
+    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        peak[blk] = np.fmax.reduce(np.fmax(np.abs(vals[blk]), qv[blk]), axis=1)
     n = 1.0
     for _ in range(64):
-        stopped = sum(np.count_nonzero(truncation_index(vals[blk], qv[blk], n) < width)
-                      for blk in blocks)
-        frac_free = 1.0 - stopped / ensemble.n_paths
+        frac_free = 1.0 - np.count_nonzero(peak > n) / ensemble.n_paths
         if frac_free >= target:
             return n
         n *= 2.0
@@ -187,11 +192,12 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
 
     Standard errors treat paths as the independent unit (cells within a
     path are summed first), which is exact for the ratio estimator under
-    path-level resampling.  The per-path sums are taken one row block at
-    a time; time-only binning is the case of one state bin, to the bit.
+    path-level resampling.  The per-path sums of ``dS`` and of ``d[S]``
+    (``Ensemble.variation_increments``) are taken one row block at a
+    time; time-only binning is the case of one state bin, to the bit.
     """
     _require_continuous(ensemble)
-    grid, vals, qv = ensemble.grid, ensemble.values, ensemble.qv
+    grid, vals = ensemble.grid, ensemble.values
     time_edges = np.linspace(0.0, 1.0, bin_spec.time_bins + 1)
     state_edges = None
     if bin_spec.state_bins:
@@ -210,9 +216,9 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
         # each (row, bin) of the block as one index; bincount adds its
         # weights in cell order from 0.0, as a running sum would
         keys = (bins + B * np.arange(n_rows)[:, None]).ravel()
-        for out, m in ((num, vals), (den, qv)):
-            inc = np.diff(m[blk], axis=1).ravel()
-            out[blk] = np.bincount(keys, inc, n_rows * B).reshape(n_rows, B)
+        for out, inc in ((num, np.diff(vals[blk], axis=1)),
+                         (den, ensemble.variation_increments(blk))):
+            out[blk] = np.bincount(keys, inc.ravel(), n_rows * B).reshape(n_rows, B)
     tot_num = num.sum(axis=0)
     tot_den = den.sum(axis=0)
     estimated = (cnt >= bin_spec.min_count) & (tot_den > 0.0)
@@ -268,48 +274,35 @@ def decompose(
 ) -> DecompositionResult:
     """Recentre every path by its fitted drift: S_hat = S - sum alpha d[S].
 
-    Refuses when more than ``max_uncovered`` of the variation mass falls
-    in bins without an estimate.
+    One row-block pass forms each block's ``d[S]``, each row's variation
+    mass and covered mass, the drift, the recentred rows and their
+    reconstruction gap.  Refuses when more than ``max_uncovered`` of the
+    variation mass (summed over the rows) falls in bins without an estimate.
     """
     _require_continuous(ensemble)
-    grid, vals, qv = ensemble.grid, ensemble.values, ensemble.qv
-    blocks = _row_blocks(ensemble.n_paths, grid.n_steps)
-    # each mass is one sum over the whole increment matrix, whose order of
-    # addition follows its shape: the covered mass zeroes that matrix's
-    # uncovered cells in place, block by block, and sums it again
-    dqv = np.diff(qv, axis=1)
-    mass = float(np.sum(dqv))
-    if mass > 0:
-        for blk in blocks:
-            dqv[blk] *= cell_alpha(est, ensemble, blk)[1]
-        coverage = float(np.sum(dqv)) / mass
-    else:
-        coverage = 1.0
-    del dqv
+    grid, vals = ensemble.grid, ensemble.values
+    s_vals = np.empty_like(vals)
+    mass = np.empty(ensemble.n_paths)
+    covered = np.empty(ensemble.n_paths)
+    gaps = []
+    for blk in _row_blocks(ensemble.n_paths, grid.n_steps):
+        dqv = ensemble.variation_increments(blk)
+        alpha_cells, cov = cell_alpha(est, ensemble, blk)
+        drift = np.zeros_like(vals[blk])
+        np.cumsum(alpha_cells * dqv, axis=1, out=drift[:, 1:])
+        np.subtract(vals[blk], drift, out=s_vals[blk])
+        mass[blk] = np.sum(dqv, axis=1)
+        covered[blk] = np.sum(np.multiply(dqv, cov, out=dqv), axis=1)
+        drift += s_vals[blk]  # the rebuilt rows
+        gaps.append(np.max(np.abs(np.subtract(drift, vals[blk], out=drift))))
+    total = float(np.sum(mass))
+    coverage = float(np.sum(covered)) / total if total > 0 else 1.0
     if coverage < 1.0 - max_uncovered:
         raise ContractViolation(
             f"only {coverage:.1%} of the variation mass has a drift estimate"
         )
-    s_vals = np.empty_like(vals)
-    for blk in blocks:
-        drift = np.zeros_like(vals[blk])
-        dq = np.diff(qv[blk], axis=1)
-        np.cumsum(cell_alpha(est, ensemble, blk)[0] * dq, axis=1, out=drift[:, 1:])
-        np.subtract(vals[blk], drift, out=s_vals[blk])
     s_hat = Ensemble(grid, s_vals, ensemble.master_seed, ensemble.model_tag + "-recentred")
-    return DecompositionResult(est, s_hat, coverage)
-
-
-def reconstruction_error(result: DecompositionResult, ensemble: Ensemble) -> float:
-    """Max absolute gap of S_hat + sum alpha d[S] against the original paths."""
-    vals, qv = ensemble.values, ensemble.qv
-    worst = []
-    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        alpha_cells, _ = cell_alpha(result.alpha, ensemble, blk)
-        rebuilt = result.s_hat.values[blk].copy()
-        rebuilt[:, 1:] += np.cumsum(alpha_cells * np.diff(qv[blk], axis=1), axis=1)
-        worst.append(np.max(np.abs(rebuilt - vals[blk])))
-    return float(np.max(worst))
+    return DecompositionResult(est, s_hat, coverage, float(np.max(gaps)))
 
 
 def martingale_residual(

@@ -181,6 +181,16 @@ class Ensemble:
         np.subtract.at(inc, (self.jump_path[j] - lo, self.jump_cell[j]), self.jump_size[j])
         return inc
 
+    def variation_increments(self, rows: slice = slice(None)) -> np.ndarray:
+        """Per-cell quadratic variation ``d[S]`` of the paths in ``rows`` (all
+        by default): the squared continuous increment, plus the squared size
+        of a jump in that cell, so the jump term is exact whatever the mesh."""
+        inc = self.continuous_increments(rows)
+        j, lo = self._jumps_in(rows), rows.start or 0
+        np.add.at(np.square(inc, out=inc), (self.jump_path[j] - lo, self.jump_cell[j]),
+                  np.square(self.jump_size[j]))
+        return inc
+
     def _jumps_in(self, rows: slice) -> slice:
         """The span of the flat jump arrays that belongs to the paths in ``rows``."""
         return slice(*np.searchsorted(self.jump_path, rows.indices(self.n_paths)[:2]))
@@ -191,20 +201,11 @@ class Ensemble:
 # ---------------------------------------------------------------------------
 
 def qv_matrix(ensemble: Ensemble) -> np.ndarray:
-    """Quadratic variation of every path, as a (n_paths, n_points) matrix.
-
-    Per cell: the squared continuous increment, plus the squared size of
-    a jump in that cell, so the jump term is exact whatever the mesh.
-    Each row's sum is its own, so the rows are summed in row blocks.
-    """
+    """Quadratic variation of every path, as a (n_paths, n_points) matrix:
+    the running sum of ``Ensemble.variation_increments``, in row blocks."""
     out = np.zeros_like(ensemble.values)
     for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        inc = ensemble.continuous_increments(blk)
-        cell = np.multiply(inc, inc, out=inc)
-        j = ensemble._jumps_in(blk)
-        size = ensemble.jump_size[j]
-        np.add.at(cell, (ensemble.jump_path[j] - blk.start, ensemble.jump_cell[j]), size * size)
-        np.cumsum(cell, axis=1, out=out[blk, 1:])
+        np.cumsum(ensemble.variation_increments(blk), axis=1, out=out[blk, 1:])
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, TimeGrid, _mean_stderr, truncation_index
+from .path_core import Ensemble, TimeGrid, _mean_stderr, _row_blocks, truncation_index
 
 __all__ = [
     "EvalContext",
@@ -266,13 +266,15 @@ class NormEstimate:
 
 def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble) -> NormEstimate:
     """Monte-Carlo estimate of E of the pathwise integral of pi^2 against
-    the running variation (jump contributions included via the variation
-    increments themselves)."""
+    ``d[S]`` (``Ensemble.variation_increments``, jumps included), summed
+    one row block at a time."""
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
     pi = pi_for_ensemble(strategy, ensemble)
-    dqv = np.diff(ensemble.qv, axis=1)
-    per_path = np.sum(pi * pi * dqv, axis=1)
+    per_path = np.empty(ensemble.n_paths)
+    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
+        p = pi if pi.ndim == 1 else pi[blk]
+        per_path[blk] = np.sum(p * p * ensemble.variation_increments(blk), axis=1)
     return NormEstimate(*_mean_stderr(per_path), ensemble.n_paths)
 
 

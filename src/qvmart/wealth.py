@@ -76,19 +76,25 @@ def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, 
     none).
     """
     pi = np.asarray(pi, dtype=float)
-    inc = ensemble.continuous_increments()
-    w = np.ones((inc.shape[0], inc.shape[1] + 1))
-    w[:, 1:] = np.exp(np.cumsum(pi * inc - 0.5 * pi * pi * (inc * inc), axis=1))
-    factors = np.ones(inc.shape)
-    path, cell = ensemble.jump_path, ensemble.jump_cell
-    np.multiply.at(factors, (path, cell), 1.0 + _at_jumps(pi, path, cell) * ensemble.jump_size)
-    cumfac = np.cumprod(factors, axis=1)
-    w[:, 1:] *= cumfac
-    nonpos = cumfac <= 0.0
-    dead = np.where(nonpos.any(axis=1), nonpos.argmax(axis=1), -1)
-    cols = np.arange(w.shape[1])
-    frozen = np.where(dead[:, None] < 0, cols, np.minimum(cols, dead[:, None] + 1))
-    return np.take_along_axis(w, frozen, axis=1), dead
+    n_paths, width = ensemble.values.shape
+    w = np.ones((n_paths, width))
+    dead = np.full(n_paths, -1, dtype=np.intp)
+    # each row's wealth is its own: one row block of every temporary at a time
+    for blk in _row_blocks(n_paths, width - 1):
+        wb, p = w[blk], (pi if pi.ndim == 1 else pi[blk])
+        inc = ensemble.continuous_increments(blk)
+        np.exp(np.cumsum(p * inc - 0.5 * p * p * (inc * inc), axis=1), out=wb[:, 1:])
+        factors = np.ones(inc.shape)
+        j = ensemble._jumps_in(blk)
+        path, cell = ensemble.jump_path[j], ensemble.jump_cell[j]
+        np.multiply.at(factors, (path - blk.start, cell),
+                       1.0 + _at_jumps(pi, path, cell) * ensemble.jump_size[j])
+        wb[:, 1:] *= np.cumprod(factors, axis=1, out=factors)
+        nonpos = factors <= 0.0
+        dead[blk] = d = np.where(nonpos.any(axis=1), nonpos.argmax(axis=1), -1)
+        r = np.nonzero(d >= 0)[0]  # frozen from the first nonpositive factor on
+        wb[r] = np.take_along_axis(wb[r], np.minimum(np.arange(width), d[r, None] + 1), axis=1)
+    return w, dead
 
 
 def dd_residual(pi: np.ndarray, ensemble: Ensemble, w: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def test_a4_growth_optimal(bs, bs_alpha):
 def test_a5_riesz_identity(bs, bs_alpha):
     ens = bs
     a_cells, _ = cell_alpha(bs_alpha, ens)
-    dqv = np.diff(ens.qv, axis=1)
+    dqv = ens.variation_increments()  # the fit's own d[S]
 
     # bin-measurable test strategy: window aligned with the 32-bin edges
     aligned = window_strategy(1.0, 0.0, 0.25)

@@ -162,8 +162,9 @@ def test_decompose_computes_each_variation_once(tmp_path, qv_calls):
     assert main(["decompose", "--in", str(sim), "--bins", "4", "--state-bins", "2",
                  "--min-count", "20", "--out", str(dec)]) == 0
     ens = load_ensemble(sim)
-    # one pass over the stored paths, one over the recentred ones
-    assert [e.model_tag for e in qv_calls] == [ens.model_tag, ens.model_tag + "-recentred"]
+    # the fit reads d[S] row block by row block: only the recentred paths'
+    # truncation rules build a variation matrix
+    assert [e.model_tag for e in qv_calls] == [ens.model_tag + "-recentred"]
     result = decompose(ens, estimate_alpha(ens, BinSpec(4, state_bins=2, min_count=20)))
     report = json.loads((dec / "decomposition_report.json").read_text())
     assert report["truncation_level"] == choose_truncation_level(result.s_hat)

@@ -20,9 +20,8 @@ from qvmart.inference import (
     growth_optimal_value,
     martingale_residual,
     optimality_gap,
-    reconstruction_error,
 )
-from qvmart.path_core import Ensemble, TimeGrid
+from qvmart.path_core import Ensemble, TimeGrid, truncation_index
 from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_ensemble
 from qvmart.strategy import (
     const_strategy,
@@ -164,7 +163,33 @@ class TestDecompose:
         ens = bs
         res = decompose(ens, bs_alpha)
         scale = max(1.0, float(np.max(np.abs(ens.values))))
-        assert reconstruction_error(res, ens) / scale <= 1e-10
+        assert res.reconstruction_error / scale <= 1e-10
+
+    @pytest.mark.parametrize("state_bins", [0, 3])
+    def test_reconstruction_error_is_the_whole_matrix_rebuild(self, state_bins, monkeypatch):
+        # S_hat + sum alpha d[S] against S, over the whole matrix at once,
+        # equals the field decompose fills one row block at a time
+        ens = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(12), 50, GRID_32)
+        est = estimate_alpha(ens, BinSpec(8, state_bins=state_bins, min_count=20))
+        monkeypatch.setattr(path_core, "_CHUNK_CELLS", 7 * GRID_32.n_steps)
+        res = decompose(ens, est, max_uncovered=1.0)
+        alpha_cells, covered = cell_alpha(est, ens)
+        dqv = ens.variation_increments()
+        drift = np.zeros_like(ens.values)
+        drift[:, 1:] = np.cumsum(alpha_cells * dqv, axis=1)
+        assert res.s_hat.values.tobytes() == (ens.values - drift).tobytes()
+        want = np.max(np.abs(res.s_hat.values + drift - ens.values))
+        assert res.reconstruction_error == want
+        masses = np.sum(dqv, axis=1), np.sum(dqv * covered, axis=1)
+        assert res.coverage == float(np.sum(masses[1])) / float(np.sum(masses[0]))
+
+    def test_nan_path_gives_nan_reconstruction_error(self):
+        vals = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(12), 50, GRID_32).values.copy()
+        vals[7, 20] = np.nan
+        ens = Ensemble(GRID_32, vals, 12, "x")
+        est = estimate_alpha(Ensemble(GRID_32, np.delete(vals, 7, axis=0), 12, "x"),
+                             BinSpec(8, min_count=20))
+        assert np.isnan(decompose(ens, est).reconstruction_error)
 
     def test_refuses_thin_coverage(self, driftless):
         ens = driftless
@@ -282,7 +307,7 @@ class TestRieszIdentity:
         pi_strategy = window_strategy(1.0, 0.0, 0.25)  # 0.25 is a bin edge of 32
         lam = estimate_lambda(pi_strategy, ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
-        dqv = np.diff(ens.qv, axis=1)
+        dqv = ens.variation_increments()  # the fit's own d[S]
         from qvmart.strategy import pi_for_ensemble
 
         pi = pi_for_ensemble(pi_strategy, ens)
@@ -295,7 +320,7 @@ class TestRieszIdentity:
         pi_strategy = window_strategy(1.0, 0.25 / 2.0 ** 5, 0.25)  # starts mid-bin
         lam = estimate_lambda(pi_strategy, ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
-        dqv = np.diff(ens.qv, axis=1)
+        dqv = ens.variation_increments()  # the fit's own d[S]
         from qvmart.strategy import pi_for_ensemble
 
         pi = pi_for_ensemble(pi_strategy, ens)
@@ -338,6 +363,28 @@ class TestTruncationDiscipline:
         hit = (np.abs(ens.values) > n) | (ens.qv > n)
         assert 1.0 - hit.any(axis=1).mean() >= 0.99
 
+    def test_one_pass_level_is_the_multi_pass_level(self):
+        # the level counted afresh at each power of two with truncation_index
+        def multi_pass(ens, target):
+            n, width = 1.0, ens.values.shape[1]
+            for _ in range(64):
+                stopped = np.count_nonzero(truncation_index(ens.values, ens.qv, n) < width)
+                if 1.0 - stopped / ens.n_paths >= target:
+                    return n
+                n *= 2.0
+
+        rng = np.random.default_rng(6)
+        vals = np.cumsum(rng.normal(0.0, 1.0, (40, 33)) * rng.uniform(0.05, 8.0, (40, 1)), axis=1)
+        vals[0] = 1.5 * (-1.0) ** np.arange(33)  # |S| = 1.5, [S] = 45 by t = 5/32 ...
+        vals[0, 6:] = np.nan  # ... and NaN from there on
+        vals[1, 0] = np.nan  # a NaN variation throughout, finite levels after t = 0
+        vals[2] = np.nan
+        ens = Ensemble(TimeGrid.uniform(32), vals, 6, "x")
+        assert truncation_index(vals[0], ens.qv[0], 32.0) == 4
+        assert truncation_index(vals[0], ens.qv[0], 64.0) == 33
+        for target in (0.25, 0.5, 0.8, 0.95, 1.0):
+            assert choose_truncation_level(ens, target) == multi_pass(ens, target), target
+
     def test_crossing_at_last_point_is_a_stop(self):
         vals = np.zeros((4, 4))
         vals[0, 1:] = [0.5, 0.9, 1.5]  # above n = 1 only at t = 1; variation 0.77 < 1
@@ -361,7 +408,7 @@ class TestRowBlocks:
         gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), growth, ens)
         lams = [estimate_lambda(s, res.s_hat, stop_n=0.25)
                 for s in (const_strategy(1.0), truncation_strategy(0.25))]
-        nums = [res.coverage, reconstruction_error(res, ens), stop_n, growth.value,
+        nums = [res.coverage, res.reconstruction_error, stop_n, growth.value,
                 growth.stderr, growth.direct.estimate, gap.gap, gap.stderr,
                 *(x for lam in lams for x in (lam.value, lam.stderr))]
         arrays = [est.alpha, est.stderr, est.count, est.mass, est_t.alpha, est_t.stderr,
@@ -376,25 +423,39 @@ class TestRowBlocks:
             assert self.outputs(values) == whole, rows
 
     def test_state_bin_fit_and_rebuild_stay_bounded(self):
-        # the variation (1x), num and den at 256 bins (1x each) and a row
-        # block's temporaries, against 7x and more with whole-matrix passes
+        # num and den at 256 bins (1x each), the recentred values (1x) and a
+        # row block's temporaries, against 7x and more with whole-matrix passes
         vals = np.cumsum(np.random.default_rng(3).normal(0.0, 0.06, (2000, 257)), axis=1)
         ens = Ensemble(TimeGrid.uniform(256), vals, 3, "x")
         tracemalloc.start()
         try:
             est = estimate_alpha(ens, BinSpec(32, state_bins=8, min_count=20))
-            reconstruction_error(decompose(ens, est), ens)
+            decompose(ens, est)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 6 * vals.nbytes
+
+    def test_decompose_holds_only_the_recentred_values(self):
+        # the recentred values (1x) and a row block's temporaries: no
+        # variation matrix of the source paths, cached or transient
+        vals = np.cumsum(np.random.default_rng(5).normal(0.0, 0.06, (10_000, 257)), axis=1)
+        est = estimate_alpha(Ensemble(TimeGrid.uniform(256), vals, 5, "x"),
+                             BinSpec(32, state_bins=8, min_count=20))
+        ens = Ensemble(TimeGrid.uniform(256), vals, 5, "x")  # nothing cached on it
+        tracemalloc.start()
+        try:
+            decompose(ens, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * vals.nbytes
 
     def test_time_only_fit_stays_bounded(self):
         # num and den at 32 bins (1/8x each) and a row block's temporaries,
         # against an increment matrix and more with whole-matrix passes
         vals = np.cumsum(np.random.default_rng(4).normal(0.0, 0.06, (20_000, 257)), axis=1)
         ens = Ensemble(TimeGrid.uniform(256), vals, 4, "x")
-        ens.qv  # the ensemble's own variation, computed before the fit
         tracemalloc.start()
         try:
             estimate_alpha(ens, BinSpec(32))

@@ -27,6 +27,7 @@ from qvmart.simulate import (
     BrownianModel,
     SeedStream,
     gen_bundles,
+    gen_ensemble,
     make_insider_grid,
 )
 
@@ -223,6 +224,40 @@ class TestQuadraticVariation:
         inc = np.diff(p.values[0])
         for k in (1, 17, 33, 64):
             assert qv[k] == pytest.approx(float(np.sum(inc[:k] ** 2)), rel=1e-12)
+
+
+class TestVariationIncrements:
+    """``Ensemble.variation_increments`` is the one per-cell ``d[S]``."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 49])
+    def test_running_sum_is_qv_matrix(self, rows_per_block, monkeypatch):
+        grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
+        ens = gen_bundles(SeedStream(5), 60, grid, 1e-2, 3.0)
+        assert ens.jump_path.size
+        whole = ens.variation_increments()
+        want = np.zeros_like(ens.values)
+        want[:, 1:] = np.cumsum(whole, axis=1)
+        monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows_per_block * grid.n_steps)
+        blocks = path_core._row_blocks(ens.n_paths, grid.n_steps)
+        assert len(blocks) > 1
+        parts = [ens.variation_increments(blk) for blk in blocks]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert qv_matrix(ens).tobytes() == want.tobytes() == ref_qv(ens).tobytes()
+
+    def test_continuous_ensemble_is_squared_increments(self):
+        ens = gen_ensemble(BrownianModel(), SeedStream(8), 40, TimeGrid.dyadic(7))
+        want = ens.continuous_increments() ** 2
+        assert ens.variation_increments().tobytes() == want.tobytes()
+        assert ens.variation_increments(slice(5, 9)).tobytes() == want[5:9].tobytes()
+
+    def test_jump_cell_is_exact(self):
+        # a line of slope 4 (increments 0.25) and a jump of 1.5 at t = 0.5,
+        # all exact in binary: the jump's cell holds 0.25^2 + 1.5^2
+        grid = TimeGrid.uniform(16)
+        ens = one_row(grid, np.arange(17) * 0.25, [(0.5, 1.5)])
+        want = np.full((1, 16), 0.0625)
+        want[0, 7] = 2.3125
+        np.testing.assert_array_equal(ens.variation_increments(), want)
 
 
 class TestRefinement:

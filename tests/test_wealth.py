@@ -3,9 +3,12 @@ exponential with and without jumps against a row-by-row reference, the
 left-endpoint recursion residual, the -inf utility convention, and the
 row-blocked log-wealth kernel against whole-matrix sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qvmart import path_core
 from qvmart.errors import ContractViolation
 from qvmart.inference import BinSpec, estimate_alpha, growth_optimal_value
 from qvmart.path_core import _CHUNK_CELLS, Ensemble, TimeGrid, qv_matrix
@@ -163,17 +166,34 @@ class TestJumpExponential:
         assert np.exp(logw[0]) == pytest.approx(w[0, -1], rel=1e-12)
 
     @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
-    def test_matches_row_by_row_reference(self, shared):
-        # insider bundles: several jumps per row, some rows ruined
+    def test_matches_row_by_row_reference(self, shared, monkeypatch):
+        # insider bundles: several jumps per row, some rows ruined, in one
+        # row block and in blocks of 1 and 7 rows
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=24)
         ens = gen_bundles(SeedStream(7), 30, grid, 1e-2, 3.0)
         rng = np.random.default_rng(1)
         pi = rng.uniform(-1.0, 1.0, grid.n_steps if shared else (30, grid.n_steps))
-        w, dead = stoch_exp_ensemble(pi, ens)
         want_w, want_dead = ref_rows(pi, ens)
-        assert w.tobytes() == want_w.tobytes()
-        np.testing.assert_array_equal(dead, want_dead)
+        for rows in (None, 1, 7):
+            if rows:
+                monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * grid.n_steps)
+            w, dead = stoch_exp_ensemble(pi, ens)
+            assert w.tobytes() == want_w.tobytes(), rows
+            np.testing.assert_array_equal(dead, want_dead)
         assert (dead >= 0).any() and (dead < 0).any()
+
+    def test_working_set_is_bounded(self):
+        # the wealth matrix (1x) and one row block of temporaries, against
+        # 6x with whole-matrix temporaries
+        vals = np.cumsum(np.random.default_rng(2).normal(0.0, 0.06, (10_000, 257)), axis=1)
+        ens = Ensemble(TimeGrid.uniform(256), vals, 2, "x")
+        tracemalloc.start()
+        try:
+            stoch_exp_ensemble(np.full(256, 0.5), ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * vals.nbytes
 
 
 class TestDDResidual:
