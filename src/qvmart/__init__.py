@@ -31,8 +31,6 @@ from .strategy import (
     evaluate,
     h2_norm,
     legs_strategy,
-    shares_from_proportion,
-    proportion_from_shares,
 )
 from .wealth import (
     UtilityReport,

@@ -170,7 +170,8 @@ def _cmd_qv(args) -> int:
             raise ConfigurationError(f"qv --in reads stored paths; {', '.join(given)} "
                                      "would go unread")
         cfg = _record(args, ("in",))
-        totals = load_ensemble(cfg["in"]).qv[:, -1]
+        views = load_ensemble(cfg["in"]).blocks()
+        totals = np.concatenate([part.qv[:, -1] for _, part in views])
         rows = list(enumerate(totals.tolist()))
         _write_csv(out / "qv.csv", ["path_id", "qv_total"], rows)
         return 0
@@ -196,10 +197,12 @@ def _cmd_wealth(args) -> int:
     cfg = _record(args)
     ens = load_ensemble(cfg["in"])
     strat = _one_strategy(cfg["strategy"])
-    w, dead = stoch_exp_ensemble(pi_for_ensemble(strat, ens), ens)
-    w1 = w[:, -1]
+    w1, hit = np.empty(ens.n_paths), np.empty(ens.n_paths, dtype=int)
+    for rows, part in ens.blocks():  # only each view's terminal column and ruin flags are kept
+        w, dead = stoch_exp_ensemble(pi_for_ensemble(strat, part), part)
+        w1[rows], hit[rows] = w[:, -1], dead >= 0
     _write_csv(out / "w1.csv", ["path_id", "W1", "hit_nonpositive"],
-               zip(range(ens.n_paths), w1.tolist(), (dead >= 0).astype(int).tolist()))
+               zip(range(ens.n_paths), w1.tolist(), hit.tolist()))
     report = log_utility(np.log(w1, out=np.full(w1.shape, -np.inf), where=~(w1 <= 0.0)))
     _write_json(out / "utility.json", {"strategy": strat.name, **report.as_dict()})
     return 0

@@ -18,17 +18,17 @@ ensemble.  Every member is a ``GridRuleStrategy``; members that differ
 only by their ``scale`` c (the default family is 3 shapes x 9
 coefficients) share one unit shape x, and each member's bound and margin
 are checked on its scaled shape.  One pass of the wealth kernel over the
-ensemble's row blocks sums every unit shape against ``dS^c``, ``d[S]^c``
-and the increments of the insider-recentred martingale; the continuous
-sums are linear and quadratic in c, so only the jump factors are formed
-per member.  Jump sums and wipe-out masks are bit for bit those of the
-member's own profile; continuous sums and supermartingale columns agree
-with sums over the member's own profile within 1e-12 (absolute, resp.
-relative).  A pass is reused only for the same ``BundleEnsemble`` object
-and the same strategy object; every public entry point takes a
-``BundleEnsemble`` and refuses anything else.  Reuse relies on what the
-strategy protocol requires: a rule is a pure function of ``(ensemble,
-ctx)``.
+ensemble's row views builds every unit shape on each view and sums it
+against ``dS^c``, ``d[S]^c`` and the increments of the insider-recentred
+martingale; the continuous sums are linear and quadratic in c, so only
+the jump factors are formed per member.  Jump sums and wipe-out masks
+are bit for bit those of the member's own profile; continuous sums and
+supermartingale columns agree with sums over the member's own profile
+within 1e-12 (absolute, resp. relative).  A pass is reused only for the
+same ``BundleEnsemble`` object and the same strategy object; every public
+entry point takes a ``BundleEnsemble`` and refuses anything else.  Reuse
+relies on what the strategy protocol requires: a rule is a pure function
+of ``(ensemble, ctx)``, whose row r depends only on row r of each.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "utility_sweep",
     "default_sweep_family",
     "BoundTerms",
-    "utility_bound_terms",
     "utility_bound_terms_family",
     "DivergenceRow",
     "drift_variation_closed_form",
@@ -162,7 +161,8 @@ def poisson_flip_test(
         chunk = _build_bundles(stream, grid, eps, rate, range(n_samples)[blk])
         n, row, times = chunk.n_paths, chunk.poisson_row, chunk.poisson_time
         cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
-        beta = np.broadcast_to(_pi_matrix(switch, chunk), (n, grid.n_steps))[row, cell]
+        pi = pi_for_ensemble(switch, chunk, chunk.b1, chunk.b)
+        beta = np.broadcast_to(pi, (n, grid.n_steps))[row, cell]
         # jumps are sorted by bundle, then time: a time twice must come from
         # one source, and so sits in one cell and is routed one way
         twice = (np.diff(row) == 0) & (np.diff(times) == 0)
@@ -192,11 +192,6 @@ def _bundles(ens) -> BundleEnsemble:
     if not isinstance(ens, BundleEnsemble):
         raise ContractViolation(f"expected a BundleEnsemble, got {type(ens).__name__}")
     return ens
-
-
-def _pi_matrix(strategy, ens: BundleEnsemble) -> np.ndarray:
-    """Profiles of every bundle: a shared row, or one row per bundle."""
-    return pi_for_ensemble(strategy, ens, insider=ens.b1, driver=ens.b)
 
 
 def _band_probe(strategy, ens: BundleEnsemble):
@@ -232,8 +227,10 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
     the same strategy object read the stored columns.  New members
     are probed in family order, then grouped by rule shape (``fn`` and
     its flags): each group's unit shape x is evaluated, shape-checked and
-    summed once, and each member applies its ``scale`` c.  Bound and
-    margin are checked on ``|c| max|x|``, which rounds as ``max|c x|`` does.
+    summed once, one row view at a time, and each member applies its
+    ``scale`` c.  The views give each shape's column peak and its values
+    at the jumps; bound and margin are checked on ``|c| max|x|``, which
+    rounds as ``max|c x|`` does, before any member's columns are stored.
     """
     memo = _PASSES.setdefault(ens, {})
     passes, shapes = [], {}
@@ -249,20 +246,30 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
         passes.append(entry)
         if not entry.probe.admissible:
             break
-    ctx, xs = EvalContext(insider=ens.b1, driver=ens.b), []
-    for group in shapes.values():
-        x = _unit_profile(group[0].member, ens, ctx)
-        colmax = np.abs(x) if x.ndim == 1 else np.abs(x).max(axis=0)
-        for rule in (entry.member for entry in group):
-            _check_bound(rule, abs(rule.scale) * colmax.max(initial=0.0))
-            if rule.margin is not None:
-                _check_margin(rule, abs(rule.scale) * colmax, ens.grid)
-        xs.append(x)
+    groups = list(shapes.values())
+    colmax = [np.zeros(ens.grid.n_steps) for _ in groups]
+    at_jumps = [[] for _ in groups]
+
+    def unit_shapes(rows, part):
+        ctx, xs = EvalContext(insider=ens.b1[rows], driver=ens.b[rows]), []
+        for group, peak, xj in zip(groups, colmax, at_jumps):
+            x = _unit_profile(group[0].member, part, ctx)
+            np.maximum(peak, np.abs(x) if x.ndim == 1 else np.abs(x).max(axis=0), out=peak)
+            xj.append(_at_jumps(x, part.jump_path, part.jump_cell))
+            xs.append(x)
+        return xs
+
     moments = []
-    if xs:  # with the increments of M_hat = M - A, A the insider drift, per row block
-        moments = _moments(xs, ens, lambda blk: np.diff(ens.m[blk] - ens.drift_values(blk), axis=1))
-    for group, x, (a, b, ah, bh) in zip(shapes.values(), xs, moments):
-        xj = _at_jumps(x, ens.jump_path, ens.jump_cell)
+    if groups:  # with the increments of M_hat = M - A, A the insider drift
+        moments = _moments(ens, unit_shapes,
+                           lambda rows: np.diff(ens.m[rows] - ens.drift_values(rows), axis=1))
+    for group, peak in zip(groups, colmax):
+        for rule in (entry.member for entry in group):
+            _check_bound(rule, abs(rule.scale) * peak.max(initial=0.0))
+            if rule.margin is not None:
+                _check_margin(rule, abs(rule.scale) * peak, ens.grid)
+    for group, xj, (a, b, ah, bh) in zip(groups, at_jumps, moments):
+        xj = np.concatenate(xj)
         for entry in group:
             c = entry.member.scale
             jump, wiped = _jump_terms(c * xj, ens.jump_path, ens.jump_size, ens.n_paths)
@@ -286,8 +293,8 @@ def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWe
 
     Errors out when the strategy is actually admissible (the probe is
     then misconfigured).  Ruin is decided by the jump factors alone, so
-    no continuous sum is formed.  The interval is an exact 99% binomial
-    Clopper-Pearson interval.
+    no continuous sum is formed; the profile is built one row view at a
+    time.  The interval is an exact 99% binomial Clopper-Pearson interval.
     """
     from scipy import special
 
@@ -296,10 +303,11 @@ def negative_wealth_probability(strategy, bundles: BundleEnsemble) -> NegativeWe
     if report.admissible:
         raise ContractViolation("strategy respects the open band |pi_t| < 1 - t; "
                                 "ruin probe is misconfigured")
-    n = ens.n_paths
-    pj = _at_jumps(_pi_matrix(strategy, ens), ens.jump_path, ens.jump_cell)
-    _, wiped = _jump_terms(pj, ens.jump_path, ens.jump_size, n)
-    k = int(wiped.sum())
+    n, k = ens.n_paths, 0
+    for rows, part in ens.blocks():
+        pi = pi_for_ensemble(strategy, part, ens.b1[rows], ens.b[rows])
+        pj = _at_jumps(pi, part.jump_path, part.jump_cell)
+        k += int(_jump_terms(pj, part.jump_path, part.jump_size, part.n_paths)[1].sum())
     alpha = 0.01
     low = float(special.betaincinv(k, n - k + 1, alpha / 2)) if k > 0 else 0.0
     high = float(special.betaincinv(k + 1, n - k, 1 - alpha / 2)) if k < n else 1.0
@@ -395,8 +403,9 @@ class BoundTerms:
         return self.supermartingale_mean <= 1.0 + 3.0 * self.supermartingale_stderr
 
 
-def utility_bound_terms(strategy, bundles: BundleEnsemble) -> BoundTerms:
-    """Estimate the two log-wealth components of an admissible strategy.
+def utility_bound_terms_family(family: Sequence, bundles: BundleEnsemble) -> list[BoundTerms]:
+    """The two log-wealth components of each admissible member, read from
+    the pass ``utility_sweep`` shares on the same ensemble.
 
     The jump term averages sum log(1 + pi dS) over jumps and must be
     statistically nonpositive, since each summand is dominated by the
@@ -404,12 +413,6 @@ def utility_bound_terms(strategy, bundles: BundleEnsemble) -> BoundTerms:
     averages exp(2 (pi . M_hat) - 2 (pi^2 . [M_hat])) against the
     insider-recentred martingale and must not exceed 1 beyond noise.
     """
-    return utility_bound_terms_family([strategy], bundles)[0]
-
-
-def utility_bound_terms_family(family: Sequence, bundles: BundleEnsemble) -> list[BoundTerms]:
-    """Bound terms for a whole family, read from the pass ``utility_sweep``
-    shares on the same ensemble."""
     ens = _bundles(bundles)
     passes = _family_pass(family, ens)
     if passes and not passes[-1].probe.admissible:

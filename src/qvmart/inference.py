@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble, TimeGrid, _mean_stderr, _row_blocks, truncation_index
+from .path_core import Ensemble, TimeGrid, _mean_stderr, truncation_index
 from .strategy import GridRuleStrategy, h2_norm, pi_for_ensemble
-from .wealth import UtilityReport, log_utility, terminal_log_wealth_continuous
+from .wealth import UtilityReport, log_utility
 from .wealth import _continuous_sum, _moments
 
 __all__ = [
@@ -148,10 +148,9 @@ def choose_truncation_level(ensemble: Ensemble, target: float = 0.99) -> float:
     """Smallest power-of-two threshold leaving at least ``target`` of the
     paths unstopped: a path stops at ``n`` when the peak of its level and
     variation exceeds ``n`` (``fmax`` skips NaN, as the comparisons do)."""
-    vals, qv = ensemble.values, ensemble.qv
     peak = np.empty(ensemble.n_paths)
-    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        peak[blk] = np.fmax.reduce(np.fmax(np.abs(vals[blk]), qv[blk]), axis=1)
+    for rows, part in ensemble.blocks():  # each view's own qv, the rows of the whole one
+        peak[rows] = np.fmax.reduce(np.fmax(np.abs(part.values), part.qv), axis=1)
     n = 1.0
     for _ in range(64):
         frac_free = 1.0 - np.count_nonzero(peak > n) / ensemble.n_paths
@@ -171,19 +170,18 @@ def estimate_lambda(
 
     ``stop_n`` zeroes every increment after the path's level/variation
     truncation time, the bounded-support discipline that keeps the
-    estimate finite on heavy models.
+    estimate finite on heavy models.  The profile, the stops and the sums
+    are built one row view at a time.
     """
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble)
-    vals, n_cells = ensemble.values, ensemble.grid.n_steps
+    cells = np.arange(ensemble.grid.n_steps)
     per_path = np.empty(ensemble.n_paths)
-    for blk in _row_blocks(ensemble.n_paths, n_cells):
-        ds = np.diff(vals[blk], axis=1)
+    for rows, part in ensemble.blocks():
+        ds = np.diff(part.values, axis=1)
         if stop_n is not None:
-            stop = truncation_index(vals[blk], ensemble.qv[blk], stop_n)
-            ds = ds * (np.arange(n_cells) < stop[:, None])
-        per_path[blk] = np.sum((pi if pi.ndim == 1 else pi[blk]) * ds, axis=1)
+            ds *= cells < truncation_index(part.values, part.qv, stop_n)[:, None]
+        per_path[rows] = np.sum(pi_for_ensemble(strategy, part) * ds, axis=1)
     return LambdaEstimate(*_mean_stderr(per_path), strategy.name, ensemble.n_paths)
 
 
@@ -208,17 +206,16 @@ def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEs
     num = np.empty((P, B))  # (paths, bins): per-path, per-bin sums
     den = np.empty((P, B))
     cnt = np.zeros(B)
-    for blk in _row_blocks(P, grid.n_steps):
-        n_rows = vals[blk].shape[0]
-        bins = np.broadcast_to(_cell_bins(bin_spec, time_edges, state_edges, grid, vals[blk]),
+    for rows, part in ensemble.blocks():
+        n_rows = part.n_paths
+        bins = np.broadcast_to(_cell_bins(bin_spec, time_edges, state_edges, grid, part.values),
                                (n_rows, grid.n_steps))
         cnt += np.bincount(bins.ravel(), minlength=B)
         # each (row, bin) of the block as one index; bincount adds its
         # weights in cell order from 0.0, as a running sum would
         keys = (bins + B * np.arange(n_rows)[:, None]).ravel()
-        for out, inc in ((num, np.diff(vals[blk], axis=1)),
-                         (den, ensemble.variation_increments(blk))):
-            out[blk] = np.bincount(keys, inc.ravel(), n_rows * B).reshape(n_rows, B)
+        for out, inc in ((num, np.diff(part.values, axis=1)), (den, part.variation_increments())):
+            out[rows] = np.bincount(keys, inc.ravel(), n_rows * B).reshape(n_rows, B)
     tot_num = num.sum(axis=0)
     tot_den = den.sum(axis=0)
     estimated = (cnt >= bin_spec.min_count) & (tot_den > 0.0)
@@ -252,11 +249,8 @@ def _cell_bins(
     return sb
 
 
-def cell_alpha(
-    est: DriftEstimate, ensemble: Ensemble, rows: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift value and coverage mask for every grid cell of the paths in
-    ``rows`` (all by default).
+def cell_alpha(est: DriftEstimate, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Drift value and coverage mask for every grid cell of every path.
 
     Returns ``(alpha_cells, covered)`` where both broadcast against the
     increment matrices: per-cell vectors for time-only binning, per-path
@@ -264,7 +258,7 @@ def cell_alpha(
     ``alpha_cells`` and False in ``covered``.
     """
     bins = _cell_bins(est.bin_spec, est.time_edges, est.state_edges, ensemble.grid,
-                      ensemble.values[rows])
+                      ensemble.values)
     alpha = np.where(est.estimated, np.nan_to_num(est.alpha, nan=0.0), 0.0)
     return alpha[bins], est.estimated[bins]
 
@@ -274,34 +268,34 @@ def decompose(
 ) -> DecompositionResult:
     """Recentre every path by its fitted drift: S_hat = S - sum alpha d[S].
 
-    One row-block pass forms each block's ``d[S]``, each row's variation
-    mass and covered mass, the drift, the recentred rows and their
-    reconstruction gap.  Refuses when more than ``max_uncovered`` of the
+    One pass over the row views forms each view's ``d[S]``, each row's
+    variation mass and covered mass, the drift, the recentred rows and
+    their reconstruction gap.  Refuses when more than ``max_uncovered`` of the
     variation mass (summed over the rows) falls in bins without an estimate.
     """
     _require_continuous(ensemble)
-    grid, vals = ensemble.grid, ensemble.values
-    s_vals = np.empty_like(vals)
+    s_vals = np.empty_like(ensemble.values)
     mass = np.empty(ensemble.n_paths)
     covered = np.empty(ensemble.n_paths)
     gaps = []
-    for blk in _row_blocks(ensemble.n_paths, grid.n_steps):
-        dqv = ensemble.variation_increments(blk)
-        alpha_cells, cov = cell_alpha(est, ensemble, blk)
-        drift = np.zeros_like(vals[blk])
+    for rows, part in ensemble.blocks():
+        dqv = part.variation_increments()
+        alpha_cells, cov = cell_alpha(est, part)
+        drift = np.zeros_like(part.values)
         np.cumsum(alpha_cells * dqv, axis=1, out=drift[:, 1:])
-        np.subtract(vals[blk], drift, out=s_vals[blk])
-        mass[blk] = np.sum(dqv, axis=1)
-        covered[blk] = np.sum(np.multiply(dqv, cov, out=dqv), axis=1)
-        drift += s_vals[blk]  # the rebuilt rows
-        gaps.append(np.max(np.abs(np.subtract(drift, vals[blk], out=drift))))
+        np.subtract(part.values, drift, out=s_vals[rows])
+        mass[rows] = np.sum(dqv, axis=1)
+        covered[rows] = np.sum(np.multiply(dqv, cov, out=dqv), axis=1)
+        drift += s_vals[rows]  # the rebuilt rows
+        gaps.append(np.max(np.abs(np.subtract(drift, part.values, out=drift))))
     total = float(np.sum(mass))
     coverage = float(np.sum(covered)) / total if total > 0 else 1.0
     if coverage < 1.0 - max_uncovered:
         raise ContractViolation(
             f"only {coverage:.1%} of the variation mass has a drift estimate"
         )
-    s_hat = Ensemble(grid, s_vals, ensemble.master_seed, ensemble.model_tag + "-recentred")
+    s_hat = Ensemble(ensemble.grid, s_vals, ensemble.master_seed,
+                     ensemble.model_tag + "-recentred")
     return DecompositionResult(est, s_hat, coverage, float(np.max(gaps)))
 
 
@@ -348,9 +342,8 @@ def growth_optimal_value(est: DriftEstimate, ensemble: Ensemble) -> GrowthReport
     alpha) on top of the per-path Monte-Carlo spread.
     """
     _require_continuous(ensemble)
-    alpha_cells, _ = cell_alpha(est, ensemble)
     n = ensemble.n_paths
-    lin, quad = _moments([alpha_cells], ensemble)[0]
+    lin, quad = _moments(ensemble, lambda rows, part: [cell_alpha(est, part)[0]])[0]
     mean, se_quad = _mean_stderr(quad)
     value = 0.5 * mean
     se_paths = 0.5 * se_quad
@@ -385,7 +378,8 @@ def optimality_gap(
     logw_a = growth.log_wealth
     if logw_a.shape != (ensemble.n_paths,):
         raise ContractViolation("the growth report belongs to another ensemble")
-    logw_pi = terminal_log_wealth_continuous(pi_for_ensemble(strategy, ensemble), ensemble)
+    logw_pi = _continuous_sum(*_moments(
+        ensemble, lambda rows, part: [pi_for_ensemble(strategy, part)])[0])
     gap, se = _mean_stderr(logw_pi - logw_a)
     return GapReport(gap, se, float(np.mean(logw_pi)), float(np.mean(logw_a)))
 

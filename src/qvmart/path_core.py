@@ -161,39 +161,41 @@ class Ensemble:
         computed once per ensemble and read-only."""
         return _readonly(qv_matrix(self))
 
+    def blocks(self):
+        """The row blocks of the ensemble, as ``(rows, part)`` pairs in row
+        order: ``rows`` is the block's slice and ``part`` a plain
+        ``Ensemble`` view of those rows' values and their jumps, with the
+        jumps' rows counted from the block's first.  Every per-row pass
+        over an ensemble reads these views; a row's results do not depend
+        on the rows beside it, so they are bit for bit the whole matrix's."""
+        for rows in _row_blocks(self.n_paths, self.grid.n_steps):
+            yield rows, self._view(rows)
+
     def head(self, n: int) -> "Ensemble":
-        """The first ``n`` paths with their jumps, as a plain ``Ensemble``."""
-        k = int(np.searchsorted(self.jump_path, n))
-        return Ensemble(self.grid, self.values[:n], self.master_seed, self.model_tag,
-                        self.jump_path[:k], self.jump_cell[:k], self.jump_size[:k])
+        """The first ``n`` paths with their jumps, as a plain ``Ensemble`` view."""
+        return self._view(slice(0, n))
 
-    def continuous_part(self) -> "Ensemble":
-        """The paths with all jumps removed: each path less its cumulative jump sizes."""
-        steps = np.zeros_like(self.values)
-        steps[self.jump_path, self.jump_cell + 1] = self.jump_size
-        return Ensemble(self.grid, self.values - np.cumsum(steps, axis=1), self.master_seed,
-                        self.model_tag)
+    def _view(self, rows: slice) -> "Ensemble":
+        """The paths in ``rows`` and their jumps, rows counted from the first."""
+        lo, hi = rows.indices(self.n_paths)[:2]
+        j = slice(*np.searchsorted(self.jump_path, (lo, hi)))
+        return Ensemble(self.grid, self.values[lo:hi], self.master_seed, self.model_tag,
+                        self.jump_path[j] - lo, self.jump_cell[j], self.jump_size[j])
 
-    def continuous_increments(self, rows: slice = slice(None)) -> np.ndarray:
-        """Per-cell increments of the paths in ``rows`` (all by default), jump sizes taken out."""
-        inc = np.diff(self.values[rows], axis=1)
-        j, lo = self._jumps_in(rows), rows.start or 0
-        np.subtract.at(inc, (self.jump_path[j] - lo, self.jump_cell[j]), self.jump_size[j])
+    def continuous_increments(self) -> np.ndarray:
+        """Per-cell increments of every path, jump sizes taken out."""
+        inc = np.diff(self.values, axis=1)
+        np.subtract.at(inc, (self.jump_path, self.jump_cell), self.jump_size)
         return inc
 
-    def variation_increments(self, rows: slice = slice(None)) -> np.ndarray:
-        """Per-cell quadratic variation ``d[S]`` of the paths in ``rows`` (all
-        by default): the squared continuous increment, plus the squared size
-        of a jump in that cell, so the jump term is exact whatever the mesh."""
-        inc = self.continuous_increments(rows)
-        j, lo = self._jumps_in(rows), rows.start or 0
-        np.add.at(np.square(inc, out=inc), (self.jump_path[j] - lo, self.jump_cell[j]),
-                  np.square(self.jump_size[j]))
+    def variation_increments(self) -> np.ndarray:
+        """Per-cell quadratic variation ``d[S]`` of every path: the squared
+        continuous increment, plus the squared size of a jump in that cell,
+        so the jump term is exact whatever the mesh."""
+        inc = self.continuous_increments()
+        np.add.at(np.square(inc, out=inc), (self.jump_path, self.jump_cell),
+                  np.square(self.jump_size))
         return inc
-
-    def _jumps_in(self, rows: slice) -> slice:
-        """The span of the flat jump arrays that belongs to the paths in ``rows``."""
-        return slice(*np.searchsorted(self.jump_path, rows.indices(self.n_paths)[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +204,10 @@ class Ensemble:
 
 def qv_matrix(ensemble: Ensemble) -> np.ndarray:
     """Quadratic variation of every path, as a (n_paths, n_points) matrix:
-    the running sum of ``Ensemble.variation_increments``, in row blocks."""
+    the running sum of ``Ensemble.variation_increments``, one row view at a time."""
     out = np.zeros_like(ensemble.values)
-    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        np.cumsum(ensemble.variation_increments(blk), axis=1, out=out[blk, 1:])
+    for rows, part in ensemble.blocks():
+        np.cumsum(part.variation_increments(), axis=1, out=out[rows, 1:])
     return out
 
 

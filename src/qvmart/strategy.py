@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .path_core import Ensemble, TimeGrid, _mean_stderr, _row_blocks, truncation_index
+from .path_core import Ensemble, TimeGrid, _mean_stderr, truncation_index
 
 __all__ = [
     "EvalContext",
@@ -37,8 +37,6 @@ __all__ = [
     "NormEstimate",
     "band_check",
     "BandReport",
-    "shares_from_proportion",
-    "proportion_from_shares",
     "legs_strategy",
     "const_strategy",
     "window_strategy",
@@ -60,7 +58,9 @@ class EvalContext:
     (the revealed terminal driver value in the enlarged-information
     runs); ``driver`` the ``(n_paths, n_points)`` values of the Brownian
     paths the traded paths are built on.  Each is None when absent.  A
-    rule reads the running variation from ``ensemble.qv``.
+    rule reads the running variation from ``ensemble.qv``.  Row r of each
+    array belongs to row r of the ensemble, so the context of a row view
+    (``Ensemble.blocks``) is the same rows of each array.
     """
 
     insider: np.ndarray | None = None
@@ -113,7 +113,11 @@ class GridRuleStrategy:
     shared per-cell row or a per-path matrix.  ``path_independent``
     declares that the rule returns the shared row, and is checked.  The
     rule must be a pure function of ``(ensemble, ctx)``: callers may
-    reuse what it returned for the same ensemble.
+    reuse what it returned for the same ensemble.  Row r of a per-path
+    profile must depend only on row r of the ensemble and of ``ctx``: the
+    passes over an ensemble evaluate the rule on one row view
+    (``Ensemble.blocks``) at a time, and the views' rows must be those of
+    the whole ensemble's profile.
 
     The profile is ``scale * fn(ensemble, ctx)``, so rules that differ
     only by a coefficient can share one ``fn`` (the insider bands do);
@@ -266,15 +270,14 @@ class NormEstimate:
 
 def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble) -> NormEstimate:
     """Monte-Carlo estimate of E of the pathwise integral of pi^2 against
-    ``d[S]`` (``Ensemble.variation_increments``, jumps included), summed
-    one row block at a time."""
+    ``d[S]`` (``Ensemble.variation_increments``, jumps included), with the
+    profile built and summed one row view at a time."""
     if ensemble.n_paths < 1:
         raise ContractViolation("empty ensemble")
-    pi = pi_for_ensemble(strategy, ensemble)
     per_path = np.empty(ensemble.n_paths)
-    for blk in _row_blocks(ensemble.n_paths, ensemble.grid.n_steps):
-        p = pi if pi.ndim == 1 else pi[blk]
-        per_path[blk] = np.sum(p * p * ensemble.variation_increments(blk), axis=1)
+    for rows, part in ensemble.blocks():
+        pi = pi_for_ensemble(strategy, part)
+        per_path[rows] = np.sum(pi * pi * part.variation_increments(), axis=1)
     return NormEstimate(*_mean_stderr(per_path), ensemble.n_paths)
 
 
@@ -310,19 +313,6 @@ def band_check(
     first = pi[bad.argmax(axis=0)[cols], cols]
     violations = tuple(zip(t_left[cols].tolist(), first.tolist()))
     return BandReport(admissible=not violations, violations=violations)
-
-
-def shares_from_proportion(pi_t: float, wealth: float, price: float) -> float:
-    """Share count holding proportion ``pi_t`` of ``wealth`` at ``price``."""
-    if price <= 0 or wealth <= 0:
-        raise ContractViolation("wealth and price must be positive")
-    return pi_t * wealth / price
-
-
-def proportion_from_shares(shares: float, wealth: float, price: float) -> float:
-    if price <= 0 or wealth <= 0:
-        raise ContractViolation("wealth and price must be positive")
-    return shares * price / wealth
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ jump compensators, so they are never materialized.  ``dS^c`` is
 ``Ensemble.continuous_increments`` and ``d[S]^c`` its square, for every
 ensemble.
 
-Every terminal log-wealth sum comes from one kernel: a row-block pass
-(``_moments``) gives each path's ``A = sum x dS^c`` and ``B = sum x^2
-d[S]^c`` for a list of profiles x, and a profile ``c x`` has log terminal
-wealth ``c A - c^2 B / 2`` plus its jump terms, -inf on a ruined path.
+Every terminal log-wealth sum comes from one kernel: a pass over the row
+views of ``Ensemble.blocks`` (``_moments``) gives each path's ``A = sum x
+dS^c`` and ``B = sum x^2 d[S]^c`` for the profiles x built on each view,
+and a profile ``c x`` has log terminal wealth ``c A - c^2 B / 2`` plus its
+jump terms, -inf on a ruined path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import Ensemble, _mean_stderr, _row_blocks
+from .path_core import Ensemble, _mean_stderr
 
 __all__ = [
     "UtilityReport",
@@ -79,19 +80,17 @@ def stoch_exp_ensemble(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, 
     n_paths, width = ensemble.values.shape
     w = np.ones((n_paths, width))
     dead = np.full(n_paths, -1, dtype=np.intp)
-    # each row's wealth is its own: one row block of every temporary at a time
-    for blk in _row_blocks(n_paths, width - 1):
-        wb, p = w[blk], (pi if pi.ndim == 1 else pi[blk])
-        inc = ensemble.continuous_increments(blk)
+    # each row's wealth is its own: one row view of every temporary at a time
+    for rows, part in ensemble.blocks():
+        wb, p = w[rows], (pi if pi.ndim == 1 else pi[rows])
+        inc = part.continuous_increments()
         np.exp(np.cumsum(p * inc - 0.5 * p * p * (inc * inc), axis=1), out=wb[:, 1:])
         factors = np.ones(inc.shape)
-        j = ensemble._jumps_in(blk)
-        path, cell = ensemble.jump_path[j], ensemble.jump_cell[j]
-        np.multiply.at(factors, (path - blk.start, cell),
-                       1.0 + _at_jumps(pi, path, cell) * ensemble.jump_size[j])
+        path, cell = part.jump_path, part.jump_cell
+        np.multiply.at(factors, (path, cell), 1.0 + _at_jumps(p, path, cell) * part.jump_size)
         wb[:, 1:] *= np.cumprod(factors, axis=1, out=factors)
         nonpos = factors <= 0.0
-        dead[blk] = d = np.where(nonpos.any(axis=1), nonpos.argmax(axis=1), -1)
+        dead[rows] = d = np.where(nonpos.any(axis=1), nonpos.argmax(axis=1), -1)
         r = np.nonzero(d >= 0)[0]  # frozen from the first nonpositive factor on
         wb[r] = np.take_along_axis(wb[r], np.minimum(np.arange(width), d[r, None] + 1), axis=1)
     return w, dead
@@ -132,33 +131,38 @@ def log_utility(log_w1: np.ndarray) -> UtilityReport:
 # ---------------------------------------------------------------------------
 
 def _moments(
-    xs: Sequence[np.ndarray], ensemble: Ensemble, dh: Callable[[slice], np.ndarray] | None = None
+    ensemble: Ensemble,
+    profiles: Callable[[slice, Ensemble], Sequence[np.ndarray]],
+    dh: Callable[[slice], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-path sums ``A = sum x dS^c`` and ``B = sum x^2 d[S]^c`` of every
-    profile ``x`` in ``xs``, as a ``(len(xs), 2, n_paths)`` array.
+    profile ``x``, as a ``(n_profiles, 2, n_paths)`` array.
 
-    ``dS^c`` is ``ensemble.continuous_increments`` and ``d[S]^c`` its
-    square, formed once per row block for all the profiles.  With ``dh``, a
-    function of a row slice giving those rows' recentred increments, the
-    rows ``sum x dh`` and ``sum x^2 dh^2`` follow (``(len(xs), 4,
-    n_paths)``).  Each ``x`` is one shared per-cell row or a per-path
-    matrix.  A profile ``c x`` has the continuous log-wealth sum ``c A -
-    c^2 B / 2`` (``_continuous_sum``), so one pass over ``x`` serves every
-    coefficient.  A row's sum does not depend on the rows beside it, so
-    the result is the one a single whole-matrix sum gives, bit for bit.
+    ``profiles(rows, part)`` gives the profiles of one row view of
+    ``ensemble.blocks()``, each one shared per-cell row or one row per
+    path of ``part``, the same number for every view.  ``dS^c`` is
+    ``part.continuous_increments()`` and ``d[S]^c`` its square, formed
+    once per view for all the profiles.  With ``dh``, a function of a row
+    slice giving those rows' recentred increments, the rows ``sum x dh``
+    and ``sum x^2 dh^2`` follow (``(n_profiles, 4, n_paths)``).  A profile
+    ``c x`` has the continuous log-wealth sum ``c A - c^2 B / 2``
+    (``_continuous_sum``), so one pass over ``x`` serves every coefficient.
+    A row's sum does not depend on the rows beside it, so the result is
+    the one a single whole-matrix sum gives, bit for bit.
     """
-    n = ensemble.n_paths
-    out = np.empty((len(xs), 2 if dh is None else 4, n))
-    for blk in _row_blocks(n, ensemble.grid.n_steps):
-        inc = ensemble.continuous_increments(blk)
+    out = None
+    for rows, part in ensemble.blocks():
+        xs = profiles(rows, part)
+        if out is None:
+            out = np.empty((len(xs), 2 if dh is None else 4, ensemble.n_paths))
+        inc = part.continuous_increments()
         cells = [inc, inc * inc]
         if dh is not None:
-            h = dh(blk)
+            h = dh(rows)
             cells += [h, h * h]
         for x, o in zip(xs, out):
-            p = x if x.ndim == 1 else x[blk]
-            for k, (w, d) in enumerate(zip((p, p * p) * 2, cells)):
-                o[k, blk] = np.sum(w * d, axis=1)
+            for k, (w, d) in enumerate(zip((x, x * x) * 2, cells)):
+                o[k, rows] = np.sum(w * d, axis=1)
     return out
 
 
@@ -207,7 +211,8 @@ def terminal_log_wealth_continuous(pi: np.ndarray, ensemble: Ensemble) -> np.nda
     matrix.
     """
     pi = np.asarray(pi, dtype=float)
-    return _continuous_sum(*_moments([pi], ensemble)[0])
+    a, b = _moments(ensemble, lambda rows, part: [pi if pi.ndim == 1 else pi[rows]])[0]
+    return _continuous_sum(a, b)
 
 
 def terminal_log_wealth_jumps(pi: np.ndarray, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:

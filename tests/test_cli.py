@@ -2,14 +2,16 @@
 and exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qvmart import path_core
 from qvmart.cli import main
 from qvmart.inference import BinSpec, choose_truncation_level, decompose, estimate_alpha
-from qvmart.path_core import load_ensemble
+from qvmart.path_core import Ensemble, TimeGrid, load_ensemble, save_ensemble
 from qvmart.strategy import load_strategy_file, pi_for_ensemble
 from test_wealth import ref_wealth
 
@@ -125,6 +127,26 @@ def test_wealth_run(tmp_path):
     assert utility["n_nonpositive"] == 0
 
 
+def test_wealth_holds_one_view_of_wealth(tmp_path):
+    # the loaded values (1x) and one row view's profile, variation and
+    # wealth, against 4.5x with the whole profile, variation and wealth
+    vals = np.cumsum(np.random.default_rng(8).normal(0.0, 0.06, (10_000, 257)), axis=1)
+    sim, legs = tmp_path / "sim", tmp_path / "legs.json"
+    save_ensemble(Ensemble(TimeGrid.uniform(256), vals, 8, "x"), sim, fmt="json")
+    legs.write_text(json.dumps({"name": "legs", "legs": [
+        {"until": {"metric": "level_or_qv", "threshold": 0.3, "default": 0.5},
+         "rule_id": "const", "params": {"value": 0.5}},
+        {"until": 1.0, "rule_id": "sign_prefix_end", "params": {"scale": 0.8}}]}))
+    tracemalloc.start()
+    try:
+        assert main(["wealth", "--in", str(sim), "--strategy", str(legs),
+                     "--out", str(tmp_path / "w")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * vals.nbytes
+
+
 def test_decompose_and_optimize(tmp_path):
     sim = tmp_path / "sim"
     main(["simulate", "--model", "drifted", "--mu", "0.1", "--sigma", "0.2",
@@ -155,16 +177,20 @@ def test_decompose_and_optimize(tmp_path):
     assert len(summary["runs"]) == 2
 
 
-def test_decompose_computes_each_variation_once(tmp_path, qv_calls):
+def test_decompose_builds_variation_only_on_recentred_views(tmp_path, qv_calls, monkeypatch):
     sim, dec = tmp_path / "sim", tmp_path / "dec"
     assert main(["simulate", "--model", "drifted", "--mu", "0.3", "--paths", "200",
                  "--steps", "64", "--seed", "5", "--out", str(sim)]) == 0
+    monkeypatch.setattr(path_core, "_CHUNK_CELLS", 64 * 64)  # 64 rows a block, four views
     assert main(["decompose", "--in", str(sim), "--bins", "4", "--state-bins", "2",
                  "--min-count", "20", "--out", str(dec)]) == 0
     ens = load_ensemble(sim)
-    # the fit reads d[S] row block by row block: only the recentred paths'
-    # truncation rules build a variation matrix
-    assert [e.model_tag for e in qv_calls] == [ens.model_tag + "-recentred"]
+    # the fit reads d[S] one row view at a time, and the truncation rules
+    # read each view's own running variation: no variation matrix is built
+    # on the stored paths, nor on more than one row block of the recentred ones
+    assert qv_calls
+    assert {e.model_tag for e in qv_calls} == {ens.model_tag + "-recentred"}
+    assert max(e.n_paths for e in qv_calls) == 64
     result = decompose(ens, estimate_alpha(ens, BinSpec(4, state_bins=2, min_count=20)))
     report = json.loads((dec / "decomposition_report.json").read_text())
     assert report["truncation_level"] == choose_truncation_level(result.s_hat)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qvmart import counterexample as cx
+from qvmart import path_core
 from qvmart.counterexample import (
     beta_prefix_sign,
     beta_switch_at,
@@ -21,7 +22,6 @@ from qvmart.counterexample import (
     insider_drift_divergence,
     negative_wealth_probability,
     poisson_flip_test,
-    utility_bound_terms,
     utility_bound_terms_family,
     utility_sweep,
 )
@@ -33,6 +33,7 @@ from qvmart.simulate import (
     sigma_profile,
 )
 from qvmart.strategy import GridRuleStrategy, band_fraction_strategy, const_strategy
+from qvmart.strategy import sign_at_time_strategy
 from qvmart.strategy import pi_for_ensemble
 from qvmart.wealth import _at_jumps, _jump_terms
 
@@ -265,12 +266,12 @@ class TestUtilitySweep:
 
 class TestBoundTerms:
     def test_zero_strategy_terms_vanish(self, bundles):
-        bt = utility_bound_terms(const_strategy(0.0), bundles)
+        bt = utility_bound_terms_family([const_strategy(0.0)], bundles)[0]
         assert bt.exp_term == 0.0 and bt.jump_term == 0.0
         assert bt.supermartingale_mean == pytest.approx(1.0)
 
     def test_band_strategy_terms(self, bundles):
-        bt = utility_bound_terms(band_fraction_strategy(0.5), bundles)
+        bt = utility_bound_terms_family([band_fraction_strategy(0.5)], bundles)[0]
         assert bt.jump_term_within_noise
         assert bt.supermartingale_within_noise
 
@@ -278,7 +279,7 @@ class TestBoundTerms:
         fam = [band_fraction_strategy(0.3), band_fraction_strategy(-0.6)]
         head = gen_bundles(SeedStream(11), 500, bundles.grid, 1e-2, 1.0)
         batch = utility_bound_terms_family(fam, head)
-        singles = [utility_bound_terms(s, head) for s in fam]
+        singles = [utility_bound_terms_family([s], head)[0] for s in fam]
         for a, b in zip(batch, singles):
             assert a == b
 
@@ -480,7 +481,7 @@ class TestSharedFamilyPass:
 
     @pytest.mark.parametrize("call", [
         lambda b: utility_sweep(default_sweep_family()[:3], b, 1e-2),
-        lambda b: utility_bound_terms(band_fraction_strategy(0.3), b),
+        lambda b: utility_bound_terms_family([band_fraction_strategy(0.3)], b)[0],
         lambda b: utility_bound_terms_family(default_sweep_family()[:3], b),
         lambda b: negative_wealth_probability(const_strategy(0.99), b),
         lambda b: insider_drift_divergence(b, [1e-2]),
@@ -491,3 +492,40 @@ class TestSharedFamilyPass:
         for other in ([ens.head(1), ens.head(2)], ens.head(20), ens.values):
             with pytest.raises(ContractViolation, match="expected a BundleEnsemble"):
                 call(other)
+
+
+class TestRowViews:
+    """The family pass and the ruin probe build every profile one row view
+    at a time: any number of rows per block gives the bytes of one block."""
+
+    GRID = make_insider_grid(1e-2, n_uniform=64, n_log=128)
+
+    @staticmethod
+    def half_band_until_qv(ens, ctx):
+        """Half the band while the running variation stays below 1, then 0."""
+        return np.where(ens.qv[:, :-1] < 1.0, 0.5, 0.0) * (1.0 - ens.grid.points[:-1])
+
+    def outputs(self) -> list[bytes]:
+        ens = gen_bundles(SeedStream(23), 60, self.GRID, 1e-2, 1.0)  # nothing memoised on it
+        # the default family reads B1 and the driver; the last member reads
+        # each view's own running variation
+        family = [*default_sweep_family(),
+                  GridRuleStrategy("half_band_until_qv", 0.5, self.half_band_until_qv)]
+        sweep = utility_sweep(family, ens, 1e-2)
+        terms = utility_bound_terms_family(family, ens)
+        columns = [a.tobytes() for p in cx._family_pass(family, ens)
+                   for a in (p.cont, p.jump, p.wiped, p.supermartingale)]
+        ruin = negative_wealth_probability(sign_at_time_strategy(0.5, 0.99), ens)
+        assert 0 < ruin.n_nonpositive < ens.n_paths
+        return [self.dump(sweep, terms, ruin).encode(), *columns]
+
+    @staticmethod
+    def dump(sweep, terms, ruin):
+        return repr([sweep.as_dict(), [asdict(t) for t in terms], asdict(ruin)])
+
+    @pytest.mark.parametrize("rows", [1, 3, 49])
+    def test_same_bytes_in_blocks_of_any_size(self, rows, monkeypatch):
+        whole = self.outputs()
+        monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * self.GRID.n_steps)
+        assert len(list(gen_bundles(SeedStream(23), 60, self.GRID, 1e-2, 1.0).blocks())) > 1
+        assert self.outputs() == whole

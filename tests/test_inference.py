@@ -25,6 +25,7 @@ from qvmart.path_core import Ensemble, TimeGrid, truncation_index
 from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_ensemble
 from qvmart.strategy import (
     const_strategy,
+    h2_norm,
     sign_at_time_strategy,
     truncation_strategy,
     window_strategy,
@@ -408,9 +409,10 @@ class TestRowBlocks:
         gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), growth, ens)
         lams = [estimate_lambda(s, res.s_hat, stop_n=0.25)
                 for s in (const_strategy(1.0), truncation_strategy(0.25))]
+        norm = h2_norm(truncation_strategy(0.25), res.s_hat)  # reads each view's own qv
         nums = [res.coverage, res.reconstruction_error, stop_n, growth.value,
                 growth.stderr, growth.direct.estimate, gap.gap, gap.stderr,
-                *(x for lam in lams for x in (lam.value, lam.stderr))]
+                *(x for lam in lams for x in (lam.value, lam.stderr)), norm.value, norm.stderr]
         arrays = [est.alpha, est.stderr, est.count, est.mass, est_t.alpha, est_t.stderr,
                   res.s_hat.values, res.s_hat.qv]
         return [np.asarray(nums).tobytes(), *(a.tobytes() for a in arrays)]
@@ -450,6 +452,42 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * vals.nbytes
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def recentred(self):
+        vals = np.cumsum(np.random.default_rng(6).normal(0.0, 0.06, (10_000, 257)), axis=1)
+        ens = Ensemble(TimeGrid.uniform(256), vals, 6, "x")
+        return decompose(ens, estimate_alpha(ens, BinSpec(32, state_bins=8, min_count=20)))
+
+    def test_martingale_residual_stays_bounded(self, recentred):
+        # every test profile, stop and variation is one row view's: against
+        # 3.1x with the whole profile and the whole cached variation
+        s_hat = recentred.s_hat
+        stop_n = choose_truncation_level(s_hat)
+        tests = [const_strategy(1.0), const_strategy(-1.0), window_strategy(1.0, 0.0, 0.5),
+                 sign_at_time_strategy(0.5, 1.0), truncation_strategy(stop_n)]
+        peak = self.peak(lambda: martingale_residual(recentred, tests, stop_n=stop_n))
+        assert peak <= 1 * s_hat.values.nbytes
+
+    def test_hitting_rule_norm_stays_bounded(self, recentred):
+        # the truncation rule's profile reads each view's own variation: 3.1x
+        # with a whole profile and the whole variation
+        s_hat = Ensemble(recentred.s_hat.grid, recentred.s_hat.values, 6, "y")  # nothing cached
+        assert self.peak(lambda: h2_norm(truncation_strategy(4), s_hat)) <= 1 * s_hat.values.nbytes
+
+    def test_truncation_level_stays_bounded(self, recentred):
+        # one view's variation at a time: 1.2x with the whole variation
+        s_hat = Ensemble(recentred.s_hat.grid, recentred.s_hat.values, 6, "y")  # nothing cached
+        assert self.peak(lambda: choose_truncation_level(s_hat)) <= 1 * s_hat.values.nbytes
 
     def test_time_only_fit_stays_bounded(self):
         # num and den at 32 bins (1/8x each) and a row block's temporaries,

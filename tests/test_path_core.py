@@ -48,6 +48,12 @@ def one_row(grid: TimeGrid, base, jumps=()) -> Ensemble:
                     jump_cell=cells, jump_size=[z for _, z in jumps])
 
 
+def continuous_part(ens: Ensemble) -> Ensemble:
+    """The paths with all jumps removed, rebuilt from ``continuous_increments``."""
+    steps = np.concatenate([ens.values[:, :1], ens.continuous_increments()], axis=1)
+    return Ensemble(ens.grid, np.cumsum(steps, axis=1), ens.master_seed, ens.model_tag)
+
+
 def ref_qv(ens: Ensemble) -> np.ndarray:
     """Running variation row by row: squared continuous increments, then
     each jump's squared size added in its cell."""
@@ -125,7 +131,7 @@ class TestSamplePath:
         g = TimeGrid.uniform(4)
         p = one_row(g, [0.0, 1.0, 1.0, 1.0, 1.0], [(0.5, 2.0)])
         np.testing.assert_array_equal(p.values, [[0.0, 1.0, 3.0, 3.0, 3.0]])
-        cont = p.continuous_part()
+        cont = continuous_part(p)
         np.testing.assert_allclose(cont.values, [[0.0, 1.0, 1.0, 1.0, 1.0]])
         assert cont.jump_path.size == 0
 
@@ -190,7 +196,7 @@ class TestQuadraticVariation:
                           1e-2, 3.0)
         assert ens.jump_path.size
         qv = ens.qv
-        head, cont = ens.head(3), ens.continuous_part()
+        head, cont = ens.head(3), continuous_part(ens)
         assert head.qv.tobytes() == qv[:3].tobytes()
         assert cont.qv.tobytes() == ref_qv(cont).tobytes()
         assert np.all(cont.qv[:, -1] < qv[:, -1])
@@ -212,7 +218,7 @@ class TestQuadraticVariation:
         size = float(rng.standard_normal()) or 1.0
         p = one_row(g, base, [(float(g.points[k]), size)])
         with_jumps = qv_matrix(p)[0, -1]
-        without = qv_matrix(p.continuous_part())[0, -1]
+        without = qv_matrix(continuous_part(p))[0, -1]
         assert with_jumps - without == pytest.approx(size**2, rel=1e-12)
 
     @given(st.integers(0, 2**31))
@@ -238,9 +244,9 @@ class TestVariationIncrements:
         want = np.zeros_like(ens.values)
         want[:, 1:] = np.cumsum(whole, axis=1)
         monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows_per_block * grid.n_steps)
-        blocks = path_core._row_blocks(ens.n_paths, grid.n_steps)
-        assert len(blocks) > 1
-        parts = [ens.variation_increments(blk) for blk in blocks]
+        views = list(ens.blocks())
+        assert len(views) > 1
+        parts = [part.variation_increments() for _, part in views]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
         assert qv_matrix(ens).tobytes() == want.tobytes() == ref_qv(ens).tobytes()
 
@@ -248,7 +254,7 @@ class TestVariationIncrements:
         ens = gen_ensemble(BrownianModel(), SeedStream(8), 40, TimeGrid.dyadic(7))
         want = ens.continuous_increments() ** 2
         assert ens.variation_increments().tobytes() == want.tobytes()
-        assert ens.variation_increments(slice(5, 9)).tobytes() == want[5:9].tobytes()
+        assert ens._view(slice(5, 9)).variation_increments().tobytes() == want[5:9].tobytes()
 
     def test_jump_cell_is_exact(self):
         # a line of slope 4 (increments 0.25) and a jump of 1.5 at t = 0.5,

@@ -29,6 +29,7 @@ from qvmart.simulate import (
     sigma_profile,
     sigma_profile_vec,
 )
+from test_path_core import continuous_part
 
 
 class TestSeedStream:
@@ -268,7 +269,7 @@ class TestCounterexampleBundle:
         np.testing.assert_array_equal(bundle.jump_path, bundle.poisson_row)
 
     def test_continuous_part_is_m(self, bundle):
-        np.testing.assert_allclose(bundle.continuous_part().values, bundle.m, atol=1e-12)
+        np.testing.assert_allclose(continuous_part(bundle).values, bundle.m, atol=1e-12)
 
     def test_qv_splits_into_m_and_jumps(self, bundle):
         total = qv_matrix(bundle)[0, -1]

@@ -6,8 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qvmart.errors import ConfigurationError, ContractViolation
 from qvmart.path_core import Ensemble, TimeGrid
@@ -28,8 +26,6 @@ from qvmart.strategy import (
     load_strategy,
     load_strategy_file,
     pi_for_ensemble,
-    proportion_from_shares,
-    shares_from_proportion,
     sign_at_time_strategy,
     truncation_strategy,
     window_strategy,
@@ -468,30 +464,6 @@ class TestMargin:
         with pytest.raises(ContractViolation, match="margin"):
             pi_for_ensemble(strat, ens)
         pi_for_ensemble(replace(strat, margin=0.5), ens)
-
-
-class TestShares:
-    def test_zero_proportion(self):
-        assert shares_from_proportion(0.0, 100.0, 50.0) == 0.0
-
-    def test_full_investment(self):
-        assert shares_from_proportion(1.0, 100.0, 50.0) == 2.0
-
-    @given(
-        st.floats(-5, 5),
-        st.floats(0.01, 1e4),
-        st.floats(0.01, 1e4),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, pi, wealth, price):
-        h = shares_from_proportion(pi, wealth, price)
-        assert proportion_from_shares(h, wealth, price) == pytest.approx(pi, abs=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(ContractViolation):
-            shares_from_proportion(1.0, -1.0, 50.0)
-        with pytest.raises(ContractViolation):
-            proportion_from_shares(1.0, 100.0, 0.0)
 
 
 class TestStrategyFiles:

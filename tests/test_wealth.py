@@ -58,6 +58,11 @@ def ref_wealth(pi, values, cells, sizes):
     return w, dead
 
 
+def whole(*xs):
+    """``_moments``' profiles for whole profiles: each view's rows of each."""
+    return lambda rows, part: [x if x.ndim == 1 else x[rows] for x in xs]
+
+
 def ref_rows(pi, ens):
     """``ref_wealth`` of every row of ``ens``, ``pi`` shared or one row per path."""
     pi = np.broadcast_to(pi, (ens.n_paths, ens.grid.n_steps))
@@ -71,7 +76,7 @@ class TestSimpleIntegral:
 
     @staticmethod
     def integral(pi, p):
-        return _moments([np.asarray(pi, dtype=float)], p)[0, 0, 0]
+        return _moments(p, whole(np.asarray(pi, dtype=float)))[0, 0, 0]
 
     def test_unit_telescopes(self):
         p = brownian(1, 8)
@@ -307,7 +312,7 @@ class TestRowBlockedKernel:
         ens, x, dh, inc = self.data(n_paths, shared)
         want = [np.sum(x * inc, axis=1), np.sum(x * x * (inc * inc), axis=1),
                 np.sum(x * dh, axis=1), np.sum(x * x * (dh * dh), axis=1)]
-        without, with_dh = _moments([x], ens)[0], _moments([x], ens, lambda blk: dh[blk])[0]
+        without, with_dh = _moments(ens, whole(x))[0], _moments(ens, whole(x), lambda r: dh[r])[0]
         assert without.shape == (2, n_paths) and with_dh.shape == (4, n_paths)
         for got in (without, with_dh):
             for g, w in zip(got, want):
@@ -317,10 +322,10 @@ class TestRowBlockedKernel:
     def test_several_profiles_equal_one_call_each(self, recentred):
         ens, x, dh, _ = self.data(self.ROWS + 3, False)
         xs = [x, x[0], np.abs(x), np.zeros(self.CELLS)]
-        f = (lambda blk: dh[blk]) if recentred else None
-        got = _moments(xs, ens, f)
+        f = (lambda rows: dh[rows]) if recentred else None
+        got = _moments(ens, whole(*xs), f)
         for g, one in zip(got, xs):
-            assert g.tobytes() == _moments([one], ens, f)[0].tobytes()
+            assert g.tobytes() == _moments(ens, whole(one), f)[0].tobytes()
 
     @pytest.mark.parametrize("state_bins", [0, 4])
     def test_growth_direct_matches_value(self, state_bins):
