@@ -459,17 +459,23 @@ def insider_drift_divergence(
 
     One row per eps, computed as nested partial sums over the same
     bundles, so the column is increasing by construction; the growth law
-    against the closed form is the divergence signature.
+    against the closed form is the divergence signature.  The running
+    sums are taken one row view at a time, and only each bundle's value
+    at every cut is kept.
     """
     ens = _bundles(bundles)
     if min(eps_list) < ens.eps:
         raise ContractViolation("bundles were generated with a coarser truncation")
     pts = ens.grid.points
     w = sigma_profile_vec(pts[:-1]) / (1.0 - pts[:-1]) * ens.grid.dt
-    cum = np.cumsum(np.abs(ens.b1[:, None] - ens.b[:, :-1]) * w, axis=1)
-    rows = []
-    for eps in sorted(eps_list, reverse=True):
-        k_cut = int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1
-        tv = cum[:, k_cut - 1] if k_cut >= 1 else np.zeros(ens.n_paths)
-        rows.append(DivergenceRow(float(eps), *_mean_stderr(tv), drift_variation_closed_form(eps)))
-    return rows
+    eps_sorted = sorted(eps_list, reverse=True)
+    # grid index of each cutoff; the running sum's column k sums the cells before k
+    cuts = [max(int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1, 0)
+            for eps in eps_sorted]
+    tv = np.empty((len(cuts), ens.n_paths))
+    for rows, part in ens.blocks():
+        cum = np.zeros_like(part.values)
+        np.cumsum(np.abs(ens.b1[rows, None] - ens.b[rows, :-1]) * w, axis=1, out=cum[:, 1:])
+        tv[:, rows] = cum[:, cuts].T
+    return [DivergenceRow(float(eps), *_mean_stderr(col), drift_variation_closed_form(eps))
+            for eps, col in zip(eps_sorted, tv)]

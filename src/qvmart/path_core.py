@@ -43,10 +43,16 @@ __all__ = [
 ]
 
 
-# Cells a row-blocked matrix pass holds at once (2 MiB of float64): path
-# generation, the variation, the log-wealth kernel and the drift estimators
-# work in row blocks of this many cells.
-_CHUNK_CELLS = 1 << 18
+# Cells a row-blocked matrix pass holds at once: 2^15 cells, 256 KiB per
+# float64 temporary.  Path generation, the variation, the log-wealth kernel,
+# the drift estimators and the insider passes work in row blocks of this
+# many cells.  A block's few temporaries stay resident in a core's L2 cache,
+# well below the 2 MiB temporaries of 2^18-cell blocks, with which a pass in
+# a fresh process ran about 1.3x slower than after a large array was freed
+# (pages faulted in anew on every pass, most likely).  Of 2^14, 2^15 and
+# 2^16, 2^15 was as fast as 2^16 per pass, and as small as 2^14 in the
+# insider pipeline's peak memory.
+_CHUNK_CELLS = 1 << 15
 
 
 def _row_blocks(n_rows: int, n_cells: int) -> list[slice]:

@@ -4,6 +4,7 @@ log utility over insider strategies, and the drift-variation divergence."""
 
 import json
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -355,16 +356,27 @@ class TestSharedFamilyPass:
     def dump(sweep, terms):
         return json.dumps([sweep.as_dict(), [asdict(t) for t in terms]], sort_keys=True)
 
+    @staticmethod
+    def past_the_probe(ens):
+        """Rows whose B1 lies above that of the three probe bundles: a mask
+        of row r's own insider value, as the row contract asks, False on
+        the probe rows of this seeded fixture."""
+        top = ens.b1[:3].max()
+        return lambda ctx: ctx.insider[:, None] > top
+
     def test_shared_pass_matches_fresh_ensembles(self, monkeypatch):
         family = default_sweep_family()
         ens = self.fresh()
+        views = len(list(ens.blocks()))
+        assert views > 1
         calls, profile = [], cx._unit_profile
         monkeypatch.setattr(cx, "_unit_profile",
                             lambda *a, **k: calls.append(1) or profile(*a, **k))
         sweep = utility_sweep(family, ens, 1e-2)
-        assert len(calls) == 3  # one unit shape per rule shape, not one per member
+        # one unit shape per rule shape and row view, not one per member
+        assert len(calls) == 3 * views
         terms = utility_bound_terms_family(family, ens)
-        assert len(calls) == 3  # the second call builds no profile
+        assert len(calls) == 3 * views  # the second call builds no profile
         alone = (utility_sweep(family, self.fresh(), 1e-2),
                  utility_bound_terms_family(family, self.fresh()))
         assert self.dump(sweep, terms) == self.dump(*alone)
@@ -390,19 +402,25 @@ class TestSharedFamilyPass:
             wiped_any |= bool(wiped.any())
         assert not wiped_any  # admissible members are never wiped out
 
-    def test_factored_jump_terms_match_on_wiped_paths(self):
+    def test_factored_jump_terms_match_on_wiped_paths(self, monkeypatch):
         # a scaled shape outside the band: jump sums and masks, ruined paths
         # included, are bit for bit those of the member's own profile
-        def fn(ens, ctx):
-            return np.where(np.arange(ens.n_paths)[:, None] >= 3, 1.0, 0.0) * np.ones(
-                ens.grid.n_steps)
-
         ens = self.fresh()
-        family = [GridRuleStrategy(f"late{c:+g}", 2.0, fn, scale=c) for c in (-2.0, 1.5, 0.5)]
-        for member, p in zip(family, cx._family_pass(family, ens)):
-            jump, wiped = own_jump_terms(pi_for_ensemble(member, ens), ens)
-            assert p.jump.tobytes() == jump.tobytes() and p.wiped.tobytes() == wiped.tobytes()
-        assert cx._family_pass(family, ens)[0].wiped.any()
+        past = self.past_the_probe(ens)
+
+        def fn(ens, ctx):
+            return np.where(past(ctx), 1.0, 0.0) * np.ones(ens.grid.n_steps)
+
+        for rows in (None, 7):  # the default row blocks, then 7 rows a block
+            if rows:
+                monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * self.GRID.n_steps)
+            # new members: nothing is memoised for them on ``ens``
+            family = [GridRuleStrategy(f"late{c:+g}", 2.0, fn, needs_insider=True, scale=c)
+                      for c in (-2.0, 1.5, 0.5)]
+            for member, p in zip(family, cx._family_pass(family, ens)):
+                jump, wiped = own_jump_terms(pi_for_ensemble(member, ens, ens.b1, ens.b), ens)
+                assert p.jump.tobytes() == jump.tobytes() and p.wiped.tobytes() == wiped.tobytes()
+            assert cx._family_pass(family, ens)[0].wiped.any()
 
     def test_zero_coefficient_reports_positive_zero(self, tmp_path):
         from qvmart.cli import main
@@ -433,16 +451,18 @@ class TestSharedFamilyPass:
             assert (p.supermartingale == 1.0).all()
 
     def test_bound_and_margin_checked_past_the_probe_rows(self):
-        # zero on the probe rows, 0.5 (1 - t) later: inside the band, but
-        # outside a bound of 0.4 and outside the margin (1 - 0.9)(1 - t)
-        def fn(ens, ctx):
-            rows = np.arange(ens.n_paths)[:, None] >= 3
-            return np.where(rows, 1.0 - ens.grid.points[:-1], 0.0)
-
+        # zero on the probe rows, 0.5 (1 - t) on rows past them: inside the
+        # band, but outside a bound of 0.4 and outside the margin (1 - 0.9)(1 - t)
         ens = self.fresh(50)
+        past = self.past_the_probe(ens)
+
+        def fn(ens, ctx):
+            return np.where(past(ctx), 1.0 - ens.grid.points[:-1], 0.0)
+
         with pytest.raises(ContractViolation, match="declared bound"):
-            utility_sweep([GridRuleStrategy("late", 0.4, fn, scale=0.5)], ens, 1e-2)
-        late = GridRuleStrategy("late", 0.5, fn, scale=0.5, margin=0.9)
+            utility_sweep([GridRuleStrategy("late", 0.4, fn, needs_insider=True, scale=0.5)],
+                          ens, 1e-2)
+        late = GridRuleStrategy("late", 0.5, fn, needs_insider=True, scale=0.5, margin=0.9)
         with pytest.raises(ContractViolation, match="margin"):
             utility_sweep([late], ens, 1e-2)
         ok = replace(late, margin=0.5)
@@ -457,14 +477,15 @@ class TestSharedFamilyPass:
         assert sweeps == [utility_sweep([s], self.fresh(), 1e-2).as_dict() for s in (a, b)]
 
     def test_wipe_out_past_the_probe_rows(self):
-        # zero on the three probe rows, -2 on every later one: each later
+        # zero on the three probe rows, -2 on the rows past them: each such
         # up-jump of size >= 1 has factor 1 - 2 dS <= -1
-        def fn(ens, ctx):
-            rows = np.arange(ens.n_paths)[:, None] >= 3
-            return np.where(rows, -2.0, 0.0) * np.ones(ens.grid.n_steps)
-
-        late = GridRuleStrategy("late", 2.0, fn)
         ens = self.fresh()
+        past = self.past_the_probe(ens)
+
+        def fn(ens, ctx):
+            return np.where(past(ctx), -2.0, 0.0) * np.ones(ens.grid.n_steps)
+
+        late = GridRuleStrategy("late", 2.0, fn, needs_insider=True)
         sweep = utility_sweep([late], ens, 1e-2)
         (name, rep), = sweep.entries
         assert sweep.n_ruined_strategies == 1 and rep.n_nonpositive > 0
@@ -529,3 +550,41 @@ class TestRowViews:
         monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * self.GRID.n_steps)
         assert len(list(gen_bundles(SeedStream(23), 60, self.GRID, 1e-2, 1.0).blocks())) > 1
         assert self.outputs() == whole
+
+
+class TestInsiderMemory:
+    """Traced heap peaks of the insider passes on 3000 bundles of the A8 grid
+    (eps 1e-3, 256 + 512 steps), against the bundles' 8-byte value matrix:
+    every ``(bundles, cells)`` temporary is one row view's, so no pass holds
+    a matrix the size of the bundles'."""
+
+    EPS = (1e-1, 1e-2, 1e-3)
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        grid = make_insider_grid(1e-3, n_uniform=256, n_log=512)
+        return gen_bundles(SeedStream(808), 3000, grid, 1e-3, 1.0)
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_divergence(self, big):
+        assert self.peak(lambda: insider_drift_divergence(big, self.EPS)) <= big.values.nbytes // 4
+
+    def test_sweep(self, big):
+        # a fresh family: nothing is memoised for its members on ``big``
+        family = default_sweep_family()
+        assert self.peak(lambda: utility_sweep(family, big, 1e-3)) <= big.values.nbytes // 2
+
+    @pytest.mark.parametrize("rows", [1, 7, 3000], ids=["1-row", "7-rows", "one-block"])
+    def test_divergence_rows_in_blocks_of_any_size(self, big, rows, monkeypatch):
+        default = insider_drift_divergence(big, self.EPS)
+        assert len(list(big.blocks())) > 1
+        monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * big.grid.n_steps)
+        assert repr(insider_drift_divergence(big, self.EPS)) == repr(default)

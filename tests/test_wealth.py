@@ -267,6 +267,9 @@ class TestRowBlockedKernel:
 
     CELLS = 2048
     ROWS = _CHUNK_CELLS // CELLS  # rows per block
+    # one row, whole blocks, and whole blocks and one row: 128 is a whole
+    # number of blocks for any power-of-two block of at most 2^18 cells
+    N_PATHS = [1, 128, 257]
 
     def data(self, n_paths, shared, jumps=True, seed=3):
         """An ensemble, a profile, recentred increments and the continuous
@@ -286,7 +289,7 @@ class TestRowBlockedKernel:
         inc[jp, jc] -= js
         return ens, pi, dh, inc
 
-    @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
+    @pytest.mark.parametrize("n_paths", N_PATHS)
     @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
     @pytest.mark.parametrize("jumps", [False, True], ids=["jump-free", "jumps"])
     def test_bit_equal_to_whole_matrix_sums(self, n_paths, shared, jumps):
@@ -306,7 +309,7 @@ class TestRowBlockedKernel:
         assert ref_wiped.any() == jumps  # the mask is exercised
         assert logw.tobytes() == np.where(ref_wiped, -np.inf, cont + ref_jump).tobytes()
 
-    @pytest.mark.parametrize("n_paths", [1, ROWS, 2 * ROWS + 1])
+    @pytest.mark.parametrize("n_paths", N_PATHS)
     @pytest.mark.parametrize("shared", [True, False], ids=["row", "matrix"])
     def test_moments_bit_equal_to_whole_matrix_sums(self, n_paths, shared):
         ens, x, dh, inc = self.data(n_paths, shared)
