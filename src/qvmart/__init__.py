@@ -44,6 +44,5 @@ from .inference import (
     estimate_alpha,
     estimate_lambda,
     growth_optimal_value,
-    martingale_residual,
     optimality_gap,
 )

@@ -33,8 +33,8 @@ from .inference import (
     choose_truncation_level,
     decompose,
     estimate_alpha,
+    estimate_lambda,
     growth_optimal_value,
-    martingale_residual,
     optimality_gap,
 )
 from .path_core import (
@@ -237,7 +237,7 @@ def _cmd_decompose(args) -> int:
     )
     if not isinstance(tests, list):
         tests = [tests]
-    diags = martingale_residual(result, tests, stop_n=stop_n)
+    diags = estimate_lambda(tests, result.s_hat, stop_n)
     _write_csv(
         out / "alpha.csv",
         ["bin_start", "bin_end", "alpha", "stderr", "count"],
@@ -250,7 +250,7 @@ def _cmd_decompose(args) -> int:
         ],
     )
     _write_json(out / "diagnostics.json", [
-        {"strategy": d.strategy, "estimate": d.estimate, "stderr": d.stderr,
+        {"strategy": d.strategy, "estimate": d.value, "stderr": d.stderr,
          "z": d.z, "passed": d.passed}
         for d in diags
     ])
@@ -305,11 +305,9 @@ def _cmd_optimize(args) -> int:
             strategies = [strategies]
     else:
         strategies = [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)]
-    gaps = []
-    for s in strategies:
-        g = optimality_gap(s, growth, ens)
-        gaps.append({"strategy": s.name, "gap": g.gap,
-                     "stderr": g.stderr, "within_noise": g.gap <= 3.0 * g.stderr})
+    gaps = [{"strategy": s.name, "gap": g.gap, "stderr": g.stderr,
+             "within_noise": g.gap <= 3.0 * g.stderr}
+            for s, g in zip(strategies, optimality_gap(strategies, growth, ens))]
     _write_json(out / "growth_report.json", {
         "growth_value": growth.value,
         "growth_stderr": growth.stderr,

@@ -50,7 +50,7 @@ from .simulate import (
 )
 from .strategy import BandReport, EvalContext, GridRuleStrategy, Leg, band_check, legs_strategy
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
-from .strategy import pi_for_ensemble, _check_bound, _check_margin, _unit_profile
+from .strategy import pi_for_ensemble, _check_profile, _unit_profile
 from .wealth import UtilityReport, log_utility
 from .wealth import _at_jumps, _continuous_sum, _jump_terms, _moments, _terminal_log_wealth
 
@@ -264,10 +264,8 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
         moments = _moments(ens, unit_shapes,
                            lambda rows: np.diff(ens.m[rows] - ens.drift_values(rows), axis=1))
     for group, peak in zip(groups, colmax):
-        for rule in (entry.member for entry in group):
-            _check_bound(rule, abs(rule.scale) * peak.max(initial=0.0))
-            if rule.margin is not None:
-                _check_margin(rule, abs(rule.scale) * peak, ens.grid)
+        for entry in group:
+            _check_profile(entry.member, peak, ens.grid)
     for group, xj, (a, b, ah, bh) in zip(groups, at_jumps, moments):
         xj = np.concatenate(xj)
         for entry in group:

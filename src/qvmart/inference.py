@@ -10,12 +10,15 @@ exact least-squares solution of dS ~ alpha d[S] on bin-measurable test
 functions.  ``d[S]`` is ``Ensemble.variation_increments``, read one row
 block at a time.  Recentring S by the fitted drift yields paths whose
 simple integrals against bounded test strategies should be statistically
-zero; those z-scores are the martingale diagnostics.
+zero: ``estimate_lambda`` on the recentred paths gives the z-scores of
+those martingale diagnostics.  The strategy family is the unit of the
+drift estimators: ``estimate_lambda`` and ``optimality_gap`` take a list
+of strategies and make one pass over the row views for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "DriftEstimate",
     "LambdaEstimate",
     "DecompositionResult",
-    "Diagnostic",
     "GrowthReport",
     "GapReport",
     "estimate_lambda",
@@ -38,7 +40,6 @@ __all__ = [
     "estimate_alpha",
     "cell_alpha",
     "decompose",
-    "martingale_residual",
     "growth_optimal_value",
     "optimality_gap",
     "cauchy_schwarz_bound_check",
@@ -101,7 +102,8 @@ class DriftEstimate:
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    """Monte-Carlo mean of the terminal simple integral of a strategy."""
+    """Monte-Carlo mean of the terminal simple integral of a strategy; on
+    recentred paths, |z| <= 3 is the martingale diagnostic's pass condition."""
 
     value: float
     stderr: float
@@ -114,8 +116,12 @@ class LambdaEstimate:
             return 0.0 if self.value == 0.0 else np.inf
         return self.value / self.stderr
 
+    @property
+    def passed(self) -> bool:
+        return abs(self.z) <= 3.0
 
-@dataclass
+
+@dataclass(frozen=True)
 class DecompositionResult:
     """``reconstruction_error`` is the largest gap of ``S_hat + sum alpha
     d[S]`` against the original paths, NaN when a path holds a NaN."""
@@ -124,19 +130,6 @@ class DecompositionResult:
     s_hat: Ensemble
     coverage: float
     reconstruction_error: float
-    diagnostics: list["Diagnostic"] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    strategy: str
-    estimate: float
-    stderr: float
-    z: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.z) <= 3.0
 
 
 def _require_continuous(ensemble: Ensemble) -> None:
@@ -161,28 +154,29 @@ def choose_truncation_level(ensemble: Ensemble, target: float = 0.99) -> float:
 
 
 def estimate_lambda(
-    strategy: GridRuleStrategy,
+    strategies: list[GridRuleStrategy],
     ensemble: Ensemble,
     stop_n: float | None = None,
-) -> LambdaEstimate:
-    """Mean terminal value of the simple integral of the strategy against
-    the paths, with its standard error.
+) -> list[LambdaEstimate]:
+    """Mean terminal value of each strategy's simple integral against the
+    paths, with its standard error, in family order.
 
     ``stop_n`` zeroes every increment after the path's level/variation
     truncation time, the bounded-support discipline that keeps the
-    estimate finite on heavy models.  The profile, the stops and the sums
-    are built one row view at a time.
+    estimate finite on heavy models.  One pass over the row views builds
+    each view's increments, stops and running variation once for every
+    strategy, then each strategy's profile and sums on the view.
     """
-    if ensemble.n_paths < 1:
-        raise ContractViolation("empty ensemble")
     cells = np.arange(ensemble.grid.n_steps)
-    per_path = np.empty(ensemble.n_paths)
+    per_path = np.empty((len(strategies), ensemble.n_paths))
     for rows, part in ensemble.blocks():
         ds = np.diff(part.values, axis=1)
         if stop_n is not None:
             ds *= cells < truncation_index(part.values, part.qv, stop_n)[:, None]
-        per_path[rows] = np.sum(pi_for_ensemble(strategy, part) * ds, axis=1)
-    return LambdaEstimate(*_mean_stderr(per_path), strategy.name, ensemble.n_paths)
+        for strat, out in zip(strategies, per_path):
+            out[rows] = np.sum(pi_for_ensemble(strat, part) * ds, axis=1)
+    return [LambdaEstimate(*_mean_stderr(p), s.name, ensemble.n_paths)
+            for s, p in zip(strategies, per_path)]
 
 
 def estimate_alpha(ensemble: Ensemble, bin_spec: BinSpec = BinSpec()) -> DriftEstimate:
@@ -299,25 +293,6 @@ def decompose(
     return DecompositionResult(est, s_hat, coverage, float(np.max(gaps)))
 
 
-def martingale_residual(
-    result: DecompositionResult,
-    strategies,
-    stop_n: float | None = None,
-) -> list[Diagnostic]:
-    """z-scores of the recentred paths' simple integrals per test strategy.
-
-    |z| <= 3 for every bounded prefix-measurable test is the pass
-    condition; the same harness run on un-recentred drifted paths is the
-    negative control.
-    """
-    out = []
-    for strat in strategies:
-        lam = estimate_lambda(strat, result.s_hat, stop_n=stop_n)
-        out.append(Diagnostic(lam.strategy, lam.value, lam.stderr, lam.z))
-    result.diagnostics.extend(out)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class GrowthReport:
     """Half the fitted quadratic drift mass, with a direct utility cross-check.
@@ -365,23 +340,27 @@ class GapReport:
 
 
 def optimality_gap(
-    strategy: GridRuleStrategy, growth: GrowthReport, ensemble: Ensemble
-) -> GapReport:
-    """Paired estimate of E[log W(strategy)] - E[log W(alpha_hat)].
+    strategies: list[GridRuleStrategy], growth: GrowthReport, ensemble: Ensemble
+) -> list[GapReport]:
+    """Paired estimate of E[log W(strategy)] - E[log W(alpha_hat)] for each
+    strategy, in family order.
 
     ``growth`` is the fitted drift's ``growth_optimal_value`` on the same
-    ensemble, whose log wealths the strategy's are paired against.
+    ensemble, whose log wealths the strategies' are paired against.
     Pairing on common paths makes the standard error of the difference
-    the right scale for the one-sided check gap <= 3 stderr.
+    the right scale for the one-sided check gap <= 3 stderr.  One kernel
+    pass builds every strategy's profile on each row view.
     """
     _require_continuous(ensemble)
     logw_a = growth.log_wealth
     if logw_a.shape != (ensemble.n_paths,):
         raise ContractViolation("the growth report belongs to another ensemble")
-    logw_pi = _continuous_sum(*_moments(
-        ensemble, lambda rows, part: [pi_for_ensemble(strategy, part)])[0])
-    gap, se = _mean_stderr(logw_pi - logw_a)
-    return GapReport(gap, se, float(np.mean(logw_pi)), float(np.mean(logw_a)))
+    moments = _moments(ensemble, lambda rows, part: [pi_for_ensemble(s, part) for s in strategies])
+    utility_a, out = float(np.mean(logw_a)), []
+    for a, b in moments:
+        logw_pi = _continuous_sum(a, b)
+        out.append(GapReport(*_mean_stderr(logw_pi - logw_a), float(np.mean(logw_pi)), utility_a))
+    return out
 
 
 @dataclass(frozen=True)
@@ -409,8 +388,7 @@ def cauchy_schwarz_bound_check(
         raise ContractViolation("the utility bound C must be non-negative")
     root = np.sqrt(2.0 * c_bound)
     rows = []
-    for strat in strategies:
-        lam = estimate_lambda(strat, ensemble, stop_n=stop_n)
+    for strat, lam in zip(strategies, estimate_lambda(strategies, ensemble, stop_n)):
         nrm = h2_norm(strat, ensemble)
         norm_val = float(np.sqrt(max(nrm.value, 0.0)))
         se_norm = nrm.stderr / (2.0 * norm_val) if norm_val > 0 else 0.0

@@ -207,24 +207,24 @@ def _rule_profile(rule: GridRuleStrategy, ensemble: Ensemble, ctx: EvalContext) 
     no value above the declared bound and, when it declares one, inside
     its margin."""
     pi = _unit_profile(rule, ensemble, ctx)
-    if rule.scale != 1.0:
-        pi = rule.scale * pi
-    _check_bound(rule, max(pi.max(initial=0.0), -pi.min(initial=0.0)))
-    if rule.margin is not None:
-        _check_margin(rule, np.abs(pi), ensemble.grid)
-    return pi
+    _check_profile(rule, np.abs(pi) if pi.ndim == 1 else np.abs(pi).max(axis=0), ensemble.grid)
+    return pi if rule.scale == 1.0 else rule.scale * pi
 
 
-def _check_bound(rule: GridRuleStrategy, peak: float) -> None:
-    """Refuse a profile whose largest absolute value exceeds the rule's bound."""
-    if peak > rule.bound + 1e-12:
+def _check_profile(rule: GridRuleStrategy, peak: np.ndarray, grid: TimeGrid) -> None:
+    """Refuse a rule whose profile exceeds its bound or, when it declares
+    one, leaves its margin: some ``|pi_t|`` above ``(1 - margin)(1 - t)`` at
+    a cell's left endpoint.
+
+    ``peak`` is the column peak of the unit profile, its largest ``|x|`` in
+    each cell; the profile's is ``|scale|`` times it, since ``|c| max|x|``
+    rounds as ``max|c x|`` does.
+    """
+    peak = abs(rule.scale) * peak
+    if peak.max(initial=0.0) > rule.bound + 1e-12:
         raise ContractViolation(f"strategy {rule.name!r} exceeded its declared bound")
-
-
-def _check_margin(rule: GridRuleStrategy, abs_pi: np.ndarray, grid: TimeGrid) -> None:
-    """Refuse absolute proportions (a row, or one row per path) above the
-    declared decay ``(1 - margin)(1 - t)`` at any cell's left endpoint."""
-    if np.any(abs_pi > (1.0 - rule.margin) * (1.0 - grid.points[:-1]) + 1e-12):
+    if rule.margin is not None and np.any(
+            peak > (1.0 - rule.margin) * (1.0 - grid.points[:-1]) + 1e-12):
         raise ContractViolation(
             f"strategy {rule.name!r} leaves its declared margin: "
             f"|pi_t| exceeds (1 - {rule.margin:g})(1 - t)")
@@ -272,8 +272,6 @@ def h2_norm(strategy: GridRuleStrategy, ensemble: Ensemble) -> NormEstimate:
     """Monte-Carlo estimate of E of the pathwise integral of pi^2 against
     ``d[S]`` (``Ensemble.variation_increments``, jumps included), with the
     profile built and summed one row view at a time."""
-    if ensemble.n_paths < 1:
-        raise ContractViolation("empty ensemble")
     per_path = np.empty(ensemble.n_paths)
     for rows, part in ensemble.blocks():
         pi = pi_for_ensemble(strategy, part)

@@ -47,7 +47,6 @@ from qvmart.inference import (
     estimate_alpha,
     estimate_lambda,
     growth_optimal_value,
-    martingale_residual,
     optimality_gap,
 )
 from qvmart.path_core import TimeGrid, qv_matrix
@@ -146,11 +145,11 @@ def test_a3_empirical_decomposition(bs, bs_alpha):
         sign_at_time_strategy(0.5, 1.0),
         truncation_strategy(stop_n),
     ]
-    diags = martingale_residual(result, tests, stop_n=stop_n)
+    diags = estimate_lambda(tests, result.s_hat, stop_n)
     assert len(diags) >= 5
     assert all(abs(d.z) <= 3.0 for d in diags)
 
-    raw = estimate_lambda(const_strategy(1.0), ens, stop_n=stop_n)
+    [raw] = estimate_lambda([const_strategy(1.0)], ens, stop_n=stop_n)
     assert abs(raw.z) > 3.0
     elapsed = time.time() - t0
     assert elapsed <= 300.0
@@ -173,7 +172,7 @@ def test_a4_growth_optimal(bs, bs_alpha):
         sign_at_time_strategy(0.5, ALPHA),
         truncation_strategy(1.0),
     ]
-    gaps = [optimality_gap(s, growth, ens) for s in strategies]
+    gaps = optimality_gap(strategies, growth, ens)
     assert all(g.gap <= 3.0 * g.stderr for g in gaps)
     elapsed = time.time() - t0
     assert elapsed <= 300.0
@@ -191,7 +190,7 @@ def test_a5_riesz_identity(bs, bs_alpha):
 
     # bin-measurable test strategy: window aligned with the 32-bin edges
     aligned = window_strategy(1.0, 0.0, 0.25)
-    lam = estimate_lambda(aligned, ens)
+    [lam] = estimate_lambda([aligned], ens)
     pi = pi_for_ensemble(aligned, ens)
     rhs = float(np.mean(np.sum(pi * a_cells * dqv, axis=1)))
     exact_gap = abs(lam.value - rhs)
@@ -199,7 +198,7 @@ def test_a5_riesz_identity(bs, bs_alpha):
 
     # off-bin strategy: window starting strictly inside a bin
     off = window_strategy(1.0, 0.25 / 32, 0.25)
-    lam_off = estimate_lambda(off, ens)
+    [lam_off] = estimate_lambda([off], ens)
     pi_off = pi_for_ensemble(off, ens)
     per_path = np.sum(pi_off * a_cells * dqv, axis=1)
     rhs_off = float(np.mean(per_path))

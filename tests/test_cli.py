@@ -196,6 +196,33 @@ def test_decompose_builds_variation_only_on_recentred_views(tmp_path, qv_calls, 
     assert report["truncation_level"] == choose_truncation_level(result.s_hat)
 
 
+def test_decompose_diagnostics_build_the_recentred_variation_twice(tmp_path, qv_calls,
+                                                                    monkeypatch):
+    sim, dec = tmp_path / "sim", tmp_path / "dec"
+    assert main(["simulate", "--model", "drifted", "--mu", "0.3", "--paths", "200",
+                 "--steps", "64", "--seed", "5", "--out", str(sim)]) == 0
+    monkeypatch.setattr(path_core, "_CHUNK_CELLS", 64 * 64)  # 64 rows a block, four views
+    assert main(["decompose", "--in", str(sim), "--bins", "4", "--out", str(dec)]) == 0
+    assert len(json.loads((dec / "diagnostics.json").read_text())) == 5
+    # once per view for the truncation level, once per view for all five
+    # tests' stops and hitting rules: one pass over the views for the family
+    assert [e.n_paths for e in qv_calls] == [64, 64, 64, 8] * 2
+
+
+def test_optimize_makes_two_kernel_passes(tmp_path, monkeypatch):
+    from qvmart import inference
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "drifted", "--paths", "300", "--steps", "32",
+                 "--seed", "5", "--out", str(sim)]) == 0
+    passes = []
+    real = inference._moments
+    monkeypatch.setattr(inference, "_moments", lambda *a: passes.append(a) or real(*a))
+    assert main(["optimize", "--in", str(sim), "--bins", "4", "--out", str(tmp_path / "o")]) == 0
+    # the growth value, then the nine default strategies together
+    assert len(passes) == 2
+
+
 def test_report_with_no_dirs_is_empty(tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["report", "--out", str(out)]) == 0

@@ -295,12 +295,11 @@ class TestOrdinaryInformationControl:
         from qvmart.strategy import sign_at_time_strategy, window_strategy
 
         ens = Ensemble(bundles.grid, bundles.m, 11, "insider-model-continuous-part")
-        for strat in (
+        for lam in estimate_lambda([
             const_strategy(1.0),
             window_strategy(1.0, 0.0, 0.5),
             sign_at_time_strategy(0.9, 1.0),  # 1 - 1e-1 is a grid checkpoint
-        ):
-            lam = estimate_lambda(strat, ens)
+        ], ens):
             assert abs(lam.z) <= 3.0
 
 

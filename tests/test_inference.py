@@ -18,14 +18,16 @@ from qvmart.inference import (
     estimate_alpha,
     estimate_lambda,
     growth_optimal_value,
-    martingale_residual,
     optimality_gap,
 )
 from qvmart.path_core import Ensemble, TimeGrid, truncation_index
 from qvmart.simulate import BrownianModel, DriftedDiffusion, SeedStream, gen_ensemble
 from qvmart.strategy import (
+    HitRule,
+    Leg,
     const_strategy,
     h2_norm,
+    legs_strategy,
     sign_at_time_strategy,
     truncation_strategy,
     window_strategy,
@@ -62,29 +64,25 @@ def bs_growth(bs, bs_alpha):
 class TestEstimateLambda:
     def test_zero_strategy_exact(self, driftless):
         ens = driftless
-        lam = estimate_lambda(const_strategy(0.0), ens)
+        [lam] = estimate_lambda([const_strategy(0.0)], ens)
         assert lam.value == 0.0 and lam.stderr == 0.0
 
     def test_driftless_within_noise(self, driftless):
         ens = driftless
-        lam = estimate_lambda(const_strategy(1.0), ens, stop_n=4.0)
+        [lam] = estimate_lambda([const_strategy(1.0)], ens, stop_n=4.0)
         assert abs(lam.z) <= 3.0
 
     def test_drift_recovered(self, bs):
         ens = bs
-        lam = estimate_lambda(const_strategy(1.0), ens)
+        [lam] = estimate_lambda([const_strategy(1.0)], ens)
         assert abs(lam.value - MU) <= 3.0 * lam.stderr
 
     def test_linearity_per_path(self, driftless):
         ens = driftless
         a, b = 2.0, -3.0
-        lam1 = estimate_lambda(const_strategy(1.0), ens)
-        lam2 = estimate_lambda(window_strategy(1.0, 0.0, 0.5), ens)
-        combo = estimate_lambda(
-            # a * 1 + b * window rendered as explicit leg values
-            window_strategy(b, 0.0, 0.5) if False else _combo(a, b),
-            ens,
-        )
+        # a * 1 + b * window rendered as explicit leg values
+        lam1, lam2, combo = estimate_lambda(
+            [const_strategy(1.0), window_strategy(1.0, 0.0, 0.5), _combo(a, b)], ens)
         assert combo.value == pytest.approx(a * lam1.value + b * lam2.value, rel=1e-10)
 
 
@@ -211,12 +209,11 @@ class TestMartingaleResidual:
             sign_at_time_strategy(0.5, 1.0),
             truncation_strategy(stop_n),
         ]
-        diags = martingale_residual(res, tests, stop_n=stop_n)
+        diags = estimate_lambda(tests, res.s_hat, stop_n)
         assert len(diags) == 5
         assert all(d.passed for d in diags)
-        assert res.diagnostics == diags
         # negative control: the raw drifted paths are loudly non-martingale
-        raw = estimate_lambda(const_strategy(1.0), ens, stop_n=stop_n)
+        [raw] = estimate_lambda([const_strategy(1.0)], ens, stop_n=stop_n)
         assert abs(raw.z) > 3.0
 
     def test_oracle_alpha_also_passes(self, bs, bs_alpha):
@@ -229,7 +226,7 @@ class TestMartingaleResidual:
             est.mass,
         )
         res = decompose(ens, oracle)
-        diags = martingale_residual(res, [const_strategy(1.0), sign_at_time_strategy(0.5)])
+        diags = estimate_lambda([const_strategy(1.0), sign_at_time_strategy(0.5)], res.s_hat)
         assert all(d.passed for d in diags)
 
 
@@ -267,37 +264,36 @@ class TestOptimalityGap:
         from qvmart.strategy import GridRuleStrategy
 
         strat = GridRuleStrategy("alpha_hat", 10.0, lambda e, ctx: a_cells)
-        g = optimality_gap(strat, bs_growth, ens)
+        [g] = optimality_gap([strat], bs_growth, ens)
         assert g.gap == pytest.approx(0.0, abs=1e-14)
         assert g.stderr == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_optimum_matches_fit(self, bs, bs_growth):
         ens = bs
-        g = optimality_gap(const_strategy(ALPHA), bs_growth, ens)
+        [g] = optimality_gap([const_strategy(ALPHA)], bs_growth, ens)
         assert g.gap <= 3.0 * g.stderr
         assert abs(g.gap) <= 3.0 * g.stderr + 1e-3  # near-zero both ways
 
     def test_doubled_proportion_quadratic_penalty(self, bs, bs_growth):
         # pi = 2 alpha loses (pi - alpha)^2 sigma^2 / 2 = 0.125 of log utility
         ens = bs
-        g = optimality_gap(const_strategy(2 * ALPHA), bs_growth, ens)
+        [g] = optimality_gap([const_strategy(2 * ALPHA)], bs_growth, ens)
         assert g.gap == pytest.approx(-0.125, abs=3.0 * g.stderr + 0.005)
 
     def test_gap_never_significantly_positive(self, bs, bs_growth):
         ens = bs
-        for strat in [const_strategy(c) for c in np.linspace(0.5, 4.5, 9)] + [
+        for g in optimality_gap([const_strategy(c) for c in np.linspace(0.5, 4.5, 9)] + [
             window_strategy(2.5, 0.0, 0.5),
             sign_at_time_strategy(0.5, 2.5),
             truncation_strategy(1.0),
-        ]:
-            g = optimality_gap(strat, bs_growth, ens)
+        ], bs_growth, ens):
             assert g.gap <= 3.0 * g.stderr
 
     def test_growth_of_another_ensemble_refused(self, bs, bs_alpha):
         # one path's log wealth would broadcast against every path's
         growth = growth_optimal_value(bs_alpha, bs.head(1))
         with pytest.raises(ContractViolation, match="another ensemble"):
-            optimality_gap(const_strategy(ALPHA), growth, bs)
+            optimality_gap([const_strategy(ALPHA)], growth, bs)
 
 
 class TestRieszIdentity:
@@ -306,7 +302,7 @@ class TestRieszIdentity:
         # an algebraic identity up to accumulation rounding
         ens = bs
         pi_strategy = window_strategy(1.0, 0.0, 0.25)  # 0.25 is a bin edge of 32
-        lam = estimate_lambda(pi_strategy, ens)
+        [lam] = estimate_lambda([pi_strategy], ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
         dqv = ens.variation_increments()  # the fit's own d[S]
         from qvmart.strategy import pi_for_ensemble
@@ -319,7 +315,7 @@ class TestRieszIdentity:
         # half-bin window straddles a bin: only statistical agreement holds
         ens = bs
         pi_strategy = window_strategy(1.0, 0.25 / 2.0 ** 5, 0.25)  # starts mid-bin
-        lam = estimate_lambda(pi_strategy, ens)
+        [lam] = estimate_lambda([pi_strategy], ens)
         a_cells, _ = cell_alpha(bs_alpha, ens)
         dqv = ens.variation_increments()  # the fit's own d[S]
         from qvmart.strategy import pi_for_ensemble
@@ -406,9 +402,9 @@ class TestRowBlocks:
         stop_n = choose_truncation_level(res.s_hat)
         est_t = estimate_alpha(ens, BinSpec(8))
         growth = growth_optimal_value(est_t, ens)
-        gap = optimality_gap(sign_at_time_strategy(0.5, 0.8), growth, ens)
-        lams = [estimate_lambda(s, res.s_hat, stop_n=0.25)
-                for s in (const_strategy(1.0), truncation_strategy(0.25))]
+        [gap] = optimality_gap([sign_at_time_strategy(0.5, 0.8)], growth, ens)
+        lams = estimate_lambda([const_strategy(1.0), truncation_strategy(0.25)], res.s_hat,
+                               stop_n=0.25)
         norm = h2_norm(truncation_strategy(0.25), res.s_hat)  # reads each view's own qv
         nums = [res.coverage, res.reconstruction_error, stop_n, growth.value,
                 growth.stderr, growth.direct.estimate, gap.gap, gap.stderr,
@@ -423,6 +419,32 @@ class TestRowBlocks:
         for rows in (1, 3, 49):
             monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * GRID_32.n_steps)
             assert self.outputs(values) == whole, rows
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_family_entries_are_singleton_calls(self, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * GRID_32.n_steps)
+        ens = gen_ensemble(DriftedDiffusion(MU, SIGMA), SeedStream(9), 50, GRID_32)
+        growth = growth_optimal_value(estimate_alpha(ens, BinSpec(8)), ens)
+        hit = legs_strategy((Leg(HitRule("level_or_qv", 0.15, default=0.5), 0.5),
+                             Leg(1.0, 0.8, "sign_prefix_end")), 0.8)
+        family = [const_strategy(1.0), hit, sign_at_time_strategy(0.5, 0.8),
+                  truncation_strategy(0.2), window_strategy(2.0, 0.25, 0.75)]
+
+        def lam_bits(lams):
+            return np.asarray([(lam.value, lam.stderr) for lam in lams]).tobytes()
+
+        def gap_bits(gaps):
+            return np.asarray([(g.gap, g.stderr, g.utility_strategy, g.utility_optimal)
+                               for g in gaps]).tobytes()
+
+        for stop_n in (None, 0.2):  # 28 of the 50 paths stop
+            lams = estimate_lambda(family, ens, stop_n)
+            assert [lam.strategy for lam in lams] == [s.name for s in family]
+            singles = [estimate_lambda([s], ens, stop_n)[0] for s in family]
+            assert lam_bits(lams) == lam_bits(singles), stop_n
+        singles = [optimality_gap([s], growth, ens)[0] for s in family]
+        assert gap_bits(optimality_gap(family, growth, ens)) == gap_bits(singles)
 
     def test_state_bin_fit_and_rebuild_stay_bounded(self):
         # num and den at 256 bins (1x each), the recentred values (1x) and a
@@ -475,7 +497,7 @@ class TestRowBlocks:
         stop_n = choose_truncation_level(s_hat)
         tests = [const_strategy(1.0), const_strategy(-1.0), window_strategy(1.0, 0.0, 0.5),
                  sign_at_time_strategy(0.5, 1.0), truncation_strategy(stop_n)]
-        peak = self.peak(lambda: martingale_residual(recentred, tests, stop_n=stop_n))
+        peak = self.peak(lambda: estimate_lambda(tests, s_hat, stop_n))
         assert peak <= 1 * s_hat.values.nbytes
 
     def test_hitting_rule_norm_stays_bounded(self, recentred):
