@@ -224,6 +224,12 @@ def _default_tests(grid: TimeGrid, stop_n: float):
 def _cmd_decompose(args) -> int:
     out = Path(args.out)
     cfg = _record(args)
+    if cfg["state_bins"]:
+        # numpy 2 first imports numpy.ma inside the state bins' np.quantile
+        # (its np.unique), where the module's objects would land on top of
+        # the loaded ensemble's arrays and, living as long as the process,
+        # keep that heap resident after the command: import it first
+        import numpy.ma  # noqa: F401
     ens = load_ensemble(cfg["in"])
     spec = BinSpec(time_bins=cfg["bins"], state_bins=cfg["state_bins"],
                    min_count=cfg["min_count"])

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -294,8 +295,8 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     """Write an ensemble to a directory with a replayable manifest.
 
     The text (``ensemble.json``, or one CSV file per path and one per
-    path with jumps) is the stored ensemble, encoded and written one path
-    at a time.  After it comes ``ensemble.npy``: the same arrays in
+    path with jumps) is the stored ensemble, encoded and written one row
+    view at a time.  After it comes ``ensemble.npy``: the same arrays in
     binary, bound by its SHA-256 to the text as written, which
     ``load_ensemble`` reads instead of parsing the text.
     """
@@ -323,40 +324,252 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
     _write_cache(out / _CACHE, _digest(out, names), ensemble)
 
 
-def _text_rows(ensemble: Ensemble):
-    """Each path's values, jump times and jump sizes as float lists, one path at a time."""
-    times = ensemble.grid.points[ensemble.jump_cell + 1].tolist()
-    sizes = ensemble.jump_size.tolist()
-    bounds = np.searchsorted(ensemble.jump_path, np.arange(ensemble.n_paths + 1)).tolist()
-    for row, lo, hi in zip(ensemble.values, bounds, bounds[1:]):
-        yield row.tolist(), times[lo:hi], sizes[lo:hi]
-
-
 def _json_pieces(ensemble: Ensemble, manifest: dict):
     """The bytes of ``json.dumps({"manifest": ..., "points": ..., "paths":
-    [...]}) + "\\n"``, one path at a time after the head."""
+    [...]}) + "\\n"``, one row view at a time after the head."""
     head = json.dumps({"manifest": manifest, "points": ensemble.grid.points.tolist()})
     yield (head[:-1] + ', "paths": [').encode()
-    sep = ""
-    for row, times, sizes in _text_rows(ensemble):
-        jumps = [[t, z] for t, z in zip(times, sizes)]
-        yield (sep + json.dumps({"values": row, "jumps": jumps})).encode()
-        sep = ", "
+    times = _float_tokens(ensemble.grid.points)
+    for rows, part in ensemble.blocks():
+        yield from _json_rows(part, times, b", " if rows.start else b"")
     yield b"]}\n"
 
 
+def _json_rows(part: Ensemble, times: list[bytes], lead: bytes):
+    """The ``{"values": [...], "jumps": [[t, size], ...]}`` object of each
+    path of a row view, the first led by ``lead`` and the others by ``", "``."""
+    buf, frames, length = _float_text(part.values, json_flavour=True, sep=b", ")
+    ends = np.cumsum(length.reshape(part.n_paths, -1).sum(axis=1)).tolist()
+    del frames, length
+    text = buf.translate(None, b"\0")
+    del buf
+    for lo, hi, row in zip([0, *ends], ends, _row_jumps(part, times, json_flavour=True)):
+        jumps = b", ".join(b"[%s, %s]" % pair for pair in row)
+        yield b'%s{"values": [%s], "jumps": [%s]}' % (lead, text[lo:hi - 2], jumps)
+        lead = b", "
+
+
 def _csv_files(ensemble: Ensemble):
-    """Name and bytes of each path's CSV file, each followed by its jumps file if it has jumps."""
-    points = ensemble.grid.points.tolist()
-    for i, (row, times, sizes) in enumerate(_text_rows(ensemble)):
-        yield f"path_{i:05d}.csv", _csv("t,value", points, row)
-        if times:
-            yield f"path_{i:05d}.jumps.csv", _csv("t,jump_size", times, sizes)
+    """Name and bytes of each path's CSV file, each followed by its jumps
+    file if it has jumps, encoded one row view at a time."""
+    t_buf, t_frames, t_length = _float_text(ensemble.grid.points, sep=b",")  # "t,"
+    times = bytes(t_buf.translate(None, b"\0")).split(b",")[:-1]
+    for rows, part in ensemble.blocks():
+        buf, lines, length = _float_text(part.values, sep=b"\n", lead=1)
+        lines.reshape(*part.values.shape, 2, _FRAME)[:, :, 0] = t_frames[:, 0]
+        ends = np.cumsum(length.reshape(part.n_paths, -1).sum(axis=1) + t_length.sum()).tolist()
+        del lines, length
+        text = buf.translate(None, b"\0")
+        del buf
+        for i, lo, hi, row_jumps in zip(range(rows.start, rows.stop), [0, *ends], ends,
+                                        _row_jumps(part, times)):
+            yield f"path_{i:05d}.csv", b"t,value\n" + text[lo:hi]
+            if row_jumps:
+                yield f"path_{i:05d}.jumps.csv", b"t,jump_size\n" + b"".join(
+                    b"%s,%s\n" % pair for pair in row_jumps)
 
 
-def _csv(header: str, col0: list[float], col1: list[float]) -> bytes:
-    """A two-column CSV, each float the shortest text that parses back to it."""
-    return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in zip(col0, col1))]).encode()
+def _row_jumps(part: Ensemble, times: list[bytes], json_flavour: bool = False) -> list[list]:
+    """Each path's jumps in a row view, as ``(time, size)`` text pairs."""
+    if not part.jump_size.size:
+        return [[] for _ in range(part.n_paths)]
+    sizes = _float_tokens(part.jump_size, json_flavour)
+    pairs = [(times[c + 1], z) for c, z in zip(part.jump_cell.tolist(), sizes)]
+    bounds = np.searchsorted(part.jump_path, np.arange(part.n_paths + 1)).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+# ---------------------------------------------------------------------------
+# Float text: the text repr gives each float, for a whole array at once
+# ---------------------------------------------------------------------------
+#
+# A float x of 1e-4 <= |x| < 1e16, which repr writes without an exponent,
+# is scaled exactly: x 10^k = n + f, with n a 17-digit integer and
+# 0 <= f < 1, by Dekker's two-product (10^k is a float for k <= 22).  The
+# decimals that read back to x are those within h, half the gap to its
+# neighbours scaled alike (exact too: a power of two times 10^k), and repr
+# writes the shortest of them, the nearest to x among those.  Within
+# h < 11.2 of n + f there is at most one multiple of 100, so the nearest
+# multiples of 1, 10 and 100 decide it: the coarsest of them within h, its
+# trailing zeros stripped.  A cell is certified only when every distance is
+# clearly off h (by 2^-30 of it) and the chosen multiple is not a tie; the
+# others (zero, subnormals, non-finite values, |x| out of range, powers of
+# two, whose lower neighbour is nearer, and the rare cell on the edge) take
+# the scalar path, so the text is repr's by construction.
+#
+# Each text is laid out in a frame of _FRAME bytes, NUL where it has none:
+# sign at byte 3, 16 integer digits at 4-19, the point at 20, up to 3 zeros
+# after it at 21-23, 17 fraction digits at 24-40, the separator at 41-43.
+# Deleting the NULs of a buffer of frames leaves the texts in order.
+
+_MARGIN = 2.0 ** -30
+_FRAME = 44
+_SPLIT = 134217729.0  # 2^27 + 1
+
+
+@lru_cache(maxsize=None)
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """ASCII digits of 0..9999 as little-endian 4-byte words; the powers of
+    ten 10^0..10^22 as floats (all exact) and split in halves for the
+    two-product; 10^0..10^18 as int64."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    pow10 = np.array([float(10**i) for i in range(23)])
+    hi = pow10 * _SPLIT
+    hi -= hi - pow10
+    return (digits.astype(np.uint8).view("<u4").ravel(), pow10, hi, pow10 - hi,
+            np.array([10**i for i in range(19)], dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _frame_words(sep: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame's constant bytes as 11 words, each word's kept bytes for
+    every class ``((point + 3) * 17 + m - 1) * 2 + negative`` (``point`` in
+    -3..16, ``m`` fraction digits in 1..17) as ``(11, classes)`` words, and
+    each class's text length."""
+    point, m, neg = (a.ravel() for a in np.meshgrid(np.arange(-3, 17), np.arange(1, 18),
+                                                     np.arange(2), indexing="ij"))
+    keep = np.zeros((point.size, _FRAME), np.uint8)
+    keep[:, 3] = neg
+    keep[:, 4:20] = np.arange(16, 0, -1) <= np.maximum(point, 1)[:, None]
+    keep[:, 20] = 1
+    keep[:, 21:24] = np.arange(3) < -np.minimum(point, 0)[:, None]
+    keep[:, 24:41] = np.arange(17) < m[:, None]
+    keep[:, 41:41 + len(sep)] = 1
+    const = np.frombuffer(b"   -" + bytes(16) + b".000" + bytes(16) + b"0" + sep.ljust(3, b"\0"),
+                          np.uint8)
+    return (const.view("<u4"), np.ascontiguousarray((keep * 255).view("<u4").T),
+            np.count_nonzero(keep, axis=1))
+
+
+def _nearest(n: np.ndarray, f: np.ndarray, s: int) -> tuple:
+    """Of the multiples of 10^s, the nearest to ``n + f`` (as its quotient),
+    its distance, and how much farther the one on the other side is."""
+    step = 10**s
+    q = n // step
+    down = n - q * step + f
+    q += down > step / 2
+    gap = np.abs(step - 2 * down)
+    return q, np.minimum(down, step - down, out=down), gap
+
+
+def _shortest_digits(x: np.ndarray) -> tuple:
+    """``(ok, q, point, n_digits)``: where ``ok``, repr writes ``x`` with the
+    ``n_digits`` digits of ``q``, its decimal point ``point`` digits after
+    the first (before it, if negative)."""
+    _, pow10, pow10_hi, pow10_lo, ipow10 = _text_tables()
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16) & (x.view(np.int64) & ((1 << 52) - 1) != 0)
+    a[~ok] = 1.5  # any certifiable value: these cells take the scalar path
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p = a * pow10[k]
+    k += p < 1e16
+    k -= p >= 1e17
+    np.multiply(a, pow10[k], out=p)
+    ok &= (p >= 1e16) & (p < 1e17)
+    # the exact error of p = a 10^k: Dekker's two-product, each half-product exact
+    hi = a * _SPLIT
+    hi -= hi - a
+    lo = a - hi
+    err = hi * pow10_hi[k]
+    err -= p
+    err += hi * pow10_lo[k]
+    del hi
+    err += lo * pow10_hi[k]
+    err += lo * pow10_lo[k]
+    del lo
+    n = np.floor(err)
+    f = err - n
+    del err
+    n = n.astype(np.int64)
+    n += p.astype(np.int64)
+    del p
+    h = ((a.view(np.int64) & 0x7FF0000000000000) - (53 << 52)).view(float) * pow10[k]
+    del a
+    q, near, gap = _nearest(n, f, 0)
+    ok &= near < h * (1 - _MARGIN)
+    tie = gap <= h * _MARGIN
+    level = np.zeros(x.size, np.int8)
+    for s in (1, 2):
+        del near, gap
+        qs, near, gap = _nearest(n, f, s)
+        inside = near < h * (1 - _MARGIN)
+        ok &= inside | (near > h * (1 + _MARGIN))
+        np.copyto(q, qs, where=inside)
+        np.copyto(tie, gap <= h * _MARGIN, where=inside)
+        level += inside
+    ok &= ~tie
+    del n, f, h, qs, near, gap, tie, inside
+    v = q * ipow10[level]
+    ok &= (v >= ipow10[16]) & (v < ipow10[17])  # 17 digits, like n: the point is n's
+    del v
+    j = np.flatnonzero(level == 2)  # the only multiple of 100 within h: strip its zeros
+    while j.size:
+        tenth = q[j] // 10
+        j = j[tenth * 10 == q[j]]
+        q[j] //= 10
+        level[j] += 1
+    return ok, q, 17 - k, 17 - level
+
+
+def _float_text(x: np.ndarray, json_flavour: bool = False, sep: bytes = b"",
+                lead: int = 0) -> tuple[bytearray, np.ndarray, np.ndarray]:
+    """Each float of ``x``, in row-major order, as the text ``repr`` writes
+    (``json.dumps``'s with ``json_flavour``: ``NaN`` and ``Infinity``)
+    followed by ``sep``.  Returns a buffer of one row per float, ``lead``
+    zeroed frames for the caller to fill and then the float's; its
+    ``(x.size, lead + 1, _FRAME)`` byte view; and each text's length.  The
+    texts are the buffer with its NULs deleted."""
+    x = np.ravel(x)
+    words, *_, ipow10 = _text_tables()
+    const, masks, lengths = _frame_words(sep)
+    ok, q, point, n_digits = _shortest_digits(x)
+    after = n_digits - np.maximum(point, 0)  # digits after the point (< 0: zeros before it)
+    m = np.maximum(after, 1)
+    key = ((point + 3) * 17 + m - 1) * 2 + (x < 0)
+    key[~ok] = 0
+    div = ipow10[m * (after > 0)]
+    whole = q // div
+    frac = (q - whole * div) * ipow10[17 - m]  # left-aligned in 17 digits
+    whole *= ipow10[np.maximum(-after, 0)]
+    del q, point, n_digits, after, m, div
+    buf = bytearray(x.size * (lead + 1) * _FRAME)
+    frames = np.frombuffer(buf, np.uint8).reshape(x.size, lead + 1, _FRAME)
+    word = frames[:, lead].view("<u4")
+    word[:, 0], word[:, 5] = const[0], const[5]
+    v = frac // 10
+    word[:, 10] = frac - v * 10 + const[10]
+    del frac
+    for col in (9, 8, 7, 6, 4, 3, 2, 1):  # four digits at a time, from the last
+        if col == 4:
+            v = whole  # the fraction's first 16 digits are written: now the integer's
+            del whole
+        hi = v // 10000
+        word[:, col] = words.take(v - hi * 10000, mode="clip")
+        v = hi
+    del v, hi
+    for col in range(11):
+        word[:, col] &= masks[col].take(key)
+    length = lengths.take(key)
+    rest = np.flatnonzero(~ok)
+    if rest.size:  # the scalar path, once per distinct float
+        dump = json.dumps if json_flavour else repr
+        index, texts, which = {}, [], []
+        for v, bits in zip(x[rest].tolist(), x.view(np.int64)[rest].tolist()):
+            if bits not in index:
+                index[bits] = len(texts)
+                texts.append(dump(v).encode() + sep)
+            which.append(index[bits])
+        padded = np.frombuffer(b"".join(t.ljust(_FRAME, b"\0") for t in texts), np.uint8)
+        frames[rest, lead] = padded.reshape(-1, _FRAME)[which]
+        length[rest] = np.array([len(t) for t in texts])[which]
+    return buf, frames, length
+
+
+def _float_tokens(x: np.ndarray, json_flavour: bool = False) -> list[bytes]:
+    """The text of each float of ``x``, as ``_float_text`` writes it."""
+    buf, frames, _ = _float_text(x, json_flavour, sep=b",")
+    del frames
+    return bytes(buf.translate(None, b"\0")).split(b",")[:-1]
 
 
 def _digest(src: Path, names) -> bytes:
@@ -379,21 +592,38 @@ def _cache_dtype(n_paths: int, n_steps: int, n_jumps: int) -> np.dtype:
 
 
 def _write_cache(target: Path, digest: bytes, ensemble: Ensemble) -> None:
-    """Write the binary copy of ``ensemble``'s arrays, as the text reads them back."""
+    """Write the binary copy of ``ensemble``'s arrays, as the text reads them
+    back: the bytes ``np.save`` gives one ``_cache_dtype`` record, with the
+    value matrix written one row view at a time."""
     try:
-        rec = np.zeros((), _cache_dtype(ensemble.n_paths, ensemble.grid.n_steps,
-                                        ensemble.jump_size.size))
+        dtype = _cache_dtype(ensemble.n_paths, ensemble.grid.n_steps, ensemble.jump_size.size)
     except ValueError:  # too large for one record (numpy 1.x caps it at 2 GiB): no copy
         target.unlink(missing_ok=True)
         return
-    rec["digest"] = np.frombuffer(digest, np.uint8)
-    rec["points"] = ensemble.grid.points
-    rec["jump_path"] = ensemble.jump_path
-    rec["jump_time"] = ensemble.grid.points[ensemble.jump_cell + 1]
-    for name, a in (("values", ensemble.values), ("jump_size", ensemble.jump_size)):
-        rec[name] = a
-        rec[name][np.isnan(a)] = np.nan  # the text writes every NaN as "nan"
-    _atomic_write(target, rec)
+    _atomic_write(target, _cache_pieces(dtype, digest, ensemble))
+
+
+def _cache_pieces(dtype: np.dtype, digest: bytes, ensemble: Ensemble):
+    """The bytes of ``np.save`` of one ``dtype`` record, field by field."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": ()})
+    yield head.getvalue()
+    yield digest
+    yield ensemble.grid.points.astype("<f8").tobytes()
+    for _, part in ensemble.blocks():
+        yield _plain_nan(part.values)
+    yield ensemble.jump_path.astype("<i8").tobytes()
+    yield ensemble.grid.points[ensemble.jump_cell + 1].astype("<f8").tobytes()
+    yield _plain_nan(ensemble.jump_size)
+
+
+def _plain_nan(a: np.ndarray) -> bytes:
+    """The little-endian bytes of ``a``, every NaN the plain one: the text
+    writes every NaN as ``nan``."""
+    a = a.astype("<f8")
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 def _read_cache(src: Path, manifest: dict, names) -> tuple | None:
@@ -499,10 +729,10 @@ def _cells_of(grid: TimeGrid, times: np.ndarray) -> np.ndarray:
     return k - 1
 
 
-def _atomic_write(target: Path, data: str | bytes | Iterable[bytes] | np.ndarray) -> None:
-    """Write text, bytes, byte pieces in turn or an array (as ``.npy``) to a
-    temporary sibling, then rename it onto ``target``.  A write that fails
-    removes the sibling and leaves ``target`` as it was."""
+def _atomic_write(target: Path, data: str | bytes | Iterable[bytes]) -> None:
+    """Write text, bytes or byte pieces in turn to a temporary sibling, then
+    rename it onto ``target``.  A write that fails removes the sibling and
+    leaves ``target`` as it was."""
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".tmp")
     try:
@@ -510,10 +740,7 @@ def _atomic_write(target: Path, data: str | bytes | Iterable[bytes] | np.ndarray
             tmp.write_text(data)
         else:
             with open(tmp, "wb") as f:
-                if isinstance(data, np.ndarray):
-                    np.save(f, data, allow_pickle=False)
-                else:
-                    f.writelines([data] if isinstance(data, bytes) else data)
+                f.writelines([data] if isinstance(data, bytes) else data)
         tmp.replace(target)
     except BaseException:  # an interrupt too: no partial file is left behind
         tmp.unlink(missing_ok=True)

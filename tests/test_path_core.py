@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmart import path_core
+from qvmart.cli import main
 from qvmart.errors import ConfigurationError, ContractViolation
 from qvmart.path_core import (
     Ensemble,
@@ -25,6 +26,7 @@ from qvmart.path_core import (
 )
 from qvmart.simulate import (
     BrownianModel,
+    DriftedDiffusion,
     SeedStream,
     gen_bundles,
     gen_ensemble,
@@ -539,26 +541,153 @@ class TestSerialization:
         }
         assert (tmp_path / "ensemble.json").read_bytes() == (json.dumps(old) + "\n").encode()
 
+    @staticmethod
+    def save_failing_on_the_second_view(tmp_path, monkeypatch, fmt):
+        """Save 3 paths of 2 rows a view over stored ones, with the float-text
+        kernel raising on the second view; returns the stored bytes before."""
+        monkeypatch.setattr(path_core, "_CHUNK_CELLS", 2 * 4)
+        ens = Ensemble(TimeGrid.uniform(4), np.arange(15.0).reshape(3, 5), 1, "x")
+        save_ensemble(ens, tmp_path, fmt=fmt)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        real, views = path_core._float_text, []
+
+        def failing(x, *args, **kw):
+            if np.ndim(x) == 2:  # a row view's values, not the grid or the jumps
+                views.append(x)
+                if len(views) == 2:
+                    raise OSError("disk full")
+            return real(x, *args, **kw)
+
+        monkeypatch.setattr(path_core, "_float_text", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_ensemble(Ensemble(ens.grid, -ens.values, 1, "x"), tmp_path, fmt=fmt)
+        monkeypatch.undo()
+        assert len(views) == 2
+        assert not list(tmp_path.glob("*.tmp"))
+        return before
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         # a save that raises mid-stream leaves the stored text as it was
-        ens = Ensemble(TimeGrid.uniform(4), np.arange(15.0).reshape(3, 5), 1, "x")
-        save_ensemble(ens, tmp_path, fmt="json")
-        before = (tmp_path / "ensemble.json").read_bytes()
-        real, calls = json.dumps, []
-
-        def failing(obj, **kw):
-            calls.append(obj)
-            if len(calls) == 3:  # the head, the first path, then this
-                raise OSError("disk full")
-            return real(obj, **kw)
-
-        monkeypatch.setattr(path_core.json, "dumps", failing)
-        with pytest.raises(OSError, match="disk full"):
-            save_ensemble(Ensemble(ens.grid, -ens.values, 1, "x"), tmp_path, fmt="json")
-        monkeypatch.undo()
+        before = self.save_failing_on_the_second_view(tmp_path, monkeypatch, "json")
         assert not (tmp_path / "ensemble.json.tmp").exists()
-        assert (tmp_path / "ensemble.json").read_bytes() == before
+        assert (tmp_path / "ensemble.json").read_bytes() == before["ensemble.json"]
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_csv_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # the first view's files are replaced whole, the second view's left as they were
+        before = self.save_failing_on_the_second_view(tmp_path, monkeypatch, "csv")
+        assert (tmp_path / "path_00000.csv").read_bytes() == b"t,value\n0.0,-0.0\n" + b"".join(
+            b"%r,%r\n" % (t, -v) for t, v in zip((0.25, 0.5, 0.75, 1.0), (1.0, 2.0, 3.0, 4.0)))
+        assert (tmp_path / "path_00002.csv").read_bytes() == before["path_00002.csv"]
+        np.testing.assert_array_equal(load_ensemble(tmp_path).values[2], np.arange(10.0, 15.0))
+
+
+class TestFloatText:
+    """The float-text kernel against ``repr`` and ``json.dumps``, and the
+    stored text against the per-path encoder it replaced."""
+
+    # the neighbours of the kernel's edges: its range, powers of two (whose
+    # lower neighbour is nearer) and powers of ten
+    EDGES = [float(s * v) for b in [1e-4, 1e16, *(2.0**e for e in range(-20, 60)),
+                             *(10.0**e for e in range(-6, 18))]
+             for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)) for s in (1.0, -1.0)]
+
+    @staticmethod
+    def tokens(xs) -> tuple[list[bytes], list[bytes]]:
+        x = np.array(xs, dtype=float)
+        return path_core._float_tokens(x), path_core._float_tokens(x, json_flavour=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), min_size=1, max_size=40))
+    def test_tokens_are_repr_and_json(self, xs):
+        csv, js = self.tokens(xs)
+        assert csv == [repr(x).encode() for x in xs]
+        assert js == [json.dumps(x).encode() for x in xs]
+
+    def test_many_floats_are_repr(self):
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([
+            rng.integers(-2**63, 2**63, 100_000, dtype=np.int64).view(float),  # any bits
+            rng.uniform(1, 2, 50_000) * 2.0 ** rng.integers(-70, 50, 50_000),
+            rng.integers(1, 10**6, 50_000) / 10.0 ** rng.integers(0, 12, 50_000),  # short
+            [round(v, d) for v, d in zip(rng.uniform(-1e3, 1e3, 20_000).tolist(),
+                                         rng.integers(0, 8, 20_000).tolist())],
+        ])
+        with np.errstate(all="raise"):
+            csv, js = self.tokens(xs)
+        assert csv == [repr(x).encode() for x in xs.tolist()]
+        assert js == [json.dumps(x).encode() for x in xs.tolist()]
+
+    def test_drifted_cells_are_certified(self):
+        # the scalar path is the exception: a kernel that gave up everywhere fails here
+        ens = gen_ensemble(DriftedDiffusion(0.1, 0.2), SeedStream(1), 2500, TimeGrid.uniform(256))
+        ok = path_core._shortest_digits(ens.values.ravel())[0]
+        assert ok.mean() >= 0.99
+
+    @staticmethod
+    def old_json(ens: Ensemble, manifest: dict) -> bytes:
+        """``ensemble.json`` as the per-path encoder wrote it: ``json.dumps``
+        of each path's ``tolist()``."""
+        head = json.dumps({"manifest": manifest, "points": ens.grid.points.tolist()})
+        paths = [json.dumps({"values": row, "jumps": [list(j) for j in jumps]})
+                 for row, jumps in TestFloatText.old_rows(ens)]
+        return (head[:-1] + ', "paths": [' + ", ".join(paths) + "]}\n").encode()
+
+    @staticmethod
+    def old_csv(ens: Ensemble) -> dict[str, bytes]:
+        """The CSV files as the per-path encoder wrote them, with ``repr``."""
+        def csv(header, rows):
+            return "".join([header + "\n", *(f"{a!r},{b!r}\n" for a, b in rows)]).encode()
+
+        files = {}
+        for i, (row, jumps) in enumerate(TestFloatText.old_rows(ens)):
+            files[f"path_{i:05d}.csv"] = csv("t,value", zip(ens.grid.points.tolist(), row))
+            if jumps:
+                files[f"path_{i:05d}.jumps.csv"] = csv("t,jump_size", jumps)
+        return files
+
+    @staticmethod
+    def old_rows(ens: Ensemble):
+        """Each path's values and ``(time, size)`` jumps as floats, one path at a time."""
+        times = ens.grid.points[ens.jump_cell + 1].tolist()
+        sizes = ens.jump_size.tolist()
+        bounds = np.searchsorted(ens.jump_path, np.arange(ens.n_paths + 1)).tolist()
+        for row, lo, hi in zip(ens.values, bounds, bounds[1:]):
+            yield row.tolist(), list(zip(times[lo:hi], sizes[lo:hi]))
+
+    def assert_stored_as_before(self, ens: Ensemble, out):
+        for fmt in ("json", "csv"):
+            save_ensemble(ens, out / fmt, fmt=fmt)
+            stored = {f.name: f.read_bytes() for f in (out / fmt).iterdir()
+                      if f.name not in ("ensemble_manifest.json", "ensemble.npy")}
+            if fmt == "json":
+                manifest = json.loads((out / fmt / "ensemble_manifest.json").read_text())
+                assert stored == {"ensemble.json": self.old_json(ens, manifest)}
+            else:
+                assert stored == self.old_csv(ens)
+
+    @pytest.mark.parametrize("model", ["drifted", "brownian", "gaussian_m", "counterexample"])
+    def test_stored_text_is_the_per_path_encoders(self, model, tmp_path):
+        # 300 paths of 256 cells, or 700 of the insider grid's 48: three or two row views
+        singular = model in ("gaussian_m", "counterexample")
+        argv = ["simulate", "--model", model, "--seed", "2", "--format", "json",
+                "--paths", "700" if singular else "300", "--steps", "16" if singular else "256"]
+        if singular:
+            argv += ["--log-steps", "32", "--eps", "0.01"]
+        assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
+        ens = load_ensemble(tmp_path / "sim")
+        assert len(list(ens.blocks())) > 1
+        assert (model == "counterexample") == bool(ens.jump_size.size)
+        self.assert_stored_as_before(ens, tmp_path)
+
+    def test_special_values_are_stored_as_before(self, tmp_path):
+        ens = gen_bundles(SeedStream(4), 6, make_insider_grid(1e-2, n_uniform=16, n_log=24),
+                          1e-2, 2.0)
+        vals, sizes = ens.values.copy(), ens.jump_size.copy()
+        vals[1, 3:8] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        sizes[:3] = [-np.nan, np.inf, -0.0]
+        self.assert_stored_as_before(Ensemble(ens.grid, vals, 4, "counterexample", ens.jump_path,
+                                              ens.jump_cell, sizes), tmp_path)
 
 
 class TestStorageMemory:
@@ -582,6 +711,11 @@ class TestStorageMemory:
 
     def test_json_save(self, big, tmp_path):
         assert self.peak(lambda: save_ensemble(big, tmp_path, fmt="json")) <= 2 * big.values.nbytes
+
+    def test_json_save_holds_less_than_the_matrix(self, big, tmp_path):
+        # the text is encoded one row view at a time and the binary copy
+        # streamed, so no whole-matrix copy is ever made
+        assert self.peak(lambda: save_ensemble(big, tmp_path, fmt="json")) <= big.values.nbytes
 
     def test_cached_json_load(self, big, tmp_path):
         save_ensemble(big, tmp_path, fmt="json")
