@@ -20,7 +20,6 @@ from .simulate import (
     gen_ensemble,
     m_variance,
     make_insider_grid,
-    sigma_profile,
 )
 from .strategy import (
     EvalContext,

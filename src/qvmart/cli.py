@@ -38,25 +38,13 @@ from .inference import (
     optimality_gap,
 )
 from .path_core import (
-    Ensemble,
     TimeGrid,
     _atomic_write,
-    _fmt,
     load_ensemble,
     refine_and_compare_qv,
     save_ensemble,
 )
-from .simulate import (
-    BrownianModel,
-    ModelSpec,
-    SeedStream,
-    _brownian_matrix,
-    _check_freeze,
-    _m_values,
-    gen_bundles,
-    gen_ensemble,
-    make_insider_grid,
-)
+from .simulate import BrownianModel, ModelSpec, SeedStream, gen_bundles, make_insider_grid
 from .strategy import (
     const_strategy,
     load_strategy_file,
@@ -96,14 +84,9 @@ def _write_json(target: Path, obj) -> None:
 
 def _write_csv(target: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for c in row:
-            if isinstance(c, (float, np.floating)):
-                cells.append(_fmt(c))
-            else:
-                cells.append(str(c))
-        lines.append(",".join(cells))
+    for row in rows:  # a float as its repr, which reads back to the same float
+        lines.append(",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
+                              for c in row))
     _atomic_write(target, "\n".join(lines) + "\n")
 
 
@@ -139,20 +122,8 @@ def _record(args, keys=None) -> dict:
 
 def _cmd_simulate(args) -> int:
     cfg = _record(args)
-    spec = ModelSpec(**cfg["model"])
-    stream = SeedStream(cfg["seed"])
-    n_paths, eps = cfg["paths"], spec.eps
-    if spec.variant in ("brownian", "drifted"):
-        grid = TimeGrid.uniform(cfg["steps"])
-        ens = gen_ensemble(spec.build(), stream, n_paths, grid)
-    elif spec.variant == "gaussian_m":
-        grid = make_insider_grid(eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
-        _check_freeze(grid, eps)
-        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n_paths)), eps)
-        ens = Ensemble(grid, vals, cfg["seed"], "gaussian_m")
-    else:  # counterexample: the bundle ensemble is an ensemble of the combined jump paths
-        grid = make_insider_grid(eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
-        ens = gen_bundles(stream, n_paths, grid, eps, spec.rate)
+    ens = ModelSpec(**cfg["model"]).generate(SeedStream(cfg["seed"]), cfg["paths"],
+                                             cfg["steps"], cfg["log_steps"])
     save_ensemble(ens, Path(args.out), fmt=cfg["format"])
     return 0
 

@@ -40,7 +40,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import ContractViolation
-from .path_core import TimeGrid, _mean_stderr, _row_blocks
+from .path_core import _mean_stderr, _row_blocks
 from .simulate import (
     BundleEnsemble,
     SeedStream,
@@ -106,14 +106,15 @@ class PoissonFlipReport:
     count_correlation: float
     p_exactly_one_minus: float
 
-    def passed(self, significance: float = 0.01, pmf_tol: float = 0.015) -> bool:
-        corr_tol = 3.0 / np.sqrt(self.n_samples)
+    def passed(self) -> bool:
+        """Both chi-square p-values above 0.01, the count correlation within
+        3/sqrt(n_samples) of 0, and the exactly-one-down-jump frequency
+        within 0.015 of the Poisson mass at one, rate e^-rate."""
         return (
-            self.chi2_p_plus > significance
-            and self.chi2_p_minus > significance
-            and abs(self.count_correlation) <= corr_tol
-            and abs(self.p_exactly_one_minus - np.exp(-self.rate) * self.rate)
-            <= pmf_tol
+            self.chi2_p_plus > 0.01
+            and self.chi2_p_minus > 0.01
+            and abs(self.count_correlation) <= 3.0 / np.sqrt(self.n_samples)
+            and abs(self.p_exactly_one_minus - np.exp(-self.rate) * self.rate) <= 0.015
         )
 
 
@@ -135,7 +136,6 @@ def poisson_flip_test(
     switch,
     rate: float = 1.0,
     eps: float = 1e-2,
-    grid: TimeGrid | None = None,
 ) -> PoissonFlipReport:
     """Replicate the flip over fresh bundles and test the resulting pair.
 
@@ -143,7 +143,8 @@ def poisson_flip_test(
     every raw jump.  A jump at t in (t_k, t_{k+1}] is routed by beta, the
     value of cell k, decided at t_k: an N1 jump goes to the plus process
     when beta = +1 and to the minus process otherwise, an N2 jump the
-    opposite way.  Bundles are generated and profiled one row block at a time.
+    opposite way.  Bundles are generated on ``make_insider_grid(eps, 128,
+    192)`` and profiled one row block at a time.
 
     The raw jump-time lists must be disjoint (ContractViolation
     otherwise), so the flipped processes never share a jump time.
@@ -153,25 +154,25 @@ def poisson_flip_test(
     """
     if n_samples < 1:
         raise ContractViolation("need at least one sample")
-    if grid is None:
-        grid = make_insider_grid(eps, n_uniform=128, n_log=192)
+    grid = make_insider_grid(eps, n_uniform=128, n_log=192)
     plus_counts, minus_counts = np.empty(n_samples), np.empty(n_samples)
     # bundle i draws from its own substreams, generated a row block at a time
     for blk in _row_blocks(n_samples, grid.n_steps):
         chunk = _build_bundles(stream, grid, eps, rate, range(n_samples)[blk])
-        n, row, times = chunk.n_paths, chunk.poisson_row, chunk.poisson_time
+        n, row, times = chunk.n_paths, chunk.jump_path, chunk.poisson_time
+        sign = np.sign(chunk.jump_size)  # +1 for an N1 jump, -1 for an N2 jump
         cell = np.maximum(np.searchsorted(grid.points, times) - 1, 0)
         pi = pi_for_ensemble(switch, chunk, chunk.b1, chunk.b)
         beta = np.broadcast_to(pi, (n, grid.n_steps))[row, cell]
         # jumps are sorted by bundle, then time: a time twice must come from
         # one source, and so sits in one cell and is routed one way
         twice = (np.diff(row) == 0) & (np.diff(times) == 0)
-        if np.any(twice & (np.diff(chunk.poisson_sign) != 0)):
+        if np.any(twice & (np.diff(sign) != 0)):
             raise ContractViolation("the two jump-time lists must be disjoint")
         if np.any(bad := np.abs(beta) != 1.0):
             i = bad.argmax()
             raise ContractViolation(f"switch value at t={times[i]} is {float(beta[i])!r}, not +-1")
-        plus = beta * chunk.poisson_sign > 0
+        plus = beta * sign > 0
         plus_counts[blk] = np.bincount(row[plus], minlength=n)
         minus_counts[blk] = np.bincount(row[~plus], minlength=n)
     flat = np.std(plus_counts) == 0 or np.std(minus_counts) == 0
@@ -332,15 +333,13 @@ class SweepReport:
         }
 
 
-def default_sweep_family(
-    cs: Sequence[float] = (-0.9, -0.675, -0.45, -0.225, 0.0, 0.225, 0.45, 0.675, 0.9),
-    margin: float = 0.05,
-) -> list[GridRuleStrategy]:
+def default_sweep_family() -> list[GridRuleStrategy]:
     """27 admissible strategies: decaying bands, terminal-sign bands, and
-    gap-sign switching bands, across a symmetric coefficient grid."""
+    gap-sign switching bands, for each coefficient c of -0.9, -0.675, ...,
+    0.9 (steps of 0.225), each with the margin max(0.05, 1 - |c|)."""
     family: list[GridRuleStrategy] = []
-    for c in cs:
-        m = max(margin, 1.0 - abs(c))
+    for c in (-0.9, -0.675, -0.45, -0.225, 0.0, 0.225, 0.45, 0.675, 0.9):
+        m = max(0.05, 1.0 - abs(c))
         family.append(band_fraction_strategy(c, m))
         family.append(insider_sign_band(c if c != 0 else 0.0, m))
         family.append(insider_switch_band(c, m))

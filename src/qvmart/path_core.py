@@ -105,20 +105,17 @@ class TimeGrid:
         """The uniform grid of 2**level steps; grids are immutable, so one per level is kept."""
         return cls.uniform(2**level)
 
-    def index_of(self, t: float, tol: float = 1e-12) -> int:
-        """Index of the grid point equal to t, up to representation noise."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point within 1e-12 of t (representation noise)."""
         k = int(np.searchsorted(self.points, t))
         for j in (k, k - 1, k + 1):
-            if 0 <= j < self.points.size and abs(self.points[j] - t) <= tol:
+            if 0 <= j < self.points.size and abs(self.points[j] - t) <= 1e-12:
                 return j
         raise ContractViolation(f"t={t!r} is not a grid point")
 
-    def is_dyadic_uniform(self) -> bool:
-        """Whether the points are ``linspace(0, 1, 2**k + 1)``; computed once per grid."""
-        return self._dyadic_uniform
-
     @cached_property
-    def _dyadic_uniform(self) -> bool:
+    def dyadic_uniform(self) -> bool:
+        """Whether the points are ``linspace(0, 1, 2**k + 1)``; computed once per grid."""
         n = self.n_steps
         return not n & (n - 1) and bool(np.array_equal(self.points, np.linspace(0.0, 1.0, n + 1)))
 
@@ -287,10 +284,6 @@ _CACHE = "ensemble.npy"
 _DIGEST_PIECE = 1 << 20
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> None:
     """Write an ensemble to a directory with a replayable manifest.
 
@@ -319,6 +312,8 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
         for name, data in _csv_files(ensemble):
             _atomic_write(out / name, data)
             names.append(name)
+        for stale in {f"path_{i:05d}.jumps.csv" for i in range(ensemble.n_paths)}.difference(names):
+            (out / stale).unlink(missing_ok=True)  # an earlier save's, which a load would read
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
     _write_cache(out / _CACHE, _digest(out, names), ensemble)

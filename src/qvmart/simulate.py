@@ -31,7 +31,6 @@ __all__ = [
     "BundleEnsemble",
     "BrownianModel",
     "DriftedDiffusion",
-    "sigma_profile",
     "sigma_profile_vec",
     "m_variance",
     "make_insider_grid",
@@ -270,7 +269,7 @@ def _brownian_matrix(stream: SeedStream, grid: TimeGrid, indices) -> np.ndarray:
     """
     indices = np.asarray(indices)
     vals = np.empty((indices.size, grid.points.size))
-    if grid.is_dyadic_uniform():
+    if grid.dyadic_uniform:
         fill, shape = _fill_bridge, int(round(math.log2(grid.n_steps)))
     else:
         fill, shape = _fill_sequential, grid
@@ -374,25 +373,16 @@ class DriftedDiffusion:
 # The late-burst Gaussian martingale
 # ---------------------------------------------------------------------------
 
-def sigma_profile(t: float) -> float:
-    """Volatility |log(1-t)|^(-2/3) / sqrt(1-t), switched on only for t in (1/2, 1).
+def sigma_profile_vec(t: np.ndarray) -> np.ndarray:
+    """Volatility |log(1-t)|^(-2/3) / sqrt(1-t) at each of an array of times
+    t in [0, 1), switched on only for t in (1/2, 1).
 
     The profile vanishes on [0, 1/2], is strictly positive on (1/2, 1),
     and blows up at t = 1 while keeping a finite total variance.
     """
-    if t >= 1.0 or t < 0.0:
-        raise ContractViolation("sigma_profile is defined on [0, 1)")
-    if t <= 0.5:
-        return 0.0
-    one_minus = 1.0 - t
-    return abs(math.log(one_minus)) ** (-2.0 / 3.0) / math.sqrt(one_minus)
-
-
-def sigma_profile_vec(t: np.ndarray) -> np.ndarray:
-    """Vectorized volatility profile for arrays of times in [0, 1)."""
     t = np.asarray(t, dtype=float)
     if np.any(t >= 1.0) or np.any(t < 0.0):
-        raise ContractViolation("sigma_profile is defined on [0, 1)")
+        raise ContractViolation("the volatility profile is defined on [0, 1)")
     out = np.zeros_like(t)
     on = t > 0.5
     one_minus = 1.0 - t[on]
@@ -423,21 +413,17 @@ def make_insider_grid(
     eps: float,
     n_uniform: int = 512,
     n_log: int = 1024,
-    checkpoints: Sequence[float] | None = None,
 ) -> TimeGrid:
     """Grid for models that are singular at t = 1.
 
     Uniform on [0, 1/2]; uniform in v = -log(1-t) on (1/2, 1-eps], which
     flattens the volatility burst; a single closing cell (1-eps, 1].
-    Decade cutoffs 1 - 10^-k larger than eps are forced onto the grid so
-    truncation sweeps land on exact grid points.
+    The decade cutoffs 1 - 10^-k (k = 1..6) larger than eps are forced
+    onto the grid so truncation sweeps land on exact grid points.
     """
     if not (0.0 < eps < 0.5):
         raise ConfigurationError("eps must lie in (0, 1/2)")
-    if checkpoints is None:
-        checkpoints = _DECADES
-    cps = sorted({float(c) for c in checkpoints if eps < c < 0.5}, reverse=True)
-    knots_eps = cps + [eps]  # descending eps values, i.e. increasing times
+    knots_eps = [c for c in _DECADES if c > eps] + [eps]  # descending, i.e. increasing times
     v_knots = [LOG2] + [-math.log(c) for c in knots_eps]
     t_knots = [0.5] + [1.0 - c for c in knots_eps]
     total_v = v_knots[-1] - v_knots[0]
@@ -553,11 +539,13 @@ class BundleEnsemble(Ensemble):
     An ``Ensemble`` of the combined jump paths S: ``values`` and the flat
     jump arrays are S's.  ``b`` and ``m`` are read-only ``(n_paths,
     n_points)`` value matrices of the driver B and the late-burst
-    martingale M; ``b1`` holds each row's terminal driver value.  The raw
-    Poisson times are flat read-only arrays like S's jumps:
-    ``poisson_row``, ``poisson_time`` and ``poisson_sign`` (+1 for N1, -1
-    for N2), sorted by row, then time, then sign.  The two snapping flags
-    are kept per row.
+    martingale M; ``b1`` holds each row's terminal driver value.  Each
+    jump of S is one raw jump of the Poisson pair N1, N2 snapped to the
+    grid: ``poisson_time``, a flat read-only array, holds the raw times
+    and matches S's jump arrays entry for entry, so jump j is in row
+    ``jump_path[j]`` and comes from N1 when ``jump_size[j] > 0``, from N2
+    otherwise.  Jumps are sorted by row, then raw time, then source (N2
+    first).  The two snapping flags are kept per row.
     """
 
     eps: float
@@ -565,16 +553,14 @@ class BundleEnsemble(Ensemble):
     b: np.ndarray
     m: np.ndarray
     b1: np.ndarray
-    poisson_row: np.ndarray
     poisson_time: np.ndarray
-    poisson_sign: np.ndarray
     late_jump_capped: np.ndarray
     snap_collision: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        for a in (self.b, self.m, self.b1, self.poisson_row, self.poisson_time,
-                  self.poisson_sign, self.late_jump_capped, self.snap_collision):
+        for a in (self.b, self.m, self.b1, self.poisson_time, self.late_jump_capped,
+                  self.snap_collision):
             a.setflags(write=False)
 
     def drift_values(self, rows: slice = slice(None)) -> np.ndarray:
@@ -632,8 +618,7 @@ def _build_bundles(
         s[r, cell + 1 :] += z
     return BundleEnsemble(
         grid, s, stream.master_seed, "counterexample", row, k - 1, size,
-        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(),
-        poisson_row=row, poisson_time=time, poisson_sign=sign,
+        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(), poisson_time=time,
         late_jump_capped=capped, snap_collision=collision,
     )
 
@@ -697,11 +682,20 @@ class ModelSpec:
         if self.variant == "counterexample" and not 0.0 < self.rate < math.inf:
             raise ConfigurationError(f"rate must be positive and finite, not {self.rate!r}")
 
-    def build(self):
-        if self.variant == "brownian":
-            return BrownianModel()
-        if self.variant == "drifted":
-            return DriftedDiffusion(self.mu, self.sigma)
-        raise ConfigurationError(
-            f"variant {self.variant!r} generates joint bundles; use gen_bundles"
-        )
+    def generate(self, stream: SeedStream, n_paths: int, steps: int, log_steps: int) -> Ensemble:
+        """Paths 0 .. n_paths-1 of the variant, one row each.
+
+        Brownian and drifted paths lie on the uniform grid of ``steps``
+        cells; the late-burst martingale and the insider bundles (a
+        ``BundleEnsemble``) on ``make_insider_grid(eps, steps, log_steps)``,
+        which has no point inside the frozen cell (1 - eps, 1).
+        """
+        if self.variant in ("brownian", "drifted"):
+            model = (BrownianModel() if self.variant == "brownian"
+                     else DriftedDiffusion(self.mu, self.sigma))
+            return gen_ensemble(model, stream, n_paths, TimeGrid.uniform(steps))
+        grid = make_insider_grid(self.eps, n_uniform=steps, n_log=log_steps)
+        if self.variant == "counterexample":
+            return gen_bundles(stream, n_paths, grid, self.eps, self.rate)
+        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n_paths)), self.eps)
+        return Ensemble(grid, vals, stream.master_seed, self.variant)

@@ -37,6 +37,19 @@ def test_simulate_writes_manifest_and_paths(tmp_path):
     assert (out / "path_00004.csv").exists()
 
 
+def test_csv_simulate_into_an_earlier_runs_directory(tmp_path):
+    # seed 1's path 0 has jumps and seed 3's has none: its jump file must go
+    argv = ["simulate", "--model", "counterexample", "--format", "csv", "--paths", "4",
+            "--steps", "16", "--log-steps", "32", "--eps", "0.01", "--rate", "2"]
+    for seed, out in (("1", "sim"), ("3", "sim"), ("3", "fresh")):
+        assert main(argv + ["--seed", seed, "--out", str(tmp_path / out)]) == 0
+    assert read_dir_bytes(tmp_path / "sim") == read_dir_bytes(tmp_path / "fresh")
+    for run in ("sim", "fresh"):
+        assert main(["qv", "--in", str(tmp_path / run), "--out", str(tmp_path / f"{run}-qv")]) == 0
+    qv = [(tmp_path / f"{run}-qv" / "qv.csv").read_bytes() for run in ("sim", "fresh")]
+    assert qv[0] == qv[1]
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     args = ["simulate", "--model", "drifted", "--mu", "0.1", "--sigma", "0.2",
             "--paths", "4", "--steps", "128", "--seed", "9"]

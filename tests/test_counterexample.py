@@ -31,7 +31,7 @@ from qvmart.simulate import (
     SeedStream,
     gen_bundles,
     make_insider_grid,
-    sigma_profile,
+    sigma_profile_vec,
 )
 from qvmart.strategy import GridRuleStrategy, band_fraction_strategy, const_strategy
 from qvmart.strategy import sign_at_time_strategy
@@ -143,8 +143,8 @@ class TestPoissonFlip:
         ens = gen_bundles(SeedStream(7), n, grid, eps, rate)
         plus, minus = np.empty(n), np.empty(n)
         for i in range(n):
-            mine = ens.poisson_row == i
-            t, sign = ens.poisson_time[mine].tolist(), ens.poisson_sign[mine]
+            mine = ens.jump_path == i
+            t, sign = ens.poisson_time[mine].tolist(), np.sign(ens.jump_size[mine])
             n1 = tuple(x for x, s in zip(t, sign) if s > 0)
             n2 = tuple(x for x, s in zip(t, sign) if s < 0)
             p, m = flip_decompose(closure(grid.points, ens.values[i]), n1, n2)
@@ -306,7 +306,7 @@ class TestOrdinaryInformationControl:
 class TestDriftVariationDivergence:
     def test_closed_form_against_quadrature(self):
         # oracle: sqrt(2/pi) * integral of sigma(u)/sqrt(1-u), checked at 1e-2
-        target, err = quad(lambda u: sigma_profile(u) / np.sqrt(1 - u), 0.5, 0.99,
+        target, err = quad(lambda u: float(sigma_profile_vec(u)) / np.sqrt(1 - u), 0.5, 0.99,
                            limit=200)
         assert err < 1e-9
         got = drift_variation_closed_form(1e-2)

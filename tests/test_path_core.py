@@ -114,8 +114,8 @@ class TestTimeGrid:
             g.index_of(0.33)
 
     def test_dyadic_detection(self):
-        assert TimeGrid.dyadic(5).is_dyadic_uniform()
-        assert not TimeGrid.uniform(10).is_dyadic_uniform()
+        assert TimeGrid.dyadic(5).dyadic_uniform
+        assert not TimeGrid.uniform(10).dyadic_uniform
 
 
 class TestSamplePath:
@@ -403,6 +403,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.values, ens.values)
         for name in ("jump_path", "jump_cell", "jump_size"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ens, name))
+
+    def test_csv_save_removes_an_earlier_saves_jump_files(self, tmp_path):
+        # the load finds jump files by their presence: one left from an
+        # earlier save into the same directory would be read as this one's
+        g = TimeGrid.uniform(8)
+        vals = np.zeros((2, 9))
+        vals[:, 4:] = 1.5
+        save_ensemble(Ensemble(g, vals, master_seed=3, model_tag="jumpy", jump_path=[0, 1],
+                               jump_cell=[3, 3], jump_size=[1.5, 1.5]), tmp_path)
+        save_ensemble(Ensemble(g, vals, master_seed=4, model_tag="smooth"), tmp_path)
+        assert not list(tmp_path.glob("*.jumps.csv"))
+        back = load_ensemble(tmp_path)
+        assert back.model_tag == "smooth" and not back.jump_size.size
+        np.testing.assert_array_equal(back.values, vals)
 
     @pytest.mark.parametrize("path,cell,size", [
         ([0, 0], [3, 3], [1.0, 2.0]),  # two jumps in one cell

@@ -58,7 +58,7 @@ def ref_sequential_values(seed: int, index: int, grid: TimeGrid) -> np.ndarray:
 
 
 def ref_brownian_values(seed: int, grid: TimeGrid, index: int) -> np.ndarray:
-    if grid.is_dyadic_uniform():
+    if grid.dyadic_uniform:
         return ref_bridge_values(seed, index, int(round(math.log2(grid.n_steps))))
     return ref_sequential_values(seed, index, grid)
 
@@ -245,7 +245,7 @@ class TestMatrixMatchesPerPath:
         bundles = gen_bundles(SeedStream(seed), 12, grid, 1e-2, rate)
 
         def times_of(ens, row, sign):
-            mine = (ens.poisson_row == row) & (ens.poisson_sign == sign)
+            mine = (ens.jump_path == row) & (np.sign(ens.jump_size) == sign)
             return tuple(ens.poisson_time[mine].tolist())
 
         for i in range(12):

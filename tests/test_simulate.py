@@ -20,13 +20,13 @@ from qvmart.simulate import (
     DriftedDiffusion,
     ModelSpec,
     SeedStream,
+    _brownian_matrix,
     _build_bundles,
     _m_values,
     gen_bundles,
     gen_ensemble,
     m_variance,
     make_insider_grid,
-    sigma_profile,
     sigma_profile_vec,
 )
 from test_path_core import continuous_part
@@ -149,22 +149,16 @@ class TestDriftedDiffusion:
 
 class TestSigmaProfile:
     def test_vanishes_up_to_half(self):
-        assert sigma_profile(0.25) == 0.0
-        assert sigma_profile(0.5) == 0.0  # the switch-on is strict
+        # the switch-on at 1/2 is strict
+        np.testing.assert_array_equal(sigma_profile_vec([0.0, 0.25, 0.5]), 0.0)
 
     def test_value_at_three_quarters(self):
         # 2 (ln 4)^(-2/3), evaluated at 30 digits beforehand
-        assert sigma_profile(0.75) == pytest.approx(1.6086430656187621, rel=1e-14)
+        assert sigma_profile_vec(0.75) == pytest.approx(1.6086430656187621, rel=1e-14)
 
     def test_singularity_rejected(self):
         with pytest.raises(ContractViolation):
-            sigma_profile(1.0)
-
-    def test_vectorized_matches_scalar(self):
-        t = np.array([0.0, 0.3, 0.5, 0.6, 0.9, 0.999])
-        np.testing.assert_array_equal(
-            sigma_profile_vec(t), [sigma_profile(x) for x in t]
-        )
+            sigma_profile_vec([0.75, 1.0])
 
 
 class TestMVariance:
@@ -178,7 +172,7 @@ class TestMVariance:
     def test_against_quadrature(self):
         # independent oracle: numerical quadrature of sigma^2
         for s, t in [(0.5, 0.9), (0.6, 0.99), (0.75, 0.999)]:
-            target, err = quad(lambda u: sigma_profile(u) ** 2, s, t, limit=200)
+            target, err = quad(lambda u: float(sigma_profile_vec(u)) ** 2, s, t, limit=200)
             assert err < 1e-8
             assert m_variance(s, t) == pytest.approx(target, abs=1e-8)
 
@@ -242,9 +236,9 @@ class TestPoissonPair:
         n = 10_000
         grid = make_insider_grid(1e-2, n_uniform=8, n_log=16)
         ens = gen_bundles(SeedStream(55), n, grid, 1e-2, 1.0)
-        row, sign = ens.poisson_row, ens.poisson_sign
-        c1 = np.bincount(row[sign > 0], minlength=n)
-        c2 = np.bincount(row[sign < 0], minlength=n)
+        row, size = ens.jump_path, ens.jump_size  # N1 jumps up, N2 jumps down
+        c1 = np.bincount(row[size > 0], minlength=n)
+        c2 = np.bincount(row[size < 0], minlength=n)
         assert abs(c1.mean() - 1.0) <= 0.03
         assert abs(np.mean(c1 == 0) - np.exp(-1)) <= 0.015
         assert abs(np.corrcoef(c1, c2)[0, 1]) <= 0.03
@@ -266,7 +260,10 @@ def bundle():
 class TestCounterexampleBundle:
     def test_jump_count(self, bundle):
         assert bundle.jump_size.size == bundle.poisson_time.size > 0
-        np.testing.assert_array_equal(bundle.jump_path, bundle.poisson_row)
+        # entry for entry: no jump is capped or pushed, so each sits in its raw time's cell
+        assert not bundle.late_jump_capped[0] and not bundle.snap_collision[0]
+        cell = np.searchsorted(bundle.grid.points, bundle.poisson_time) - 1
+        np.testing.assert_array_equal(bundle.jump_cell, cell)
 
     def test_continuous_part_is_m(self, bundle):
         np.testing.assert_allclose(continuous_part(bundle).values, bundle.m, atol=1e-12)
@@ -280,7 +277,6 @@ class TestCounterexampleBundle:
     def test_jump_sizes_are_reciprocal_gaps(self, bundle):
         t = bundle.grid.points[bundle.jump_cell + 1]
         np.testing.assert_allclose(np.abs(bundle.jump_size), 1.0 / (1.0 - t), rtol=1e-12)
-        np.testing.assert_array_equal(np.sign(bundle.jump_size), bundle.poisson_sign)
 
     def test_terminal_driver_recorded(self, bundle):
         assert bundle.b1[0] == bundle.b[0, -1]
@@ -289,18 +285,17 @@ class TestCounterexampleBundle:
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
         a = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0)
         per_row = ("values", "b", "m", "b1", "late_jump_capped", "snap_collision")
-        flat = ("jump_cell", "jump_size", "poisson_time", "poisson_sign")
+        flat = ("jump_cell", "jump_size", "poisson_time")
         # each row is bundle i as generated alone
         for i in range(a.n_paths):
             one = _build_bundles(SeedStream(9), grid, 1e-2, 1.0, [i])
             for name in per_row:
                 assert getattr(a, name)[i].tobytes() == getattr(one, name)[0].tobytes()
-            mine = a.poisson_row == i
-            assert np.array_equal(a.jump_path == i, mine)
+            mine = a.jump_path == i
             for name in flat:
                 assert getattr(a, name)[mine].tobytes() == getattr(one, name).tobytes()
-        assert np.all(np.diff(a.poisson_row) >= 0)
-        for name in per_row + flat + ("jump_path", "poisson_row"):
+        assert np.all(np.diff(a.jump_path) >= 0)
+        for name in per_row + flat + ("jump_path",):
             assert not getattr(a, name).flags.writeable
 
 
@@ -348,7 +343,7 @@ class TestJumpSnapping:
         ens = gen_bundles(SeedStream(77), 50, grid, 0.4, 2.0)
         assert ens.late_jump_capped.sum() > 0
         assert np.all(grid.points[ens.jump_cell + 1] <= 1.0 - 0.4 + 1e-12)
-        late = np.unique(ens.poisson_row[ens.poisson_time > 1.0 - 0.4])
+        late = np.unique(ens.jump_path[ens.poisson_time > 1.0 - 0.4])
         np.testing.assert_array_equal(np.flatnonzero(ens.late_jump_capped), late)
 
     def test_more_jumps_than_slots_is_a_contract_error(self):
@@ -386,7 +381,33 @@ class TestModelSpec:
     def test_valid_roundtrip(self):
         spec = ModelSpec("drifted", mu=0.1, sigma=0.2)
         assert ModelSpec(**asdict(spec)) == spec
-        assert spec.build().tag.startswith("drifted")
+        assert spec.generate(SeedStream(0), 1, 4, 4).model_tag.startswith("drifted")
+
+    @staticmethod
+    def reference(spec, stream, n, steps, log_steps):
+        """The variant built from its generator and grid, each named outright."""
+        if spec.variant == "brownian":
+            return gen_ensemble(BrownianModel(), stream, n, TimeGrid.uniform(steps))
+        if spec.variant == "drifted":
+            return gen_ensemble(DriftedDiffusion(spec.mu, spec.sigma), stream, n,
+                                TimeGrid.uniform(steps))
+        grid = make_insider_grid(spec.eps, n_uniform=steps, n_log=log_steps)
+        if spec.variant == "counterexample":
+            return gen_bundles(stream, n, grid, spec.eps, spec.rate)
+        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n)), spec.eps)
+        return Ensemble(grid, vals, stream.master_seed, "gaussian_m")
+
+    @pytest.mark.parametrize("variant", ModelSpec.VARIANTS)
+    def test_generate_matches_reference(self, variant):
+        spec = ModelSpec(variant, mu=0.3, sigma=0.7, rate=2.0, eps=1e-2)
+        got = spec.generate(SeedStream(5), 6, 16, 32)
+        want = self.reference(spec, SeedStream(5), 6, 16, 32)
+        assert type(got) is type(want)
+        assert (got.model_tag, got.master_seed) == (want.model_tag, 5)
+        for name in ("values", "jump_path", "jump_cell", "jump_size"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.grid.points.tobytes() == want.grid.points.tobytes()
+        assert (got.jump_size.size > 0) == (variant == "counterexample")
 
     @pytest.mark.parametrize(
         "kwargs",
