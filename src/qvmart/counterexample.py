@@ -45,6 +45,7 @@ from .simulate import (
     BundleEnsemble,
     SeedStream,
     _build_bundles,
+    _freeze_cut,
     make_insider_grid,
     sigma_profile_vec,
 )
@@ -263,7 +264,7 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
     moments = []
     if groups:  # with the increments of M_hat = M - A, A the insider drift
         moments = _moments(ens, unit_shapes,
-                           lambda rows: np.diff(ens.m[rows] - ens.drift_values(rows), axis=1))
+                           lambda rows: np.diff(ens.m_values(rows) - ens.drift_values(rows), axis=1))
     for group, peak in zip(groups, colmax):
         for entry in group:
             _check_profile(entry.member, peak, ens.grid)
@@ -456,9 +457,9 @@ def insider_drift_divergence(
 
     One row per eps, computed as nested partial sums over the same
     bundles, so the column is increasing by construction; the growth law
-    against the closed form is the divergence signature.  The running
-    sums are taken one row view at a time, and only each bundle's value
-    at every cut is kept.
+    against the closed form is the divergence signature.  Each cut is the
+    grid point 1 - eps (a cutoff without one is refused); the running sums
+    are taken one row view at a time, keeping each bundle's value at a cut.
     """
     ens = _bundles(bundles)
     if min(eps_list) < ens.eps:
@@ -466,9 +467,8 @@ def insider_drift_divergence(
     pts = ens.grid.points
     w = sigma_profile_vec(pts[:-1]) / (1.0 - pts[:-1]) * ens.grid.dt
     eps_sorted = sorted(eps_list, reverse=True)
-    # grid index of each cutoff; the running sum's column k sums the cells before k
-    cuts = [max(int(np.searchsorted(pts, 1.0 - eps + 1e-12, side="right")) - 1, 0)
-            for eps in eps_sorted]
+    # the running sum's column k sums the cells before k
+    cuts = [_freeze_cut(ens.grid, eps) for eps in eps_sorted]
     tv = np.empty((len(cuts), ens.n_paths))
     for rows, part in ens.blocks():
         cum = np.zeros_like(part.values)

@@ -289,9 +289,10 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
 
     The text (``ensemble.json``, or one CSV file per path and one per
     path with jumps) is the stored ensemble, encoded and written one row
-    view at a time.  After it comes ``ensemble.npy``: the same arrays in
-    binary, bound by its SHA-256 to the text as written, which
-    ``load_ensemble`` reads instead of parsing the text.
+    view at a time; a CSV save removes the directory's other ``path_*``
+    files.  After it comes ``ensemble.npy``: the same arrays in binary,
+    bound by its SHA-256 to the text as written, which ``load_ensemble``
+    reads instead of parsing the text.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,8 +313,8 @@ def save_ensemble(ensemble: Ensemble, out_dir: str | Path, fmt: str = "csv") -> 
         for name, data in _csv_files(ensemble):
             _atomic_write(out / name, data)
             names.append(name)
-        for stale in {f"path_{i:05d}.jumps.csv" for i in range(ensemble.n_paths)}.difference(names):
-            (out / stale).unlink(missing_ok=True)  # an earlier save's, which a load would read
+        for stale in {f.name for f in out.glob("path_*.csv")}.difference(names):
+            (out / stale).unlink(missing_ok=True)
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
     _write_cache(out / _CACHE, _digest(out, names), ensemble)

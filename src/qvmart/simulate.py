@@ -438,23 +438,29 @@ def make_insider_grid(
     return TimeGrid(np.concatenate(pts))
 
 
-def _m_values(grid: TimeGrid, b_vals: np.ndarray, eps: float) -> np.ndarray:
-    """Late-burst martingale values from driver values (one path, or one per row)."""
-    sig = sigma_profile_vec(grid.points[:-1])
-    active = grid.points[1:] <= 1.0 - eps + 1e-15
-    inc = sig * np.diff(b_vals, axis=-1) * active
-    vals = np.empty_like(b_vals)
-    vals[..., 0] = 0.0
-    np.cumsum(inc, axis=-1, out=vals[..., 1:])
-    return vals
+def _freeze_cut(grid: TimeGrid, eps: float) -> int:
+    """Index of the grid point 1 - eps, the truncation at eps; refused if none."""
+    return grid.index_of(1.0 - eps)
 
 
-def _check_freeze(grid: TimeGrid, eps: float) -> None:
-    if eps <= 0.0:
-        raise ConfigurationError("eps = 0 would integrate through the singularity")
-    interior = grid.points[(grid.points > 1.0 - eps + 1e-15) & (grid.points < 1.0)]
-    if interior.size:
-        raise ConfigurationError("grid has interior points beyond the 1-eps freeze time")
+def _late_burst(grid: TimeGrid, b: np.ndarray, b1=None, out=None) -> np.ndarray:
+    """The running left-endpoint integral against the late burst sigma of
+    each row of driver values ``b``, frozen in the closing cell: M, or with
+    ``b1`` the insider drift A (``BundleEnsemble.m_values``, ``drift_values``),
+    written one row block at a time into ``out`` (``b`` allowed) or a new matrix."""
+    t, sig = grid.points[:-1], sigma_profile_vec(grid.points[:-1])
+    out = np.empty_like(b) if out is None else out
+    for blk in _row_blocks(b.shape[0], grid.n_steps):
+        if b1 is None:
+            inc = sig * np.diff(b[blk], axis=1)
+        else:
+            inc = sig * (b1[blk, None] - b[blk, :-1])
+            inc /= 1.0 - t
+            inc *= grid.dt
+        inc[:, -1] *= 0.0  # the closing cell adds nothing
+        out[blk, 0] = 0.0
+        np.cumsum(inc, axis=1, out=out[blk, 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,27 +525,15 @@ def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int)
     return idxs, collision
 
 
-def _drift_values(grid: TimeGrid, b_vals: np.ndarray, b1, eps: float) -> np.ndarray:
-    """Insider drift A from driver values and B1 (one path, or one per row)."""
-    t_left = grid.points[:-1]
-    sig = sigma_profile_vec(t_left)
-    active = grid.points[1:] <= 1.0 - eps + 1e-15
-    integrand = sig * (np.expand_dims(b1, -1) - b_vals[..., :-1]) / (1.0 - t_left)
-    inc = integrand * grid.dt * active
-    a_vals = np.empty_like(b_vals)
-    a_vals[..., 0] = 0.0
-    np.cumsum(inc, axis=-1, out=a_vals[..., 1:])
-    return a_vals
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class BundleEnsemble(Ensemble):
     """Insider bundles stored matrix-first, one row per bundle.
 
     An ``Ensemble`` of the combined jump paths S: ``values`` and the flat
-    jump arrays are S's.  ``b`` and ``m`` are read-only ``(n_paths,
-    n_points)`` value matrices of the driver B and the late-burst
-    martingale M; ``b1`` holds each row's terminal driver value.  Each
+    jump arrays are S's.  ``b`` is the read-only ``(n_paths, n_points)``
+    value matrix of the driver B and ``b1`` each row's terminal value; the
+    late-burst martingale M (S without its jumps) and the insider drift A
+    are derived from them per row view by ``m_values`` and ``drift_values``.  Each
     jump of S is one raw jump of the Poisson pair N1, N2 snapped to the
     grid: ``poisson_time``, a flat read-only array, holds the raw times
     and matches S's jump arrays entry for entry, so jump j is in row
@@ -551,7 +545,6 @@ class BundleEnsemble(Ensemble):
     eps: float
     rate: float
     b: np.ndarray
-    m: np.ndarray
     b1: np.ndarray
     poisson_time: np.ndarray
     late_jump_capped: np.ndarray
@@ -559,9 +552,14 @@ class BundleEnsemble(Ensemble):
 
     def __post_init__(self):
         super().__post_init__()
-        for a in (self.b, self.m, self.b1, self.poisson_time, self.late_jump_capped,
+        for a in (self.b, self.b1, self.poisson_time, self.late_jump_capped,
                   self.snap_collision):
             a.setflags(write=False)
+
+    def m_values(self, rows: slice = slice(None)) -> np.ndarray:
+        """The late-burst martingale M of the rows ``rows`` (all by default):
+        sigma(u) dB_u accumulated by left-endpoint quadrature up to 1 - eps."""
+        return _late_burst(self.grid, self.b[rows])
 
     def drift_values(self, rows: slice = slice(None)) -> np.ndarray:
         """The insider drift A of the rows ``rows`` (all by default).
@@ -571,7 +569,7 @@ class BundleEnsemble(Ensemble):
         increments of the recentred martingale M - A have exactly zero
         conditional mean given (path prefix, B1).
         """
-        return _drift_values(self.grid, self.b[rows], self.b1[rows], self.eps)
+        return _late_burst(self.grid, self.b[rows], self.b1[rows])
 
 
 def _build_bundles(
@@ -581,13 +579,14 @@ def _build_bundles(
     rate: float,
     indices: Sequence[int],
 ) -> BundleEnsemble:
-    """Joint (B, M, N1, N2, S, B1) realizations of bundles ``indices``, one row each.
+    """Joint (B, N1, N2, S, B1) realizations of bundles ``indices``, one row each.
 
     Jump sizes are the exact reciprocal gap +-1/(1-u) at the snapped time
     u; jumps past the freeze time keep their Poisson law but are capped
     at the last grid point before 1 and flagged.
     """
-    _check_freeze(grid, eps)
+    if eps <= 0.0 or _freeze_cut(grid, eps) != grid.n_steps - 1:
+        raise ConfigurationError("the grid's closing cell must start at 1 - eps, with eps > 0")
     if not 0.0 < rate < math.inf:
         raise ContractViolation(f"rate must be positive and finite, not {rate!r}")
     indices = np.asarray(indices)
@@ -612,13 +611,12 @@ def _build_bundles(
         k[lo:hi], collision[r] = _snap_jump_indices(grid, time[lo:hi], idx_cap)
     size = sign / (1.0 - grid.points[k])
 
-    m = _m_values(grid, b, eps)
-    s = m.copy()
+    s = _late_burst(grid, b)  # M, then its jumps added
     for r, cell, z in zip(row.tolist(), (k - 1).tolist(), size.tolist()):
         s[r, cell + 1 :] += z
     return BundleEnsemble(
         grid, s, stream.master_seed, "counterexample", row, k - 1, size,
-        eps=eps, rate=rate, b=b, m=m, b1=b[:, -1].copy(), poisson_time=time,
+        eps=eps, rate=rate, b=b, b1=b[:, -1].copy(), poisson_time=time,
         late_jump_capped=capped, snap_collision=collision,
     )
 
@@ -697,5 +695,5 @@ class ModelSpec:
         grid = make_insider_grid(self.eps, n_uniform=steps, n_log=log_steps)
         if self.variant == "counterexample":
             return gen_bundles(stream, n_paths, grid, self.eps, self.rate)
-        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n_paths)), self.eps)
-        return Ensemble(grid, vals, stream.master_seed, self.variant)
+        vals = _brownian_matrix(stream, grid, range(n_paths))
+        return Ensemble(grid, _late_burst(grid, vals, out=vals), stream.master_seed, self.variant)

@@ -50,6 +50,19 @@ def test_csv_simulate_into_an_earlier_runs_directory(tmp_path):
     assert qv[0] == qv[1]
 
 
+def test_csv_simulate_of_fewer_paths_into_an_earlier_runs_directory(tmp_path):
+    # 2 paths over an earlier run's 5: that run's paths 2 to 4 must go
+    argv = ["simulate", "--model", "brownian", "--format", "csv", "--steps", "16", "--seed", "1"]
+    for paths, out in (("5", "sim"), ("2", "sim"), ("2", "fresh")):
+        assert main(argv + ["--paths", paths, "--out", str(tmp_path / out)]) == 0
+    assert len(list((tmp_path / "sim").glob("path_*.csv"))) == 2
+    assert read_dir_bytes(tmp_path / "sim") == read_dir_bytes(tmp_path / "fresh")
+    for run in ("sim", "fresh"):
+        assert main(["qv", "--in", str(tmp_path / run), "--out", str(tmp_path / f"{run}-qv")]) == 0
+    qv = [(tmp_path / f"{run}-qv" / "qv.csv").read_bytes() for run in ("sim", "fresh")]
+    assert qv[0] == qv[1]
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     args = ["simulate", "--model", "drifted", "--mu", "0.1", "--sigma", "0.2",
             "--paths", "4", "--steps", "128", "--seed", "9"]
@@ -499,6 +512,16 @@ def test_hit_default_off_the_grid_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "w")]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "contract" and "grid point" in error["message"]
+
+
+def test_divergence_cutoff_off_the_grid_exits_1(tmp_path, capsys):
+    # 1 - 0.3 is no point of the insider grid
+    out = tmp_path / "div"
+    assert main(["counterexample", "divergence", "--bundles", "20", "--steps", "32",
+                 "--log-steps", "64", "--eps-list", "0.3,0.01", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "contract" and "not a grid point" in error["message"]
+    assert not out.exists()  # a refused run leaves no manifest, nor its directory
 
 
 def test_poisson_lemma_without_samples_exits_1(tmp_path, capsys):

@@ -28,7 +28,9 @@ from qvmart.counterexample import (
 )
 from qvmart.errors import ContractViolation
 from qvmart.simulate import (
+    ModelSpec,
     SeedStream,
+    _late_burst,
     gen_bundles,
     make_insider_grid,
     sigma_profile_vec,
@@ -257,7 +259,7 @@ class TestUtilitySweep:
         head = gen_bundles(SeedStream(11), 2000, bundles.grid, 1e-2, 1.0)
         for mu in (1.0, 4.0):
             m_vals = mu * head.grid.points + 0.5 * head.b
-            drifted = replace(head, values=m_vals + (head.values - head.m), m=m_vals)
+            drifted = replace(head, values=m_vals + (head.values - head.m_values()))
             maxes[mu] = utility_sweep(family, drifted, eps=1e-2).running_max
         # measured +0.06 at mu=1 vs +0.73 at mu=4: the jump penalty caps the
         # harvest per unit drift, but the growth is unmistakable
@@ -294,7 +296,7 @@ class TestOrdinaryInformationControl:
         from qvmart.inference import estimate_lambda
         from qvmart.strategy import sign_at_time_strategy, window_strategy
 
-        ens = Ensemble(bundles.grid, bundles.m, 11, "insider-model-continuous-part")
+        ens = Ensemble(bundles.grid, bundles.m_values(), 11, "insider-model-continuous-part")
         for lam in estimate_lambda([
             const_strategy(1.0),
             window_strategy(1.0, 0.0, 0.5),
@@ -334,6 +336,12 @@ class TestDriftVariationDivergence:
     def test_coarser_bundles_rejected(self, bundles):
         with pytest.raises(ContractViolation):
             insider_drift_divergence(bundles, [1e-3])
+
+    def test_off_grid_cutoff_refused(self, bundles):
+        # 1 - 0.3 lies between two grid points: refused, not cut at the earlier
+        # one (t = 0.6978) and compared with the closed form at 0.7
+        with pytest.raises(ContractViolation, match="not a grid point"):
+            insider_drift_divergence(bundles, [0.3, 1e-2])
 
 
 def own_jump_terms(pi, ens):
@@ -384,7 +392,9 @@ class TestSharedFamilyPass:
         # the reference sums each member's own profile cell by cell
         family = default_sweep_family()
         ens = self.fresh(400)
-        inc, dh = ens.continuous_increments(), np.diff(ens.m - ens.drift_values(), axis=1)
+        # M - A over the whole matrix, not through the bundle's row-view methods
+        m, a = _late_burst(ens.grid, ens.b), _late_burst(ens.grid, ens.b, ens.b1)
+        inc, dh = ens.continuous_increments(), np.diff(m - a, axis=1)
         passes = cx._family_pass(family, ens)
         assert len(passes) == len(family)
         wiped_any = False
@@ -515,8 +525,9 @@ class TestSharedFamilyPass:
 
 
 class TestRowViews:
-    """The family pass and the ruin probe build every profile one row view
-    at a time: any number of rows per block gives the bytes of one block."""
+    """Generation fills its rows one row block at a time, and the family
+    pass and the ruin probe build every profile one row view at a time:
+    any number of rows per block gives the bytes of one block."""
 
     GRID = make_insider_grid(1e-2, n_uniform=64, n_log=128)
 
@@ -527,6 +538,11 @@ class TestRowViews:
 
     def outputs(self) -> list[bytes]:
         ens = gen_bundles(SeedStream(23), 60, self.GRID, 1e-2, 1.0)  # nothing memoised on it
+        generated = [a.tobytes() for a in (ens.values, ens.b, ens.b1, ens.jump_path,
+                                           ens.jump_cell, ens.jump_size, ens.poisson_time)]
+        gaussian_m = ModelSpec("gaussian_m", eps=1e-2).generate(SeedStream(23), 60, 64, 128)
+        assert gaussian_m.grid.points.tobytes() == self.GRID.points.tobytes()
+        generated.append(gaussian_m.values.tobytes())
         # the default family reads B1 and the driver; the last member reads
         # each view's own running variation
         family = [*default_sweep_family(),
@@ -537,7 +553,7 @@ class TestRowViews:
                    for a in (p.cont, p.jump, p.wiped, p.supermartingale)]
         ruin = negative_wealth_probability(sign_at_time_strategy(0.5, 0.99), ens)
         assert 0 < ruin.n_nonpositive < ens.n_paths
-        return [self.dump(sweep, terms, ruin).encode(), *columns]
+        return [self.dump(sweep, terms, ruin).encode(), *columns, *generated]
 
     @staticmethod
     def dump(sweep, terms, ruin):
@@ -575,6 +591,20 @@ class TestInsiderMemory:
 
     def test_divergence(self, big):
         assert self.peak(lambda: insider_drift_divergence(big, self.EPS)) <= big.values.nbytes // 4
+
+    def test_bundle_generation(self, big):
+        # S and B are stored; M is written into S's buffer one row block at a time
+        def generate():
+            gen_bundles(SeedStream(808), 3000, big.grid, 1e-3, 1.0)
+
+        assert self.peak(generate) <= 2.3 * big.values.nbytes
+
+    def test_gaussian_m_generation(self, big):
+        # M overwrites its driver's buffer one row block at a time
+        def generate():
+            ModelSpec("gaussian_m", eps=1e-3).generate(SeedStream(808), 3000, 256, 512)
+
+        assert self.peak(generate) <= 1.2 * big.values.nbytes
 
     def test_sweep(self, big):
         # a fresh family: nothing is memoised for its members on ``big``

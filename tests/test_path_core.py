@@ -418,6 +418,15 @@ class TestSerialization:
         assert back.model_tag == "smooth" and not back.jump_size.size
         np.testing.assert_array_equal(back.values, vals)
 
+    def test_csv_save_removes_an_earlier_saves_extra_paths(self, tmp_path):
+        g = TimeGrid.uniform(8)
+        vals = np.arange(45.0).reshape(5, 9)
+        save_ensemble(Ensemble(g, vals, master_seed=3, model_tag="five"), tmp_path)
+        save_ensemble(Ensemble(g, vals[:2], master_seed=3, model_tag="two"), tmp_path)
+        assert sorted(f.name for f in tmp_path.glob("path_*.csv")) == [
+            "path_00000.csv", "path_00001.csv"]
+        np.testing.assert_array_equal(load_ensemble(tmp_path).values, vals[:2])
+
     @pytest.mark.parametrize("path,cell,size", [
         ([0, 0], [3, 3], [1.0, 2.0]),  # two jumps in one cell
         ([1, 0], [3, 3], [1.0, 2.0]),  # not sorted by path

@@ -19,7 +19,7 @@ from qvmart.simulate import (
     BrownianModel,
     DriftedDiffusion,
     SeedStream,
-    _m_values,
+    _late_burst,
     gen_bundles,
     gen_ensemble,
     make_insider_grid,
@@ -252,7 +252,7 @@ class TestMatrixMatchesPerPath:
             b = ref_brownian_values(seed, grid, i)
             assert bundles.b[i].tobytes() == b.tobytes()
             assert bundles.b1[i] == b[-1]
-            assert bundles.m[i].tobytes() == _m_values(grid, b, 1e-2).tobytes()
+            assert bundles.m_values()[i].tobytes() == _late_burst(grid, b[None])[0].tobytes()
             assert times_of(bundles, i, 1.0) == ref_poisson(seed, i, "poisson-1", rate)
             assert times_of(bundles, i, -1.0) == ref_poisson(seed, i, "poisson-2", rate)
         # a block of one exponential: every row with a jump is drawn again

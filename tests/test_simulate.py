@@ -22,7 +22,7 @@ from qvmart.simulate import (
     SeedStream,
     _brownian_matrix,
     _build_bundles,
-    _m_values,
+    _late_burst,
     gen_bundles,
     gen_ensemble,
     m_variance,
@@ -187,7 +187,7 @@ class TestGaussianMartingale:
     def test_flat_before_half_and_after_freeze(self):
         eps = 1e-2
         grid = make_insider_grid(eps, n_uniform=64, n_log=128)
-        m = gen_bundles(SeedStream(3), 1, grid, eps, 1.0).m[0]
+        m = gen_bundles(SeedStream(3), 1, grid, eps, 1.0).m_values()[0]
         half = grid.index_of(0.5)
         assert np.all(m[: half + 1] == 0.0)
         assert m[-1] == m[-2]  # frozen through the last cell
@@ -197,7 +197,7 @@ class TestGaussianMartingale:
         grid = make_insider_grid(eps, n_uniform=256, n_log=512)
         stream = SeedStream(2026)
         n = 4000
-        m1 = gen_bundles(stream, n, grid, eps, 1.0).m[:, -1]
+        m1 = gen_bundles(stream, n, grid, eps, 1.0).m_values()[:, -1]
         target = m_variance(0.5, 1.0 - eps)
         se = target * np.sqrt(2.0 / n)  # chi-square spread of a variance estimate
         assert abs(m1.var(ddof=1) - target) <= 3.0 * se
@@ -206,8 +206,11 @@ class TestGaussianMartingale:
     def test_rebuild_from_driver_is_exact(self):
         eps = 1e-2
         grid = make_insider_grid(eps, n_uniform=64, n_log=128)
-        ens = gen_bundles(SeedStream(8), 1, grid, eps, 1.0)
-        np.testing.assert_array_equal(ens.m[0], _m_values(grid, ens.b[0], eps))
+        ens = gen_bundles(SeedStream(8), 40, grid, eps, 1.0)
+        np.testing.assert_array_equal(ens.m_values()[0], _late_burst(grid, ens.b[:1])[0])
+        # S is written as M and then its jumps added: a row without jumps is M
+        smooth = np.setdiff1d(np.arange(ens.n_paths), ens.jump_path)
+        assert smooth.size and ens.values[smooth].tobytes() == ens.m_values()[smooth].tobytes()
 
     def test_zero_eps_refused(self):
         grid = make_insider_grid(1e-2, n_uniform=16, n_log=32)
@@ -266,11 +269,11 @@ class TestCounterexampleBundle:
         np.testing.assert_array_equal(bundle.jump_cell, cell)
 
     def test_continuous_part_is_m(self, bundle):
-        np.testing.assert_allclose(continuous_part(bundle).values, bundle.m, atol=1e-12)
+        np.testing.assert_allclose(continuous_part(bundle).values, bundle.m_values(), atol=1e-12)
 
     def test_qv_splits_into_m_and_jumps(self, bundle):
         total = qv_matrix(bundle)[0, -1]
-        m_part = qv_matrix(Ensemble(bundle.grid, bundle.m, None, "m"))[0, -1]
+        m_part = qv_matrix(Ensemble(bundle.grid, bundle.m_values(), None, "m"))[0, -1]
         jump_part = np.sum(bundle.jump_size**2)
         assert total == pytest.approx(m_part + jump_part, rel=1e-12)
 
@@ -284,13 +287,14 @@ class TestCounterexampleBundle:
     def test_bundles_deterministic(self):
         grid = make_insider_grid(1e-2, n_uniform=32, n_log=64)
         a = gen_bundles(SeedStream(9), 8, grid, 1e-2, 1.0)
-        per_row = ("values", "b", "m", "b1", "late_jump_capped", "snap_collision")
+        per_row = ("values", "b", "b1", "late_jump_capped", "snap_collision")
         flat = ("jump_cell", "jump_size", "poisson_time")
         # each row is bundle i as generated alone
         for i in range(a.n_paths):
             one = _build_bundles(SeedStream(9), grid, 1e-2, 1.0, [i])
             for name in per_row:
                 assert getattr(a, name)[i].tobytes() == getattr(one, name)[0].tobytes()
+            assert a.m_values()[i].tobytes() == one.m_values()[0].tobytes()
             mine = a.jump_path == i
             for name in flat:
                 assert getattr(a, name)[mine].tobytes() == getattr(one, name).tobytes()
@@ -366,7 +370,7 @@ class TestInsiderDrift:
         grid = make_insider_grid(eps, n_uniform=128, n_log=384)
         n = 4000
         bundles = gen_bundles(SeedStream(31), n, grid, eps, 1.0)
-        vals = bundles.m[:, -1] - bundles.drift_values()[:, -1]
+        vals = bundles.m_values()[:, -1] - bundles.drift_values()[:, -1]
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean()) <= 3.0 * se
 
@@ -394,7 +398,7 @@ class TestModelSpec:
         grid = make_insider_grid(spec.eps, n_uniform=steps, n_log=log_steps)
         if spec.variant == "counterexample":
             return gen_bundles(stream, n, grid, spec.eps, spec.rate)
-        vals = _m_values(grid, _brownian_matrix(stream, grid, range(n)), spec.eps)
+        vals = _late_burst(grid, _brownian_matrix(stream, grid, range(n)))
         return Ensemble(grid, vals, stream.master_seed, "gaussian_m")
 
     @pytest.mark.parametrize("variant", ModelSpec.VARIANTS)
