@@ -44,7 +44,8 @@ from .path_core import (
     refine_and_compare_qv,
     save_ensemble,
 )
-from .simulate import BrownianModel, ModelSpec, SeedStream, gen_bundles, make_insider_grid
+from .simulate import BrownianModel, ModelSpec, SeedStream, freeze_cut, gen_bundles
+from .simulate import make_insider_grid
 from .strategy import (
     const_strategy,
     load_strategy_file,
@@ -318,6 +319,8 @@ def _cmd_counterexample(args) -> int:
     gen_eps = min(cfg["eps_list"]) if args.action == "divergence" else cfg["eps"]
     grid = make_insider_grid(gen_eps, n_uniform=cfg["steps"], n_log=cfg["log_steps"])
     strat = _one_strategy(cfg["strategy"]) if args.action == "band" else None
+    for eps in cfg["eps_list"] if args.action == "divergence" else ():
+        freeze_cut(grid, eps)  # an off-grid cutoff is refused before any bundle is made
     bundles = gen_bundles(stream, cfg["bundles"], grid, gen_eps, cfg["rate"])
     if args.action == "divergence":
         rows = cx.insider_drift_divergence(bundles, cfg["eps_list"])
@@ -547,8 +550,8 @@ def main(argv: list[str] | None = None) -> int:
         error, code, message = "configuration", 2, str(exc)
     except ContractViolation as exc:
         error, code, message = "contract", 1, str(exc)
-    except (OSError, KeyError, ValueError) as exc:
-        # unreadable, missing or malformed input: files, manifests, list flags
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
+        # unreadable, missing, malformed or oversized input: files, manifests, list flags
         error, code, message = "input", 2, f"{type(exc).__name__}: {exc}"
     if getattr(args, "manifest_written", False):
         (out / "manifest.json").unlink(missing_ok=True)

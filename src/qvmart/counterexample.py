@@ -45,9 +45,9 @@ from .simulate import (
     BundleEnsemble,
     SeedStream,
     _build_bundles,
-    _freeze_cut,
+    _burst_increments,
+    freeze_cut,
     make_insider_grid,
-    sigma_profile_vec,
 )
 from .strategy import BandReport, EvalContext, GridRuleStrategy, Leg, band_check, legs_strategy
 from .strategy import band_fraction_strategy, insider_sign_band, insider_switch_band
@@ -261,10 +261,11 @@ def _family_pass(family: Sequence, ens: BundleEnsemble) -> list[_MemberPass]:
             xs.append(x)
         return xs
 
-    moments = []
-    if groups:  # with the increments of M_hat = M - A, A the insider drift
-        moments = _moments(ens, unit_shapes,
-                           lambda rows: np.diff(ens.m_values(rows) - ens.drift_values(rows), axis=1))
+    def recentred(rows):  # the increments of M_hat = M - A, A the insider drift
+        b = ens.b[rows]
+        return _burst_increments(ens.grid, b) - _burst_increments(ens.grid, b, ens.b1[rows])
+
+    moments = _moments(ens, unit_shapes, recentred) if groups else []
     for group, peak in zip(groups, colmax):
         for entry in group:
             _check_profile(entry.member, peak, ens.grid)
@@ -464,15 +465,14 @@ def insider_drift_divergence(
     ens = _bundles(bundles)
     if min(eps_list) < ens.eps:
         raise ContractViolation("bundles were generated with a coarser truncation")
-    pts = ens.grid.points
-    w = sigma_profile_vec(pts[:-1]) / (1.0 - pts[:-1]) * ens.grid.dt
     eps_sorted = sorted(eps_list, reverse=True)
     # the running sum's column k sums the cells before k
-    cuts = [_freeze_cut(ens.grid, eps) for eps in eps_sorted]
+    cuts = [freeze_cut(ens.grid, eps) for eps in eps_sorted]
     tv = np.empty((len(cuts), ens.n_paths))
     for rows, part in ens.blocks():
         cum = np.zeros_like(part.values)
-        np.cumsum(np.abs(ens.b1[rows, None] - ens.b[rows, :-1]) * w, axis=1, out=cum[:, 1:])
+        da = _burst_increments(ens.grid, ens.b[rows], ens.b1[rows])
+        np.cumsum(np.abs(da, out=da), axis=1, out=cum[:, 1:])
         tv[:, rows] = cum[:, cuts].T
     return [DivergenceRow(float(eps), *_mean_stderr(col), drift_variation_closed_form(eps))
             for eps, col in zip(eps_sorted, tv)]

@@ -34,6 +34,7 @@ __all__ = [
     "sigma_profile_vec",
     "m_variance",
     "make_insider_grid",
+    "freeze_cut",
     "gen_bundles",
     "gen_ensemble",
 ]
@@ -438,26 +439,31 @@ def make_insider_grid(
     return TimeGrid(np.concatenate(pts))
 
 
-def _freeze_cut(grid: TimeGrid, eps: float) -> int:
+def freeze_cut(grid: TimeGrid, eps: float) -> int:
     """Index of the grid point 1 - eps, the truncation at eps; refused if none."""
-    return grid.index_of(1.0 - eps)
+    try:
+        return grid.index_of(1.0 - eps)
+    except ContractViolation:
+        raise ContractViolation(f"cutoff eps={eps!r}: 1 - eps is not a grid point") from None
+
+
+def _burst_increments(grid: TimeGrid, b: np.ndarray, b1=None) -> np.ndarray:
+    """Per-cell left-endpoint increments against the late burst sigma of each
+    row of driver values ``b``, the closing cell frozen: sigma_t dB_t of M, or
+    with ``b1`` the insider drift A's (B1 - B_t) * (sigma_t / (1 - t) * dt)."""
+    t, sig = grid.points[:-1], sigma_profile_vec(grid.points[:-1])
+    inc = (sig * np.diff(b, axis=1) if b1 is None
+           else (b1[:, None] - b[:, :-1]) * (sig / (1.0 - t) * grid.dt))
+    inc[:, -1] *= 0.0  # the closing cell adds nothing
+    return inc
 
 
 def _late_burst(grid: TimeGrid, b: np.ndarray, b1=None, out=None) -> np.ndarray:
-    """The running left-endpoint integral against the late burst sigma of
-    each row of driver values ``b``, frozen in the closing cell: M, or with
-    ``b1`` the insider drift A (``BundleEnsemble.m_values``, ``drift_values``),
-    written one row block at a time into ``out`` (``b`` allowed) or a new matrix."""
-    t, sig = grid.points[:-1], sigma_profile_vec(grid.points[:-1])
+    """The running sums of ``_burst_increments``, M or with ``b1`` A, one
+    row block at a time into ``out`` (``b`` allowed) or a new matrix."""
     out = np.empty_like(b) if out is None else out
     for blk in _row_blocks(b.shape[0], grid.n_steps):
-        if b1 is None:
-            inc = sig * np.diff(b[blk], axis=1)
-        else:
-            inc = sig * (b1[blk, None] - b[blk, :-1])
-            inc /= 1.0 - t
-            inc *= grid.dt
-        inc[:, -1] *= 0.0  # the closing cell adds nothing
+        inc = _burst_increments(grid, b[blk], None if b1 is None else b1[blk])
         out[blk, 0] = 0.0
         np.cumsum(inc, axis=1, out=out[blk, 1:])
     return out
@@ -498,31 +504,29 @@ def _poisson_times(
     return row, times
 
 
-def _snap_jump_indices(grid: TimeGrid, raw_times: Sequence[float], idx_cap: int):
-    """Snap raw jump times to grid indices in [1, idx_cap].
+def _snap_jumps(grid: TimeGrid, row: np.ndarray, time: np.ndarray, n: int):
+    """Grid indices of raw jump times sorted by ``row`` (in 0..n-1), then
+    time, and per row whether a jump went past the cap (capped) or was
+    pushed (collision).
 
-    Each time is rounded up to the next grid point; times beyond the cap
-    are pulled back to it.  Ties (two jumps landing on one grid point)
-    are resolved by pushing the later jump to the next free index, and a
-    group overflowing the cap is right-aligned at the cap and cascaded
-    backward, preserving relative order.  Returns the indices and whether
-    any tie was pushed.
+    Time j of a row of m rounds up to index k_j in [1, cap], cap the last
+    point before 1.  Jump i goes to i + max_{j <= i} (k_j - j), past the
+    row's earlier jumps, then to at most cap - (m - 1 - i), right-aligned
+    at the cap; counting i and j over all rows gives the same indices.
+    More jumps than slots is a ContractViolation.
     """
-    idxs = [max(min(int(np.searchsorted(grid.points, t, side="left")), idx_cap), 1)
-            for t in raw_times]
-    collision = False
-    for i in range(1, len(idxs)):
-        if idxs[i] <= idxs[i - 1]:
-            idxs[i] = idxs[i - 1] + 1
-            collision = True
-    if idxs and idxs[-1] > idx_cap:
-        idxs[-1] = idx_cap
-        for i in range(len(idxs) - 2, -1, -1):
-            if idxs[i] >= idxs[i + 1]:
-                idxs[i] = idxs[i + 1] - 1
-    if idxs and (idxs[0] < 1 or any(b <= a for a, b in zip(idxs, idxs[1:]))):
+    cap = grid.points.size - 2
+    raw = np.searchsorted(grid.points, time, side="left")
+    k, g = np.clip(raw, 1, cap), np.arange(row.size)
+    # a running max within each row: each row is offset past the earlier rows' values
+    offset = row * (cap + row.size + 1)
+    pushed = g + np.maximum.accumulate(k - g + offset) - offset
+    idx = np.minimum(pushed, cap - (np.searchsorted(row, row, side="right") - 1 - g))
+    if np.any(idx < 1):
         raise ContractViolation("jump snapping could not produce distinct grid slots")
-    return idxs, collision
+    capped = np.bincount(row[raw > cap], minlength=n) > 0
+    collision = np.bincount(row[pushed > k], minlength=n) > 0
+    return idx, capped, collision
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -581,16 +585,17 @@ def _build_bundles(
 ) -> BundleEnsemble:
     """Joint (B, N1, N2, S, B1) realizations of bundles ``indices``, one row each.
 
-    Jump sizes are the exact reciprocal gap +-1/(1-u) at the snapped time
-    u; jumps past the freeze time keep their Poisson law but are capped
-    at the last grid point before 1 and flagged.
+    Every raw jump of the pair is snapped by ``_snap_jumps``; jumps past
+    the freeze time keep their Poisson law but are capped at the last grid
+    point before 1.  Jump sizes are the exact reciprocal gap +-1/(1-u) at
+    the snapped time u.  S is M, the running sum of ``_burst_increments``,
+    plus its jumps.
     """
-    if eps <= 0.0 or _freeze_cut(grid, eps) != grid.n_steps - 1:
+    if eps <= 0.0 or freeze_cut(grid, eps) != grid.n_steps - 1:
         raise ConfigurationError("the grid's closing cell must start at 1 - eps, with eps > 0")
     if not 0.0 < rate < math.inf:
         raise ContractViolation(f"rate must be positive and finite, not {rate!r}")
     indices = np.asarray(indices)
-    n = indices.size
     b = _brownian_matrix(stream, grid, indices)
     block = int(rate + 4.0 * math.sqrt(rate)) + 8  # a redraw is rare
     (row1, t1), (row2, t2) = (_poisson_times(stream.master_seed, indices, tag, rate, block)
@@ -600,20 +605,11 @@ def _build_bundles(
     order = np.lexsort((sign, time, row))
     row, time, sign = row[order], time[order], sign[order]
 
-    idx_cap = grid.points.size - 2  # last grid point before 1
-    raw = np.searchsorted(grid.points, time, side="left")
-    k = np.clip(raw, 1, idx_cap)
-    capped = np.bincount(row[raw > idx_cap], minlength=n) > 0
-    collision = np.zeros(n, dtype=bool)
-    clash = (np.diff(row) == 0) & (np.diff(k) == 0)
-    for r in np.unique(row[1:][clash]):  # the rare rows with two jumps on one grid point
-        lo, hi = np.searchsorted(row, (r, r + 1))
-        k[lo:hi], collision[r] = _snap_jump_indices(grid, time[lo:hi], idx_cap)
+    k, capped, collision = _snap_jumps(grid, row, time, indices.size)
     size = sign / (1.0 - grid.points[k])
-
     s = _late_burst(grid, b)  # M, then its jumps added
-    for r, cell, z in zip(row.tolist(), (k - 1).tolist(), size.tolist()):
-        s[r, cell + 1 :] += z
+    for r, i, z in zip(row.tolist(), k.tolist(), size.tolist()):
+        s[r, i:] += z
     return BundleEnsemble(
         grid, s, stream.master_seed, "counterexample", row, k - 1, size,
         eps=eps, rate=rate, b=b, b1=b[:, -1].copy(), poisson_time=time,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvmart import path_core
+from qvmart import cli, path_core
 from qvmart.cli import main
 from qvmart.inference import BinSpec, choose_truncation_level, decompose, estimate_alpha
 from qvmart.path_core import Ensemble, TimeGrid, load_ensemble, save_ensemble
@@ -522,6 +522,34 @@ def test_divergence_cutoff_off_the_grid_exits_1(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "contract" and "not a grid point" in error["message"]
     assert not out.exists()  # a refused run leaves no manifest, nor its directory
+
+
+def test_divergence_cutoff_off_the_grid_is_refused_before_generation(tmp_path, capsys,
+                                                                    monkeypatch):
+    def generate(*args):
+        raise AssertionError("bundles generated before the cutoffs were checked")
+
+    monkeypatch.setattr(cli, "gen_bundles", generate)
+    out = tmp_path / "div"
+    assert main(["counterexample", "divergence", "--bundles", "20", "--steps", "32",
+                 "--log-steps", "64", "--eps-list", "0.3,1e-4", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "contract" and "0.3" in error["message"]
+    assert not out.exists()
+
+
+# Sizes far beyond any machine's address space: the allocation fails at once.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "brownian", "--paths", "1000000000000000", "--steps", "16"],
+    ["counterexample", "sweep", "--bundles", "1", "--rate", "1e15", "--steps", "8",
+     "--log-steps", "8"],
+], ids=["simulate-paths", "sweep-rate"])
+def test_unallocatable_size_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "big"
+    assert main(argv + ["--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "input" and error["message"].startswith("MemoryError")
+    assert not out.exists()  # neither the manifest nor the directory it made is left
 
 
 def test_poisson_lemma_without_samples_exits_1(tmp_path, capsys):

@@ -613,7 +613,19 @@ class TestInsiderMemory:
 
     @pytest.mark.parametrize("rows", [1, 7, 3000], ids=["1-row", "7-rows", "one-block"])
     def test_divergence_rows_in_blocks_of_any_size(self, big, rows, monkeypatch):
+        cols, mean_stderr = [], cx._mean_stderr
+        monkeypatch.setattr(cx, "_mean_stderr", lambda col: cols.append(col) or mean_stderr(col))
         default = insider_drift_divergence(big, self.EPS)
         assert len(list(big.blocks())) > 1
         monkeypatch.setattr(path_core, "_CHUNK_CELLS", rows * big.grid.n_steps)
         assert repr(insider_drift_divergence(big, self.EPS)) == repr(default)
+        # in the default views and in views of ``rows`` rows, each bundle's value
+        # at each cut is the running sum of |B1 - B_t| * sigma_t / (1 - t) * dt
+        # over the whole matrix, byte for byte
+        pts = big.grid.points
+        w = sigma_profile_vec(pts[:-1]) / (1.0 - pts[:-1]) * big.grid.dt
+        cum = np.zeros_like(big.values)
+        np.cumsum(np.abs(big.b1[:, None] - big.b[:, :-1]) * w, axis=1, out=cum[:, 1:])
+        assert len(cols) == 2 * len(self.EPS)
+        for eps, col in zip(2 * self.EPS, cols):
+            assert col.tobytes() == cum[:, big.grid.index_of(1 - eps)].tobytes()

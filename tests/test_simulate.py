@@ -23,6 +23,7 @@ from qvmart.simulate import (
     _brownian_matrix,
     _build_bundles,
     _late_burst,
+    _snap_jumps,
     gen_bundles,
     gen_ensemble,
     m_variance,
@@ -303,40 +304,60 @@ class TestCounterexampleBundle:
             assert not getattr(a, name).flags.writeable
 
 
+def loop_snap_row(grid: TimeGrid, raw_times, idx_cap: int):
+    """The per-row snapping loop the vectorised rule replaced, kept as its
+    reference: round up, push ties forward, right-align past the cap."""
+    idxs = [max(min(int(np.searchsorted(grid.points, t, side="left")), idx_cap), 1)
+            for t in raw_times]
+    collision = False
+    for i in range(1, len(idxs)):
+        if idxs[i] <= idxs[i - 1]:
+            idxs[i] = idxs[i - 1] + 1
+            collision = True
+    if idxs and idxs[-1] > idx_cap:
+        idxs[-1] = idx_cap
+        for i in range(len(idxs) - 2, -1, -1):
+            if idxs[i] >= idxs[i + 1]:
+                idxs[i] = idxs[i + 1] - 1
+    if idxs and (idxs[0] < 1 or any(b <= a for a, b in zip(idxs, idxs[1:]))):
+        raise ContractViolation("jump snapping could not produce distinct grid slots")
+    return idxs, collision
+
+
+def snap_row(grid: TimeGrid, times):
+    """``_snap_jumps`` on a one-row ensemble: its indices and collision flag."""
+    idx, _, collision = _snap_jumps(grid, np.zeros(len(times), dtype=np.intp),
+                                    np.asarray(times, dtype=float), 1)
+    return idx.tolist(), bool(collision[0])
+
+
 class TestJumpSnapping:
     def test_round_up_to_next_grid_point(self):
-        from qvmart.simulate import _snap_jump_indices
-
         grid = TimeGrid.uniform(10)
-        idxs, collision = _snap_jump_indices(grid, [0.21, 0.79], idx_cap=9)
+        idxs, collision = snap_row(grid, [0.21, 0.79])
         assert idxs == [3, 8]
         assert not collision
 
     def test_collision_pushes_later_jump_forward(self):
-        from qvmart.simulate import _snap_jump_indices
-
         grid = TimeGrid.uniform(10)
-        idxs, collision = _snap_jump_indices(grid, [0.31, 0.39], idx_cap=9)
+        idxs, collision = snap_row(grid, [0.31, 0.39])
         assert idxs == [4, 5]
         assert collision
 
     def test_late_jumps_right_align_below_cap(self):
-        from qvmart.simulate import _snap_jump_indices
-
-        grid = TimeGrid.uniform(10)
-        # cap at index 8 (t = 0.8): both tail jumps must land at 7 and 8
-        idxs, collision = _snap_jump_indices(grid, [0.85, 0.95], idx_cap=8)
+        grid = TimeGrid.uniform(9)
+        # the cap is index 8 (t = 8/9), the last point before 1: both tail
+        # jumps must land at 7 and 8
+        idxs, collision = snap_row(grid, [0.85, 0.95])
         assert idxs == [7, 8]
         assert collision
 
     def test_snap_keeps_strictly_increasing_order(self):
-        from qvmart.simulate import _snap_jump_indices
-
         grid = TimeGrid.uniform(20)
         rng = np.random.default_rng(0)
         for _ in range(200):
             raw = sorted(rng.uniform(0.01, 1.0, rng.integers(1, 8)))
-            idxs, _ = _snap_jump_indices(grid, raw, idx_cap=19)
+            idxs, _ = snap_row(grid, raw)
             assert all(b > a for a, b in zip(idxs, idxs[1:]))
             assert idxs[0] >= 1 and idxs[-1] <= 19
 
@@ -351,11 +372,47 @@ class TestJumpSnapping:
         np.testing.assert_array_equal(np.flatnonzero(ens.late_jump_capped), late)
 
     def test_more_jumps_than_slots_is_a_contract_error(self):
-        from qvmart.simulate import _snap_jump_indices
-
         grid = TimeGrid.uniform(4)
         with pytest.raises(ContractViolation):
-            _snap_jump_indices(grid, [0.5, 0.6, 0.7, 0.8, 0.9], idx_cap=3)
+            snap_row(grid, [0.5, 0.6, 0.7, 0.8, 0.9])
+
+    @staticmethod
+    def loop_snap(grid, row, time, n):
+        """Every row through the reference loop, with its capped flag."""
+        cap = grid.points.size - 2
+        idx, capped, collision = [], np.zeros(n, bool), np.zeros(n, bool)
+        for r in range(n):
+            times = time[row == r]
+            idxs, collision[r] = loop_snap_row(grid, times, cap)
+            capped[r] = np.any(np.searchsorted(grid.points, times) > cap)
+            idx += idxs
+        return np.array(idx, dtype=np.intp), capped, collision
+
+    @pytest.mark.parametrize("grid", [TimeGrid.uniform(12),
+                                      make_insider_grid(0.4, n_uniform=4, n_log=6)],
+                             ids=["uniform", "insider"])
+    def test_equals_the_per_row_loop(self, grid):
+        # up to cap jumps a row, often several in one cell or past the cap;
+        # row 0 has none
+        rng = np.random.default_rng(3)
+        cap, n = grid.points.size - 2, 400
+        counts = rng.integers(0, cap + 1, n)
+        counts[0] = 0
+        row = np.repeat(np.arange(n), counts)
+        time = np.concatenate([np.sort(rng.uniform(0.0, 1.0, c) ** rng.uniform(0.2, 1.0))
+                               for c in counts])
+        empty = np.zeros(0, dtype=np.intp), np.zeros(0), 5  # an ensemble without jumps
+        for args in (empty, (row, time, n)):
+            got, want = _snap_jumps(grid, *args), self.loop_snap(grid, *args)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert all(flags.any() for flags in want[1:])  # capped and pushed rows both occur
+        # a further row with more jumps than slots: both refuse the ensemble
+        row = np.append(row, np.full(cap + 1, n))
+        time = np.append(time, np.linspace(0.1, 0.9, cap + 1))
+        for snap in (_snap_jumps, self.loop_snap):
+            with pytest.raises(ContractViolation, match="distinct grid slots"):
+                snap(grid, row, time, n + 1)
 
 
 class TestInsiderDrift:
